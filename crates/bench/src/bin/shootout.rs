@@ -4,7 +4,7 @@
 //!
 //! Where `availability` prints a human-readable table over the three §2
 //! protocols, this binary measures the quantities the protocols actually
-//! trade against each other and writes them to `BENCH_shootout.json`:
+//! trade against each other and writes them to `results/shootout.json`:
 //!
 //! * **blocked time** — the `phase.prepared_decided` histogram: how long a
 //!   committing transaction sat between its last vote and its decision.
@@ -19,10 +19,10 @@
 //!
 //! Modes:
 //!
-//! * default — full sweep, writes `BENCH_shootout.json` at the repo root
-//!   (the committed artifact);
+//! * default — full sweep, writes `results/shootout.json` (the committed
+//!   artifact behind EXPERIMENTS.md's four-protocol table);
 //! * `--test` — CI smoke: a reduced workload, written to
-//!   `target/bench-smoke/BENCH_shootout.json`, never the committed file;
+//!   `target/shootout-smoke/shootout.json`, never the committed file;
 //! * `--seed N` — override the workload seed.
 
 use pv_core::ItemId;
@@ -224,11 +224,11 @@ fn main() {
     let seed = pv_bench::seed_from_args(1979);
     let scale = if test_mode { SMOKE } else { FULL };
     let out_path = if test_mode {
-        let d = repo_root().join("target/bench-smoke");
-        std::fs::create_dir_all(&d).expect("create bench-smoke dir");
-        d.join("BENCH_shootout.json")
+        let d = repo_root().join("target/shootout-smoke");
+        std::fs::create_dir_all(&d).expect("create shootout-smoke dir");
+        d.join("shootout.json")
     } else {
-        repo_root().join("BENCH_shootout.json")
+        repo_root().join("results/shootout.json")
     };
 
     println!(

@@ -10,7 +10,7 @@ use crate::topology::Topology;
 use crate::workload::Workload;
 use pv_core::{Entry, ItemId, Value};
 use pv_simnet::{NetConfig, NodeId, SimTime, Trace, TraceSink, World};
-use pv_store::{DiskWal, SiteId, SiteStore, Storage};
+use pv_store::{SiteId, SiteStore, Storage};
 
 /// The node type of an engine world: either a database site or a client.
 pub enum Node {
@@ -120,17 +120,6 @@ impl ClusterBuilder {
         self
     }
 
-    /// Turns on the static submit gate.
-    #[deprecated(
-        since = "0.1.0",
-        note = "set it on the shared configuration: `Topology::static_checks` \
-                (then `ClusterBuilder::from_topology`)"
-    )]
-    pub fn static_checks(mut self) -> Self {
-        self.topo.engine.static_checks = true;
-        self
-    }
-
     /// Seeds an initial item value (placed by the directory). Accepts raw
     /// `u64` item ids and anything convertible to a [`Value`].
     pub fn item(mut self, item: impl Into<ItemId>, value: impl Into<Value>) -> Self {
@@ -197,43 +186,14 @@ impl ClusterBuilder {
             world.set_trace(Trace::collecting());
         }
         for s in 0..topo.sites {
-            // Precedence: an explicit storage factory wins; otherwise a
-            // topology data dir gets the same per-site DiskWal layout the
-            // live and networked runtimes use; otherwise memory.
-            let store = match (&self.storage, &topo.data_dir) {
-                (Some(factory), _) => SiteStore::with_storage(factory(s as SiteId)),
-                (None, Some(dir)) => {
-                    let site_dir = dir.join(format!("site-{s}"));
-                    let wal = DiskWal::open(&site_dir, topo.fsync_policy)
-                        .expect("open site WAL directory");
-                    let mut store = SiteStore::open(Box::new(wal));
-                    // Mirror keyspace runs beside the WAL. The mirror is
-                    // derived state (the WAL stays authoritative), so it is
-                    // attached after recovery replays the log.
-                    store.attach_keyspace_dir(&site_dir);
-                    store
-                }
-                (None, None) => SiteStore::new(),
+            // An explicit storage factory wins over the topology's data dir
+            // (crash-point and fault-injection runs wrap their own backend).
+            let site = match &self.storage {
+                Some(factory) => Site::open_over(s, &topo, SiteStore::with_storage(factory(s))),
+                None => Site::open(s, &topo).expect("open site WAL directory"),
             };
-            let mut site = Site::with_store(
-                s as SiteId,
-                topo.engine.clone(),
-                topo.directory.clone(),
-                store,
-            );
-            for (item, value) in &topo.items {
-                if topo.directory.site_of(*item) == Some(s as SiteId)
-                    && !site.store().contains(*item)
-                {
-                    site.seed_item(*item, value.clone());
-                }
-            }
-            // The initial database population is durable before the run
-            // starts; only records appended during the run are at the mercy
-            // of the fsync policy.
-            site.sync_store();
             let id = world.add_node(Node::Site(Box::new(site)));
-            debug_assert_eq!(id, site_node(s as SiteId));
+            debug_assert_eq!(id, site_node(s));
         }
         let mut client_nodes = Vec::with_capacity(self.clients.len());
         for (config, workload) in self.clients {

@@ -26,6 +26,7 @@ pub mod client;
 pub mod cluster;
 pub mod crashpoint;
 pub mod error;
+pub mod host;
 pub mod live;
 pub mod site;
 pub mod topology;
@@ -42,6 +43,7 @@ pub use crashpoint::{CrashPointConfig, CrashPointReport, Violation};
 pub use config::{CommitProtocol, EngineConfig, LockPolicy, UncertainOutputPolicy};
 pub use directory::Directory;
 pub use error::EngineError;
+pub use host::SiteHost;
 pub use ids::{coordinator_of, encode_txn};
 pub use live::{LiveBuilder, LiveCluster, SiteSnapshot};
 pub use messages::{AbortReason, AccessMode, Msg, TxnResult};

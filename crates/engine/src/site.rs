@@ -17,11 +17,14 @@
 
 use crate::config::EngineConfig;
 use crate::directory::Directory;
+use crate::error::EngineError;
 use crate::messages::{AbortReason, Msg, TxnResult};
+use crate::topology::Topology;
 use pv_protocol::timer::TimerKey;
 use pv_protocol::{Input, MetricOp, Output, SiteMachine};
 use pv_simnet::{Actor, Ctx, NodeId};
-use pv_store::{SiteId, SiteStore};
+use pv_store::{DiskWal, SiteId, SiteStore};
+use std::collections::VecDeque;
 
 pub use pv_protocol::site_node;
 
@@ -34,6 +37,11 @@ pub struct Site {
     /// into the metrics. Off in the simulation, which must keep its metric
     /// exports byte-deterministic under a seed; the live runtime opts in.
     wall_clock_metrics: bool,
+    /// Whether the store held a durable image from a previous incarnation
+    /// when the site was opened. [`Actor::on_start`] then replays recovery
+    /// (epoch bump, lock re-acquisition for staged transactions, inquiry
+    /// timer) once, before any traffic.
+    cold_start: bool,
 }
 
 impl Site {
@@ -59,7 +67,50 @@ impl Site {
             machine: SiteMachine::new(id, config, directory),
             store,
             wall_clock_metrics: false,
+            cold_start: false,
         }
+    }
+
+    /// Builds site `id` of `topo` — the one bootstrap every runtime uses.
+    /// The store is a [`DiskWal`] under `data_dir/site-<id>` when the
+    /// topology has a data directory (replaying whatever image is there) and
+    /// in-memory otherwise. Fails with [`EngineError::Io`] when the WAL
+    /// directory cannot be opened.
+    pub fn open(id: SiteId, topo: &Topology) -> Result<Site, EngineError> {
+        let store = match &topo.data_dir {
+            Some(dir) => {
+                let path = dir.join(format!("site-{id}"));
+                let wal = DiskWal::open(&path, topo.fsync_policy)
+                    .map_err(|e| EngineError::Io(format!("open WAL at {}: {e}", path.display())))?;
+                SiteStore::open(Box::new(wal))
+            }
+            None => SiteStore::new(),
+        };
+        Ok(Site::open_over(id, topo, store))
+    }
+
+    /// [`Site::open`] over a store the caller built (the simulation's
+    /// pluggable-storage runs): seeds the topology's items this site is home
+    /// to and does not already hold, and makes that population durable
+    /// before the site serves traffic.
+    pub(crate) fn open_over(id: SiteId, topo: &Topology, store: SiteStore) -> Site {
+        // Read before seeding: seeding a fresh store also appends records.
+        let cold_start = !store.wal().is_empty();
+        let mut site = Site::with_store(id, topo.engine.clone(), topo.directory.clone(), store);
+        site.cold_start = cold_start;
+        for (item, value) in &topo.items {
+            if topo.directory.site_of(*item) == Some(id) && !site.store.contains(*item) {
+                site.seed_item(*item, value.clone());
+            }
+        }
+        site.sync_store();
+        site
+    }
+
+    /// Whether [`Actor::on_start`] has a previous incarnation's image to
+    /// recover from (false again once it has run).
+    pub fn is_cold_start(&self) -> bool {
+        self.cold_start
     }
 
     /// Loads an item this site is home to (initial database population).
@@ -118,9 +169,9 @@ impl Site {
     fn drive(&mut self, ctx: &mut Ctx<Msg>, input: Input) {
         let mut out = Vec::new();
         self.machine.step(ctx.now(), input, &mut self.store, &mut out);
-        let mut i = 0;
-        while i < out.len() {
-            match std::mem::replace(&mut out[i], Output::Metric(MetricOp::IncBy("", 0))) {
+        let mut out = VecDeque::from(out);
+        while let Some(output) = out.pop_front() {
+            match output {
                 Output::Send { to, msg } => ctx.send(to, msg),
                 Output::ArmTimer { delay, key } => {
                     ctx.set_timer(delay, key.encode());
@@ -129,11 +180,7 @@ impl Site {
                 Output::Metric(op) => match op {
                     MetricOp::Inc(name) => ctx.metrics().inc(name),
                     MetricOp::IncOwned(name) => ctx.metrics().inc(&name),
-                    MetricOp::IncBy(name, n) => {
-                        if !name.is_empty() {
-                            ctx.metrics().inc_by(name, n);
-                        }
-                    }
+                    MetricOp::IncBy(name, n) => ctx.metrics().inc_by(name, n),
                     MetricOp::Observe(name, v) => ctx.metrics().observe(name, v),
                     MetricOp::Gauge(name, v) => {
                         let now = ctx.now();
@@ -149,12 +196,13 @@ impl Site {
                         &mut self.store,
                         &mut follow,
                     );
-                    // Splice the follow-up effects in place of the request so
-                    // the overall effect order matches the machine's.
-                    out.splice(i + 1..i + 1, follow);
+                    // The follow-up effects take the request's place at the
+                    // front, so the overall order matches the machine's.
+                    for output in follow.into_iter().rev() {
+                        out.push_front(output);
+                    }
                 }
             }
-            i += 1;
         }
     }
 
@@ -179,7 +227,6 @@ impl Site {
         ctx.metrics().inc_by("store.flushes", stats.lsm_flushes);
         ctx.metrics().inc_by("store.compactions", stats.lsm_compactions);
         ctx.metrics().inc_by("store.gc_dropped", stats.lsm_gc_dropped);
-        ctx.metrics().inc_by("store.runs_written", stats.lsm_runs_written);
         ctx.metrics().inc_by("store.snapshot_reads", stats.snapshot_reads);
         let now = ctx.now();
         ctx.metrics()
@@ -220,6 +267,14 @@ impl Site {
 
 impl Actor for Site {
     type Msg = Msg;
+
+    fn on_start(&mut self, ctx: &mut Ctx<Msg>) {
+        // A site opened over a previous incarnation's image recovers before
+        // it touches any traffic; a fresh site has nothing to do.
+        if std::mem::take(&mut self.cold_start) {
+            self.on_recover(ctx);
+        }
+    }
 
     fn on_message(&mut self, ctx: &mut Ctx<Msg>, from: NodeId, msg: Msg) {
         // The opt-in submit gate: reject statically wrong transactions

@@ -2,10 +2,10 @@
 
 use pv_core::{Entry, Expr, ItemId, TransactionSpec, Value};
 use pv_engine::{
-    ClientConfig, Cluster, ClusterBuilder, CommitProtocol, Directory, EngineConfig, Script,
-    TxnResult,
+    coordinator_of, ClientConfig, Cluster, ClusterBuilder, CommitProtocol, Directory, EngineConfig,
+    Script, Topology, TxnResult,
 };
-use pv_simnet::{NetConfig, NodeId, SimDuration, SimTime};
+use pv_simnet::{NetConfig, NodeId, SimDuration, SimTime, TraceEvent};
 
 /// Transfer `amt` from `from` to `to` if funds suffice.
 fn transfer(from: u64, to: u64, amt: i64) -> TransactionSpec {
@@ -557,4 +557,51 @@ fn sim_snapshot_reads_are_coordination_free_and_deterministic() {
     let a = run();
     let b = run();
     assert_eq!(a, b, "same-seed runs with snapshot reads diverged");
+}
+
+#[test]
+fn sim_rebuilt_over_a_data_dir_replays_cold_recovery() {
+    // Tests must not write outside the repository.
+    let dir = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../../target/tmp/engine-e2e/cold_start");
+    let _ = std::fs::remove_dir_all(&dir);
+    let topo = Topology::new(2, Directory::Mod(2))
+        .item(ItemId(0), Value::Int(100))
+        .item(ItemId(1), Value::Int(100))
+        .data_dir(&dir)
+        .collect_trace();
+    // One incarnation of the cluster: a single committed transfer. Returns
+    // the first transaction id it decided and its coordinator's epoch.
+    let life = |amt: i64| {
+        let mut cluster = ClusterBuilder::from_topology(topo.clone())
+            .seed(7)
+            .net(NetConfig::instant())
+            .client(
+                ClientConfig::default(),
+                Box::new(Script::new(vec![transfer(0, 1, amt)], SimDuration::from_millis(10))),
+            )
+            .build();
+        run_secs(&mut cluster, 2);
+        let results = cluster.client(0).unwrap().results();
+        assert!(results[0].1.is_committed());
+        let decided = cluster
+            .trace()
+            .records()
+            .iter()
+            .find_map(|r| match r.event {
+                TraceEvent::Decided { txn, .. } => Some(txn),
+                _ => None,
+            })
+            .expect("a decision was traced");
+        let coordinator = coordinator_of(pv_core::TxnId(decided));
+        (decided, cluster.site(coordinator).unwrap().store().epoch())
+    };
+    let (first, first_epoch) = life(30);
+    assert_eq!(first_epoch, 0);
+    // The second incarnation opens the first one's WALs: it must recover
+    // (fresh epoch) before minting ids, or it would reuse one whose decision
+    // record is already durable.
+    let (second, second_epoch) = life(5);
+    assert!(second_epoch >= 1, "epoch {second_epoch}");
+    assert_ne!(first, second);
 }

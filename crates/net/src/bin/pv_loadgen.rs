@@ -4,9 +4,6 @@
 //! # Spawn a 3-process cluster on free localhost ports, hammer it, report:
 //! pv-loadgen --sites 3 --accounts 12 --balance 100 --txns 2000 --clients 4
 //!
-//! # Full bench sweep (site counts × client concurrency), JSON out:
-//! pv-loadgen --sweep --txns 2000 --out BENCH_net.json
-//!
 //! # Target an already-running cluster instead of spawning one:
 //! pv-loadgen --addrs 127.0.0.1:7100,127.0.0.1:7101 --txns 1000 --clients 2
 //! ```
@@ -17,14 +14,15 @@
 //! `k` coordinates through site `k mod sites`). After the run the cluster
 //! must drain to zero polyvalues and conserve total funds; a violation, an
 //! unreachable site, or a child process dying mid-run exits non-zero with a
-//! structured JSON error on stderr (same contract as `pv-node`).
+//! structured JSON error on stderr (same contract as `pv-node`). The printed
+//! throughput and latencies are a progress report, not a benchmark: `pvbench`
+//! (`net_closed`, `net_pipelined`) is what measures the networked path.
 
 use pv_core::{Expr, ItemId, TransactionSpec};
 use pv_engine::EngineError;
 use pv_net::backoff::Backoff;
 use pv_net::client::NetClient;
 use pv_simnet::{Metrics, SimRng};
-use std::io::Write as _;
 use std::net::{SocketAddr, TcpListener};
 use std::process::{Child, Command, ExitCode, Stdio};
 use std::time::{Duration, Instant};
@@ -33,7 +31,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: pv-loadgen [--sites N] [--accounts N] [--balance V] [--txns N] [--clients N] \
          [--protocol polyvalue|blocking2pc|relaxed] [--addrs HOST:PORT,...] [--seed N] \
-         [--sweep] [--out PATH] [--attempts N] [--delay-ms N]"
+         [--attempts N] [--delay-ms N]"
     );
     std::process::exit(2);
 }
@@ -63,7 +61,6 @@ fn error_json(e: &EngineError) -> String {
     }
 }
 
-#[derive(Clone)]
 struct Args {
     sites: u32,
     accounts: u64,
@@ -73,8 +70,6 @@ struct Args {
     protocol: String,
     addrs: Vec<SocketAddr>,
     seed: u64,
-    sweep: bool,
-    out: Option<String>,
     backoff: Backoff,
 }
 
@@ -88,8 +83,6 @@ fn parse_args() -> Args {
         protocol: "polyvalue".into(),
         addrs: Vec::new(),
         seed: 42,
-        sweep: false,
-        out: None,
         backoff: Backoff::default(),
     };
     let mut it = std::env::args().skip(1);
@@ -114,8 +107,6 @@ fn parse_args() -> Args {
                     .collect()
             }
             "--seed" => args.seed = value("--seed").parse().unwrap_or_else(|_| usage()),
-            "--sweep" => args.sweep = true,
-            "--out" => args.out = Some(value("--out")),
             "--attempts" => {
                 args.backoff.attempts = value("--attempts").parse().unwrap_or_else(|_| usage())
             }
@@ -338,7 +329,7 @@ fn run_load(args: &Args, addrs: &[SocketAddr]) -> Result<RunStats, EngineError> 
 /// One spawn-measure-shutdown cycle.
 fn run_once(args: &Args) -> Result<RunStats, EngineError> {
     if !args.addrs.is_empty() {
-        return run_load(args, &args.addrs.clone());
+        return run_load(args, &args.addrs);
     }
     let addrs = free_addrs(args.sites)?;
     let children = spawn_cluster(args, &addrs)?;
@@ -386,113 +377,13 @@ fn print_stats(stats: &RunStats) {
     }
 }
 
-fn push_bench(
-    out: &mut String,
-    first: &mut bool,
-    name: &str,
-    description: &str,
-    unit: &str,
-    value: f64,
-) {
-    if !*first {
-        out.push_str(",\n");
-    }
-    *first = false;
-    out.push_str(&format!(
-        "    {{\n      \"name\": \"{name}\",\n      \"description\": \"{description}\",\n      \"unit\": \"{unit}\",\n      \"value\": {value:.3}\n    }}"
-    ));
-}
-
-fn bench_entries(out: &mut String, first: &mut bool, stats: &RunStats) {
-    let tag = format!("net_{}s_c{}", stats.sites, stats.clients);
-    let desc = format!(
-        "{}-process localhost cluster, {} closed-loop clients, funds transfers",
-        stats.sites, stats.clients
-    );
-    push_bench(
-        out,
-        first,
-        &format!("{tag}_throughput"),
-        &format!("{desc} (committed transactions per second)"),
-        "txn/s",
-        stats.throughput(),
-    );
-    if let Some(h) = stats.metrics.histogram("client.latency") {
-        push_bench(
-            out,
-            first,
-            &format!("{tag}_latency_p50"),
-            &format!("{desc} (client-observed submit to reply, median)"),
-            "ms",
-            h.quantile(0.5).unwrap_or(0.0) * 1e3,
-        );
-        push_bench(
-            out,
-            first,
-            &format!("{tag}_latency_p99"),
-            &format!("{desc} (client-observed submit to reply, 99th percentile)"),
-            "ms",
-            h.quantile(0.99).unwrap_or(0.0) * 1e3,
-        );
-    }
-    for (hist, label) in [
-        ("phase.submit_prepared", "submit to prepared"),
-        ("phase.prepared_decided", "prepared to decided"),
-    ] {
-        if let Some(h) = stats.metrics.histogram(hist) {
-            push_bench(
-                out,
-                first,
-                &format!("{tag}_{}_p50", hist.replace('.', "_")),
-                &format!("{desc} (site-measured {label} phase, median)"),
-                "ms",
-                h.quantile(0.5).unwrap_or(0.0) * 1e3,
-            );
-        }
-    }
-}
-
-fn run_main(args: Args) -> Result<(), EngineError> {
-    let mut json = String::from("{\n");
-    json.push_str("  \"suite\": \"pv-net localhost cluster\",\n");
-    json.push_str(
-        "  \"invocation\": \"cargo run --release -p pv-net --bin pv-loadgen -- --sweep\",\n",
-    );
-    json.push_str("  \"benches\": [\n");
-    let mut first = true;
-
-    if args.sweep {
-        // Scaling curves: client concurrency at 3 sites, then site count at
-        // fixed concurrency.
-        for (sites, clients) in [(3, 1), (3, 4), (3, 8), (5, 4)] {
-            let mut cfg = args.clone();
-            cfg.sites = sites;
-            cfg.clients = clients;
-            cfg.addrs.clear();
-            let stats = run_once(&cfg)?;
-            print_stats(&stats);
-            bench_entries(&mut json, &mut first, &stats);
-        }
-    } else {
-        let stats = run_once(&args)?;
-        print_stats(&stats);
-        bench_entries(&mut json, &mut first, &stats);
-    }
-    json.push_str("\n  ]\n}\n");
-    if let Some(path) = &args.out {
-        let mut f = std::fs::File::create(path)
-            .map_err(|e| EngineError::Io(format!("create {path}: {e}")))?;
-        f.write_all(json.as_bytes())
-            .map_err(|e| EngineError::Io(format!("write {path}: {e}")))?;
-        println!("wrote {path}");
-    }
-    Ok(())
-}
-
 fn main() -> ExitCode {
     let args = parse_args();
-    match run_main(args) {
-        Ok(()) => ExitCode::SUCCESS,
+    match run_once(&args) {
+        Ok(stats) => {
+            print_stats(&stats);
+            ExitCode::SUCCESS
+        }
         Err(e) => {
             eprintln!("{}", error_json(&e));
             ExitCode::FAILURE

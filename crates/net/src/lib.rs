@@ -9,8 +9,8 @@
 //!   ([`pv_store::codec`]); this module adds framing and the protocol-level
 //!   message vocabulary.
 //! * [`node`] — the site process: a non-blocking event loop (accept, read,
-//!   decode, engine callback, write-backpressure flush) with a wall-clock
-//!   timer wheel and deadline-driven peer dialing governed by [`backoff`].
+//!   decode, write-backpressure flush) around one [`pv_engine::SiteHost`],
+//!   with deadline-driven peer dialing governed by [`backoff`].
 //! * [`backoff`] — the jittered-exponential [`Backoff`] policy and the
 //!   per-peer [`Circuit`] breaker that pace every dial and reconnect.
 //! * [`client`] — a blocking client connection with pipelined submission.
@@ -22,8 +22,8 @@
 //!   duplication, throttling, partitions, and mid-frame cuts.
 //!
 //! The `pv-node` binary wraps [`node::Node`] for one-process-per-site
-//! deployment; `pv-loadgen` spawns or targets such a cluster and measures
-//! committed throughput and phase latencies (`BENCH_net.json`); `pv-chaos`
+//! deployment; `pv-loadgen` spawns or targets such a cluster, drives funds
+//! transfers and gates on drain and conservation; `pv-chaos`
 //! supervises real `pv-node` processes under kill/restart/partition
 //! schedules and asserts the paper's recovery invariants.
 

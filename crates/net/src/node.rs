@@ -1,25 +1,22 @@
 //! The site node: a single-process, single-threaded socket event loop
-//! driving one [`pv_engine::Site`].
+//! around one [`pv_engine::SiteHost`].
 //!
 //! This is the third deployment of the identical sans-IO
 //! `pv_protocol::SiteMachine` — after the deterministic simulation and the
-//! thread-per-site live runtime — and it reuses the engine's driver contract
-//! verbatim: every callback runs under [`pv_simnet::Ctx::external`], effects
-//! apply in emission order, `NeedCoin` is answered locally inside
-//! [`Site::drive`](pv_engine::Site), and the storage-metrics flush rides the
-//! same hooks. What this module adds is real I/O: a non-blocking
-//! `std::net` readiness loop (accept, read, decode, write-backpressure
-//! flush), a wall-clock timer wheel feeding `on_timer`, and
-//! **deadline-driven peer dialing**: connection attempts run on detached
-//! dialer threads and report back through a channel, so the event loop keeps
-//! serving live peers and clients while an unreachable peer is being
-//! retried. Retries are governed by a per-peer [`Circuit`] breaker under a
-//! jittered-exponential [`Backoff`] policy — a peer that stays dead walks
-//! Closed → Open → HalfOpen with growing pauses (never a hot loop), and a
-//! peer that stays unreachable past the policy's attempt budget is a
-//! structured [`EngineError::Unreachable`], never a hang. Messages bound for
-//! a down peer queue (bounded) and flush on reconnect; the §3.3 inquiry
-//! protocol absorbs anything the bound drops.
+//! thread-per-site live runtime — and it shares the live runtime's driver:
+//! the [`SiteHost`] runs every callback, applies effects in emission order,
+//! steps self-sends and keeps the wall-clock timers. What this module adds
+//! is real I/O: a non-blocking `std::net` readiness loop (accept, read,
+//! decode, write-backpressure flush) and **deadline-driven peer dialing**:
+//! connection attempts run on detached dialer threads and report back
+//! through a channel, so the event loop keeps serving live peers and clients
+//! while an unreachable peer is being retried. Retries are governed by a
+//! per-peer [`Circuit`] breaker under a jittered-exponential [`Backoff`]
+//! policy — a peer that stays dead walks Closed → Open → HalfOpen with
+//! growing pauses (never a hot loop), and a peer that stays unreachable past
+//! the policy's attempt budget is a structured [`EngineError::Unreachable`],
+//! never a hang. Messages bound for a down peer queue (bounded) and flush on
+//! reconnect; the §3.3 inquiry protocol absorbs anything the bound drops.
 //!
 //! The loop polls with a short sleep rather than an OS readiness API: the
 //! workspace is hermetic (no `mio`/`libc`), and at cluster sizes of tens of
@@ -35,10 +32,10 @@ use crate::wire::{
 };
 use pv_engine::messages::Msg;
 use pv_engine::topology::Topology;
-use pv_engine::{EngineError, Site};
-use pv_simnet::{Actor, Ctx, Effect, Metrics, NodeId, SimRng, SimTime, Trace};
-use pv_store::{DiskWal, SiteId, SiteStore};
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
+use pv_engine::{EngineError, Site, SiteHost};
+use pv_simnet::{Metrics, NodeId, Trace};
+use pv_store::SiteId;
+use std::collections::{BTreeMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::mpsc;
@@ -55,30 +52,6 @@ const IDLE_MAX: Duration = Duration::from_millis(10);
 /// Most protocol messages held for a down peer before the oldest drop.
 /// The §3.1 timers and §3.3 inquiries re-drive anything lost.
 const PENDING_CAP: usize = 4096;
-
-/// One pending timer in the node's wheel (earliest-due pops first).
-struct PendingTimer {
-    due: Instant,
-    id: u64,
-    key: u64,
-}
-
-impl PartialEq for PendingTimer {
-    fn eq(&self, other: &Self) -> bool {
-        self.due == other.due && self.id == other.id
-    }
-}
-impl Eq for PendingTimer {}
-impl PartialOrd for PendingTimer {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for PendingTimer {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other.due.cmp(&self.due).then(other.id.cmp(&self.id))
-    }
-}
 
 /// One live connection with read/write buffering. Writes that the socket
 /// will not take immediately stay queued in `wbuf` and drain as the peer
@@ -231,23 +204,15 @@ pub struct Node {
     sites: u32,
     listener: TcpListener,
     backoff: Backoff,
-    site: Site,
-    recovered: bool,
+    host: SiteHost,
     metrics: Metrics,
     trace: Trace,
-    rng: SimRng,
-    next_timer_id: u64,
-    timers: BinaryHeap<PendingTimer>,
-    cancelled: BTreeSet<u64>,
-    epoch: Instant,
     /// Outbound site→site links, indexed by peer site id.
     peers: Vec<PeerLink>,
     /// Inbound connections (slab; indices stay stable, dead slots are None).
     conns: Vec<Option<Conn>>,
     /// Reply routing: node id (from `Hello`) → inbound conn slot.
     routes: BTreeMap<u32, usize>,
-    /// Messages a site sends to itself, applied in order within the loop.
-    loopback: VecDeque<Msg>,
     /// Current idle poll tick (decays toward [`IDLE_MAX`] while idle).
     idle_tick: Duration,
 }
@@ -272,29 +237,7 @@ impl Node {
         listener
             .set_nonblocking(true)
             .map_err(|e| EngineError::Io(format!("set_nonblocking: {e}")))?;
-        let store = match &topo.data_dir {
-            Some(dir) => {
-                let path = dir.join(format!("site-{s}"));
-                let wal = DiskWal::open(&path, topo.fsync_policy).map_err(|e| {
-                    EngineError::Io(format!("open WAL at {}: {e}", path.display()))
-                })?;
-                let mut store = SiteStore::open(Box::new(wal));
-                // Mirror keyspace runs beside the WAL (derived state; the
-                // WAL stays the authoritative log).
-                store.attach_keyspace_dir(&path);
-                store
-            }
-            None => SiteStore::new(),
-        };
-        let recovered = !store.wal().is_empty();
-        let mut site = Site::with_store(s, topo.engine.clone(), topo.directory.clone(), store);
-        site.enable_wall_clock_metrics();
-        for (item, value) in &topo.items {
-            if topo.directory.site_of(*item) == Some(s) && !site.store().contains(*item) {
-                site.seed_item(*item, value.clone());
-            }
-        }
-        site.sync_store();
+        let site = Site::open(s, &topo)?;
         let peers = (0..topo.sites)
             .map(|p| PeerLink::unused(backoff, peer_salt(s, p)))
             .collect();
@@ -303,19 +246,12 @@ impl Node {
             sites: topo.sites,
             listener,
             backoff,
-            site,
-            recovered,
+            host: SiteHost::new(site, 0xBEEF_0000 + u64::from(s), Instant::now()),
             metrics: Metrics::new(),
             trace: Trace::default(),
-            rng: SimRng::new(0xBEEF_0000 + u64::from(s)),
-            next_timer_id: 0,
-            timers: BinaryHeap::new(),
-            cancelled: BTreeSet::new(),
-            epoch: Instant::now(),
             peers,
             conns: Vec::new(),
             routes: BTreeMap::new(),
-            loopback: VecDeque::new(),
             idle_tick: IDLE_MIN,
         })
     }
@@ -329,7 +265,7 @@ impl Node {
 
     /// Provides the full site address table (index = site id). Must be
     /// called before [`Node::run`]. The entry for this site itself is
-    /// ignored (self-sends use the in-process loopback queue), so the table
+    /// ignored (self-sends never leave the [`SiteHost`]), so the table
     /// may point at chaos proxies while the node listens on its real
     /// address.
     pub fn set_peers(&mut self, addrs: Vec<SocketAddr>) {
@@ -356,59 +292,27 @@ impl Node {
         }
     }
 
-    fn now(&self) -> SimTime {
-        SimTime(self.epoch.elapsed().as_micros() as u64)
-    }
-
-    /// Runs one engine callback and applies its effects in emission order —
-    /// identical contract to the live runtime's driver.
-    fn callback(
+    /// Runs one host call, then ships the messages it produced.
+    fn drive<R>(
         &mut self,
-        f: impl FnOnce(&mut Site, &mut Ctx<Msg>),
-    ) -> Result<(), EngineError> {
-        let mut ctx = Ctx::external(
-            self.now(),
-            self.me,
-            &mut self.rng,
-            &mut self.metrics,
-            &mut self.trace,
-            &mut self.next_timer_id,
-        );
-        f(&mut self.site, &mut ctx);
-        let effects = ctx.drain_effects();
-        let now = self.now();
-        for effect in effects {
-            match effect {
-                Effect::Send { to, msg } => self.send(to, msg)?,
-                Effect::SetTimer { id, key, at } => {
-                    let delay =
-                        Duration::from_micros(at.as_micros().saturating_sub(now.as_micros()));
-                    self.timers.push(PendingTimer {
-                        due: Instant::now() + delay,
-                        id,
-                        key,
-                    });
-                }
-                Effect::CancelTimer(id) => {
-                    self.cancelled.insert(id);
-                }
-            }
+        f: impl FnOnce(&mut SiteHost, &mut Metrics, &mut Trace, &mut Vec<(NodeId, Msg)>) -> R,
+    ) -> Result<R, EngineError> {
+        let mut out = Vec::new();
+        let result = f(&mut self.host, &mut self.metrics, &mut self.trace, &mut out);
+        for (to, msg) in out {
+            self.send(to, msg)?;
         }
-        Ok(())
+        Ok(result)
     }
 
-    /// Routes one outgoing message: loopback to self, a peer-site link, or a
-    /// client connection (by the node id its `Hello` registered). A missing
-    /// client route drops the message like a datagram — the protocol's
-    /// timers and inquiries already tolerate loss. A message for a peer site
+    /// Routes one outgoing message: a peer-site link, or a client connection
+    /// (by the node id its `Hello` registered). A missing client route drops
+    /// the message like a datagram — the protocol's timers and inquiries
+    /// already tolerate loss. A message for a peer site
     /// that is currently down queues (bounded) for delivery on reconnect;
     /// the reconnect itself is governed by the peer's circuit breaker and
     /// never blocks this loop.
     fn send(&mut self, to: NodeId, msg: Msg) -> Result<(), EngineError> {
-        if to == self.me {
-            self.loopback.push_back(msg);
-            return Ok(());
-        }
         if to.0 < self.sites {
             let link = &mut self.peers[to.0 as usize];
             if let Some(conn) = link.conn.as_mut() {
@@ -437,16 +341,6 @@ impl Node {
             }
         }
         self.metrics.inc("net.dropped_no_route");
-        Ok(())
-    }
-
-    /// Drains the self-send queue (a site messaging itself must see those
-    /// messages in order, before any socket traffic).
-    fn drain_loopback(&mut self) -> Result<(), EngineError> {
-        while let Some(msg) = self.loopback.pop_front() {
-            let me = self.me;
-            self.callback(|site, ctx| site.on_message(ctx, me, msg))?;
-        }
         Ok(())
     }
 
@@ -602,16 +496,16 @@ impl Node {
     }
 
     fn snapshot(&self) -> NodeSnapshot {
+        let site = self.host.site();
         NodeSnapshot {
-            site: self.site.id(),
-            items: self
-                .site
+            site: site.id(),
+            items: site
                 .store()
                 .iter_items()
                 .map(|(i, e)| (i, e.clone()))
                 .collect(),
-            poly_count: self.site.poly_count() as u64,
-            quiescent: self.site.is_quiescent(),
+            poly_count: site.poly_count() as u64,
+            quiescent: site.is_quiescent(),
         }
     }
 
@@ -631,30 +525,12 @@ impl Node {
                 self.sites
             )));
         }
-        if self.recovered {
-            self.callback(|site, ctx| site.on_recover(ctx))?;
-            self.drain_loopback()?;
+        if self.drive(|host, m, t, out| host.start(m, t, out))? {
             self.metrics.inc("net.cold_recoveries");
         }
         loop {
-            let mut progress = false;
-
             // 1. Fire due timers.
-            loop {
-                match self.timers.peek() {
-                    Some(t) if t.due <= Instant::now() => {
-                        let t = self.timers.pop().expect("peeked");
-                        if self.cancelled.remove(&t.id) {
-                            continue;
-                        }
-                        let key = t.key;
-                        self.callback(|site, ctx| site.on_timer(ctx, key))?;
-                        self.drain_loopback()?;
-                        progress = true;
-                    }
-                    _ => break,
-                }
-            }
+            let mut progress = self.drive(|host, m, t, out| host.fire_due(m, t, out))?;
 
             // 2. Advance peer links (dial results, reconnect probes).
             progress |= self.pump_peers()?;
@@ -717,8 +593,7 @@ impl Node {
                     }
                     Frame::Proto { from, msg } => {
                         let from = NodeId(from);
-                        self.callback(|site, ctx| site.on_message(ctx, from, msg))?;
-                        self.drain_loopback()?;
+                        self.drive(|host, m, t, out| host.deliver(from, msg, m, t, out))?;
                     }
                     Frame::InspectReq => {
                         let snap = self.snapshot();
@@ -739,7 +614,6 @@ impl Node {
                         self.metrics.inc("net.backoff.reconfigured");
                     }
                     Frame::Shutdown => {
-                        self.site.sync_store();
                         // Best-effort flush of queued replies before exit.
                         for conn in self.conns.iter_mut().flatten() {
                             conn.flush();
@@ -749,7 +623,7 @@ impl Node {
                                 conn.flush();
                             }
                         }
-                        return Ok(self.site);
+                        return Ok(self.host.into_site());
                     }
                     // Responses are never addressed *to* a site.
                     Frame::InspectResp(_) | Frame::MetricsResp(_) => {
@@ -782,8 +656,8 @@ impl Node {
             if !progress {
                 self.metrics.inc("net.idle_wakeups");
                 let mut tick = self.idle_tick;
-                if let Some(t) = self.timers.peek() {
-                    tick = tick.min(t.due.saturating_duration_since(Instant::now()));
+                if let Some(due) = self.host.next_deadline() {
+                    tick = tick.min(due.saturating_duration_since(Instant::now()));
                 }
                 std::thread::sleep(tick.max(IDLE_MIN));
                 self.idle_tick = (self.idle_tick * 2).min(IDLE_MAX);

@@ -5,7 +5,7 @@
 //! drivers hand the key back via
 //! [`Input::Timer`](crate::machine::Input::Timer) when the timer fires. For
 //! runtimes whose timer facility carries a bare `u64` (the simulation's
-//! `Ctx::set_timer`, the live runtime's timer wheel), [`TimerKey::encode`]
+//! `Ctx::set_timer`, the wall-clock `SiteHost`'s timer map), [`TimerKey::encode`]
 //! packs the key into one word and [`TimerKey::decode`] recovers it:
 //!
 //! ```text

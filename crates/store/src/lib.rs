@@ -15,7 +15,6 @@ pub mod lsm;
 mod outcomes;
 mod site_store;
 pub mod storage;
-mod table;
 mod wal;
 
 pub use codec::CodecError;
@@ -26,5 +25,4 @@ pub use storage::{
     DiskWal, FaultConfig, FaultyStorage, FsyncPolicy, MemStorage, Storage, StorageError,
     StorageStats,
 };
-pub use table::ItemTable;
 pub use wal::{Record, SiteId, Wal};

@@ -1,8 +1,7 @@
 //! The partitioned LSM keyspace: MVCC version chains behind the WAL.
 //!
-//! [`Keyspace`] replaces the flat latest-entry-only [`ItemTable`] as the
-//! materialised table a site serves reads from. The layout follows the
-//! classic memtable-plus-sorted-runs idiom (fjall-style):
+//! [`Keyspace`] is the materialised table a site serves reads from. The
+//! layout follows the classic memtable-plus-sorted-runs idiom (fjall-style):
 //!
 //! * items hash into a fixed set of **partitions**;
 //! * each partition holds a **memtable** of version chains plus a stack of
@@ -22,26 +21,14 @@
 //! at or below the horizon, which is exactly what any pinned snapshot
 //! resolves to).
 //!
-//! **Durability split.** The WAL remains the commit log and the sole
-//! recovery authority: the keyspace is derived state, rebuilt by WAL replay
-//! on every recovery. When a data directory is attached, flushed and
-//! compacted runs are additionally materialised as checksummed run files
-//! (same `[len][checksum][payload]` framing as the WAL codec, written
-//! temp-file-then-atomic-rename like [`DiskWal`](crate::DiskWal)
-//! compaction), and [`Keyspace::set_dir`] wipes stale run and `.tmp` files
-//! before the rebuild — so a crash at *any* point inside a flush or
-//! compaction, including a torn rename, leaves nothing the next incarnation
-//! can misread. The run mirror is deliberately non-authoritative: mirror IO
-//! errors are counted ([`KeyspaceStats::mirror_errors`]), never fatal.
+//! **Durability split.** The WAL is the commit log and the sole recovery
+//! authority: the keyspace is derived state, held in memory and rebuilt by
+//! WAL replay on every recovery.
 
-use crate::codec::{self, CodecError};
-use crate::storage::sync_dir;
+use crate::codec;
 use bytes::{BufMut, BytesMut};
 use pv_core::{Entry, ItemId, Value};
 use std::collections::{BTreeMap, BTreeSet};
-use std::fs;
-use std::io::Write;
-use std::path::{Path, PathBuf};
 
 /// A monotone sequence number stamped on every version written to the
 /// keyspace. Snapshot reads are "the newest version at or below this".
@@ -127,7 +114,6 @@ impl SnapshotTracker {
 /// An immutable sorted run: versions ordered by `(item, seq)`.
 #[derive(Debug, Clone)]
 struct Run {
-    id: u64,
     versions: Vec<(ItemId, Version)>,
 }
 
@@ -175,10 +161,6 @@ pub struct KeyspaceStats {
     pub compactions: u64,
     /// Versions dropped by compaction GC (invisible to every pin).
     pub gc_dropped: u64,
-    /// Run files written to the disk mirror.
-    pub runs_written: u64,
-    /// Best-effort mirror IO failures (the mirror is not authoritative).
-    pub mirror_errors: u64,
 }
 
 /// The partitioned LSM keyspace. See the module docs for the layout and
@@ -186,7 +168,6 @@ pub struct KeyspaceStats {
 #[derive(Debug, Clone)]
 pub struct Keyspace {
     cfg: KeyspaceConfig,
-    dir: Option<PathBuf>,
     parts: Vec<Partition>,
     /// The sequence number of the most recent write (0 = nothing written).
     seq: SeqNo,
@@ -195,7 +176,6 @@ pub struct Keyspace {
     items: BTreeSet<ItemId>,
     /// Items whose *latest* version is a polyvalue — the paper's `P(t)`.
     poly_items: BTreeSet<ItemId>,
-    next_run_id: u64,
     /// Counts every flush and compaction: the LSM's crash-coordinate
     /// counter, sampled by the crashpoint harness alongside the WAL's
     /// append counter.
@@ -215,13 +195,11 @@ impl Keyspace {
         let partitions = cfg.partitions.max(1);
         Keyspace {
             cfg: KeyspaceConfig { partitions, ..cfg },
-            dir: None,
             parts: vec![Partition::default(); partitions],
             seq: 0,
             tracker: SnapshotTracker::default(),
             items: BTreeSet::new(),
             poly_items: BTreeSet::new(),
-            next_run_id: 0,
             op_seq: 0,
             stats: KeyspaceStats::default(),
         }
@@ -232,31 +210,6 @@ impl Keyspace {
     pub fn set_thresholds(&mut self, memtable_max_entries: usize, run_threshold: usize) {
         self.cfg.memtable_max_entries = memtable_max_entries.max(1);
         self.cfg.run_threshold = run_threshold.max(2);
-    }
-
-    /// Attaches a disk mirror directory for run files, wiping anything a
-    /// previous incarnation left behind (run files, torn `.tmp` files): the
-    /// keyspace is derived state and is about to be rebuilt from the WAL,
-    /// so stale runs must never be read.
-    pub fn set_dir(&mut self, dir: &Path) {
-        let _ = fs::create_dir_all(dir);
-        if let Ok(entries) = fs::read_dir(dir) {
-            for e in entries.flatten() {
-                let name = e.file_name();
-                let name = name.to_string_lossy();
-                if name.starts_with("run-") && (name.ends_with(".run") || name.ends_with(".tmp")) {
-                    let _ = fs::remove_file(e.path());
-                }
-            }
-        }
-        sync_dir(dir);
-        self.dir = Some(dir.to_path_buf());
-    }
-
-    /// Detaches the disk mirror (clones must not write into the original's
-    /// directory). Future flushes stay purely in memory.
-    pub fn detach_dir(&mut self) {
-        self.dir = None;
     }
 
     /// The active tuning.
@@ -306,14 +259,9 @@ impl Keyspace {
         }
         part.memtable_versions = 0;
         part.memtable_bytes = 0;
-        let run = Run {
-            id: self.next_run_id,
-            versions,
-        };
-        self.next_run_id += 1;
+        let run = Run { versions };
         self.op_seq += 1;
         self.stats.flushes += 1;
-        self.mirror_write(&run);
         self.parts[p].runs.push(run);
         if self.parts[p].runs.len() >= self.cfg.run_threshold {
             self.compact_partition(p);
@@ -328,7 +276,6 @@ impl Keyspace {
     fn compact_partition(&mut self, p: usize) {
         let horizon = self.tracker.oldest().unwrap_or(self.seq).min(self.seq);
         let part = &mut self.parts[p];
-        let old_ids: Vec<u64> = part.runs.iter().map(|r| r.id).collect();
         let mut chains: BTreeMap<ItemId, Vec<Version>> = BTreeMap::new();
         for run in part.runs.drain(..) {
             for (item, v) in run.versions {
@@ -348,41 +295,11 @@ impl Keyspace {
                 versions.push((item, v));
             }
         }
-        let run = Run {
-            id: self.next_run_id,
-            versions,
-        };
-        self.next_run_id += 1;
+        let run = Run { versions };
         self.op_seq += 1;
         self.stats.compactions += 1;
         self.stats.gc_dropped += dropped;
-        self.mirror_compact(&old_ids, &run);
         self.parts[p].runs = vec![run];
-    }
-
-    /// Mirrors a freshly flushed run to disk (best-effort).
-    fn mirror_write(&mut self, run: &Run) {
-        let Some(dir) = self.dir.clone() else { return };
-        match write_run_file(&dir, run.id, &run.versions) {
-            Ok(()) => self.stats.runs_written += 1,
-            Err(_) => self.stats.mirror_errors += 1,
-        }
-    }
-
-    /// Mirrors a compaction: writes the merged run (temp + atomic rename),
-    /// then deletes the superseded run files. A crash between the rename
-    /// and the deletes leaves stale files that [`Keyspace::set_dir`] wipes
-    /// on the next open.
-    fn mirror_compact(&mut self, old_ids: &[u64], merged: &Run) {
-        let Some(dir) = self.dir.clone() else { return };
-        match write_run_file(&dir, merged.id, &merged.versions) {
-            Ok(()) => self.stats.runs_written += 1,
-            Err(_) => self.stats.mirror_errors += 1,
-        }
-        for &id in old_ids {
-            let _ = fs::remove_file(run_path(&dir, id));
-        }
-        sync_dir(&dir);
     }
 
     /// The newest entry of `item`.
@@ -493,79 +410,19 @@ impl Keyspace {
         self.items.clear();
         self.poly_items.clear();
         self.tracker.clear();
-        // next_run_id / op_seq / stats deliberately survive: op_seq is a
-        // lifetime crash coordinate (like the WAL's append counter), and
-        // run ids must not be reused while stale files may still exist.
+        // op_seq / stats deliberately survive: op_seq is a lifetime crash
+        // coordinate (like the WAL's append counter).
     }
 }
 
-/// Codec-encoded size of one run-file frame for `(item, seq, entry)`.
+/// Codec-encoded size of `(item, seq, entry)` under the WAL's
+/// `[len][checksum][payload]` framing (the `store.memtable_bytes` gauge).
 fn encoded_len(item: ItemId, seq: SeqNo, entry: &Entry<Value>) -> u64 {
     let mut payload = BytesMut::new();
     payload.put_u64_le(item.0);
     payload.put_u64_le(seq);
     codec::put_entry(&mut payload, entry);
     8 + payload.len() as u64
-}
-
-fn run_path(dir: &Path, id: u64) -> PathBuf {
-    dir.join(format!("run-{id:08}.run"))
-}
-
-/// Writes a run file: consecutive `[len][checksum][payload]` frames (one
-/// per version, payload = `item u64 LE + seq u64 LE + entry`), written to a
-/// `.tmp` sibling, synced, then atomically renamed into place.
-fn write_run_file(
-    dir: &Path,
-    id: u64,
-    versions: &[(ItemId, Version)],
-) -> std::io::Result<()> {
-    let mut buf = BytesMut::new();
-    for (item, v) in versions {
-        let mut payload = BytesMut::new();
-        payload.put_u64_le(item.0);
-        payload.put_u64_le(v.seq);
-        codec::put_entry(&mut payload, &v.entry);
-        buf.put_u32_le(payload.len() as u32);
-        buf.put_u32_le(codec::checksum(&payload));
-        buf.put_slice(&payload);
-    }
-    let final_path = run_path(dir, id);
-    let tmp_path = dir.join(format!("run-{id:08}.tmp"));
-    let mut f = fs::File::create(&tmp_path)?;
-    f.write_all(&buf)?;
-    f.sync_all()?;
-    drop(f);
-    fs::rename(&tmp_path, &final_path)?;
-    sync_dir(dir);
-    Ok(())
-}
-
-/// Decodes a run file written by [`write_run_file`], validating framing and
-/// checksums. Used by tests and tooling; the keyspace itself never reads
-/// run files back (the WAL is the recovery authority).
-pub fn read_run_file(path: &Path) -> Result<Vec<(ItemId, SeqNo, Entry<Value>)>, CodecError> {
-    let data = fs::read(path).map_err(|_| CodecError::Truncated)?;
-    let mut buf: &[u8] = &data;
-    let mut out = Vec::new();
-    while !buf.is_empty() {
-        let len = codec::get_u32(&mut buf)? as usize;
-        let sum = codec::get_u32(&mut buf)?;
-        if buf.len() < len {
-            return Err(CodecError::Truncated);
-        }
-        let (payload, rest) = buf.split_at(len);
-        if codec::checksum(payload) != sum {
-            return Err(CodecError::BadChecksum);
-        }
-        let mut p = payload;
-        let item = ItemId(codec::get_u64(&mut p)?);
-        let seq = codec::get_u64(&mut p)?;
-        let entry = codec::get_entry(&mut p)?;
-        out.push((item, seq, entry));
-        buf = rest;
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -587,15 +444,6 @@ mod tests {
             memtable_max_entries: 4,
             run_threshold: 3,
         })
-    }
-
-    fn scratch(name: &str) -> PathBuf {
-        let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-            .join("../../target/tmp/lsm")
-            .join(name);
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).expect("create scratch dir");
-        dir
     }
 
     #[test]
@@ -706,50 +554,6 @@ mod tests {
         assert_eq!(ks.current_seq(), 0);
         assert_eq!(ks.version_count(), 0);
         assert_eq!(ks.op_seq(), ops);
-    }
-
-    #[test]
-    fn run_files_round_trip_and_mirror_survives_compaction() {
-        let dir = scratch("round_trip");
-        let mut ks = tiny();
-        ks.set_dir(&dir);
-        for i in 0..12 {
-            ks.put(ItemId(1), simple(i));
-        }
-        assert!(ks.stats().runs_written >= 4);
-        assert_eq!(ks.stats().mirror_errors, 0);
-        // Exactly the live runs exist on disk; every file decodes clean.
-        let mut on_disk = 0;
-        for e in fs::read_dir(&dir).unwrap().flatten() {
-            let name = e.file_name().to_string_lossy().into_owned();
-            assert!(name.ends_with(".run"), "stray file {name}");
-            let versions = read_run_file(&e.path()).expect("valid run file");
-            assert!(!versions.is_empty());
-            on_disk += 1;
-        }
-        assert_eq!(on_disk, ks.run_count());
-    }
-
-    #[test]
-    fn set_dir_wipes_stale_and_torn_files() {
-        let dir = scratch("wipe_stale");
-        fs::write(dir.join("run-00000007.run"), b"stale").unwrap();
-        fs::write(dir.join("run-00000008.tmp"), b"torn").unwrap();
-        fs::write(dir.join("keep.txt"), b"unrelated").unwrap();
-        let mut ks = tiny();
-        ks.set_dir(&dir);
-        let names: Vec<String> = fs::read_dir(&dir)
-            .unwrap()
-            .flatten()
-            .map(|e| e.file_name().to_string_lossy().into_owned())
-            .collect();
-        assert_eq!(names, vec!["keep.txt"]);
-        // And the rebuilt keyspace mirrors fresh runs cleanly.
-        for i in 0..8 {
-            ks.put(ItemId(1), simple(i));
-        }
-        assert!(ks.stats().runs_written > 0);
-        assert_eq!(ks.stats().mirror_errors, 0);
     }
 
     #[test]

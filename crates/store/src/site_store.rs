@@ -74,8 +74,6 @@ pub struct StoreStats {
     pub lsm_compactions: u64,
     /// Versions garbage-collected by keyspace compactions.
     pub lsm_gc_dropped: u64,
-    /// Run files written to the keyspace's disk mirror.
-    pub lsm_runs_written: u64,
     /// Snapshot read transactions served.
     pub snapshot_reads: u64,
 }
@@ -149,13 +147,10 @@ impl Clone for SiteStore {
     /// fault state.
     fn clone(&self) -> Self {
         let image = crate::codec::encode_wal(&self.wal);
-        let mut keyspace = self.keyspace.clone();
-        // A clone must never mirror runs into the original's directory.
-        keyspace.detach_dir();
         SiteStore {
             storage: Box::new(MemStorage::from_image(image.to_vec())),
             wal: self.wal.clone(),
-            keyspace,
+            keyspace: self.keyspace.clone(),
             pending: self.pending.clone(),
             outcomes: self.outcomes.clone(),
             decisions: self.decisions.clone(),
@@ -219,13 +214,6 @@ impl SiteStore {
         self
     }
 
-    /// Attaches a disk mirror directory for keyspace run files (wiping any
-    /// stale runs a previous incarnation left — the keyspace is derived
-    /// state, rebuilt from the WAL, so old run files must never be read).
-    pub fn attach_keyspace_dir(&mut self, dir: &std::path::Path) {
-        self.keyspace.set_dir(dir);
-    }
-
     /// Appends a record to stable storage and mirrors it in memory.
     ///
     /// # Panics
@@ -265,7 +253,6 @@ impl SiteStore {
         out.lsm_flushes = lsm.flushes - self.drained_lsm.flushes;
         out.lsm_compactions = lsm.compactions - self.drained_lsm.compactions;
         out.lsm_gc_dropped = lsm.gc_dropped - self.drained_lsm.gc_dropped;
-        out.lsm_runs_written = lsm.runs_written - self.drained_lsm.runs_written;
         out.snapshot_reads = std::mem::take(&mut self.snapshot_reads);
         self.drained = now;
         self.drained_lsm = lsm;

@@ -410,7 +410,7 @@ impl DiskWal {
 /// Best-effort directory fsync so renames and creations are durable. Errors
 /// are ignored: not every filesystem supports it, and the data files
 /// themselves are already synced.
-pub(crate) fn sync_dir(dir: &Path) {
+fn sync_dir(dir: &Path) {
     if let Ok(d) = fs::File::open(dir) {
         let _ = d.sync_all();
     }
