@@ -13,10 +13,17 @@
 //!
 //! The generators draw from the deterministic `SimRng`, varying the shape
 //! with the proptest seed, so every failure is replayable.
+//!
+//! A third obligation pins the format itself: `golden_bytes_are_pinned`
+//! compares one sample of every frame kind, message variant, expression and
+//! result shape against `results/wire_golden.txt`, byte for byte and in
+//! both directions — the round-trip properties above would still pass if
+//! encoder and decoder drifted together.
 
 use pv_core::expr::BinOp;
 use pv_core::{CmpOp, Condition, Entry, Expr, ItemId, TransactionSpec, TxnId, Value};
 use pv_engine::messages::{AbortReason, AccessMode, Msg, TxnResult};
+use pv_engine::topology::BackoffConfig;
 use pv_net::wire::{decode_frame, frame_bytes, Frame, NodeSnapshot, PeerKind, WireMetrics};
 use pv_simnet::SimRng;
 use proptest::prelude::*;
@@ -265,8 +272,12 @@ fn gen_sites(rng: &mut SimRng) -> Vec<u32> {
 
 const MSG_VARIANTS: u64 = 20;
 
-fn gen_frame(rng: &mut SimRng) -> Frame {
-    match rng.below(7) {
+const FRAME_KINDS: u64 = 8;
+
+/// One frame of each kind, shaped by `rng` — index order matches the
+/// header's kind byte so a failure names the kind.
+fn gen_frame_kind(rng: &mut SimRng, kind: u64) -> Frame {
+    match kind {
         0 => Frame::Hello {
             node: rng.below(1 << 20) as u32,
             kind: if rng.chance(0.5) {
@@ -275,8 +286,15 @@ fn gen_frame(rng: &mut SimRng) -> Frame {
                 PeerKind::Client
             },
         },
-        1 => Frame::InspectReq,
-        2 => {
+        1 => {
+            let variant = rng.below(MSG_VARIANTS);
+            Frame::Proto {
+                from: rng.below(64) as u32,
+                msg: gen_msg(rng, variant),
+            }
+        }
+        2 => Frame::InspectReq,
+        3 => {
             let mut next_txn = 500;
             Frame::InspectResp(NodeSnapshot {
                 site: rng.below(16) as u32,
@@ -287,8 +305,8 @@ fn gen_frame(rng: &mut SimRng) -> Frame {
                 quiescent: rng.chance(0.5),
             })
         }
-        3 => Frame::MetricsReq,
-        4 => {
+        4 => Frame::MetricsReq,
+        5 => {
             let counters = (0..rng.below(4))
                 .map(|k| (format!("counter.{k}"), rng.below(1 << 30)))
                 .collect();
@@ -305,15 +323,20 @@ fn gen_frame(rng: &mut SimRng) -> Frame {
                 histograms,
             })
         }
-        5 => Frame::Shutdown,
-        _ => {
-            let variant = rng.below(MSG_VARIANTS);
-            Frame::Proto {
-                from: rng.below(64) as u32,
-                msg: gen_msg(rng, variant),
-            }
-        }
+        6 => Frame::Shutdown,
+        _ => Frame::ConfigBackoff(BackoffConfig {
+            base_ms: rng.below(1000),
+            max_ms: rng.below(60_000),
+            factor: rng.uniform(1.0, 4.0),
+            jitter: rng.uniform(0.0, 1.0),
+            attempts: rng.below(100) as u32,
+        }),
     }
+}
+
+fn gen_frame(rng: &mut SimRng) -> Frame {
+    let kind = rng.below(FRAME_KINDS);
+    gen_frame_kind(rng, kind)
 }
 
 fn roundtrip(frame: &Frame) {
@@ -323,6 +346,196 @@ fn roundtrip(frame: &Frame) {
         .expect("complete frame");
     assert_eq!(consumed, bytes.len(), "frame length accounting");
     assert_eq!(&decoded, frame, "round-trip fidelity");
+}
+
+/// The variant name of a `Debug`-derived enum value (`Submit { .. }` →
+/// `Submit`), used to name golden lines.
+fn variant_name(value: &impl std::fmt::Debug) -> String {
+    format!("{value:?}")
+        .chars()
+        .take_while(|c| c.is_alphanumeric())
+        .collect()
+}
+
+fn submit_with_guard(guard: Expr) -> Frame {
+    Frame::Proto {
+        from: 0,
+        msg: Msg::Submit {
+            req_id: 1,
+            spec: TransactionSpec::new().guard(guard),
+        },
+    }
+}
+
+fn reply(result: TxnResult) -> Frame {
+    Frame::Proto {
+        from: 0,
+        msg: Msg::Reply { req_id: 1, result },
+    }
+}
+
+/// The frames `results/wire_golden.txt` pins, in file order: every frame
+/// kind, every `Msg` variant, every `Expr`, `TxnResult` and `AbortReason`
+/// shape. Generated samples come from a fixed seed, so the list is the same
+/// on every run.
+fn golden_samples() -> Vec<(String, Frame)> {
+    let mut rng = SimRng::new(42);
+    let mut out = Vec::new();
+    for (name, kind) in [("site", PeerKind::Site), ("client", PeerKind::Client)] {
+        out.push((
+            format!("frame.Hello.{name}"),
+            Frame::Hello { node: 7, kind },
+        ));
+    }
+    // Kind 1, Proto, is covered variant by variant below.
+    for kind in 2..FRAME_KINDS {
+        let frame = gen_frame_kind(&mut rng, kind);
+        out.push((format!("frame.{}", variant_name(&frame)), frame));
+    }
+    for variant in 0..MSG_VARIANTS {
+        let msg = gen_msg(&mut rng, variant);
+        let name = format!("msg.{variant:02}.{}", variant_name(&msg));
+        out.push((name, Frame::Proto { from: 3, msg }));
+    }
+    let (l, r) = (
+        || Box::new(Expr::read(ItemId(3))),
+        || Box::new(Expr::int(7)),
+    );
+    for (name, value) in [
+        ("int", Value::Int(-40)),
+        ("bool", Value::Bool(true)),
+        ("str", Value::Str("idle".into())),
+    ] {
+        out.push((
+            format!("expr.Const.{name}"),
+            submit_with_guard(Expr::Const(value)),
+        ));
+    }
+    out.push(("expr.Read".into(), submit_with_guard(*l())));
+    for op in [
+        BinOp::Add,
+        BinOp::Sub,
+        BinOp::Mul,
+        BinOp::Div,
+        BinOp::Min,
+        BinOp::Max,
+        BinOp::And,
+        BinOp::Or,
+    ] {
+        out.push((
+            format!("expr.Bin.{op:?}"),
+            submit_with_guard(Expr::Bin(op, l(), r())),
+        ));
+    }
+    for op in [
+        CmpOp::Eq,
+        CmpOp::Ne,
+        CmpOp::Lt,
+        CmpOp::Le,
+        CmpOp::Gt,
+        CmpOp::Ge,
+    ] {
+        out.push((
+            format!("expr.Cmp.{op:?}"),
+            submit_with_guard(Expr::Cmp(op, l(), r())),
+        ));
+    }
+    out.push(("expr.Neg".into(), submit_with_guard(Expr::Neg(l()))));
+    out.push(("expr.Not".into(), submit_with_guard(Expr::Not(l()))));
+    out.push(("expr.If".into(), submit_with_guard(Expr::If(l(), r(), l()))));
+    let poly = Entry::in_doubt(
+        Entry::Simple(Value::Int(90)),
+        Entry::in_doubt(
+            Entry::Simple(Value::Str("busy".into())),
+            Entry::Simple(Value::Str("idle".into())),
+            TxnId(2),
+        ),
+        TxnId(1),
+    );
+    for (name, outputs, was_poly) in [
+        (
+            "simple",
+            vec![("balance".to_string(), Entry::Simple(Value::Int(60)))],
+            false,
+        ),
+        ("poly", vec![("balance".to_string(), poly.clone())], true),
+    ] {
+        let result = TxnResult::Committed {
+            granted: Entry::Simple(Value::Bool(true)),
+            outputs,
+            was_poly,
+        };
+        out.push((format!("result.Committed.{name}"), reply(result)));
+    }
+    for reason in [
+        AbortReason::LockConflict,
+        AbortReason::Timeout,
+        AbortReason::Eval("type error: Int + Bool".into()),
+        AbortReason::Rejected("R001: unreadable item".into()),
+    ] {
+        let name = format!("result.Aborted.{}", variant_name(&reason));
+        out.push((name, reply(TxnResult::Aborted { reason })));
+    }
+    out
+}
+
+/// Pins the wire format: every sample encodes to exactly its fixture line
+/// and every fixture line decodes to exactly its sample. A deliberate format
+/// change (or a new variant) is made by editing the fixture; the failure
+/// message prints the line to paste.
+#[test]
+fn golden_bytes_are_pinned() {
+    let fixture: Vec<(&str, &str)> = include_str!("../../../results/wire_golden.txt")
+        .lines()
+        .filter(|l| !l.is_empty() && !l.starts_with('#') && !l.starts_with("record."))
+        .map(|l| l.split_once(' ').expect("`name hex` line"))
+        .collect();
+    let samples = golden_samples();
+    assert_eq!(
+        fixture.iter().map(|(name, _)| *name).collect::<Vec<_>>(),
+        samples
+            .iter()
+            .map(|(name, _)| name.as_str())
+            .collect::<Vec<_>>(),
+        "fixture lines and samples must name the same things in the same order"
+    );
+    for ((name, frame), (_, hex)) in samples.iter().zip(&fixture) {
+        let encoded: String = frame_bytes(frame)
+            .expect("encode")
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(
+            &encoded, hex,
+            "encoding changed; fixture line would be `{name} {encoded}`"
+        );
+        let bytes: Vec<u8> = (0..hex.len() / 2)
+            .map(|i| u8::from_str_radix(&hex[2 * i..2 * i + 2], 16).expect("hex"))
+            .collect();
+        assert_eq!(
+            decode_frame(&bytes),
+            Ok(Some((frame.clone(), bytes.len()))),
+            "fixture line {name} no longer decodes to its sample"
+        );
+    }
+    // The fixture must carry polyvalues wherever the type can hold one.
+    for bearer in [
+        "frame.InspectResp",
+        "msg.01.Reply",
+        "msg.03.ReadResp",
+        "msg.05.Prepare",
+        "msg.11.PcPrepare",
+        "msg.19.SnapshotReadReply",
+    ] {
+        let (_, frame) = samples
+            .iter()
+            .find(|(name, _)| name == bearer)
+            .expect("sample");
+        assert!(
+            format!("{frame:?}").contains("Poly("),
+            "{bearer} sample holds no polyvalue"
+        );
+    }
 }
 
 proptest! {

@@ -536,6 +536,41 @@ mod tests {
         );
     }
 
+    /// Pins the WAL format: every sample record encodes to exactly its line
+    /// of `results/wire_golden.txt` and every line decodes to exactly its
+    /// sample — the only test that can tell "same format" from "encoder and
+    /// decoder changed together". A deliberate format change (or a new record
+    /// kind) is made by editing the fixture; the failure prints the line.
+    #[test]
+    fn golden_bytes_are_pinned() {
+        let fixture: Vec<(&str, &str)> = include_str!("../../../results/wire_golden.txt")
+            .lines()
+            .filter(|l| l.starts_with("record."))
+            .map(|l| l.split_once(' ').expect("`name hex` line"))
+            .collect();
+        let samples = sample_records();
+        assert_eq!(fixture.len(), samples.len(), "one fixture line per sample");
+        for (i, (record, (name, hex))) in samples.iter().zip(&fixture).enumerate() {
+            let variant: String = format!("{record:?}")
+                .chars()
+                .take_while(|c| c.is_alphanumeric())
+                .collect();
+            assert_eq!(*name, format!("record.{i:02}.{variant}"));
+            let mut out = BytesMut::new();
+            encode_record(record, &mut out);
+            let encoded: String = out.iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(
+                &encoded, hex,
+                "encoding changed; fixture line would be `{name} {encoded}`"
+            );
+            let bytes: Vec<u8> = (0..hex.len() / 2)
+                .map(|i| u8::from_str_radix(&hex[2 * i..2 * i + 2], 16).expect("hex"))
+                .collect();
+            let decoded = decode_wal(&bytes).expect("fixture line decodes");
+            assert_eq!(decoded.iter().collect::<Vec<_>>(), vec![record], "{name}");
+        }
+    }
+
     #[test]
     fn empty_wal_round_trips() {
         let bytes = encode_wal(&Wal::new());
