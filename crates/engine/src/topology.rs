@@ -58,6 +58,9 @@ pub struct BackoffConfig {
     pub attempts: u32,
 }
 
+// The `ConfigBackoff` frame's payload; a non-finite float does not decode.
+pv_store::wire_table! { struct BackoffConfig { base_ms, max_ms, factor, jitter, attempts } }
+
 impl Default for BackoffConfig {
     fn default() -> Self {
         BackoffConfig {

@@ -569,6 +569,7 @@ impl Node {
                             // A malformed stream cannot be resynchronised;
                             // drop the connection. (Counted, not fatal: only
                             // this peer is affected.)
+                            self.metrics.inc("net.decode_errors");
                             conn.dead = true;
                             break;
                         }

@@ -12,31 +12,33 @@
 //! the WAL uses ([`pv_store::codec::checksum`]), computed over the twelve
 //! header bytes before the checksum field XORed with the payload's own
 //! digest — a single flipped bit anywhere in the frame (including the kind
-//! and length fields) fails validation. The payload encoding of
-//! values, conditions, and entries *is* the WAL codec's
-//! ([`pv_store::codec::put_entry`] and friends) — one binary vocabulary for
-//! bytes at rest and bytes in flight. What this module adds is the framing
-//! (magic/version/kind so a peer can reject foreign or future traffic
-//! before parsing) and the encoding of the protocol-level types the WAL
-//! never stores: [`Msg`], [`TransactionSpec`], expressions, and results.
+//! and length fields) fails validation. The payload is the [`Wire`] encoding
+//! of the frame's fields: values, conditions and entries through the very
+//! impls the WAL uses ([`pv_store::codec`]), protocol messages through the
+//! `Msg` table in `pv_protocol::messages` — one binary vocabulary for bytes
+//! at rest and bytes in flight. What this module adds is the framing
+//! (magic/version/kind so a peer can reject foreign or future traffic before
+//! parsing) and the [`Frame`] table, whose tag byte travels in the header as
+//! the frame kind.
 //!
 //! Decoding is incremental: [`decode_frame`] returns `Ok(None)` while the
 //! buffer holds less than one whole frame, so a reader can append socket
 //! bytes and retry. Every malformed input — bad magic, wrong version, torn
-//! length, checksum mismatch, unknown tags, over-deep expressions — is a
-//! typed [`DecodeError`], never a panic.
+//! length, checksum mismatch, unknown tags, over-deep expressions, element
+//! counts the payload cannot back — is a typed [`DecodeError`], never a
+//! panic or an allocation sized by the sender.
 
 use bytes::{BufMut, BytesMut};
-use pv_core::expr::BinOp;
-use pv_core::{CmpOp, Entry, Expr, ItemId, TransactionSpec, TxnId, Value};
-use pv_engine::messages::{AbortReason, AccessMode, Msg, TxnResult};
+use pv_core::{Entry, ItemId, Value};
+use pv_engine::messages::Msg;
 use pv_engine::topology::BackoffConfig;
 use pv_engine::EngineError;
 use pv_simnet::Metrics;
-use pv_store::codec::{
-    checksum, get_entry, get_u32, get_u64, get_u8, put_entry, put_value, CodecError,
-};
+use pv_store::codec::{checksum, CodecError, Tagged, Wire};
+use pv_store::wire_table;
 use std::fmt;
+
+pub use pv_store::codec::MAX_EXPR_DEPTH;
 
 /// Leading magic of every frame: `"PVW1"` little-endian.
 pub const MAGIC: u32 = u32::from_le_bytes(*b"PVW1");
@@ -57,11 +59,6 @@ const HEADER_PREFIX_LEN: usize = 12;
 /// and entry lists are small); its real job is to stop a corrupt or hostile
 /// length field from forcing a giant allocation.
 pub const MAX_FRAME_LEN: u32 = 16 * 1024 * 1024;
-
-/// Maximum expression nesting accepted by the decoder. Deeper input is
-/// rejected with [`DecodeError::TooDeep`] rather than recursing toward a
-/// stack overflow on untrusted bytes.
-pub const MAX_EXPR_DEPTH: u32 = 200;
 
 /// Why encoding failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -159,6 +156,10 @@ impl From<CodecError> for DecodeError {
             CodecError::BadTag(t) => DecodeError::BadTag(t),
             CodecError::BadUtf8 => DecodeError::BadUtf8,
             CodecError::BadPolyvalue => DecodeError::BadPolyvalue,
+            CodecError::TooDeep => DecodeError::TooDeep,
+            // A frame whose floats are not numbers is as unusable as one
+            // whose length lies.
+            CodecError::NonFinite => DecodeError::Malformed,
         }
     }
 }
@@ -172,6 +173,13 @@ pub enum PeerKind {
     /// A client: the connection carries `Submit`s in and `Reply`s out, plus
     /// the control frames (inspect, metrics, shutdown).
     Client,
+}
+
+wire_table! {
+    enum PeerKind {
+        0 => Site,
+        1 => Client,
+    }
 }
 
 /// A point-in-time view of one networked site, answering
@@ -189,6 +197,8 @@ pub struct NodeSnapshot {
     pub quiescent: bool,
 }
 
+wire_table! { struct NodeSnapshot { site, items, poly_count, quiescent } }
+
 /// A site's metrics registry in wire form: counters plus every histogram's
 /// raw observations (as `f64` bit patterns), so the load generator can
 /// [`Metrics::merge`] per-site registries without losing distribution shape.
@@ -200,6 +210,8 @@ pub struct WireMetrics {
     /// Histogram names with raw observations as `f64::to_bits` values.
     pub histograms: Vec<(String, Vec<u64>)>,
 }
+
+wire_table! { struct WireMetrics { counters, histograms } }
 
 impl WireMetrics {
     /// Captures a registry for the wire.
@@ -264,373 +276,31 @@ pub enum Frame {
     ConfigBackoff(BackoffConfig),
 }
 
-impl Frame {
-    fn kind_byte(&self) -> u8 {
-        match self {
-            Frame::Hello { .. } => 0,
-            Frame::Proto { .. } => 1,
-            Frame::InspectReq => 2,
-            Frame::InspectResp(_) => 3,
-            Frame::MetricsReq => 4,
-            Frame::MetricsResp(_) => 5,
-            Frame::Shutdown => 6,
-            Frame::ConfigBackoff(_) => 7,
-        }
-    }
-}
-
-// ---- encoding ---------------------------------------------------------------
-
-fn put_string(buf: &mut BytesMut, s: &str) {
-    buf.put_u32_le(s.len() as u32);
-    buf.put_slice(s.as_bytes());
-}
-
-fn put_expr(buf: &mut BytesMut, e: &Expr) {
-    match e {
-        Expr::Const(v) => {
-            buf.put_u8(0);
-            put_value(buf, v);
-        }
-        Expr::Read(item) => {
-            buf.put_u8(1);
-            buf.put_u64_le(item.0);
-        }
-        Expr::Bin(op, l, r) => {
-            buf.put_u8(2);
-            buf.put_u8(match op {
-                BinOp::Add => 0,
-                BinOp::Sub => 1,
-                BinOp::Mul => 2,
-                BinOp::Div => 3,
-                BinOp::Min => 4,
-                BinOp::Max => 5,
-                BinOp::And => 6,
-                BinOp::Or => 7,
-            });
-            put_expr(buf, l);
-            put_expr(buf, r);
-        }
-        Expr::Cmp(op, l, r) => {
-            buf.put_u8(3);
-            buf.put_u8(match op {
-                CmpOp::Eq => 0,
-                CmpOp::Ne => 1,
-                CmpOp::Lt => 2,
-                CmpOp::Le => 3,
-                CmpOp::Gt => 4,
-                CmpOp::Ge => 5,
-            });
-            put_expr(buf, l);
-            put_expr(buf, r);
-        }
-        Expr::Neg(inner) => {
-            buf.put_u8(4);
-            put_expr(buf, inner);
-        }
-        Expr::Not(inner) => {
-            buf.put_u8(5);
-            put_expr(buf, inner);
-        }
-        Expr::If(c, t, f) => {
-            buf.put_u8(6);
-            put_expr(buf, c);
-            put_expr(buf, t);
-            put_expr(buf, f);
-        }
-    }
-}
-
-fn put_spec(buf: &mut BytesMut, spec: &TransactionSpec) {
-    match &spec.guard {
-        Some(g) => {
-            buf.put_u8(1);
-            put_expr(buf, g);
-        }
-        None => buf.put_u8(0),
-    }
-    buf.put_u32_le(spec.updates.len() as u32);
-    for (item, e) in &spec.updates {
-        buf.put_u64_le(item.0);
-        put_expr(buf, e);
-    }
-    buf.put_u32_le(spec.outputs.len() as u32);
-    for (name, e) in &spec.outputs {
-        put_string(buf, name);
-        put_expr(buf, e);
-    }
-}
-
-fn put_result(buf: &mut BytesMut, result: &TxnResult) {
-    match result {
-        TxnResult::Committed {
-            granted,
-            outputs,
-            was_poly,
-        } => {
-            buf.put_u8(0);
-            put_entry(buf, granted);
-            buf.put_u32_le(outputs.len() as u32);
-            for (name, e) in outputs {
-                put_string(buf, name);
-                put_entry(buf, e);
-            }
-            buf.put_u8(u8::from(*was_poly));
-        }
-        TxnResult::Aborted { reason } => {
-            buf.put_u8(1);
-            match reason {
-                AbortReason::LockConflict => buf.put_u8(0),
-                AbortReason::Timeout => buf.put_u8(1),
-                AbortReason::Eval(e) => {
-                    buf.put_u8(2);
-                    put_string(buf, e);
-                }
-                AbortReason::Rejected(report) => {
-                    buf.put_u8(3);
-                    put_string(buf, report);
-                }
-            }
-        }
-    }
-}
-
-fn put_item_entries(buf: &mut BytesMut, entries: &[(ItemId, Entry<Value>)]) {
-    buf.put_u32_le(entries.len() as u32);
-    for (item, e) in entries {
-        buf.put_u64_le(item.0);
-        put_entry(buf, e);
-    }
-}
-
-/// Encodes a protocol message (the [`Frame::Proto`] payload after `from`).
-fn put_msg(buf: &mut BytesMut, msg: &Msg) {
-    match msg {
-        Msg::Submit { req_id, spec } => {
-            buf.put_u8(0);
-            buf.put_u64_le(*req_id);
-            put_spec(buf, spec);
-        }
-        Msg::Reply { req_id, result } => {
-            buf.put_u8(1);
-            buf.put_u64_le(*req_id);
-            put_result(buf, result);
-        }
-        Msg::ReadReq { txn, ts, items } => {
-            buf.put_u8(2);
-            buf.put_u64_le(txn.raw());
-            buf.put_u64_le(*ts);
-            buf.put_u32_le(items.len() as u32);
-            for (item, mode) in items {
-                buf.put_u64_le(item.0);
-                buf.put_u8(match mode {
-                    AccessMode::Read => 0,
-                    AccessMode::Write => 1,
-                });
-            }
-        }
-        Msg::ReadResp { txn, entries } => {
-            buf.put_u8(3);
-            buf.put_u64_le(txn.raw());
-            put_item_entries(buf, entries);
-        }
-        Msg::ReadNack { txn } => {
-            buf.put_u8(4);
-            buf.put_u64_le(txn.raw());
-        }
-        Msg::Prepare { txn, writes } => {
-            buf.put_u8(5);
-            buf.put_u64_le(txn.raw());
-            put_item_entries(buf, writes);
-        }
-        Msg::Ready { txn } => {
-            buf.put_u8(6);
-            buf.put_u64_le(txn.raw());
-        }
-        Msg::PrepareNack { txn } => {
-            buf.put_u8(7);
-            buf.put_u64_le(txn.raw());
-        }
-        Msg::Decision { txn, completed } => {
-            buf.put_u8(8);
-            buf.put_u64_le(txn.raw());
-            buf.put_u8(u8::from(*completed));
-        }
-        Msg::Inquire { txn } => {
-            buf.put_u8(9);
-            buf.put_u64_le(txn.raw());
-        }
-        Msg::OutcomeNotify { txn, completed } => {
-            buf.put_u8(10);
-            buf.put_u64_le(txn.raw());
-            buf.put_u8(u8::from(*completed));
-        }
-        Msg::PcPrepare { txn, writes, parts } => {
-            buf.put_u8(11);
-            buf.put_u64_le(txn.raw());
-            put_item_entries(buf, writes);
-            put_sites(buf, parts);
-        }
-        Msg::PcVote {
-            txn,
-            part,
-            parts,
-            prepared,
-        } => {
-            buf.put_u8(12);
-            buf.put_u64_le(txn.raw());
-            buf.put_u32_le(*part);
-            put_sites(buf, parts);
-            buf.put_u8(u8::from(*prepared));
-        }
-        Msg::PcVoteAck {
-            txn,
-            part,
-            acceptor,
-            prepared,
-        } => {
-            buf.put_u8(13);
-            buf.put_u64_le(txn.raw());
-            buf.put_u32_le(*part);
-            buf.put_u32_le(*acceptor);
-            buf.put_u8(u8::from(*prepared));
-        }
-        Msg::PcPhase1a { txn, ballot } => {
-            buf.put_u8(14);
-            buf.put_u64_le(txn.raw());
-            buf.put_u64_le(*ballot);
-        }
-        Msg::PcPhase1b {
-            txn,
-            ballot,
-            acceptor,
-            votes,
-            parts,
-            accepted,
-        } => {
-            buf.put_u8(15);
-            buf.put_u64_le(txn.raw());
-            buf.put_u64_le(*ballot);
-            buf.put_u32_le(*acceptor);
-            buf.put_u32_le(votes.len() as u32);
-            for (site, prepared) in votes {
-                buf.put_u32_le(*site);
-                buf.put_u8(u8::from(*prepared));
-            }
-            put_sites(buf, parts);
-            match accepted {
-                Some((b, completed)) => {
-                    buf.put_u8(1);
-                    buf.put_u64_le(*b);
-                    buf.put_u8(u8::from(*completed));
-                }
-                None => buf.put_u8(0),
-            }
-        }
-        Msg::PcPhase2a {
-            txn,
-            ballot,
-            completed,
-        } => {
-            buf.put_u8(16);
-            buf.put_u64_le(txn.raw());
-            buf.put_u64_le(*ballot);
-            buf.put_u8(u8::from(*completed));
-        }
-        Msg::PcPhase2b {
-            txn,
-            ballot,
-            acceptor,
-            completed,
-        } => {
-            buf.put_u8(17);
-            buf.put_u64_le(txn.raw());
-            buf.put_u64_le(*ballot);
-            buf.put_u32_le(*acceptor);
-            buf.put_u8(u8::from(*completed));
-        }
-        Msg::SnapshotRead { req_id, items } => {
-            buf.put_u8(18);
-            buf.put_u64_le(*req_id);
-            buf.put_u32_le(items.len() as u32);
-            for item in items {
-                buf.put_u64_le(item.0);
-            }
-        }
-        Msg::SnapshotReadReply {
-            req_id,
-            snapshot,
-            entries,
-        } => {
-            buf.put_u8(19);
-            buf.put_u64_le(*req_id);
-            buf.put_u64_le(*snapshot);
-            put_item_entries(buf, entries);
-        }
-    }
-}
-
-fn put_sites(buf: &mut BytesMut, sites: &[u32]) {
-    buf.put_u32_le(sites.len() as u32);
-    for s in sites {
-        buf.put_u32_le(*s);
-    }
-}
-
-fn put_wire_metrics(buf: &mut BytesMut, m: &WireMetrics) {
-    buf.put_u32_le(m.counters.len() as u32);
-    for (name, v) in &m.counters {
-        put_string(buf, name);
-        buf.put_u64_le(*v);
-    }
-    buf.put_u32_le(m.histograms.len() as u32);
-    for (name, bits) in &m.histograms {
-        put_string(buf, name);
-        buf.put_u32_le(bits.len() as u32);
-        for &b in bits {
-            buf.put_u64_le(b);
-        }
+// The tag is the header's kind byte; the fields are the payload.
+wire_table! {
+    enum Frame {
+        0 => Hello { node, kind },
+        1 => Proto { from, msg },
+        2 => InspectReq,
+        3 => InspectResp(snapshot),
+        4 => MetricsReq,
+        5 => MetricsResp(metrics),
+        6 => Shutdown,
+        7 => ConfigBackoff(config),
     }
 }
 
 /// Appends one whole frame (header + payload) to `out`.
 pub fn encode_frame(frame: &Frame, out: &mut BytesMut) -> Result<(), EncodeError> {
     let mut payload = BytesMut::new();
-    match frame {
-        Frame::Hello { node, kind } => {
-            payload.put_u32_le(*node);
-            payload.put_u8(match kind {
-                PeerKind::Site => 0,
-                PeerKind::Client => 1,
-            });
-        }
-        Frame::Proto { from, msg } => {
-            payload.put_u32_le(*from);
-            put_msg(&mut payload, msg);
-        }
-        Frame::InspectReq | Frame::MetricsReq | Frame::Shutdown => {}
-        Frame::InspectResp(snap) => {
-            payload.put_u32_le(snap.site);
-            put_item_entries(&mut payload, &snap.items);
-            payload.put_u64_le(snap.poly_count);
-            payload.put_u8(u8::from(snap.quiescent));
-        }
-        Frame::MetricsResp(m) => put_wire_metrics(&mut payload, m),
-        Frame::ConfigBackoff(b) => {
-            payload.put_u64_le(b.base_ms);
-            payload.put_u64_le(b.max_ms);
-            payload.put_u64_le(b.factor.to_bits());
-            payload.put_u64_le(b.jitter.to_bits());
-            payload.put_u32_le(b.attempts);
-        }
-    }
+    frame.put_fields(&mut payload);
     if payload.len() > MAX_FRAME_LEN as usize {
         return Err(EncodeError::TooLarge { len: payload.len() });
     }
     let start = out.len();
     out.put_u32_le(MAGIC);
     out.put_u8(VERSION);
-    out.put_u8(frame.kind_byte());
+    out.put_u8(frame.tag());
     out.put_u8(0);
     out.put_u8(0);
     out.put_u32_le(payload.len() as u32);
@@ -649,363 +319,6 @@ pub fn frame_bytes(frame: &Frame) -> Result<Vec<u8>, EncodeError> {
     Ok(out.to_vec())
 }
 
-// ---- decoding ---------------------------------------------------------------
-
-fn get_string(buf: &mut &[u8]) -> Result<String, DecodeError> {
-    let len = get_u32(buf)? as usize;
-    if buf.len() < len {
-        return Err(DecodeError::Malformed);
-    }
-    let (s, rest) = buf.split_at(len);
-    *buf = rest;
-    String::from_utf8(s.to_vec()).map_err(|_| DecodeError::BadUtf8)
-}
-
-fn get_value_w(buf: &mut &[u8]) -> Result<Value, DecodeError> {
-    pv_store::codec::get_value(buf).map_err(DecodeError::from)
-}
-
-fn get_entry_w(buf: &mut &[u8]) -> Result<Entry<Value>, DecodeError> {
-    get_entry(buf).map_err(DecodeError::from)
-}
-
-fn get_expr(buf: &mut &[u8], depth: u32) -> Result<Expr, DecodeError> {
-    if depth > MAX_EXPR_DEPTH {
-        return Err(DecodeError::TooDeep);
-    }
-    match get_u8(buf)? {
-        0 => Ok(Expr::Const(get_value_w(buf)?)),
-        1 => Ok(Expr::Read(ItemId(get_u64(buf)?))),
-        2 => {
-            let op = match get_u8(buf)? {
-                0 => BinOp::Add,
-                1 => BinOp::Sub,
-                2 => BinOp::Mul,
-                3 => BinOp::Div,
-                4 => BinOp::Min,
-                5 => BinOp::Max,
-                6 => BinOp::And,
-                7 => BinOp::Or,
-                t => return Err(DecodeError::BadTag(t)),
-            };
-            let l = get_expr(buf, depth + 1)?;
-            let r = get_expr(buf, depth + 1)?;
-            Ok(Expr::Bin(op, Box::new(l), Box::new(r)))
-        }
-        3 => {
-            let op = match get_u8(buf)? {
-                0 => CmpOp::Eq,
-                1 => CmpOp::Ne,
-                2 => CmpOp::Lt,
-                3 => CmpOp::Le,
-                4 => CmpOp::Gt,
-                5 => CmpOp::Ge,
-                t => return Err(DecodeError::BadTag(t)),
-            };
-            let l = get_expr(buf, depth + 1)?;
-            let r = get_expr(buf, depth + 1)?;
-            Ok(Expr::Cmp(op, Box::new(l), Box::new(r)))
-        }
-        4 => Ok(Expr::Neg(Box::new(get_expr(buf, depth + 1)?))),
-        5 => Ok(Expr::Not(Box::new(get_expr(buf, depth + 1)?))),
-        6 => {
-            let c = get_expr(buf, depth + 1)?;
-            let t = get_expr(buf, depth + 1)?;
-            let f = get_expr(buf, depth + 1)?;
-            Ok(Expr::If(Box::new(c), Box::new(t), Box::new(f)))
-        }
-        t => Err(DecodeError::BadTag(t)),
-    }
-}
-
-fn get_spec(buf: &mut &[u8]) -> Result<TransactionSpec, DecodeError> {
-    let guard = match get_u8(buf)? {
-        0 => None,
-        1 => Some(get_expr(buf, 0)?),
-        t => return Err(DecodeError::BadTag(t)),
-    };
-    let n_updates = get_u32(buf)? as usize;
-    let mut updates = Vec::with_capacity(n_updates.min(1024));
-    for _ in 0..n_updates {
-        let item = ItemId(get_u64(buf)?);
-        updates.push((item, get_expr(buf, 0)?));
-    }
-    let n_outputs = get_u32(buf)? as usize;
-    let mut outputs = Vec::with_capacity(n_outputs.min(1024));
-    for _ in 0..n_outputs {
-        let name = get_string(buf)?;
-        outputs.push((name, get_expr(buf, 0)?));
-    }
-    Ok(TransactionSpec {
-        guard,
-        updates,
-        outputs,
-    })
-}
-
-fn get_result(buf: &mut &[u8]) -> Result<TxnResult, DecodeError> {
-    match get_u8(buf)? {
-        0 => {
-            let granted = get_entry_w(buf)?;
-            let n = get_u32(buf)? as usize;
-            let mut outputs = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                let name = get_string(buf)?;
-                outputs.push((name, get_entry_w(buf)?));
-            }
-            let was_poly = get_u8(buf)? != 0;
-            Ok(TxnResult::Committed {
-                granted,
-                outputs,
-                was_poly,
-            })
-        }
-        1 => {
-            let reason = match get_u8(buf)? {
-                0 => AbortReason::LockConflict,
-                1 => AbortReason::Timeout,
-                2 => AbortReason::Eval(get_string(buf)?),
-                3 => AbortReason::Rejected(get_string(buf)?),
-                t => return Err(DecodeError::BadTag(t)),
-            };
-            Ok(TxnResult::Aborted { reason })
-        }
-        t => Err(DecodeError::BadTag(t)),
-    }
-}
-
-fn get_item_entries(buf: &mut &[u8]) -> Result<Vec<(ItemId, Entry<Value>)>, DecodeError> {
-    let n = get_u32(buf)? as usize;
-    let mut out = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        let item = ItemId(get_u64(buf)?);
-        out.push((item, get_entry_w(buf)?));
-    }
-    Ok(out)
-}
-
-fn get_msg(buf: &mut &[u8]) -> Result<Msg, DecodeError> {
-    match get_u8(buf)? {
-        0 => Ok(Msg::Submit {
-            req_id: get_u64(buf)?,
-            spec: get_spec(buf)?,
-        }),
-        1 => Ok(Msg::Reply {
-            req_id: get_u64(buf)?,
-            result: get_result(buf)?,
-        }),
-        2 => {
-            let txn = TxnId(get_u64(buf)?);
-            let ts = get_u64(buf)?;
-            let n = get_u32(buf)? as usize;
-            let mut items = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                let item = ItemId(get_u64(buf)?);
-                let mode = match get_u8(buf)? {
-                    0 => AccessMode::Read,
-                    1 => AccessMode::Write,
-                    t => return Err(DecodeError::BadTag(t)),
-                };
-                items.push((item, mode));
-            }
-            Ok(Msg::ReadReq { txn, ts, items })
-        }
-        3 => Ok(Msg::ReadResp {
-            txn: TxnId(get_u64(buf)?),
-            entries: get_item_entries(buf)?,
-        }),
-        4 => Ok(Msg::ReadNack {
-            txn: TxnId(get_u64(buf)?),
-        }),
-        5 => Ok(Msg::Prepare {
-            txn: TxnId(get_u64(buf)?),
-            writes: get_item_entries(buf)?,
-        }),
-        6 => Ok(Msg::Ready {
-            txn: TxnId(get_u64(buf)?),
-        }),
-        7 => Ok(Msg::PrepareNack {
-            txn: TxnId(get_u64(buf)?),
-        }),
-        8 => Ok(Msg::Decision {
-            txn: TxnId(get_u64(buf)?),
-            completed: get_u8(buf)? != 0,
-        }),
-        9 => Ok(Msg::Inquire {
-            txn: TxnId(get_u64(buf)?),
-        }),
-        10 => Ok(Msg::OutcomeNotify {
-            txn: TxnId(get_u64(buf)?),
-            completed: get_u8(buf)? != 0,
-        }),
-        11 => Ok(Msg::PcPrepare {
-            txn: TxnId(get_u64(buf)?),
-            writes: get_item_entries(buf)?,
-            parts: get_sites(buf)?,
-        }),
-        12 => Ok(Msg::PcVote {
-            txn: TxnId(get_u64(buf)?),
-            part: get_u32(buf)?,
-            parts: get_sites(buf)?,
-            prepared: get_u8(buf)? != 0,
-        }),
-        13 => Ok(Msg::PcVoteAck {
-            txn: TxnId(get_u64(buf)?),
-            part: get_u32(buf)?,
-            acceptor: get_u32(buf)?,
-            prepared: get_u8(buf)? != 0,
-        }),
-        14 => Ok(Msg::PcPhase1a {
-            txn: TxnId(get_u64(buf)?),
-            ballot: get_u64(buf)?,
-        }),
-        15 => {
-            let txn = TxnId(get_u64(buf)?);
-            let ballot = get_u64(buf)?;
-            let acceptor = get_u32(buf)?;
-            let n = get_u32(buf)? as usize;
-            let mut votes = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                let site = get_u32(buf)?;
-                votes.push((site, get_u8(buf)? != 0));
-            }
-            let parts = get_sites(buf)?;
-            let accepted = match get_u8(buf)? {
-                0 => None,
-                1 => Some((get_u64(buf)?, get_u8(buf)? != 0)),
-                t => return Err(DecodeError::BadTag(t)),
-            };
-            Ok(Msg::PcPhase1b {
-                txn,
-                ballot,
-                acceptor,
-                votes,
-                parts,
-                accepted,
-            })
-        }
-        16 => Ok(Msg::PcPhase2a {
-            txn: TxnId(get_u64(buf)?),
-            ballot: get_u64(buf)?,
-            completed: get_u8(buf)? != 0,
-        }),
-        17 => Ok(Msg::PcPhase2b {
-            txn: TxnId(get_u64(buf)?),
-            ballot: get_u64(buf)?,
-            acceptor: get_u32(buf)?,
-            completed: get_u8(buf)? != 0,
-        }),
-        18 => {
-            let req_id = get_u64(buf)?;
-            let n = get_u32(buf)? as usize;
-            let mut items = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                items.push(ItemId(get_u64(buf)?));
-            }
-            Ok(Msg::SnapshotRead { req_id, items })
-        }
-        19 => Ok(Msg::SnapshotReadReply {
-            req_id: get_u64(buf)?,
-            snapshot: get_u64(buf)?,
-            entries: get_item_entries(buf)?,
-        }),
-        t => Err(DecodeError::BadTag(t)),
-    }
-}
-
-fn get_sites(buf: &mut &[u8]) -> Result<Vec<u32>, DecodeError> {
-    let n = get_u32(buf)? as usize;
-    let mut out = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        out.push(get_u32(buf)?);
-    }
-    Ok(out)
-}
-
-fn get_wire_metrics(buf: &mut &[u8]) -> Result<WireMetrics, DecodeError> {
-    let n_counters = get_u32(buf)? as usize;
-    let mut counters = Vec::with_capacity(n_counters.min(1024));
-    for _ in 0..n_counters {
-        let name = get_string(buf)?;
-        counters.push((name, get_u64(buf)?));
-    }
-    let n_hist = get_u32(buf)? as usize;
-    let mut histograms = Vec::with_capacity(n_hist.min(1024));
-    for _ in 0..n_hist {
-        let name = get_string(buf)?;
-        let n = get_u32(buf)? as usize;
-        let mut bits = Vec::with_capacity(n.min(65536));
-        for _ in 0..n {
-            bits.push(get_u64(buf)?);
-        }
-        histograms.push((name, bits));
-    }
-    Ok(WireMetrics {
-        counters,
-        histograms,
-    })
-}
-
-fn decode_payload(kind: u8, mut p: &[u8]) -> Result<Frame, DecodeError> {
-    let buf = &mut p;
-    let frame = match kind {
-        0 => {
-            let node = get_u32(buf)?;
-            let kind = match get_u8(buf)? {
-                0 => PeerKind::Site,
-                1 => PeerKind::Client,
-                t => return Err(DecodeError::BadTag(t)),
-            };
-            Frame::Hello { node, kind }
-        }
-        1 => {
-            let from = get_u32(buf)?;
-            Frame::Proto {
-                from,
-                msg: get_msg(buf)?,
-            }
-        }
-        2 => Frame::InspectReq,
-        3 => {
-            let site = get_u32(buf)?;
-            let items = get_item_entries(buf)?;
-            let poly_count = get_u64(buf)?;
-            let quiescent = get_u8(buf)? != 0;
-            Frame::InspectResp(NodeSnapshot {
-                site,
-                items,
-                poly_count,
-                quiescent,
-            })
-        }
-        4 => Frame::MetricsReq,
-        5 => Frame::MetricsResp(get_wire_metrics(buf)?),
-        6 => Frame::Shutdown,
-        7 => {
-            let base_ms = get_u64(buf)?;
-            let max_ms = get_u64(buf)?;
-            let factor = f64::from_bits(get_u64(buf)?);
-            let jitter = f64::from_bits(get_u64(buf)?);
-            let attempts = get_u32(buf)?;
-            if !factor.is_finite() || !jitter.is_finite() {
-                return Err(DecodeError::Malformed);
-            }
-            Frame::ConfigBackoff(BackoffConfig {
-                base_ms,
-                max_ms,
-                factor,
-                jitter,
-                attempts,
-            })
-        }
-        k => return Err(DecodeError::BadKind(k)),
-    };
-    if !buf.is_empty() {
-        return Err(DecodeError::Malformed);
-    }
-    Ok(frame)
-}
-
 /// Tries to decode one frame from the front of `buf`.
 ///
 /// Returns `Ok(Some((frame, consumed)))` when a whole valid frame is
@@ -1017,45 +330,49 @@ pub fn decode_frame(buf: &[u8]) -> Result<Option<(Frame, usize)>, DecodeError> {
         return Ok(None);
     }
     let mut h = buf;
-    let magic = get_u32(&mut h).expect("header length checked");
+    let magic = u32::get(&mut h).expect("header length checked");
     if magic != MAGIC {
         return Err(DecodeError::BadMagic(magic));
     }
-    let version = get_u8(&mut h).expect("header length checked");
+    let version = u8::get(&mut h).expect("header length checked");
     if version != VERSION {
         return Err(DecodeError::BadVersion(version));
     }
-    let kind = get_u8(&mut h).expect("header length checked");
+    let kind = u8::get(&mut h).expect("header length checked");
     // Reserved bytes must be zero in v1, so corruption there is caught and
     // a future version can assign them meaning without ambiguity.
     let reserved = (
-        get_u8(&mut h).expect("header length checked"),
-        get_u8(&mut h).expect("header length checked"),
+        u8::get(&mut h).expect("header length checked"),
+        u8::get(&mut h).expect("header length checked"),
     );
     if reserved != (0, 0) {
         return Err(DecodeError::Malformed);
     }
-    let len = get_u32(&mut h).expect("header length checked");
+    let len = u32::get(&mut h).expect("header length checked");
     if len > MAX_FRAME_LEN {
         return Err(DecodeError::TooLarge(len));
     }
-    let sum = get_u32(&mut h).expect("header length checked");
+    let sum = u32::get(&mut h).expect("header length checked");
     let total = HEADER_LEN + len as usize;
     if buf.len() < total {
         return Ok(None);
     }
-    let payload = &buf[HEADER_LEN..total];
+    let mut payload = &buf[HEADER_LEN..total];
     if checksum(&buf[..HEADER_PREFIX_LEN]) ^ checksum(payload) != sum {
         return Err(DecodeError::BadChecksum);
     }
-    let frame = decode_payload(kind, payload)?;
+    let frame = Frame::get_fields(kind, &mut payload)?.ok_or(DecodeError::BadKind(kind))?;
+    if !payload.is_empty() {
+        return Err(DecodeError::Malformed);
+    }
     Ok(Some((frame, total)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pv_core::Entry;
+    use pv_core::{Expr, TransactionSpec, TxnId};
+    use pv_engine::messages::TxnResult;
 
     fn roundtrip(frame: Frame) {
         let bytes = frame_bytes(&frame).unwrap();
@@ -1218,7 +535,7 @@ mod tests {
             payload.put_u8(4); // Neg(
         }
         payload.put_u8(0); // Const
-        put_value(&mut payload, &Value::Int(1));
+        Value::Int(1).put(&mut payload);
         payload.put_u32_le(0); // updates
         payload.put_u32_le(0); // outputs
         let mut bytes = BytesMut::new();

@@ -260,3 +260,44 @@ fn net_builder_backoff_override_applies() {
     assert!(result.is_committed());
     cluster.shutdown().expect("clean shutdown");
 }
+
+#[test]
+fn hostile_frame_drops_only_its_connection_and_is_counted() {
+    use std::io::{ErrorKind, Read, Write};
+    let cluster = NetCluster::from_topology(bank_topology(2, 2)).expect("start");
+    let deadline = Duration::from_secs(10);
+
+    // A checksum-valid Proto/ReadResp whose polyvalue claims u32::MAX pairs:
+    // from 0, tag 3, txn 9, one entry, item 0, Entry::Poly, pair count.
+    let mut payload = 0u32.to_le_bytes().to_vec();
+    payload.push(3);
+    payload.extend(9u64.to_le_bytes());
+    payload.extend(1u32.to_le_bytes());
+    payload.extend(0u64.to_le_bytes());
+    payload.push(1);
+    payload.extend(u32::MAX.to_le_bytes());
+    let mut frame = b"PVW1".to_vec();
+    frame.extend([1, 1, 0, 0]);
+    frame.extend((payload.len() as u32).to_le_bytes());
+    let sum = pv_store::codec::checksum(&frame) ^ pv_store::codec::checksum(&payload);
+    frame.extend(sum.to_le_bytes());
+    frame.extend(&payload);
+
+    let mut hostile = std::net::TcpStream::connect(cluster.addrs()[0]).expect("connect");
+    hostile.set_read_timeout(Some(deadline)).expect("timeout");
+    hostile.write_all(&frame).expect("send");
+    match hostile.read(&mut [0u8; 16]) {
+        Ok(0) => {}
+        Err(e) if e.kind() == ErrorKind::ConnectionReset => {}
+        other => panic!("expected the node to drop the connection, got {other:?}"),
+    }
+
+    let metrics = cluster.site_metrics(0, deadline).expect("metrics");
+    assert_eq!(metrics.counter("net.decode_errors"), 1);
+    // The node is still serving everyone else.
+    let result = cluster
+        .submit(0, &transfer(0, 1, 10), deadline)
+        .expect("submit");
+    assert!(result.is_committed());
+    cluster.shutdown().expect("clean shutdown");
+}

@@ -25,6 +25,7 @@ use pv_core::{CmpOp, Condition, Entry, Expr, ItemId, TransactionSpec, TxnId, Val
 use pv_engine::messages::{AbortReason, AccessMode, Msg, TxnResult};
 use pv_engine::topology::BackoffConfig;
 use pv_net::wire::{decode_frame, frame_bytes, Frame, NodeSnapshot, PeerKind, WireMetrics};
+use pv_net::DecodeError;
 use pv_simnet::SimRng;
 use proptest::prelude::*;
 
@@ -534,6 +535,49 @@ fn golden_bytes_are_pinned() {
         assert!(
             format!("{frame:?}").contains("Poly("),
             "{bearer} sample holds no polyvalue"
+        );
+    }
+}
+
+/// A frame with a valid header and checksum around an arbitrary payload —
+/// what a hostile peer, not a corrupting network, would send.
+fn raw_frame(kind: u8, payload: &[u8]) -> Vec<u8> {
+    let mut out = b"PVW1".to_vec();
+    out.extend([1, kind, 0, 0]);
+    out.extend((payload.len() as u32).to_le_bytes());
+    let sum = pv_store::codec::checksum(&out) ^ pv_store::codec::checksum(payload);
+    out.extend(sum.to_le_bytes());
+    out.extend(payload);
+    out
+}
+
+/// A length prefix is the sender's claim, not a fact: a count the payload
+/// cannot back must be a decode error, never an allocation of that size
+/// (which aborts the process). One case per nesting level of a polyvalue,
+/// plus the two plain lists of the commit path.
+#[test]
+fn hostile_counts_are_errors_not_allocations() {
+    let le32 = |n: u32| n.to_le_bytes().to_vec();
+    let le64 = |n: u64| n.to_le_bytes().to_vec();
+    // from: 0, then the message's tag and txn.
+    let proto = |tag: u8| [le32(0), vec![tag], le64(9)].concat();
+    // ReadResp with one entry: item 0, Poly [ .. up to the pair count
+    let pairs = [proto(3), le32(1), le64(0), vec![1]].concat();
+    // .. one pair, its value Int(5), up to the product count
+    let products = [&pairs[..], &le32(1), &[0], &le64(5)].concat();
+    let literals = [&products[..], &le32(1)].concat();
+    for (what, prefix) in [
+        ("polyvalue pair count", pairs),
+        ("condition product count", products),
+        ("product literal count", literals),
+        ("Prepare writes count", proto(5)),
+        ("PcVote parts count", [proto(12), le32(1)].concat()),
+    ] {
+        let payload = [prefix, le32(u32::MAX)].concat();
+        assert_eq!(
+            decode_frame(&raw_frame(1, &payload)),
+            Err(DecodeError::Malformed),
+            "{what}"
         );
     }
 }

@@ -1,6 +1,7 @@
 //! Protocol messages exchanged between sites and clients.
 
 use pv_core::{Entry, ItemId, TransactionSpec, TxnId, Value};
+use pv_store::wire_table;
 use std::fmt;
 
 /// Whether an item is read or written by a transaction at a site, which
@@ -11,6 +12,13 @@ pub enum AccessMode {
     Read,
     /// Read/write access (exclusive lock).
     Write,
+}
+
+wire_table! {
+    enum AccessMode {
+        0 => Read,
+        1 => Write,
+    }
 }
 
 /// Why a transaction aborted.
@@ -27,6 +35,15 @@ pub enum AbortReason {
     /// `EngineConfig::static_checks` gate); not worth retrying — the spec
     /// itself is wrong. Carries the rendered diagnostics.
     Rejected(String),
+}
+
+wire_table! {
+    enum AbortReason {
+        0 => LockConflict,
+        1 => Timeout,
+        2 => Eval(error),
+        3 => Rejected(report),
+    }
 }
 
 impl fmt::Display for AbortReason {
@@ -59,6 +76,13 @@ pub enum TxnResult {
         /// Why it aborted.
         reason: AbortReason,
     },
+}
+
+wire_table! {
+    enum TxnResult {
+        0 => Committed { granted, outputs, was_poly },
+        1 => Aborted { reason },
+    }
 }
 
 impl TxnResult {
@@ -316,6 +340,33 @@ pub enum Msg {
         /// The entries visible at that snapshot, in item order.
         entries: Vec<(ItemId, Entry<Value>)>,
     },
+}
+
+// The wire format of the protocol: each line is a variant's tag byte and its
+// fields in byte order. `pv-net` frames these bytes; it adds none of its own.
+wire_table! {
+    enum Msg {
+        0 => Submit { req_id, spec },
+        1 => Reply { req_id, result },
+        2 => ReadReq { txn, ts, items },
+        3 => ReadResp { txn, entries },
+        4 => ReadNack { txn },
+        5 => Prepare { txn, writes },
+        6 => Ready { txn },
+        7 => PrepareNack { txn },
+        8 => Decision { txn, completed },
+        9 => Inquire { txn },
+        10 => OutcomeNotify { txn, completed },
+        11 => PcPrepare { txn, writes, parts },
+        12 => PcVote { txn, part, parts, prepared },
+        13 => PcVoteAck { txn, part, acceptor, prepared },
+        14 => PcPhase1a { txn, ballot },
+        15 => PcPhase1b { txn, ballot, acceptor, votes, parts, accepted },
+        16 => PcPhase2a { txn, ballot, completed },
+        17 => PcPhase2b { txn, ballot, acceptor, completed },
+        18 => SnapshotRead { req_id, items },
+        19 => SnapshotReadReply { req_id, snapshot, entries },
+    }
 }
 
 #[cfg(test)]

@@ -1,11 +1,21 @@
-//! Binary serialisation of the write-ahead log.
+//! The binary vocabulary of the system, and the write-ahead log's framing.
 //!
-//! The simulated stable storage keeps records as structured values; this
-//! codec is the on-disk format a real deployment would use. Each record is
-//! framed as
+//! **One declaration per type.** Everything that is ever written to stable
+//! storage or to a socket implements [`Wire`]: `put` appends the type's
+//! bytes, `get` reads them back. Containers do not write the two directions
+//! by hand — a [`wire_table!`](crate::wire_table) invocation lists a struct's
+//! fields, or an enum's `tag => Variant { fields }` lines, once, and both
+//! directions are generated from that list (so they cannot drift apart, a
+//! forgotten variant fails the generated exhaustive `match`, and a reused tag
+//! fails `#[deny(unreachable_patterns)]`). The [`Record`] table below *is*
+//! the WAL format; `pv-protocol`'s `Msg` table and `pv-net`'s `Frame` table
+//! are the wire format. [`Condition`], [`Entry`] and [`Expr`] keep hand-written
+//! impls because decoding them re-checks an invariant.
+//!
+//! **Framing.** Each WAL record is
 //!
 //! ```text
-//! [len: u32 LE] [payload: len bytes] [checksum: u32 LE over payload]
+//! [len: u32 LE] [checksum: u32 LE over payload] [payload: len bytes]
 //! ```
 //!
 //! so a torn write (power loss mid-append) truncates cleanly: decoding stops
@@ -13,12 +23,15 @@
 //! it, exactly the recovery contract of a production WAL.
 
 use crate::wal::{Record, Wal};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes};
 use pv_core::cond::{Condition, Literal, Product};
-use pv_core::{Entry, ItemId, TxnId, Value};
+use pv_core::expr::BinOp;
+use pv_core::{CmpOp, Entry, Expr, ItemId, TransactionSpec, TxnId, Value};
 use std::fmt;
 
-/// Errors detected while decoding a WAL image.
+pub use bytes::BytesMut;
+
+/// Errors detected while decoding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CodecError {
     /// The data ended inside a frame (torn write).
@@ -31,6 +44,10 @@ pub enum CodecError {
     BadUtf8,
     /// A decoded polyvalue violated the §3 invariant.
     BadPolyvalue,
+    /// An expression nested deeper than [`MAX_EXPR_DEPTH`].
+    TooDeep,
+    /// A float field was NaN or infinite.
+    NonFinite,
 }
 
 impl fmt::Display for CodecError {
@@ -41,6 +58,8 @@ impl fmt::Display for CodecError {
             CodecError::BadTag(t) => write!(f, "unknown tag {t}"),
             CodecError::BadUtf8 => write!(f, "invalid UTF-8 in string field"),
             CodecError::BadPolyvalue => write!(f, "decoded polyvalue violates invariant"),
+            CodecError::TooDeep => write!(f, "expression nests deeper than {MAX_EXPR_DEPTH}"),
+            CodecError::NonFinite => write!(f, "float field is not finite"),
         }
     }
 }
@@ -62,338 +81,478 @@ pub fn checksum(data: &[u8]) -> u32 {
     hash
 }
 
-// ---- value / condition / entry encoding -----------------------------------
+// ---- the Wire trait and its table macro -------------------------------------
+
+/// A type with exactly one binary encoding, shared by the WAL and the
+/// network: a staged write read from disk and a `Prepare` read from a socket
+/// decode through the same impl.
+pub trait Wire: Sized {
+    /// Appends this value's encoding to `buf`.
+    fn put(&self, buf: &mut BytesMut);
+    /// Decodes one value from the front of `buf`, advancing it. Hostile
+    /// input is an `Err`, never a panic or an oversized allocation.
+    fn get(buf: &mut &[u8]) -> Result<Self, CodecError>;
+}
+
+/// An enum declared by [`wire_table!`](crate::wire_table). Its [`Wire`] form
+/// is the tag byte followed by the variant's fields; the halves are exposed
+/// separately for a framing that carries the tag in its own header (the
+/// `pv-net` frame kind).
+pub trait Tagged: Sized {
+    /// The variant's tag byte.
+    fn tag(&self) -> u8;
+    /// Appends the variant's fields, without the tag.
+    fn put_fields(&self, buf: &mut BytesMut);
+    /// Decodes the fields of the variant `tag` names; `Ok(None)` when it
+    /// names none.
+    fn get_fields(tag: u8, buf: &mut &[u8]) -> Result<Option<Self>, CodecError>;
+}
+
+impl<T: Tagged> Wire for T {
+    fn put(&self, buf: &mut BytesMut) {
+        self.tag().put(buf);
+        self.put_fields(buf);
+    }
+
+    fn get(buf: &mut &[u8]) -> Result<Self, CodecError> {
+        let tag = u8::get(buf)?;
+        T::get_fields(tag, buf)?.ok_or(CodecError::BadTag(tag))
+    }
+}
+
+/// Declares a type's binary layout once and generates both directions.
+///
+/// `struct T { a, b }` encodes the named fields in the order listed (a tuple
+/// struct names its fields `0`, `1`, …). `enum T { 1 => A { x, y }, 2 => B(x),
+/// 3 => C }` encodes a tag byte then the variant's fields in the order
+/// listed, and implements [`Tagged`](crate::codec::Tagged). Every field type
+/// must itself be [`Wire`](crate::codec::Wire). Adding a variant is one line
+/// here (plus a line in `results/wire_golden.txt`).
+///
+/// ```
+/// use pv_store::codec::{BytesMut, Wire};
+///
+/// #[derive(Debug, PartialEq)]
+/// enum Shape {
+///     Dot,
+///     Circle(u32),
+///     Rect { w: u32, h: u32 },
+/// }
+/// pv_store::wire_table! { enum Shape { 0 => Dot, 1 => Circle(r), 2 => Rect { w, h } } }
+///
+/// let mut buf = BytesMut::new();
+/// Shape::Rect { w: 2, h: 3 }.put(&mut buf);
+/// assert_eq!(&buf[..], [2, 2, 0, 0, 0, 3, 0, 0, 0]);
+/// assert_eq!(Shape::get(&mut &buf[..]), Ok(Shape::Rect { w: 2, h: 3 }));
+/// ```
+///
+/// A variant missing from the table, or a tag used twice, does not compile:
+///
+/// ```compile_fail
+/// enum Bit { Zero, One }
+/// pv_store::wire_table! { enum Bit { 0 => Zero } }
+/// ```
+///
+/// ```compile_fail
+/// enum Bit { Zero, One }
+/// pv_store::wire_table! { enum Bit { 0 => Zero, 0 => One } }
+/// ```
+#[macro_export]
+macro_rules! wire_table {
+    (struct $ty:ident { $($field:tt),* $(,)? }) => {
+        impl $crate::codec::Wire for $ty {
+            fn put(&self, buf: &mut $crate::codec::BytesMut) {
+                $( $crate::codec::Wire::put(&self.$field, buf); )*
+            }
+
+            fn get(buf: &mut &[u8]) -> Result<Self, $crate::codec::CodecError> {
+                Ok($ty { $( $field: $crate::codec::Wire::get(buf)? ),* })
+            }
+        }
+    };
+    (enum $ty:ident { $(
+        $tag:literal => $var:ident $( { $($f:ident),* } )? $( ( $($t:ident),* ) )?
+    ),* $(,)? }) => {
+        impl $crate::codec::Tagged for $ty {
+            fn tag(&self) -> u8 {
+                match self { $( $ty::$var { .. } => $tag, )* }
+            }
+
+            #[allow(unused_variables)]
+            fn put_fields(&self, buf: &mut $crate::codec::BytesMut) {
+                match self { $(
+                    $ty::$var $( { $($f),* } )? $( ( $($t),* ) )? => {
+                        $( $( $crate::codec::Wire::put($f, buf); )* )?
+                        $( $( $crate::codec::Wire::put($t, buf); )* )?
+                    }
+                )* }
+            }
+
+            #[allow(unused_variables)]
+            #[deny(unreachable_patterns)]
+            fn get_fields(
+                tag: u8,
+                buf: &mut &[u8],
+            ) -> Result<Option<Self>, $crate::codec::CodecError> {
+                Ok(Some(match tag {
+                    $( $tag => {
+                        $( $( let $f = $crate::codec::Wire::get(buf)?; )* )?
+                        $( $( let $t = $crate::codec::Wire::get(buf)?; )* )?
+                        $ty::$var $( { $($f),* } )? $( ( $($t),* ) )?
+                    } )*
+                    _ => return Ok(None),
+                }))
+            }
+        }
+    };
+}
+
+// ---- primitives and containers ----------------------------------------------
+
+macro_rules! wire_le_int {
+    ($($int:ty),*) => { $(
+        impl Wire for $int {
+            fn put(&self, buf: &mut BytesMut) {
+                buf.put_slice(&self.to_le_bytes());
+            }
+
+            fn get(buf: &mut &[u8]) -> Result<Self, CodecError> {
+                let (head, rest) = buf.split_first_chunk().ok_or(CodecError::Truncated)?;
+                *buf = rest;
+                Ok(<$int>::from_le_bytes(*head))
+            }
+        }
+    )* };
+}
+
+wire_le_int!(u8, u32, u64, i64);
+
+impl Wire for bool {
+    fn put(&self, buf: &mut BytesMut) {
+        u8::from(*self).put(buf);
+    }
+
+    fn get(buf: &mut &[u8]) -> Result<Self, CodecError> {
+        Ok(u8::get(buf)? != 0)
+    }
+}
+
+/// The bit pattern as a `u64`; only finite values decode.
+impl Wire for f64 {
+    fn put(&self, buf: &mut BytesMut) {
+        self.to_bits().put(buf);
+    }
+
+    fn get(buf: &mut &[u8]) -> Result<Self, CodecError> {
+        let value = f64::from_bits(u64::get(buf)?);
+        if value.is_finite() {
+            Ok(value)
+        } else {
+            Err(CodecError::NonFinite)
+        }
+    }
+}
+
+/// `u32` byte length, then UTF-8.
+impl Wire for String {
+    fn put(&self, buf: &mut BytesMut) {
+        (self.len() as u32).put(buf);
+        buf.put_slice(self.as_bytes());
+    }
+
+    fn get(buf: &mut &[u8]) -> Result<Self, CodecError> {
+        let len = u32::get(buf)? as usize;
+        let (s, rest) = buf.split_at_checked(len).ok_or(CodecError::Truncated)?;
+        *buf = rest;
+        String::from_utf8(s.to_vec()).map_err(|_| CodecError::BadUtf8)
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    fn put(&self, buf: &mut BytesMut) {
+        self.0.put(buf);
+        self.1.put(buf);
+    }
+
+    fn get(buf: &mut &[u8]) -> Result<Self, CodecError> {
+        Ok((A::get(buf)?, B::get(buf)?))
+    }
+}
+
+/// A presence byte (0 or 1), then the value if present.
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, buf: &mut BytesMut) {
+        match self {
+            None => 0u8.put(buf),
+            Some(value) => {
+                1u8.put(buf);
+                value.put(buf);
+            }
+        }
+    }
+
+    fn get(buf: &mut &[u8]) -> Result<Self, CodecError> {
+        match u8::get(buf)? {
+            0 => Ok(None),
+            1 => Ok(Some(T::get(buf)?)),
+            t => Err(CodecError::BadTag(t)),
+        }
+    }
+}
+
+/// Most elements a decoder reserves room for on the word of a length prefix.
+/// A longer sequence still decodes (the vector grows as elements actually
+/// arrive); a hostile count costs an `Err` at the first missing element
+/// instead of a giant allocation. Every sequence in both formats decodes
+/// through [`Vec`]'s impl, so this is the only place the rule lives.
+const MAX_PREALLOC: usize = 1024;
+
+/// `u32` element count, then the elements.
+fn put_seq<T: Wire>(items: &[T], buf: &mut BytesMut) {
+    (items.len() as u32).put(buf);
+    for item in items {
+        item.put(buf);
+    }
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, buf: &mut BytesMut) {
+        put_seq(self, buf);
+    }
+
+    fn get(buf: &mut &[u8]) -> Result<Self, CodecError> {
+        let n = u32::get(buf)? as usize;
+        let mut out = Vec::with_capacity(n.min(MAX_PREALLOC));
+        for _ in 0..n {
+            out.push(T::get(buf)?);
+        }
+        Ok(out)
+    }
+}
+
+// ---- pv-core types ----------------------------------------------------------
 //
-// These primitives are public: they are the single binary vocabulary for
-// values, conditions, and entries, shared between the WAL framing here and
-// the network wire format in `pv-net::wire`. Both sides framing differently
-// (the WAL has no header; wire frames carry magic/version/kind) but agreeing
-// on payload encoding is what lets a staged write read from disk and a
-// `Prepare` read from a socket decode through the same code path.
+// The trait is this crate's, so the orphan rule puts every impl for a
+// `pv-core` type here — including the ones only the network ever ships.
 
-/// Encodes a [`Value`] (tagged: int/bool/str).
-pub fn put_value(buf: &mut BytesMut, v: &Value) {
-    match v {
-        Value::Int(n) => {
-            buf.put_u8(0);
-            buf.put_i64_le(*n);
-        }
-        Value::Bool(b) => {
-            buf.put_u8(1);
-            buf.put_u8(u8::from(*b));
-        }
-        Value::Str(s) => {
-            buf.put_u8(2);
-            buf.put_u32_le(s.len() as u32);
-            buf.put_slice(s.as_bytes());
-        }
+wire_table! { struct ItemId { 0 } }
+wire_table! { struct TxnId { 0 } }
+
+wire_table! {
+    enum Value {
+        0 => Int(n),
+        1 => Bool(b),
+        2 => Str(s),
     }
 }
 
-/// Decodes a [`Value`] encoded by [`put_value`].
-pub fn get_value(buf: &mut &[u8]) -> Result<Value, CodecError> {
-    let tag = get_u8(buf)?;
-    match tag {
-        0 => Ok(Value::Int(get_i64(buf)?)),
-        1 => Ok(Value::Bool(get_u8(buf)? != 0)),
-        2 => {
-            let len = get_u32(buf)? as usize;
-            if buf.len() < len {
-                return Err(CodecError::Truncated);
+impl Wire for Literal {
+    fn put(&self, buf: &mut BytesMut) {
+        self.txn().put(buf);
+        self.is_positive().put(buf);
+    }
+
+    fn get(buf: &mut &[u8]) -> Result<Self, CodecError> {
+        let txn = TxnId::get(buf)?;
+        Ok(if bool::get(buf)? {
+            Literal::positive(txn)
+        } else {
+            Literal::negative(txn)
+        })
+    }
+}
+
+impl Wire for Product {
+    fn put(&self, buf: &mut BytesMut) {
+        (self.len() as u32).put(buf);
+        for literal in self.literals() {
+            literal.put(buf);
+        }
+    }
+
+    fn get(buf: &mut &[u8]) -> Result<Self, CodecError> {
+        Product::from_literals(Vec::<Literal>::get(buf)?).ok_or(CodecError::BadPolyvalue)
+    }
+}
+
+/// A DNF condition: its products, each a list of `(txn, polarity)` literals.
+impl Wire for Condition {
+    fn put(&self, buf: &mut BytesMut) {
+        put_seq(self.products(), buf);
+    }
+
+    fn get(buf: &mut &[u8]) -> Result<Self, CodecError> {
+        Ok(Condition::from_products(Vec::<Product>::get(buf)?))
+    }
+}
+
+/// A simple value (tag 0) or a polyvalue's `(value, condition)` pairs
+/// (tag 1).
+impl Wire for Entry<Value> {
+    fn put(&self, buf: &mut BytesMut) {
+        match self {
+            Entry::Simple(v) => {
+                0u8.put(buf);
+                v.put(buf);
             }
-            let (s, rest) = buf.split_at(len);
-            *buf = rest;
-            String::from_utf8(s.to_vec())
-                .map(Value::Str)
-                .map_err(|_| CodecError::BadUtf8)
-        }
-        t => Err(CodecError::BadTag(t)),
-    }
-}
-
-/// Encodes a DNF [`Condition`] (products of transaction-outcome literals).
-pub fn put_condition(buf: &mut BytesMut, c: &Condition) {
-    buf.put_u32_le(c.products().len() as u32);
-    for p in c.products() {
-        buf.put_u32_le(p.len() as u32);
-        for lit in p.literals() {
-            buf.put_u64_le(lit.txn().raw());
-            buf.put_u8(u8::from(lit.is_positive()));
-        }
-    }
-}
-
-/// Decodes a [`Condition`] encoded by [`put_condition`].
-pub fn get_condition(buf: &mut &[u8]) -> Result<Condition, CodecError> {
-    let n_products = get_u32(buf)? as usize;
-    let mut products = Vec::with_capacity(n_products);
-    for _ in 0..n_products {
-        let n_lits = get_u32(buf)? as usize;
-        let mut lits = Vec::with_capacity(n_lits);
-        for _ in 0..n_lits {
-            let txn = TxnId(get_u64(buf)?);
-            let positive = get_u8(buf)? != 0;
-            lits.push(if positive {
-                Literal::positive(txn)
-            } else {
-                Literal::negative(txn)
-            });
-        }
-        let product = Product::from_literals(lits).ok_or(CodecError::BadPolyvalue)?;
-        products.push(product);
-    }
-    Ok(Condition::from_products(products))
-}
-
-/// Encodes an [`Entry`] — a simple value or a polyvalue with its conditions.
-pub fn put_entry(buf: &mut BytesMut, e: &Entry<Value>) {
-    match e {
-        Entry::Simple(v) => {
-            buf.put_u8(0);
-            put_value(buf, v);
-        }
-        Entry::Poly(p) => {
-            buf.put_u8(1);
-            buf.put_u32_le(p.len() as u32);
-            for (v, c) in p.pairs() {
-                put_value(buf, v);
-                put_condition(buf, c);
+            Entry::Poly(p) => {
+                1u8.put(buf);
+                put_seq(p.pairs(), buf);
             }
         }
     }
-}
 
-/// Decodes an [`Entry`] encoded by [`put_entry`], re-checking the §3
-/// polyvalue invariant via [`Entry::assemble`].
-pub fn get_entry(buf: &mut &[u8]) -> Result<Entry<Value>, CodecError> {
-    match get_u8(buf)? {
-        0 => Ok(Entry::Simple(get_value(buf)?)),
-        1 => {
-            let n = get_u32(buf)? as usize;
-            let mut pairs = Vec::with_capacity(n);
-            for _ in 0..n {
-                let v = get_value(buf)?;
-                let c = get_condition(buf)?;
-                pairs.push((Entry::Simple(v), c));
+    fn get(buf: &mut &[u8]) -> Result<Self, CodecError> {
+        match u8::get(buf)? {
+            0 => Ok(Entry::Simple(Value::get(buf)?)),
+            1 => {
+                let pairs = Vec::<(Value, Condition)>::get(buf)?;
+                // Assembling re-checks the §3 invariant, so a corrupted-but-
+                // checksum-colliding image cannot smuggle in a bad polyvalue.
+                Entry::assemble(
+                    pairs
+                        .into_iter()
+                        .map(|(v, c)| (Entry::Simple(v), c))
+                        .collect(),
+                )
+                .map_err(|_| CodecError::BadPolyvalue)
             }
-            // Assembling re-checks the §3 invariant, so a corrupted-but-
-            // checksum-colliding image cannot smuggle in a bad polyvalue.
-            Entry::assemble(pairs).map_err(|_| CodecError::BadPolyvalue)
+            t => Err(CodecError::BadTag(t)),
         }
-        t => Err(CodecError::BadTag(t)),
     }
 }
 
-// ---- primitive readers ------------------------------------------------------
-
-/// Reads one byte, or [`CodecError::Truncated`].
-pub fn get_u8(buf: &mut &[u8]) -> Result<u8, CodecError> {
-    if buf.is_empty() {
-        return Err(CodecError::Truncated);
+wire_table! {
+    enum BinOp {
+        0 => Add,
+        1 => Sub,
+        2 => Mul,
+        3 => Div,
+        4 => Min,
+        5 => Max,
+        6 => And,
+        7 => Or,
     }
-    Ok(buf.get_u8())
 }
 
-/// Reads a little-endian `u32`, or [`CodecError::Truncated`].
-pub fn get_u32(buf: &mut &[u8]) -> Result<u32, CodecError> {
-    if buf.len() < 4 {
-        return Err(CodecError::Truncated);
+wire_table! {
+    enum CmpOp {
+        0 => Eq,
+        1 => Ne,
+        2 => Lt,
+        3 => Le,
+        4 => Gt,
+        5 => Ge,
     }
-    Ok(buf.get_u32_le())
 }
 
-/// Reads a little-endian `u64`, or [`CodecError::Truncated`].
-pub fn get_u64(buf: &mut &[u8]) -> Result<u64, CodecError> {
-    if buf.len() < 8 {
-        return Err(CodecError::Truncated);
+/// Maximum expression nesting accepted by the decoder. Deeper input is
+/// rejected with [`CodecError::TooDeep`] rather than recursing toward a
+/// stack overflow on untrusted bytes.
+pub const MAX_EXPR_DEPTH: u32 = 200;
+
+impl Wire for Expr {
+    fn put(&self, buf: &mut BytesMut) {
+        match self {
+            Expr::Const(v) => {
+                0u8.put(buf);
+                v.put(buf);
+            }
+            Expr::Read(item) => {
+                1u8.put(buf);
+                item.put(buf);
+            }
+            Expr::Bin(op, l, r) => {
+                2u8.put(buf);
+                op.put(buf);
+                l.put(buf);
+                r.put(buf);
+            }
+            Expr::Cmp(op, l, r) => {
+                3u8.put(buf);
+                op.put(buf);
+                l.put(buf);
+                r.put(buf);
+            }
+            Expr::Neg(inner) => {
+                4u8.put(buf);
+                inner.put(buf);
+            }
+            Expr::Not(inner) => {
+                5u8.put(buf);
+                inner.put(buf);
+            }
+            Expr::If(c, t, f) => {
+                6u8.put(buf);
+                c.put(buf);
+                t.put(buf);
+                f.put(buf);
+            }
+        }
     }
-    Ok(buf.get_u64_le())
+
+    fn get(buf: &mut &[u8]) -> Result<Self, CodecError> {
+        get_expr(buf, 0)
+    }
 }
 
-/// Reads a little-endian `i64`, or [`CodecError::Truncated`].
-pub fn get_i64(buf: &mut &[u8]) -> Result<i64, CodecError> {
-    if buf.len() < 8 {
-        return Err(CodecError::Truncated);
+fn get_expr(buf: &mut &[u8], depth: u32) -> Result<Expr, CodecError> {
+    if depth > MAX_EXPR_DEPTH {
+        return Err(CodecError::TooDeep);
     }
-    Ok(buf.get_i64_le())
+    let sub = |buf: &mut &[u8]| get_expr(buf, depth + 1).map(Box::new);
+    Ok(match u8::get(buf)? {
+        0 => Expr::Const(Value::get(buf)?),
+        1 => Expr::Read(ItemId::get(buf)?),
+        2 => Expr::Bin(BinOp::get(buf)?, sub(buf)?, sub(buf)?),
+        3 => Expr::Cmp(CmpOp::get(buf)?, sub(buf)?, sub(buf)?),
+        4 => Expr::Neg(sub(buf)?),
+        5 => Expr::Not(sub(buf)?),
+        6 => Expr::If(sub(buf)?, sub(buf)?, sub(buf)?),
+        t => return Err(CodecError::BadTag(t)),
+    })
 }
 
-// ---- record framing ---------------------------------------------------------
+wire_table! { struct TransactionSpec { guard, updates, outputs } }
+
+// ---- the WAL format ---------------------------------------------------------
+
+wire_table! {
+    enum Record {
+        1 => SetItem { item, entry },
+        2 => PendingPrepare { txn, coordinator, writes },
+        3 => PendingResolved { txn },
+        4 => DepNoted { txn, item },
+        5 => DepSent { txn, site },
+        6 => DepForgotten { txn },
+        7 => Decision { txn, completed },
+        8 => Epoch { epoch },
+        9 => PaxosVote { txn, part, parts, prepared },
+        10 => PaxosPromise { txn, ballot },
+        11 => PaxosAccept { txn, ballot, completed },
+        12 => PaxosForgotten { txn },
+    }
+}
 
 /// Encodes one record into its framed wire form.
 pub fn encode_record(record: &Record, out: &mut BytesMut) {
     let mut payload = BytesMut::new();
-    match record {
-        Record::SetItem { item, entry } => {
-            payload.put_u8(1);
-            payload.put_u64_le(item.0);
-            put_entry(&mut payload, entry);
-        }
-        Record::PendingPrepare {
-            txn,
-            coordinator,
-            writes,
-        } => {
-            payload.put_u8(2);
-            payload.put_u64_le(txn.raw());
-            payload.put_u32_le(*coordinator);
-            payload.put_u32_le(writes.len() as u32);
-            for (item, entry) in writes {
-                payload.put_u64_le(item.0);
-                put_entry(&mut payload, entry);
-            }
-        }
-        Record::PendingResolved { txn } => {
-            payload.put_u8(3);
-            payload.put_u64_le(txn.raw());
-        }
-        Record::DepNoted { txn, item } => {
-            payload.put_u8(4);
-            payload.put_u64_le(txn.raw());
-            payload.put_u64_le(item.0);
-        }
-        Record::DepSent { txn, site } => {
-            payload.put_u8(5);
-            payload.put_u64_le(txn.raw());
-            payload.put_u32_le(*site);
-        }
-        Record::DepForgotten { txn } => {
-            payload.put_u8(6);
-            payload.put_u64_le(txn.raw());
-        }
-        Record::Decision { txn, completed } => {
-            payload.put_u8(7);
-            payload.put_u64_le(txn.raw());
-            payload.put_u8(u8::from(*completed));
-        }
-        Record::Epoch { epoch } => {
-            payload.put_u8(8);
-            payload.put_u32_le(*epoch);
-        }
-        Record::PaxosVote {
-            txn,
-            part,
-            parts,
-            prepared,
-        } => {
-            payload.put_u8(9);
-            payload.put_u64_le(txn.raw());
-            payload.put_u32_le(*part);
-            payload.put_u32_le(parts.len() as u32);
-            for p in parts {
-                payload.put_u32_le(*p);
-            }
-            payload.put_u8(u8::from(*prepared));
-        }
-        Record::PaxosPromise { txn, ballot } => {
-            payload.put_u8(10);
-            payload.put_u64_le(txn.raw());
-            payload.put_u64_le(*ballot);
-        }
-        Record::PaxosAccept {
-            txn,
-            ballot,
-            completed,
-        } => {
-            payload.put_u8(11);
-            payload.put_u64_le(txn.raw());
-            payload.put_u64_le(*ballot);
-            payload.put_u8(u8::from(*completed));
-        }
-        Record::PaxosForgotten { txn } => {
-            payload.put_u8(12);
-            payload.put_u64_le(txn.raw());
-        }
-    }
-    out.put_u32_le(payload.len() as u32);
-    out.put_u32_le(checksum(&payload));
+    record.put(&mut payload);
+    (payload.len() as u32).put(out);
+    checksum(&payload).put(out);
     out.put_slice(&payload);
 }
 
 /// Decodes one framed record from the front of `data`; advances `data`.
 fn decode_record(data: &mut &[u8]) -> Result<Record, CodecError> {
-    let len = get_u32(data)? as usize;
-    let sum = get_u32(data)?;
-    if data.len() < len {
-        return Err(CodecError::Truncated);
-    }
-    let (payload, rest) = data.split_at(len);
+    let len = u32::get(data)? as usize;
+    let sum = u32::get(data)?;
+    let (mut payload, rest) = data.split_at_checked(len).ok_or(CodecError::Truncated)?;
     if checksum(payload) != sum {
         return Err(CodecError::BadChecksum);
     }
     *data = rest;
-    let mut p = payload;
-    let record = match get_u8(&mut p)? {
-        1 => Record::SetItem {
-            item: ItemId(get_u64(&mut p)?),
-            entry: get_entry(&mut p)?,
-        },
-        2 => {
-            let txn = TxnId(get_u64(&mut p)?);
-            let coordinator = get_u32(&mut p)?;
-            let n = get_u32(&mut p)? as usize;
-            let mut writes = Vec::with_capacity(n);
-            for _ in 0..n {
-                let item = ItemId(get_u64(&mut p)?);
-                writes.push((item, get_entry(&mut p)?));
-            }
-            Record::PendingPrepare {
-                txn,
-                coordinator,
-                writes,
-            }
-        }
-        3 => Record::PendingResolved {
-            txn: TxnId(get_u64(&mut p)?),
-        },
-        4 => Record::DepNoted {
-            txn: TxnId(get_u64(&mut p)?),
-            item: ItemId(get_u64(&mut p)?),
-        },
-        5 => Record::DepSent {
-            txn: TxnId(get_u64(&mut p)?),
-            site: get_u32(&mut p)?,
-        },
-        6 => Record::DepForgotten {
-            txn: TxnId(get_u64(&mut p)?),
-        },
-        7 => Record::Decision {
-            txn: TxnId(get_u64(&mut p)?),
-            completed: get_u8(&mut p)? != 0,
-        },
-        8 => Record::Epoch {
-            epoch: get_u32(&mut p)?,
-        },
-        9 => {
-            let txn = TxnId(get_u64(&mut p)?);
-            let part = get_u32(&mut p)?;
-            let n = get_u32(&mut p)? as usize;
-            let mut parts = Vec::with_capacity(n);
-            for _ in 0..n {
-                parts.push(get_u32(&mut p)?);
-            }
-            Record::PaxosVote {
-                txn,
-                part,
-                parts,
-                prepared: get_u8(&mut p)? != 0,
-            }
-        }
-        10 => Record::PaxosPromise {
-            txn: TxnId(get_u64(&mut p)?),
-            ballot: get_u64(&mut p)?,
-        },
-        11 => Record::PaxosAccept {
-            txn: TxnId(get_u64(&mut p)?),
-            ballot: get_u64(&mut p)?,
-            completed: get_u8(&mut p)? != 0,
-        },
-        12 => Record::PaxosForgotten {
-            txn: TxnId(get_u64(&mut p)?),
-        },
-        t => return Err(CodecError::BadTag(t)),
-    };
-    Ok(record)
+    Record::get(&mut payload)
 }
 
 /// Serialises a whole log.
@@ -670,13 +829,52 @@ mod tests {
         payload.put_u64_le(1); // item
         payload.put_u8(1); // Entry::Poly
         payload.put_u32_le(1); // one pair
-        put_value(&mut payload, &Value::Int(5));
-        put_condition(&mut payload, &Condition::var(TxnId(1)));
+        Value::Int(5).put(&mut payload);
+        Condition::var(TxnId(1)).put(&mut payload);
         let mut out = BytesMut::new();
         out.put_u32_le(payload.len() as u32);
         out.put_u32_le(checksum(&payload));
         out.put_slice(&payload);
         assert!(matches!(decode_wal(&out), Err(CodecError::BadPolyvalue)));
+    }
+
+    /// A length prefix is the writer's claim, not a fact: a count the record
+    /// cannot back must stop recovery with an error, never allocate that many
+    /// elements (which aborts the process). One case per nesting level of a
+    /// polyvalue, plus the two plain lists a record can hold.
+    #[test]
+    fn hostile_counts_are_errors_not_allocations() {
+        let le32 = |n: u32| n.to_le_bytes().to_vec();
+        let le64 = |n: u64| n.to_le_bytes().to_vec();
+        // SetItem { item: 1, entry: Poly [ .. up to the pair count
+        let pairs = [vec![1], le64(1), vec![1]].concat();
+        // .. one pair, its value Int(5), up to the product count
+        let products = [&pairs[..], &le32(1), &[0], &le64(5)].concat();
+        let literals = [&products[..], &le32(1)].concat();
+        for (what, prefix) in [
+            ("polyvalue pair count", pairs),
+            ("condition product count", products),
+            ("product literal count", literals),
+            (
+                "PendingPrepare writes count",
+                [vec![2], le64(9), le32(0)].concat(),
+            ),
+            (
+                "PaxosVote parts count",
+                [vec![9], le64(9), le32(1)].concat(),
+            ),
+        ] {
+            let payload = [prefix, le32(u32::MAX)].concat();
+            let image = [
+                le32(payload.len() as u32),
+                le32(checksum(&payload)),
+                payload,
+            ]
+            .concat();
+            let (wal, consumed, err) = decode_wal_prefix(&image);
+            assert_eq!((wal.len(), consumed), (0, 0), "{what}");
+            assert_eq!(err, Some(CodecError::Truncated), "{what}");
+        }
     }
 
     #[test]
@@ -686,5 +884,7 @@ mod tests {
         assert!(CodecError::BadTag(7).to_string().contains('7'));
         assert!(CodecError::BadUtf8.to_string().contains("UTF-8"));
         assert!(CodecError::BadPolyvalue.to_string().contains("invariant"));
+        assert!(CodecError::TooDeep.to_string().contains("deeper"));
+        assert!(CodecError::NonFinite.to_string().contains("finite"));
     }
 }

@@ -25,8 +25,7 @@
 //! authority: the keyspace is derived state, held in memory and rebuilt by
 //! WAL replay on every recovery.
 
-use crate::codec;
-use bytes::{BufMut, BytesMut};
+use crate::codec::{BytesMut, Wire};
 use pv_core::{Entry, ItemId, Value};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -419,9 +418,9 @@ impl Keyspace {
 /// `[len][checksum][payload]` framing (the `store.memtable_bytes` gauge).
 fn encoded_len(item: ItemId, seq: SeqNo, entry: &Entry<Value>) -> u64 {
     let mut payload = BytesMut::new();
-    payload.put_u64_le(item.0);
-    payload.put_u64_le(seq);
-    codec::put_entry(&mut payload, entry);
+    item.put(&mut payload);
+    seq.put(&mut payload);
+    entry.put(&mut payload);
     8 + payload.len() as u64
 }
 
