@@ -10,7 +10,8 @@
 //! remote sends back to its caller. A runtime around it — the thread-per-site
 //! [`LiveCluster`](crate::LiveCluster), the socket loop of `pv_net::Node` —
 //! is only a transport and a wait: it feeds [`SiteHost::deliver`] from its
-//! inbox, ships what comes out, and sleeps until [`SiteHost::next_deadline`].
+//! inbox, ships what comes out, and blocks until more arrives or
+//! [`SiteHost::next_deadline`].
 //!
 //! The metrics registry and the trace belong to the runtime (the live
 //! cluster shares one of each across its threads), so every call borrows

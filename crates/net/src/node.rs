@@ -6,11 +6,12 @@
 //! thread-per-site live runtime — and it shares the live runtime's driver:
 //! the [`SiteHost`] runs every callback, applies effects in emission order,
 //! steps self-sends and keeps the wall-clock timers. What this module adds
-//! is real I/O: a non-blocking `std::net` readiness loop (accept, read,
-//! decode, write-backpressure flush) and **deadline-driven peer dialing**:
-//! connection attempts run on detached dialer threads and report back
-//! through a channel, so the event loop keeps serving live peers and clients
-//! while an unreachable peer is being retried. Retries are governed by a
+//! is real I/O: a readiness loop over non-blocking `std::net` sockets
+//! (accept, read, decode, one write per connection per pass) and
+//! **deadline-driven peer dialing**: connection attempts run on detached
+//! dialer threads and report back through a channel, so the event loop keeps
+//! serving live peers and clients while an unreachable peer is being
+//! retried. Retries are governed by a
 //! per-peer [`Circuit`] breaker under a jittered-exponential [`Backoff`]
 //! policy — a peer that stays dead walks Closed → Open → HalfOpen with
 //! growing pauses (never a hot loop), and a peer that stays unreachable past
@@ -18,15 +19,20 @@
 //! never a hang. Messages bound for a down peer queue (bounded) and flush on
 //! reconnect; the §3.3 inquiry protocol absorbs anything the bound drops.
 //!
-//! The loop polls with a short sleep rather than an OS readiness API: the
-//! workspace is hermetic (no `mio`/`libc`), and at cluster sizes of tens of
-//! sockets a sub-millisecond poll is indistinguishable from epoll for the
-//! paper's workloads. When nothing is happening the poll tick decays
-//! exponentially (200 µs → 10 ms) toward the next timer deadline, so an
-//! idle site wakes tens of times per second instead of thousands
-//! (`net.idle_wakeups` counts them).
+//! Between passes the loop blocks in `poll(2)` on its own descriptors
+//! — the listener, every live inbound and peer socket (readable; writable
+//! too while that connection still has queued output) and a wake pipe — so
+//! a frame is read the moment it arrives and an idle site does not run at
+//! all (`net.idle_wakeups` counts the waits that ended with nothing ready).
+//! A dial result arrives on a channel, which `poll(2)` cannot watch: the
+//! dialer thread writes a byte to the wake pipe after it sends. The wait is
+//! bounded by the earliest of three deadlines, each of which the next pass
+//! acts on: the host's next protocol timer, the probe time of an open
+//! circuit on a link that needs a connection, and the end of a recovering
+//! link's stability window.
 
-use crate::backoff::{Backoff, Circuit, CircuitVerdict};
+use crate::backoff::{Backoff, Circuit, CircuitState, CircuitVerdict};
+use crate::poll::{self, PollFd};
 use crate::wire::{
     decode_frame, encode_frame, Frame, NodeSnapshot, PeerKind, WireMetrics, MAX_FRAME_LEN,
 };
@@ -38,16 +44,11 @@ use pv_store::SiteId;
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::unix::net::UnixStream;
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use bytes::BytesMut;
-
-/// Floor of the idle poll tick (and the tick used while traffic flows).
-const IDLE_MIN: Duration = Duration::from_micros(200);
-
-/// Ceiling the idle tick decays to while nothing is happening.
-const IDLE_MAX: Duration = Duration::from_millis(10);
 
 /// Most protocol messages held for a down peer before the oldest drop.
 /// The §3.1 timers and §3.3 inquiries re-drive anything lost.
@@ -75,14 +76,22 @@ impl Conn {
         })
     }
 
-    /// Encodes `frame` onto the write queue and pushes what the socket
-    /// accepts right away.
+    /// Encodes `frame` onto the write queue. The loop flushes each queue
+    /// once per pass, so everything a pass emits to one peer leaves in one
+    /// `write`.
     fn queue(&mut self, frame: &Frame) -> Result<(), EngineError> {
         let mut out = BytesMut::new();
         encode_frame(frame, &mut out)?;
         self.wbuf.extend_from_slice(&out);
-        self.flush();
         Ok(())
+    }
+
+    /// This connection's entry in the wait set: readable always; writable
+    /// only while output is queued, or a level-triggered wait would never
+    /// block.
+    fn pollfd(&self) -> PollFd {
+        let out = if self.wbuf.is_empty() { 0 } else { poll::OUT };
+        PollFd::new(&self.stream, poll::IN | out)
     }
 
     /// Writes as much queued output as the socket accepts.
@@ -104,11 +113,9 @@ impl Conn {
         }
     }
 
-    /// Reads everything currently available; returns whether any bytes
-    /// arrived. EOF or a socket error marks the connection dead (already
-    /// buffered frames still parse).
-    fn fill(&mut self) -> bool {
-        let mut any = false;
+    /// Reads everything currently available. EOF or a socket error marks
+    /// the connection dead (already buffered frames still parse).
+    fn fill(&mut self) {
         let mut chunk = [0u8; 16 * 1024];
         loop {
             match self.stream.read(&mut chunk) {
@@ -118,7 +125,6 @@ impl Conn {
                 }
                 Ok(n) => {
                     self.rbuf.extend_from_slice(&chunk[..n]);
-                    any = true;
                     // Refuse unbounded buffering from a peer that floods
                     // garbage faster than we parse.
                     if self.rbuf.len() > 2 * MAX_FRAME_LEN as usize {
@@ -134,7 +140,6 @@ impl Conn {
                 }
             }
         }
-        any
     }
 }
 
@@ -173,6 +178,12 @@ impl PeerLink {
             last_err: String::new(),
         }
     }
+
+    /// Whether the link should be dialled: it is wanted or has traffic
+    /// queued, and has neither a connection nor a dial in flight.
+    fn needs_conn(&self) -> bool {
+        self.conn.is_none() && self.dial.is_none() && (self.want || !self.pending.is_empty())
+    }
 }
 
 /// Configuration of one site process.
@@ -209,12 +220,15 @@ pub struct Node {
     trace: Trace,
     /// Outbound site→site links, indexed by peer site id.
     peers: Vec<PeerLink>,
-    /// Inbound connections (slab; indices stay stable, dead slots are None).
+    /// Inbound connections (slab; indices stay stable while a connection
+    /// lives, and a reaped slot takes the next accepted connection).
     conns: Vec<Option<Conn>>,
     /// Reply routing: node id (from `Hello`) → inbound conn slot.
     routes: BTreeMap<u32, usize>,
-    /// Current idle poll tick (decays toward [`IDLE_MAX`] while idle).
-    idle_tick: Duration,
+    /// The wake pipe. Dialer threads write a byte to a clone of `wake_tx`
+    /// after sending their result; the loop waits on `wake_rx`.
+    wake_rx: UnixStream,
+    wake_tx: UnixStream,
 }
 
 impl Node {
@@ -237,6 +251,13 @@ impl Node {
         listener
             .set_nonblocking(true)
             .map_err(|e| EngineError::Io(format!("set_nonblocking: {e}")))?;
+        let (wake_rx, wake_tx) = UnixStream::pair()
+            .and_then(|(rx, tx)| {
+                rx.set_nonblocking(true)?;
+                tx.set_nonblocking(true)?;
+                Ok((rx, tx))
+            })
+            .map_err(|e| EngineError::Io(format!("wake pipe: {e}")))?;
         let site = Site::open(s, &topo)?;
         let peers = (0..topo.sites)
             .map(|p| PeerLink::unused(backoff, peer_salt(s, p)))
@@ -252,7 +273,8 @@ impl Node {
             peers,
             conns: Vec::new(),
             routes: BTreeMap::new(),
-            idle_tick: IDLE_MIN,
+            wake_rx,
+            wake_tx,
         })
     }
 
@@ -348,13 +370,9 @@ impl Node {
     /// dial results, promote links that survived the stability window, and
     /// launch new circuit-gated dial probes. Never blocks; a peer whose
     /// circuit exhausts its budget is a fatal structured `Unreachable`.
-    fn pump_peers(&mut self) -> Result<bool, EngineError> {
-        let mut progress = false;
+    fn pump_peers(&mut self) -> Result<(), EngineError> {
         let now = Instant::now();
-        // The circuit re-closes only once a connection has stayed up this
-        // long, so a link that flaps (accept-then-kill partitions) keeps
-        // climbing the backoff curve instead of hot-cycling at dial speed.
-        let stability = self.backoff.base.max(Duration::from_millis(250));
+        let stability = self.stability();
         for p in 0..self.peers.len() {
             if p as u32 == self.me.0 {
                 continue;
@@ -367,7 +385,6 @@ impl Node {
                 link.last_err = "connection closed by peer".into();
                 self.metrics.inc("net.peer_conn_lost");
                 self.fail_link(p, now)?;
-                progress = true;
             }
             // 2. A healthy connection that outlived the stability window
             //    re-closes the circuit (resets the failure count).
@@ -391,7 +408,6 @@ impl Node {
             }
             match dial_result {
                 Some(Ok(stream)) => {
-                    progress = true;
                     let link = &mut self.peers[p];
                     link.dial = None;
                     match Conn::new(stream) {
@@ -431,7 +447,6 @@ impl Node {
                     }
                 }
                 Some(Err(e)) => {
-                    progress = true;
                     let link = &mut self.peers[p];
                     link.dial = None;
                     link.last_err = e.to_string();
@@ -442,26 +457,68 @@ impl Node {
             // 4. Launch a new probe if the link should be up and the
             //    circuit allows one.
             let link = &mut self.peers[p];
-            let needs_conn = link.conn.is_none()
-                && link.dial.is_none()
-                && (link.want || !link.pending.is_empty());
-            if needs_conn && link.circuit.try_probe(now) {
+            if link.needs_conn() && link.circuit.try_probe(now) {
                 let Some(addr) = link.addr else {
                     return Err(EngineError::UnknownSite(p as SiteId));
                 };
                 let timeout = self.backoff.connect_timeout();
                 let (tx, rx) = mpsc::channel();
+                let wake = self
+                    .wake_tx
+                    .try_clone()
+                    .map_err(|e| EngineError::Io(format!("wake pipe: {e}")))?;
                 link.dial = Some(rx);
                 self.metrics.inc("net.backoff.attempts");
                 std::thread::Builder::new()
                     .name(format!("pv-dial-{}-{p}", self.me.0))
                     .spawn(move || {
                         let _ = tx.send(TcpStream::connect_timeout(&addr, timeout));
+                        // The loop is blocked on descriptors and cannot see
+                        // the channel. (A full pipe already holds a wake-up.)
+                        let _ = (&wake).write(&[1]);
                     })
                     .map_err(|e| EngineError::Io(format!("spawn dialer: {e}")))?;
             }
         }
-        Ok(progress)
+        Ok(())
+    }
+
+    /// How long a connection must stay up before its circuit re-closes, so a
+    /// link that flaps (accept-then-kill partitions) keeps climbing the
+    /// backoff curve instead of hot-cycling at dial speed.
+    fn stability(&self) -> Duration {
+        self.backoff.base.max(Duration::from_millis(250))
+    }
+
+    /// How long the wait may block: until the earliest thing the next pass
+    /// would act on without any socket becoming ready — the host's next
+    /// protocol timer, the probe time of an open circuit on a link that
+    /// needs a connection, or the end of a recovering link's stability
+    /// window. `None` when nothing is scheduled.
+    fn wait_timeout(&self) -> Option<Duration> {
+        let stability = self.stability();
+        let links = self.peers.iter().filter_map(|link| {
+            if link.needs_conn() {
+                match link.circuit.state() {
+                    CircuitState::Open { until } => Some(until),
+                    CircuitState::Closed | CircuitState::HalfOpen => None,
+                }
+            } else if link.circuit.failures() > 0 {
+                link.connected_at.map(|t| t + stability)
+            } else {
+                None
+            }
+        });
+        let due = self.host.next_deadline().into_iter().chain(links).min()?;
+        Some(due.saturating_duration_since(Instant::now()))
+    }
+
+    /// Writes each connection's queued output, once.
+    fn flush_all(&mut self) {
+        let peers = self.peers.iter_mut().filter_map(|link| link.conn.as_mut());
+        for conn in self.conns.iter_mut().flatten().chain(peers) {
+            conn.flush();
+        }
     }
 
     /// Records a failure on peer link `p`: the circuit opens with the next
@@ -528,66 +585,101 @@ impl Node {
         if self.drive(|host, m, t, out| host.start(m, t, out))? {
             self.metrics.inc("net.cold_recoveries");
         }
+        let mut set: Vec<PollFd> = Vec::new();
+        let mut sources: Vec<Source> = Vec::new();
         loop {
             // 1. Fire due timers.
-            let mut progress = self.drive(|host, m, t, out| host.fire_due(m, t, out))?;
+            self.drive(|host, m, t, out| host.fire_due(m, t, out))?;
 
-            // 2. Advance peer links (dial results, reconnect probes).
-            progress |= self.pump_peers()?;
+            // 2. Flush: everything queued for a connection since the last
+            // wait (the frames just stepped, the timers just fired) leaves
+            // in one `write`. Flushing before step 3 means every way a
+            // connection dies — a read, a decode, a write — has run by the
+            // time the dead are reaped, so the wait set is live sockets
+            // only: `poll` is level-triggered and would keep reporting a
+            // hung-up one.
+            self.flush_all();
 
-            // 3. Accept new connections.
-            loop {
-                match self.listener.accept() {
-                    Ok((stream, _)) => {
-                        let conn = Conn::new(stream)
-                            .map_err(|e| EngineError::Io(format!("accept: {e}")))?;
-                        self.conns.push(Some(conn));
-                        self.metrics.inc("net.accepted");
-                        progress = true;
-                    }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(e) => return Err(EngineError::Io(format!("accept: {e}"))),
+            // 3. Advance peer links (lost connections, dial results,
+            // reconnect probes) and reap dead inbound connections.
+            self.pump_peers()?;
+            self.reap_inbound();
+
+            // 4. Block until a descriptor is ready or the next deadline.
+            set.clear();
+            sources.clear();
+            set.push(PollFd::new(&self.listener, poll::IN));
+            sources.push(Source::Listener);
+            set.push(PollFd::new(&self.wake_rx, poll::IN));
+            sources.push(Source::Wake);
+            for (slot, conn) in self.conns.iter().enumerate() {
+                if let Some(conn) = conn {
+                    set.push(conn.pollfd());
+                    sources.push(Source::Inbound(slot));
                 }
             }
+            for (p, link) in self.peers.iter().enumerate() {
+                if let Some(conn) = &link.conn {
+                    set.push(conn.pollfd());
+                    sources.push(Source::Peer(p));
+                }
+            }
+            let ready = poll::wait(&mut set, self.wait_timeout())
+                .map_err(|e| EngineError::Io(format!("poll: {e}")))?;
+            if ready == 0 {
+                self.metrics.inc("net.idle_wakeups");
+                continue;
+            }
 
-            // 4. Read every connection and parse complete frames. IO and
-            // engine work are separate passes so the engine borrows cleanly.
+            // 5. Serve what came back ready: accept, read, parse complete
+            // frames. Any report counts, asked for or not — a hang-up or
+            // error surfaces through `fill`, and queued output goes out in
+            // the next pass's flush. IO and engine work are separate passes
+            // so the engine borrows cleanly.
             let mut events: Vec<(usize, Frame)> = Vec::new();
-            for (i, slot) in self.conns.iter_mut().enumerate() {
-                let Some(conn) = slot else { continue };
-                if conn.fill() {
-                    progress = true;
-                }
-                loop {
-                    match decode_frame(&conn.rbuf) {
-                        Ok(Some((frame, n))) => {
-                            conn.rbuf.drain(..n);
-                            events.push((i, frame));
+            for (source, _) in sources.iter().zip(&set).filter(|(_, fd)| fd.ready()) {
+                match *source {
+                    Source::Listener => self.accept_all()?,
+                    Source::Wake => {
+                        // The bytes carry nothing; the dial results they
+                        // announce are collected by `pump_peers`.
+                        let mut buf = [0u8; 64];
+                        while matches!((&self.wake_rx).read(&mut buf), Ok(n) if n > 0) {}
+                    }
+                    Source::Inbound(slot) => {
+                        let Some(conn) = self.conns[slot].as_mut() else { continue };
+                        conn.fill();
+                        loop {
+                            match decode_frame(&conn.rbuf) {
+                                Ok(Some((frame, n))) => {
+                                    conn.rbuf.drain(..n);
+                                    events.push((slot, frame));
+                                }
+                                Ok(None) => break,
+                                Err(_) => {
+                                    // A malformed stream cannot be
+                                    // resynchronised; drop the connection.
+                                    // (Counted, not fatal: only this peer is
+                                    // affected.)
+                                    self.metrics.inc("net.decode_errors");
+                                    conn.dead = true;
+                                    break;
+                                }
+                            }
                         }
-                        Ok(None) => break,
-                        Err(_) => {
-                            // A malformed stream cannot be resynchronised;
-                            // drop the connection. (Counted, not fatal: only
-                            // this peer is affected.)
-                            self.metrics.inc("net.decode_errors");
-                            conn.dead = true;
-                            break;
+                    }
+                    // Peers never send frames back on our dialed pipe; the
+                    // read is how its EOF is noticed.
+                    Source::Peer(p) => {
+                        if let Some(conn) = self.peers[p].conn.as_mut() {
+                            conn.fill();
                         }
                     }
                 }
             }
 
-            // Also drain outbound peer sockets so EOF is noticed (peers
-            // never send frames back on our dialed pipe).
-            for link in &mut self.peers {
-                if let Some(conn) = link.conn.as_mut() {
-                    conn.fill();
-                }
-            }
-
-            // 5. Process frames through the engine.
+            // 6. Process frames through the engine.
             for (slot, frame) in events {
-                progress = true;
                 match frame {
                     Frame::Hello { node, kind: _ } => {
                         self.routes.insert(node, slot);
@@ -616,14 +708,7 @@ impl Node {
                     }
                     Frame::Shutdown => {
                         // Best-effort flush of queued replies before exit.
-                        for conn in self.conns.iter_mut().flatten() {
-                            conn.flush();
-                        }
-                        for link in &mut self.peers {
-                            if let Some(conn) = link.conn.as_mut() {
-                                conn.flush();
-                            }
-                        }
+                        self.flush_all();
                         return Ok(self.host.into_site());
                     }
                     // Responses are never addressed *to* a site.
@@ -632,44 +717,89 @@ impl Node {
                     }
                 }
             }
+        }
+    }
 
-            // 6. Flush pending writes (write backpressure drain).
-            for conn in self.conns.iter_mut().flatten() {
-                conn.flush();
-            }
-            for link in &mut self.peers {
-                if let Some(conn) = link.conn.as_mut() {
-                    conn.flush();
+    /// Accepts every connection waiting on the listener, each into the
+    /// first free slot of the slab.
+    fn accept_all(&mut self) -> Result<(), EngineError> {
+        loop {
+            match self.listener.accept() {
+                Ok((stream, _)) => {
+                    let conn =
+                        Conn::new(stream).map_err(|e| EngineError::Io(format!("accept: {e}")))?;
+                    match self.conns.iter_mut().find(|slot| slot.is_none()) {
+                        Some(slot) => *slot = Some(conn),
+                        None => self.conns.push(Some(conn)),
+                    }
+                    self.metrics.inc("net.accepted");
                 }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(()),
+                Err(e) => return Err(EngineError::Io(format!("accept: {e}"))),
             }
+        }
+    }
 
-            // 7. Reap dead inbound connections (slots stay; routes drop).
-            for (i, slot) in self.conns.iter_mut().enumerate() {
-                if matches!(slot, Some(c) if c.dead) {
-                    *slot = None;
-                    self.routes.retain(|_, &mut s| s != i);
-                    self.metrics.inc("net.conn_closed");
-                }
-            }
-
-            // 8. Idle: sleep with an exponentially decaying tick, clamped
-            // to the next timer deadline; any progress resets the decay.
-            if !progress {
-                self.metrics.inc("net.idle_wakeups");
-                let mut tick = self.idle_tick;
-                if let Some(due) = self.host.next_deadline() {
-                    tick = tick.min(due.saturating_duration_since(Instant::now()));
-                }
-                std::thread::sleep(tick.max(IDLE_MIN));
-                self.idle_tick = (self.idle_tick * 2).min(IDLE_MAX);
-            } else {
-                self.idle_tick = IDLE_MIN;
+    /// Frees the slot of every dead inbound connection, with the routes
+    /// that led to it.
+    fn reap_inbound(&mut self) {
+        for (i, slot) in self.conns.iter_mut().enumerate() {
+            if matches!(slot, Some(c) if c.dead) {
+                *slot = None;
+                self.routes.retain(|_, &mut s| s != i);
+                self.metrics.inc("net.conn_closed");
             }
         }
     }
 }
 
+/// What an entry of the wait set stands for.
+#[derive(Clone, Copy)]
+enum Source {
+    Listener,
+    Wake,
+    /// The inbound connection in this slot of `Node::conns`.
+    Inbound(usize),
+    /// The dialed connection to this peer site.
+    Peer(usize),
+}
+
 /// Jitter salt of the (node, peer) directed link.
 fn peer_salt(me: SiteId, peer: u32) -> u64 {
     (u64::from(me) << 32) ^ u64::from(peer) ^ 0x5EED_CAFE
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pv_engine::Directory;
+
+    #[test]
+    fn an_accepted_connection_takes_the_first_reaped_slot() {
+        let config = NodeConfig {
+            site: 0,
+            topo: Topology::new(1, Directory::Mod(1)),
+            backoff: Backoff::default(),
+        };
+        let mut node = Node::bind(config, "127.0.0.1:0".parse().unwrap()).unwrap();
+        let addr = node.local_addr().unwrap();
+        let dial = |n: usize| -> Vec<TcpStream> {
+            (0..n).map(|_| TcpStream::connect(addr).unwrap()).collect()
+        };
+
+        let _clients = dial(3);
+        node.accept_all().unwrap();
+        assert_eq!(node.conns.len(), 3);
+        node.routes.insert(7, 1);
+        node.conns[1].as_mut().unwrap().dead = true;
+        node.reap_inbound();
+        assert!(node.conns[1].is_none() && node.routes.is_empty());
+
+        let _more = dial(2);
+        node.accept_all().unwrap();
+        assert_eq!(node.conns.len(), 4, "one reused slot, one new");
+        assert!(node.conns.iter().all(Option::is_some));
+        assert_eq!(node.metrics.counter("net.accepted"), 5);
+        assert_eq!(node.metrics.counter("net.conn_closed"), 1);
+    }
 }

@@ -205,31 +205,42 @@ fn configure_backoff_reconfigures_every_site_live() {
 }
 
 #[test]
-fn idle_event_loop_sleeps_instead_of_spinning() {
-    // An idle cluster's event loops must decay into millisecond sleeps:
-    // over half a second of idleness, two sites should wake at most a few
-    // hundred times (a busy-poll loop would rack up millions). Lower bound
-    // guards against the metric silently not being wired at all.
+fn idle_event_loop_blocks() {
+    // An idle cluster's event loops block in their wait: with no protocol
+    // timer armed and every link up, half a second of quiet adds next to
+    // nothing to `net.idle_wakeups` (the waits that ended with nothing
+    // ready). Then the blocked loops must still wake: a transfer submitted
+    // right after commits at once. A loop that missed a wake-up source
+    // fails that bound or hangs.
     let cluster = NetBuilder::from_topology(bank_topology(2, 2))
         .backoff(Backoff::patient())
         .start()
         .expect("start");
+    let idle_wakeups = || {
+        cluster
+            .metrics(Duration::from_secs(5))
+            .expect("metrics")
+            .counter("net.idle_wakeups")
+    };
     // Settle, then measure a quiet window.
     std::thread::sleep(Duration::from_millis(200));
-    let before = cluster
-        .metrics(Duration::from_secs(5))
-        .expect("metrics")
-        .counter("net.idle_wakeups");
+    let before = idle_wakeups();
     std::thread::sleep(Duration::from_millis(500));
-    let after = cluster
-        .metrics(Duration::from_secs(5))
-        .expect("metrics")
-        .counter("net.idle_wakeups");
-    let wakeups = after.saturating_sub(before);
-    assert!(wakeups > 0, "idle wakeups are counted");
+    let wakeups = idle_wakeups().saturating_sub(before);
     assert!(
-        wakeups < 5_000,
-        "idle loops sleep rather than spin ({wakeups} wakeups in 500ms)"
+        wakeups <= 20,
+        "idle loops block rather than poll ({wakeups} empty wake-ups in 500ms)"
+    );
+
+    let submitted = Instant::now();
+    let result = cluster
+        .submit(0, &transfer(0, 1, 5), Duration::from_secs(10))
+        .expect("submit");
+    let took = submitted.elapsed();
+    assert!(result.is_committed(), "transfer across both sites commits");
+    assert!(
+        took < Duration::from_millis(50),
+        "blocked loops wake for traffic (commit took {took:?})"
     );
     cluster.shutdown().expect("clean shutdown");
 }

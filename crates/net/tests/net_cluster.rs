@@ -160,6 +160,37 @@ fn pipelined_submissions_all_reply() {
 }
 
 #[test]
+fn short_lived_clients_leave_nothing_behind() {
+    // A node serves many more connections than it holds at once (every
+    // inspect, every load-generator client): a closed one must give up its
+    // place, in the slab and in the wait set, to the next.
+    let cluster = NetCluster::from_topology(bank_topology(2, 2)).expect("start");
+    let deadline = Duration::from_secs(10);
+    for _ in 0..200 {
+        let mut client = cluster.client(0).expect("client");
+        client.inspect(deadline).expect("inspect");
+    }
+    let mut last = cluster.client(0).expect("201st client");
+    let result = last.submit(&transfer(0, 1, 5), deadline).expect("submit");
+    assert!(result.is_committed(), "the 201st client is served like the first");
+
+    // Site 0 now holds three inbound connections: site 1's link, `last`,
+    // and the control connection `site_metrics` opens. The node learns of a
+    // close when it reads the EOF, so give it a moment.
+    let limit = Instant::now() + Duration::from_secs(5);
+    loop {
+        let m = cluster.site_metrics(0, deadline).expect("metrics");
+        let live = m.counter("net.accepted") - m.counter("net.conn_closed");
+        if live == 3 {
+            break;
+        }
+        assert!(Instant::now() < limit, "{live} connections still counted live");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    cluster.shutdown().expect("clean shutdown");
+}
+
+#[test]
 fn snapshot_reads_over_tcp_are_coordination_free() {
     let cluster = NetCluster::from_topology(bank_topology(2, 4)).expect("start");
     let deadline = Duration::from_secs(10);
