@@ -65,12 +65,12 @@ type StorageFactory = Box<dyn Fn(SiteId) -> Box<dyn Storage>>;
 /// Builder for a simulated cluster.
 ///
 /// The cluster *shape* — sites, placement, protocol, items, durability —
-/// lives in a [`Topology`], the configuration type shared with the live and
-/// networked runtimes; this builder adds what only the simulation has: a
+/// lives in a [`Topology`], the configuration type shared with the
+/// networked runtime; this builder adds what only the simulation has: a
 /// seed, a network model, simulated clients, and pluggable storage backends.
 /// Start from [`ClusterBuilder::from_topology`] to run a description that
-/// also deploys on `LiveCluster` / `pv-net`, or from [`ClusterBuilder::new`]
-/// for a fresh default topology.
+/// also deploys on `pv-net`, or from [`ClusterBuilder::new`] for a fresh
+/// default topology.
 pub struct ClusterBuilder {
     topo: Topology,
     seed: u64,

@@ -13,9 +13,10 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum EngineError {
-    /// No reply arrived within the deadline (live runtime).
+    /// No reply arrived within the deadline (socket runtime).
     Timeout,
-    /// The cluster is shutting down (live runtime).
+    /// The site closed the connection: the cluster is shutting down
+    /// (socket runtime).
     Disconnected,
     /// The given site id does not name a site of this cluster.
     UnknownSite(SiteId),

@@ -1,5 +1,5 @@
-//! The wall-clock host of one [`Site`]: the driver contract both real-time
-//! runtimes share.
+//! The wall-clock host of one [`Site`]: the timer map and effect drain under
+//! `pv_net::Node`.
 //!
 //! A [`Site`] is a sans-IO actor: every callback runs under a
 //! [`pv_simnet::Ctx`] and leaves behind effects (sends, timers) for its
@@ -7,21 +7,19 @@
 //! the other. It owns the site, its random stream, the armed timers and the
 //! `Instant` epoch that maps wall-clock time onto [`SimTime`] micros, runs
 //! each callback, applies the effects in emission order, and hands the
-//! remote sends back to its caller. A runtime around it — the thread-per-site
-//! [`LiveCluster`](crate::LiveCluster), the socket loop of `pv_net::Node` —
-//! is only a transport and a wait: it feeds [`SiteHost::deliver`] from its
-//! inbox, ships what comes out, and blocks until more arrives or
-//! [`SiteHost::next_deadline`].
+//! remote sends back to its caller. The socket loop around it is only a
+//! transport and a wait: it feeds [`SiteHost::deliver`] from its
+//! connections, ships what comes out, and blocks until more arrives or
+//! [`SiteHost::next_deadline`]. A crash is the process exiting, and a
+//! snapshot read is a [`Msg::SnapshotRead`] the site answers itself, so
+//! neither needs a call here.
 //!
-//! The metrics registry and the trace belong to the runtime (the live
-//! cluster shares one of each across its threads), so every call borrows
-//! them.
+//! The metrics registry and the trace belong to the node, so every call
+//! borrows them.
 
 use crate::messages::Msg;
 use crate::site::Site;
-use pv_core::ItemId;
 use pv_simnet::{Actor, Ctx, Effect, Metrics, NodeId, SimRng, SimTime, Trace};
-use pv_store::SnapshotView;
 use std::collections::{BTreeMap, VecDeque};
 use std::time::{Duration, Instant};
 
@@ -35,15 +33,13 @@ pub struct SiteHost {
     /// map's first entry is the next timer to fire and equal deadlines fire
     /// in the order they were armed.
     timers: BTreeMap<(Instant, u64), u64>,
+    /// Wall-clock time zero of the site's [`SimTime`].
     epoch: Instant,
-    up: bool,
 }
 
 impl SiteHost {
-    /// Hosts `site` with the random stream of `seed`. `epoch` is wall-clock
-    /// time zero: hosts that share a trace share an epoch so their
-    /// timestamps compare.
-    pub fn new(mut site: Site, seed: u64, epoch: Instant) -> Self {
+    /// Hosts `site` with the random stream of `seed`; its clock starts now.
+    pub fn new(mut site: Site, seed: u64) -> Self {
         site.enable_wall_clock_metrics();
         SiteHost {
             me: NodeId(site.id()),
@@ -51,19 +47,13 @@ impl SiteHost {
             rng: SimRng::new(seed),
             next_timer_id: 0,
             timers: BTreeMap::new(),
-            epoch,
-            up: true,
+            epoch: Instant::now(),
         }
     }
 
     /// The hosted site (inspection).
     pub fn site(&self) -> &Site {
         &self.site
-    }
-
-    /// Whether the site is up (not crashed).
-    pub fn is_up(&self) -> bool {
-        self.up
     }
 
     /// Runs the site's start-up. A site opened over a previous incarnation's
@@ -80,7 +70,7 @@ impl SiteHost {
         cold
     }
 
-    /// Delivers one message. A crashed site drops it on the floor.
+    /// Delivers one message.
     pub fn deliver(
         &mut self,
         from: NodeId,
@@ -89,11 +79,7 @@ impl SiteHost {
         trace: &mut Trace,
         out: &mut Vec<(NodeId, Msg)>,
     ) {
-        if self.up {
-            self.run(metrics, trace, out, |site, ctx| {
-                site.on_message(ctx, from, msg)
-            });
-        }
+        self.run(metrics, trace, out, |site, ctx| site.on_message(ctx, from, msg));
     }
 
     /// Fires every timer that is due; returns whether any was.
@@ -111,55 +97,9 @@ impl SiteHost {
         fired
     }
 
-    /// When the next armed timer is due (`None`: nothing armed, which is
-    /// always the case while crashed).
+    /// When the next armed timer is due (`None`: nothing armed).
     pub fn next_deadline(&self) -> Option<Instant> {
         self.timers.keys().next().map(|&(due, _)| due)
-    }
-
-    /// Serves a coordination-free snapshot read of `items` (every item the
-    /// site holds when empty). `None` while crashed.
-    pub fn snapshot_read(
-        &mut self,
-        items: &[ItemId],
-        metrics: &mut Metrics,
-        trace: &mut Trace,
-    ) -> Option<SnapshotView> {
-        if !self.up {
-            return None;
-        }
-        let mut view = None;
-        self.run(metrics, trace, &mut Vec::new(), |site, ctx| {
-            view = Some(site.snapshot_read(ctx, items))
-        });
-        view
-    }
-
-    /// Crashes the site: volatile state and armed timers are gone, the WAL
-    /// survives. Returns false when it was already down.
-    pub fn crash(&mut self) -> bool {
-        if !self.up {
-            return false;
-        }
-        self.up = false;
-        self.timers.clear();
-        self.site.on_crash();
-        true
-    }
-
-    /// Recovers a crashed site. Returns false when it was already up.
-    pub fn recover(
-        &mut self,
-        metrics: &mut Metrics,
-        trace: &mut Trace,
-        out: &mut Vec<(NodeId, Msg)>,
-    ) -> bool {
-        if self.up {
-            return false;
-        }
-        self.up = true;
-        self.run(metrics, trace, out, |site, ctx| site.on_recover(ctx));
-        true
     }
 
     /// Clean shutdown: forces the store durable and gives the site back.
@@ -249,7 +189,7 @@ mod tests {
     use crate::directory::Directory;
     use crate::ids::encode_txn;
     use crate::topology::Topology;
-    use pv_core::{Entry, Expr, TransactionSpec, Value};
+    use pv_core::{Entry, Expr, ItemId, TransactionSpec, Value};
     use pv_simnet::SimDuration;
     use pv_store::{DiskWal, FsyncPolicy, SiteStore};
 
@@ -267,7 +207,7 @@ mod tests {
     }
 
     fn host(site: u32, topo: &Topology) -> SiteHost {
-        SiteHost::new(Site::open(site, topo).unwrap(), 7, Instant::now())
+        SiteHost::new(Site::open(site, topo).unwrap(), 7)
     }
 
     fn transfer(from: u64, to: u64, amount: i64) -> TransactionSpec {
@@ -332,48 +272,6 @@ mod tests {
         assert_eq!(h.pop_due(late), Some(100));
         assert_eq!(h.pop_due(late), Some(102));
         assert_eq!(h.pop_due(late), None);
-    }
-
-    #[test]
-    fn crash_voids_timers_and_a_down_site_drops_deliveries() {
-        let (mut metrics, mut trace, mut out) = (Metrics::new(), Trace::collecting(), Vec::new());
-        let mut h = host(0, &topo());
-        // A cross-site transfer leaves the coordinator waiting on site 1,
-        // with its read timeout armed.
-        h.deliver(
-            CLIENT,
-            submit(1, transfer(0, 1, 5)),
-            &mut metrics,
-            &mut trace,
-            &mut out,
-        );
-        assert!(h.next_deadline().is_some());
-        assert!(out.iter().any(|(to, _)| *to == NodeId(1)));
-
-        assert!(h.crash());
-        assert!(!h.crash(), "already down");
-        assert!(!h.is_up());
-        assert_eq!(h.next_deadline(), None);
-
-        let (submitted, records) = (metrics.counter("txn.submitted"), trace.len());
-        out.clear();
-        h.deliver(
-            CLIENT,
-            submit(2, transfer(0, 1, 5)),
-            &mut metrics,
-            &mut trace,
-            &mut out,
-        );
-        assert!(!h.fire_due(&mut metrics, &mut trace, &mut out));
-        assert_eq!(h.snapshot_read(&[], &mut metrics, &mut trace), None);
-        assert!(out.is_empty());
-        assert_eq!(metrics.counter("txn.submitted"), submitted);
-        assert_eq!(trace.len(), records);
-        assert_eq!(h.next_deadline(), None);
-
-        assert!(h.recover(&mut metrics, &mut trace, &mut out));
-        assert!(!h.recover(&mut metrics, &mut trace, &mut out), "already up");
-        assert_eq!(h.site().store().epoch(), 1);
     }
 
     #[test]
@@ -446,5 +344,15 @@ mod tests {
         );
         let store = hosts[1].site().store();
         assert_eq!(store.get(ItemId(1)), Some(Entry::Simple(Value::Int(130))));
+
+        // The trace the caller lent saw the protocol go by. Each host stamps
+        // with its own clock, so times compare per node.
+        let text = trace.to_text();
+        assert!(text.contains("prepared") && text.contains("decided"), "trace:\n{text}");
+        for node in [NodeId(0), NodeId(1)] {
+            let mine = trace.records().iter().filter(|r| r.node == node);
+            let times: Vec<SimTime> = mine.map(|r| r.at).collect();
+            assert!(times.windows(2).all(|w| w[0] <= w[1]), "{node}: {times:?}");
+        }
     }
 }

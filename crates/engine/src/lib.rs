@@ -27,7 +27,6 @@ pub mod cluster;
 pub mod crashpoint;
 pub mod error;
 pub mod host;
-pub mod live;
 pub mod site;
 pub mod topology;
 pub mod workload;
@@ -45,8 +44,7 @@ pub use directory::Directory;
 pub use error::EngineError;
 pub use host::SiteHost;
 pub use ids::{coordinator_of, encode_txn};
-pub use live::{LiveBuilder, LiveCluster, SiteSnapshot};
 pub use messages::{AbortReason, AccessMode, Msg, TxnResult};
 pub use site::{site_node, Site};
-pub use topology::{BackoffConfig, RuntimeConfig, Topology};
+pub use topology::{BackoffConfig, Topology};
 pub use workload::{RandomTransfers, Script, UniformRmw, Workload};

@@ -35,7 +35,7 @@ pub struct Site {
     store: SiteStore,
     /// Whether wall-clock storage observations (recovery durations) flow
     /// into the metrics. Off in the simulation, which must keep its metric
-    /// exports byte-deterministic under a seed; the live runtime opts in.
+    /// exports byte-deterministic under a seed; [`SiteHost`](crate::SiteHost) opts in.
     wall_clock_metrics: bool,
     /// Whether the store held a durable image from a previous incarnation
     /// when the site was opened. [`Actor::on_start`] then replays recovery

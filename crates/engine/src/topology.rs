@@ -1,21 +1,20 @@
 //! The unified runtime description shared by every deployment of the engine.
 //!
-//! Three runtimes drive the identical `pv_protocol::SiteMachine`: the
-//! deterministic simulation ([`Cluster`](crate::Cluster)), the
-//! thread-per-site live runtime ([`LiveCluster`](crate::LiveCluster)), and
-//! the multi-process socket runtime (`pv-net`). Before this module each grew
+//! Two runtimes drive the identical `pv_protocol::SiteMachine`: the
+//! deterministic simulation ([`Cluster`](crate::Cluster)) and the
+//! multi-process socket runtime (`pv-net`). Before this module each grew
 //! its own builder with its own copy of the same knobs; a workload spec
-//! written against one could not move to another without re-plumbing its
+//! written against one could not move to the other without re-plumbing its
 //! configuration. A [`Topology`] is that configuration, once: how many
 //! sites, where items live, which protocol variant and timeouts, the initial
 //! database population, durability (data directory and fsync policy), the
 //! static-checks submit gate, and whether a protocol trace is collected.
 //!
-//! Every runtime consumes the same value:
+//! Both runtimes consume the same value:
 //!
 //! ```
 //! use pv_engine::topology::Topology;
-//! use pv_engine::{ClusterBuilder, Directory, LiveCluster};
+//! use pv_engine::{ClusterBuilder, Directory};
 //!
 //! let topo = Topology::new(2, Directory::Mod(2))
 //!     .item(0u64, 100i64)
@@ -24,12 +23,7 @@
 //! // Simulation: add clients/seed, then build.
 //! let sim = ClusterBuilder::from_topology(topo.clone()).seed(7).build();
 //! assert_eq!(sim.site_count(), 2);
-//!
-//! // Live threads: same topology, zero re-plumbing.
-//! let live = LiveCluster::from_topology(topo).unwrap();
-//! assert_eq!(live.site_count(), 2);
-//! live.shutdown();
-//! // (`pv_net::NetBuilder::from_topology` accepts the same value.)
+//! // (`pv_net::NetCluster::from_topology` accepts the same value.)
 //! ```
 
 use crate::config::EngineConfig;
@@ -76,9 +70,8 @@ impl Default for BackoffConfig {
 /// A complete, runtime-agnostic description of one polyvalue cluster.
 ///
 /// Construct with [`Topology::new`], refine with the chainable setters, then
-/// hand the value to [`ClusterBuilder::from_topology`](crate::ClusterBuilder::from_topology),
-/// [`LiveCluster::from_topology`](crate::LiveCluster::from_topology), or
-/// `pv_net::NetBuilder::from_topology`. The fields are public so embedding
+/// hand the value to [`ClusterBuilder::from_topology`](crate::ClusterBuilder::from_topology)
+/// or `pv_net::NetBuilder::from_topology`. The fields are public so embedding
 /// code (and the `pv-net` crate) can read the description back without a
 /// parallel accessor surface.
 #[derive(Debug, Clone)]
@@ -103,15 +96,10 @@ pub struct Topology {
     /// remain per-builder: a sink is a live callback, not cluster shape.
     pub collect_trace: bool,
     /// Reconnect/backoff policy of the networked runtime (`None` = that
-    /// runtime's default). The simulated and live runtimes have no sockets
-    /// to redial and ignore it.
+    /// runtime's default). The simulation has no sockets to redial and
+    /// ignores it.
     pub backoff: Option<BackoffConfig>,
 }
-
-/// The historical name for the runtime-agnostic cluster description; the
-/// builders' docs call it a topology because the site/item layout is the
-/// part every runtime shares verbatim.
-pub type RuntimeConfig = Topology;
 
 impl Topology {
     /// A topology of `sites` sites placed by `directory`, with default
@@ -213,8 +201,8 @@ impl Topology {
     }
 
     /// Buffers a full protocol trace in whichever runtime consumes this
-    /// topology. Simulation traces are byte-identical per seed; live and
-    /// net traces carry wall-clock timestamps.
+    /// topology. Simulation traces are byte-identical per seed; a
+    /// wall-clock runtime stamps its records with wall-clock time.
     pub fn collect_trace(mut self) -> Self {
         self.collect_trace = true;
         self
@@ -277,11 +265,5 @@ mod tests {
         });
         assert_eq!(topo.backoff.unwrap().attempts, 7);
         assert!(Topology::new(1, Directory::Mod(1)).backoff.is_none());
-    }
-
-    #[test]
-    fn runtime_config_is_an_alias() {
-        let topo: RuntimeConfig = Topology::new(1, Directory::Mod(1));
-        assert_eq!(topo.sites, 1);
     }
 }

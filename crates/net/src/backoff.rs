@@ -96,8 +96,8 @@ impl Backoff {
         }
     }
 
-    /// Builds the policy from its runtime-agnostic [`Topology`]
-    /// (`pv_engine::topology`) description.
+    /// Builds the policy from its runtime-agnostic
+    /// [`Topology`](pv_engine::Topology) description.
     pub fn from_config(c: &BackoffConfig) -> Self {
         Backoff {
             base: Duration::from_millis(c.base_ms),
@@ -108,8 +108,8 @@ impl Backoff {
         }
     }
 
-    /// The plain-data form that travels in a [`Topology`]
-    /// (`pv_engine::topology`) or a `ConfigBackoff` wire frame.
+    /// The plain-data form that travels in a
+    /// [`Topology`](pv_engine::Topology) or a `ConfigBackoff` wire frame.
     pub fn to_config(self) -> BackoffConfig {
         BackoffConfig {
             base_ms: self.base.as_millis() as u64,

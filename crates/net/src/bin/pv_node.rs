@@ -72,7 +72,7 @@ fn error_json(e: &EngineError) -> String {
 }
 
 /// The short-timeout engine configuration used by localhost benches (the
-/// live tests' `fast_config`, shared by `pv-loadgen --spawn`).
+/// cluster tests' `fast_config`, shared by `pv-loadgen --spawn`).
 fn fast_config(protocol: CommitProtocol) -> EngineConfig {
     EngineConfig {
         read_timeout: SimDuration::from_millis(200),

@@ -1,8 +1,7 @@
 //! A blocking client connection to one site node.
 //!
-//! `NetClient` is the socket analogue of [`LiveCluster::submit`]
-//! (`pv_engine::live`): it dials a site, identifies itself with a `Hello`
-//! frame, and then exchanges `Submit`/`Reply` protocol frames plus the
+//! `NetClient` dials a site, identifies itself with a `Hello` frame, and
+//! then exchanges `Submit`/`Reply` protocol frames plus the
 //! control vocabulary (inspect, metrics, shutdown). Submissions can be
 //! pipelined — [`NetClient::submit_async`] returns immediately with the
 //! request id and [`NetClient::recv_reply`] collects replies in arrival

@@ -1,9 +1,8 @@
 //! An in-process networked cluster: every site node runs its real socket
 //! event loop on its own thread, over real localhost TCP.
 //!
-//! This is the third consumer of the shared [`Topology`] — after
-//! `ClusterBuilder::from_topology` (simulation) and
-//! `LiveCluster::from_topology` (threads + channels) — and the test/bench
+//! This is the second consumer of the shared [`Topology`] — after
+//! `ClusterBuilder::from_topology` (simulation) — and the test/bench
 //! harness for the `pv-node` binary's event loop: identical [`Node`] code,
 //! just hosted on threads instead of separate processes, so integration
 //! tests exercise the full wire path (codec, Hello routing, backpressure,
@@ -36,9 +35,8 @@ pub struct NetBuilder {
 
 impl NetBuilder {
     /// Starts a builder over an existing cluster description — the same
-    /// value `ClusterBuilder::from_topology` and `LiveCluster::from_topology`
-    /// accept. A [`Topology::backoff`] policy, when present, seeds the
-    /// builder's backoff.
+    /// value `ClusterBuilder::from_topology` accepts. A [`Topology::backoff`]
+    /// policy, when present, seeds the builder's backoff.
     pub fn from_topology(topo: Topology) -> Self {
         let backoff = topo
             .backoff
@@ -190,7 +188,7 @@ impl NetCluster {
 
     /// Submits a transaction to `coordinator` and blocks for the result.
     /// With `Topology::static_checks` on, the spec is gated client-side
-    /// first (same contract as `LiveCluster::submit`).
+    /// first.
     pub fn submit(
         &self,
         coordinator: u32,

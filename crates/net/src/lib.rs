@@ -1,8 +1,8 @@
 //! # pv-net — socket deployment of the polyvalue engine
 //!
-//! The sans-IO `pv_protocol::SiteMachine` already runs under two runtimes:
-//! the deterministic simulation and the thread-per-site live runtime. This
-//! crate is the third: real TCP sockets between real processes.
+//! The sans-IO `pv_protocol::SiteMachine` already runs under the
+//! deterministic simulation. This crate is its second runtime: real TCP
+//! sockets between real processes.
 //!
 //! * [`wire`] — the versioned, checksummed binary frame format. Payload
 //!   encoding of values/conditions/entries is shared with the WAL codec

@@ -1,9 +1,8 @@
 //! The site node: a single-process, single-threaded socket event loop
 //! around one [`pv_engine::SiteHost`].
 //!
-//! This is the third deployment of the identical sans-IO
-//! `pv_protocol::SiteMachine` — after the deterministic simulation and the
-//! thread-per-site live runtime — and it shares the live runtime's driver:
+//! This is the second deployment of the identical sans-IO
+//! `pv_protocol::SiteMachine`, after the deterministic simulation:
 //! the [`SiteHost`] runs every callback, applies effects in emission order,
 //! steps self-sends and keeps the wall-clock timers. What this module adds
 //! is real I/O: a readiness loop over non-blocking `std::net` sockets
@@ -191,8 +190,8 @@ impl PeerLink {
 pub struct NodeConfig {
     /// Which site of the topology this process is.
     pub site: SiteId,
-    /// The shared cluster description (same value the simulation and live
-    /// runtime consume). When it carries a
+    /// The shared cluster description (same value the simulation
+    /// consumes). When it carries a
     /// [`BackoffConfig`](pv_engine::topology::BackoffConfig), that policy
     /// overrides `backoff`.
     pub topo: Topology,
@@ -267,7 +266,7 @@ impl Node {
             sites: topo.sites,
             listener,
             backoff,
-            host: SiteHost::new(site, 0xBEEF_0000 + u64::from(s), Instant::now()),
+            host: SiteHost::new(site, 0xBEEF_0000 + u64::from(s)),
             metrics: Metrics::new(),
             trace: Trace::default(),
             peers,

@@ -183,8 +183,7 @@ wire_table! {
 }
 
 /// A point-in-time view of one networked site, answering
-/// [`Frame::InspectReq`] — the socket analogue of
-/// [`pv_engine::live::SiteSnapshot`].
+/// [`Frame::InspectReq`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NodeSnapshot {
     /// The site's id.

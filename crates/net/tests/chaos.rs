@@ -176,6 +176,32 @@ fn injected_link_faults_are_counted_and_survivable() {
 }
 
 #[test]
+fn lossy_links_converge_once_clean() {
+    // A quarter of all site-to-site frames vanish. Many submissions fail;
+    // whatever commits must stay atomic once the loss stops and inquiries
+    // settle the rest.
+    let cluster = NetBuilder::from_topology(bank_topology(2, 2))
+        .backoff(Backoff::patient())
+        .chaos(33)
+        .start()
+        .expect("start");
+    let chaos = cluster.chaos().expect("chaos layer present");
+    chaos.set_default(LinkFaults {
+        drop_prob: 0.25,
+        ..LinkFaults::default()
+    });
+    for k in 0..8 {
+        let _ = cluster.submit(0, &transfer(k % 2, (k + 1) % 2, 5), Duration::from_secs(2));
+    }
+    assert!(chaos.metrics().counter("chaos.injected.drop") > 0, "frames were dropped");
+
+    chaos.set_default(LinkFaults::clean());
+    drain(&cluster);
+    assert_eq!(total_funds(&cluster), 200, "conservation under loss");
+    cluster.shutdown().expect("clean shutdown");
+}
+
+#[test]
 fn configure_backoff_reconfigures_every_site_live() {
     let cluster = NetBuilder::from_topology(bank_topology(3, 3))
         .backoff(Backoff::fast_fail())

@@ -1,19 +1,17 @@
-//! Cross-runtime equivalence: one [`Topology`], three runtimes, identical
+//! Cross-runtime equivalence: one [`Topology`], two runtimes, identical
 //! outcomes.
 //!
 //! The same deterministic sequence of guarded transfers is executed
-//! sequentially against (1) the simulated cluster, (2) the live
-//! threads-and-channels cluster, and (3) the real-TCP networked cluster —
-//! all built from the *same* `Topology` value. Because execution is
-//! sequential, each transfer's fate depends only on the committed state the
-//! previous ones left behind, so all three runtimes must produce the same
+//! sequentially against the simulated cluster and the real-TCP networked
+//! cluster, both built from the *same* `Topology` value. Because execution
+//! is sequential, each transfer's fate depends only on the committed state
+//! the previous ones left behind, so both runtimes must produce the same
 //! `(committed, fully_granted)` sequence and the same final balances, and
-//! every runtime must conserve total funds.
+//! each must conserve total funds.
 
 use pv_core::{Entry, Expr, ItemId, TransactionSpec, Value};
 use pv_engine::{
-    ClientConfig, ClusterBuilder, CommitProtocol, Directory, EngineConfig, LiveCluster, Script,
-    Topology,
+    ClientConfig, ClusterBuilder, CommitProtocol, Directory, EngineConfig, Script, Topology,
 };
 use pv_net::NetCluster;
 use pv_simnet::{SimDuration, SimRng};
@@ -111,56 +109,20 @@ fn run_sim(protocol: CommitProtocol, specs: Vec<TransactionSpec>) -> Outcomes {
     (fates, balances)
 }
 
-/// Polls `probe` until it reports every site settled (quiescent, zero
-/// polyvalues). "Sequential" means settled-between-submissions: without
-/// this, the next transaction can race the previous decision's propagation
-/// to a participant and hit a timing-dependent no-wait lock conflict.
-fn settle(mut probe: impl FnMut() -> (u64, bool)) {
+/// Polls until every site is settled (quiescent, zero polyvalues).
+/// "Sequential" means settled-between-submissions: without this, the next
+/// transaction can race the previous decision's propagation to a
+/// participant and hit a timing-dependent no-wait lock conflict.
+fn settle(cluster: &NetCluster, deadline: Duration) {
     let limit = std::time::Instant::now() + Duration::from_secs(30);
     loop {
-        let (polys, quiescent) = probe();
-        if polys == 0 && quiescent {
+        let mut snaps = (0..SITES).map(|s| cluster.inspect(s, deadline).expect("inspect"));
+        if snaps.all(|snap| snap.poly_count == 0 && snap.quiescent) {
             return;
         }
         assert!(std::time::Instant::now() < limit, "cluster did not settle");
         std::thread::sleep(Duration::from_millis(10));
     }
-}
-
-fn run_live(protocol: CommitProtocol, specs: Vec<TransactionSpec>) -> Outcomes {
-    let cluster = LiveCluster::from_topology(shared_topology(protocol)).expect("start live");
-    let deadline = Duration::from_secs(10);
-    let fates = specs
-        .iter()
-        .enumerate()
-        .map(|(i, spec)| {
-            let r = cluster
-                .submit((i as u32) % SITES, spec, deadline)
-                .expect("live submit");
-            settle(|| {
-                let mut polys = 0u64;
-                let mut quiescent = true;
-                for s in 0..SITES {
-                    let snap = cluster.inspect(s, deadline).expect("inspect");
-                    polys += snap.poly_count as u64;
-                    quiescent &= snap.quiescent;
-                }
-                (polys, quiescent)
-            });
-            (r.is_committed(), r.fully_granted())
-        })
-        .collect();
-    let mut balances = Vec::new();
-    for s in 0..SITES {
-        let snap = cluster.inspect(s, deadline).expect("inspect");
-        assert_eq!(snap.poly_count, 0, "live drained");
-        for (item, entry) in &snap.items {
-            balances.push((item.0, settled_int(entry)));
-        }
-    }
-    balances.sort_unstable();
-    cluster.shutdown();
-    (fates, balances)
 }
 
 fn run_net(protocol: CommitProtocol, specs: Vec<TransactionSpec>) -> Outcomes {
@@ -173,16 +135,7 @@ fn run_net(protocol: CommitProtocol, specs: Vec<TransactionSpec>) -> Outcomes {
             let r = cluster
                 .submit((i as u32) % SITES, spec, deadline)
                 .expect("net submit");
-            settle(|| {
-                let mut polys = 0u64;
-                let mut quiescent = true;
-                for s in 0..SITES {
-                    let snap = cluster.inspect(s, deadline).expect("inspect");
-                    polys += snap.poly_count;
-                    quiescent &= snap.quiescent;
-                }
-                (polys, quiescent)
-            });
+            settle(&cluster, deadline);
             (r.is_committed(), r.fully_granted())
         })
         .collect();
@@ -202,7 +155,6 @@ fn run_net(protocol: CommitProtocol, specs: Vec<TransactionSpec>) -> Outcomes {
 fn assert_equivalent(protocol: CommitProtocol) {
     let specs = workload();
     let (sim_fates, sim_balances) = run_sim(protocol, specs.clone());
-    let (live_fates, live_balances) = run_live(protocol, specs.clone());
     let (net_fates, net_balances) = run_net(protocol, specs);
 
     // The workload is interesting: at least one commit-and-grant and at
@@ -210,16 +162,10 @@ fn assert_equivalent(protocol: CommitProtocol) {
     assert!(sim_fates.iter().any(|&(c, g)| c && g), "some grant");
     assert!(sim_fates.iter().any(|&(c, g)| c && !g), "some denial");
 
-    assert_eq!(sim_fates, live_fates, "sim vs live outcome sequence");
     assert_eq!(sim_fates, net_fates, "sim vs net outcome sequence");
-    assert_eq!(sim_balances, live_balances, "sim vs live final balances");
     assert_eq!(sim_balances, net_balances, "sim vs net final balances");
 
-    for (name, balances) in [
-        ("sim", &sim_balances),
-        ("live", &live_balances),
-        ("net", &net_balances),
-    ] {
+    for (name, balances) in [("sim", &sim_balances), ("net", &net_balances)] {
         let total: i64 = balances.iter().map(|(_, v)| v).sum();
         assert_eq!(
             total,
@@ -230,12 +176,12 @@ fn assert_equivalent(protocol: CommitProtocol) {
 }
 
 #[test]
-fn same_topology_same_outcomes_on_all_three_runtimes() {
+fn same_topology_same_outcomes_on_both_runtimes() {
     assert_equivalent(CommitProtocol::Polyvalue);
 }
 
 /// The fault-free Paxos Commit fast path must route every transaction to
-/// the same fate on all three runtimes — votes, acceptor acknowledgements
+/// the same fate on both runtimes — votes, acceptor acknowledgements
 /// and the decision broadcast all cross the real TCP codec in the net
 /// cluster.
 #[test]

@@ -82,6 +82,10 @@ fn transfers_commit_and_conserve_over_tcp() {
         })
         .count();
     assert!(committed > 0, "no transfer committed");
+    // A site id outside the topology is an error value, not a panic.
+    let unknown = cluster.submit(9, &transfer(0, 1, 5), deadline);
+    assert_eq!(unknown.err(), Some(EngineError::UnknownSite(9)));
+    assert_eq!(cluster.inspect(9, deadline).err(), Some(EngineError::UnknownSite(9)));
 
     drain(&cluster);
     assert_eq!(total_funds(&cluster), 600, "conservation over TCP");
@@ -229,6 +233,44 @@ fn snapshot_reads_over_tcp_are_coordination_free() {
     for c in ["lock.conflicts", "lock.queued", "txn.submitted", "inquire.sent"] {
         assert_eq!(before.counter(c), after.counter(c), "{c} moved");
     }
+    cluster.shutdown().expect("clean shutdown");
+}
+
+#[test]
+fn restart_resolves_stranded_polyvalue() {
+    use pv_core::{Entry, Value};
+    use pv_store::{DiskWal, FsyncPolicy, SiteStore};
+    // Craft on-disk images of a cluster that died mid-uncertainty: the
+    // coordinator (site 0) durably decided *complete* and applied its own
+    // write, but the participant (site 1) crashed staged, never having
+    // learned the outcome.
+    let dir =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/tmp/net-stranded");
+    let _ = std::fs::remove_dir_all(&dir);
+    let txn = pv_engine::encode_txn(0, 0, 1);
+    {
+        let wal = DiskWal::open(dir.join("site-0"), FsyncPolicy::PerDecision).unwrap();
+        let mut coord = SiteStore::open(Box::new(wal));
+        coord.seed_item(ItemId(0), Value::Int(70));
+        coord.record_decision(txn, true);
+        coord.sync();
+    }
+    {
+        let wal = DiskWal::open(dir.join("site-1"), FsyncPolicy::PerDecision).unwrap();
+        let mut part = SiteStore::open(Box::new(wal));
+        part.seed_item(ItemId(1), Value::Int(100));
+        part.stage(txn, 0, vec![(ItemId(1), Entry::Simple(Value::Int(130)))]);
+        part.sync();
+    }
+    let cluster = NetCluster::from_topology(bank_topology(2, 2).data_dir(&dir)).expect("start");
+    // Recovery re-stages the pending transaction, times out its wait phase
+    // (installing an in-doubt polyvalue), inquires at the coordinator,
+    // learns *complete*, and collapses the polyvalue into the staged value.
+    drain(&cluster);
+    let item = |site| cluster.inspect(site, Duration::from_secs(5)).expect("inspect").items;
+    assert_eq!(item(0), [(ItemId(0), Entry::Simple(Value::Int(70)))]);
+    assert_eq!(item(1), [(ItemId(1), Entry::Simple(Value::Int(130)))], "decided outcome");
+    assert_eq!(total_funds(&cluster), 200, "conservation after restart");
     cluster.shutdown().expect("clean shutdown");
 }
 

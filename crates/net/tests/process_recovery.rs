@@ -4,8 +4,8 @@
 //! §3.3 inquiries that collapse them — all over real TCP.
 //!
 //! This is the process-boundary twin of the in-thread
-//! `live_restart_resolves_stranded_polyvalue` test: nothing survives the
-//! kill except the data directory.
+//! `restart_resolves_stranded_polyvalue` test (`net_cluster.rs`): nothing
+//! survives the kill except the data directory.
 
 use pv_core::{Expr, ItemId, TransactionSpec};
 use pv_engine::EngineError;

@@ -15,7 +15,7 @@
 //! crash budget) crash-and-recover one site — losing its volatile state,
 //! armed timers, and the in-flight messages addressed to it, then replaying
 //! its WAL. Exploring all of these orderings covers every schedule the
-//! deterministic simulation, the live runtime, or the crash-point harness
+//! deterministic simulation, the socket runtime, or the crash-point harness
 //! could ever produce for the same workload — and many more.
 //!
 //! ## Invariants

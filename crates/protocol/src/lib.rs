@@ -12,7 +12,7 @@
 //! serves every runtime:
 //!
 //! * `pv-engine`'s `Cluster` drives it over the deterministic simulation;
-//! * `LiveCluster` drives the same machine from real threads over channels;
+//! * `pv-net`'s `Node` drives the same machine from real sockets;
 //! * the crash-point harness crashes it at every WAL append;
 //! * the [`explore`] module *exhaustively enumerates* every reachable
 //!   message/timer/crash interleaving of a small cluster and asserts the

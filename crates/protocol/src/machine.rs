@@ -23,10 +23,9 @@
 //!    recovery, feed [`Input::Recovered`].
 //!
 //! Because the machine is pure, every runtime — the deterministic simulation
-//! (`pv-engine`'s `Cluster`), the thread-per-site live runtime
-//! (`LiveCluster`), the crash-point harness, and the exhaustive
-//! interleaving explorer in [`crate::explore`] — runs the identical protocol
-//! code.
+//! (`pv-engine`'s `Cluster`), the socket runtime (`pv-net`), the
+//! crash-point harness, and the exhaustive interleaving explorer in
+//! [`crate::explore`] — runs the identical protocol code.
 
 use crate::config::EngineConfig;
 use crate::coordinator::Coordinator;

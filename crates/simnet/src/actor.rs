@@ -64,8 +64,8 @@ pub trait Actor {
 /// Effects emitted by an actor callback.
 ///
 /// The simulation world applies these internally; external drivers (such as
-/// the engine's thread-backed live runtime) obtain them via
-/// [`Ctx::drain_effects`] and map them onto real channels and timers.
+/// the engine's wall-clock `SiteHost`) obtain them via
+/// [`Ctx::drain_effects`] and map them onto real sockets and timers.
 #[derive(Debug)]
 pub enum Effect<M> {
     /// Send `msg` to node `to`.

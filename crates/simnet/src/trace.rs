@@ -4,7 +4,7 @@
 //! timeout, polyvalue install, outcome propagation, collapse — is emitted as
 //! a [`TraceEvent`] and recorded into the run's [`Trace`]. Because events
 //! flow through the same `Ctx` used for messages and timers, the simulated
-//! `World` and the thread-backed live runtime share one instrumentation code
+//! `World` and the engine's wall-clock host share one instrumentation code
 //! path, and a simulation run's trace is a pure function of `(configuration,
 //! seed)` — two same-seed runs serialize to byte-identical streams.
 //!
@@ -191,7 +191,7 @@ impl fmt::Display for TraceEvent {
 /// One recorded event with its position in the run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceRecord {
-    /// Virtual (or wall, in the live runtime) time of the event.
+    /// Virtual (or wall, under a wall-clock host) time of the event.
     pub at: SimTime,
     /// The node whose callback emitted the event.
     pub node: NodeId,

@@ -19,7 +19,7 @@
 //!   typed effects out) plus the exhaustive interleaving explorer behind
 //!   the `pv-explore` binary;
 //! * [`engine`] (`pv-engine`) — the distributed transaction engine driving
-//!   the protocol machines over the simulation or live threads: 2PC with
+//!   the protocol machines over the simulation or wall-clock time: 2PC with
 //!   polyvalue installation on wait-phase timeouts, plus the blocking and
 //!   relaxed baselines of §2;
 //! * [`net`] (`pv-net`) — the socket runtime: the same engine over real
@@ -68,8 +68,8 @@ pub use pv_store as store;
 
 pub mod prelude {
     //! The one-stop import for embedding the engine: the value and
-    //! polyvalue types, the cluster builders (simulated, live, and
-    //! networked — all consuming the same [`Topology`]), the protocol
+    //! polyvalue types, the cluster builders (simulated and networked —
+    //! both consuming the same [`Topology`]), the protocol
     //! knobs, and the observability surface (trace events and metric
     //! snapshots).
     //!
@@ -87,8 +87,7 @@ pub mod prelude {
     pub use pv_core::{Entry, Expr, ItemId, Polyvalue, TransactionSpec, TxnId, Value};
     pub use pv_engine::{
         Client, ClientConfig, Cluster, ClusterBuilder, CommitProtocol, Directory, EngineConfig,
-        EngineError, LiveBuilder, LiveCluster, LockPolicy, RandomTransfers, RuntimeConfig, Script,
-        Topology, UniformRmw, Workload,
+        EngineError, LockPolicy, RandomTransfers, Script, Topology, UniformRmw, Workload,
     };
     pub use pv_net::{NetBuilder, NetClient, NetCluster};
     pub use pv_simnet::{

@@ -153,7 +153,7 @@ fn storage_metrics_flow_into_the_registry() {
         "the crashed site must replay its image on recovery"
     );
     // The recovery *duration* is wall-clock, so the simulation keeps it out
-    // of its (byte-deterministic) metric exports; only the live runtime
+    // of its (byte-deterministic) metric exports; only the TCP runtime
     // observes it — see below.
     assert!(
         m.histogram("recovery.duration").is_none(),
@@ -162,21 +162,29 @@ fn storage_metrics_flow_into_the_registry() {
 }
 
 #[test]
-fn live_recovery_duration_histogram_is_observed() {
+fn net_recovery_duration_histogram_is_observed() {
     use std::time::Duration;
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("target/tmp/observability");
+    let _ = std::fs::remove_dir_all(&dir);
     let topo = Topology::new(2, Directory::Mod(2))
         .engine(CommitProtocol::Polyvalue)
-        .items(vec![(ItemId(0), Value::Int(100)), (ItemId(1), Value::Int(100))]);
-    let cluster = LiveCluster::from_topology(topo).unwrap();
-    cluster.crash(0).unwrap();
-    cluster.recover(0).unwrap();
-    let snapshot = cluster.inspect(0, Duration::from_secs(2)).unwrap();
-    assert!(snapshot.up, "site must be back up after recovery");
-    let m = cluster.metrics();
+        .items(vec![(ItemId(0), Value::Int(100)), (ItemId(1), Value::Int(100))])
+        .data_dir(&dir);
+    let deadline = Duration::from_secs(10);
+    let transfer = TransactionSpec::new()
+        .update(ItemId(0), Expr::read(ItemId(0)).sub(Expr::int(30)))
+        .update(ItemId(1), Expr::read(ItemId(1)).add(Expr::int(30)));
+    let first = NetCluster::from_topology(topo.clone()).unwrap();
+    assert!(first.submit(0, &transfer, deadline).unwrap().is_committed());
+    first.shutdown().unwrap();
+    // New sites over the same directories: each replays its WAL at start-up.
+    let second = NetCluster::from_topology(topo).unwrap();
+    let m = second.metrics(deadline).unwrap();
     let recoveries = m
         .histogram("recovery.duration")
-        .expect("live recovery must observe a wall-clock duration");
+        .expect("cold recovery must observe a wall-clock duration");
     assert!(recoveries.count() >= 1, "one observation per recovery");
     assert!(m.counter("recovery.replay_records") > 0);
-    cluster.shutdown();
+    assert_eq!(m.counter("net.cold_recoveries"), 2);
+    second.shutdown().unwrap();
 }
