@@ -110,6 +110,42 @@ mod tests {
         }
     }
 
+    /// `(seed, first 8 unit() bit patterns, first 8 below(1000) draws)`.
+    #[rustfmt::skip]
+    const GOLDEN: [(u64, [u64; 8], [u64; 8]); 3] = [
+        (0, [0x3fd4c5d7585242c8, 0x3fd8769bcf70e034, 0x3fd703f7e47b269e, 0x3f8775fc61ddf2c0,
+             0x3fdfb2813aebd296, 0x3f950f0ddd5fc220, 0x3feb6e9218eb56a0, 0x3feb0e687cc8c979],
+            [503, 255, 180, 330, 874, 858, 806, 553]),
+        (1, [0x3fe9f8ba0fede078, 0x3fe7e8482652c7fc, 0x3fb9a37d5757aaf0, 0x3fe7e10233e0b9aa,
+             0x3fc7a38c25c30c34, 0x3fe2e533f95ce404, 0x3fef9478f2a11e82, 0x3fe0bfd4b9206c7e],
+            [387, 965, 744, 470, 780, 485, 223, 345]),
+        (42, [0x3fea0ec9a9e88ecd, 0x3fd467905d15dbcc, 0x3fef7c0f9f61849d, 0x3fe66fb3ec019b06,
+              0x3fe96463870e908d, 0x3fe2d1b3e009ca1b, 0x3fc00b8c7f910d18, 0x3fe35d29c0e1db19],
+            [951, 753, 100, 464, 331, 965, 78, 430]),
+    ];
+    /// `SimRng::new(42).fork(7)`: first 8 `below(1000)` draws.
+    const GOLDEN_FORK: [u64; 8] = [616, 452, 315, 528, 610, 21, 963, 851];
+    /// `0..10` after `SimRng::new(42).shuffle`.
+    const GOLDEN_SHUFFLE: [u32; 10] = [6, 9, 7, 8, 0, 5, 3, 4, 2, 1];
+
+    /// Pins the generator: xoshiro256++ seeded through SplitMix64, `unit`
+    /// from the top 53 bits, `below` by modulo. Every simulation count that
+    /// "repeats exactly per seed" rests on these streams, so a change to the
+    /// generator must show up here first, not as a drifted experiment.
+    #[test]
+    fn golden_streams_are_pinned() {
+        let units = |mut r: SimRng| -> Vec<u64> { (0..8).map(|_| r.unit().to_bits()).collect() };
+        let belows = |mut r: SimRng| -> Vec<u64> { (0..8).map(|_| r.below(1000)).collect() };
+        for (seed, unit_bits, below) in GOLDEN {
+            assert_eq!(units(SimRng::new(seed)), unit_bits, "unit, seed {seed}");
+            assert_eq!(belows(SimRng::new(seed)), below, "below, seed {seed}");
+        }
+        assert_eq!(belows(SimRng::new(42).fork(7)), GOLDEN_FORK);
+        let mut xs: Vec<u32> = (0..10).collect();
+        SimRng::new(42).shuffle(&mut xs);
+        assert_eq!(xs, GOLDEN_SHUFFLE);
+    }
+
     #[test]
     fn different_seeds_differ() {
         let mut a = SimRng::new(1);
