@@ -1,8 +1,8 @@
 //! # pv-bench — benchmark harness
 //!
 //! Binaries regenerate every table and figure of the paper (plus extension
-//! experiments); Criterion benches measure the mechanism's costs. See
-//! `EXPERIMENTS.md` at the repository root for the index.
+//! experiments); `pvbench`'s per-layer metrics measure the mechanism's costs.
+//! See `EXPERIMENTS.md` at the repository root for the index.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -354,5 +354,10 @@ mod tests {
             let times: Vec<SimTime> = mine.map(|r| r.at).collect();
             assert!(times.windows(2).all(|w| w[0] <= w[1]), "{node}: {times:?}");
         }
+
+        // The registry the caller lent counted the storage work and holds no
+        // gauge series: nothing reads one from a node, and it would only grow.
+        assert!(metrics.counter("wal.appends") > 0);
+        assert_eq!(metrics.snapshot().gauges, Default::default());
     }
 }

@@ -33,9 +33,12 @@ pub use pv_protocol::site_node;
 pub struct Site {
     machine: SiteMachine,
     store: SiteStore,
-    /// Whether wall-clock storage observations (recovery durations) flow
-    /// into the metrics. Off in the simulation, which must keep its metric
-    /// exports byte-deterministic under a seed; [`SiteHost`](crate::SiteHost) opts in.
+    /// Whether the site runs on the wall clock ([`SiteHost`](crate::SiteHost)
+    /// opts in). Recovery durations then flow into the metrics — the
+    /// simulation leaves them out to keep its exports byte-deterministic
+    /// under a seed — and gauge samples do not: a series is read from the
+    /// simulator's registry only, and a node that serves for days would
+    /// grow one without bound.
     wall_clock_metrics: bool,
     /// Whether the store held a durable image from a previous incarnation
     /// when the site was opened. [`Actor::on_start`] then replays recovery
@@ -140,10 +143,10 @@ impl Site {
         self.store.sync();
     }
 
-    /// Opts into wall-clock storage metrics (the `recovery.duration`
-    /// histogram). Only a real-time runtime should enable this: the
-    /// simulation leaves it off so same-seed metric exports stay
-    /// byte-identical.
+    /// Marks the site as running on the wall clock: the `recovery.duration`
+    /// histogram is observed and gauge series are not sampled. Only a
+    /// real-time runtime should enable this: the simulation leaves it off so
+    /// same-seed metric exports stay byte-identical.
     pub fn enable_wall_clock_metrics(&mut self) {
         self.wall_clock_metrics = true;
     }
@@ -183,8 +186,10 @@ impl Site {
                     MetricOp::IncBy(name, n) => ctx.metrics().inc_by(name, n),
                     MetricOp::Observe(name, v) => ctx.metrics().observe(name, v),
                     MetricOp::Gauge(name, v) => {
-                        let now = ctx.now();
-                        ctx.metrics().gauge(name, now, v);
+                        if !self.wall_clock_metrics {
+                            let now = ctx.now();
+                            ctx.metrics().gauge(name, now, v);
+                        }
                     }
                 },
                 Output::NeedCoin { txn, complete_prob } => {
@@ -228,18 +233,17 @@ impl Site {
         ctx.metrics().inc_by("store.compactions", stats.lsm_compactions);
         ctx.metrics().inc_by("store.gc_dropped", stats.lsm_gc_dropped);
         ctx.metrics().inc_by("store.snapshot_reads", stats.snapshot_reads);
-        let now = ctx.now();
-        ctx.metrics()
-            .gauge("store.memtable_bytes", now, self.store.lsm_memtable_bytes() as f64);
-        ctx.metrics().gauge("store.runs", now, self.store.lsm_runs() as f64);
-        ctx.metrics()
-            .gauge("store.mvcc_versions", now, self.store.mvcc_versions() as f64);
-        ctx.metrics()
-            .gauge("store.snapshot_age", now, self.store.snapshot_age() as f64);
         if self.wall_clock_metrics {
             for d in stats.recovery_durations {
                 ctx.metrics().observe("recovery.duration", d);
             }
+        } else {
+            let now = ctx.now();
+            ctx.metrics().gauge("store.runs", now, self.store.lsm_runs() as f64);
+            ctx.metrics()
+                .gauge("store.mvcc_versions", now, self.store.mvcc_versions() as f64);
+            ctx.metrics()
+                .gauge("store.snapshot_age", now, self.store.snapshot_age() as f64);
         }
     }
 

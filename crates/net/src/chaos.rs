@@ -25,14 +25,13 @@
 //! a shared metrics registry under `chaos.injected.*`.
 
 use crate::wire::{decode_frame, Frame, HEADER_LEN};
-use parking_lot::Mutex;
 use pv_engine::EngineError;
 use pv_simnet::{Metrics, SimRng};
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// How long a proxied connection may sit without a parseable `Hello` before
@@ -112,7 +111,7 @@ struct Shared {
 
 impl Shared {
     fn inc(&self, key: &'static str) {
-        self.metrics.lock().inc(key);
+        self.metrics.lock().expect("metrics lock").inc(key);
     }
 }
 
@@ -183,7 +182,7 @@ impl ChaosNet {
     /// `SO_REUSEADDR`, so the old port may sit in TIME_WAIT) — peers keep
     /// dialing the same proxy address and land on the reborn process.
     pub fn retarget(&self, site: u32, real: SocketAddr) {
-        let mut reals = self.shared.reals.lock();
+        let mut reals = self.shared.reals.lock().expect("reals lock");
         if let Some(slot) = reals.get_mut(site as usize) {
             *slot = real;
         }
@@ -191,17 +190,17 @@ impl ChaosNet {
 
     /// Sets the fault schedule applied to links without an explicit entry.
     pub fn set_default(&self, faults: LinkFaults) {
-        self.shared.faults.lock().default = faults;
+        self.shared.faults.lock().expect("faults lock").default = faults;
     }
 
     /// Sets the fault schedule of the directed link `from → to`.
     pub fn set_link(&self, from: u32, to: u32, faults: LinkFaults) {
-        self.shared.faults.lock().links.insert((from, to), faults);
+        self.shared.faults.lock().expect("faults lock").links.insert((from, to), faults);
     }
 
     /// The current fault schedule of the directed link `from → to`.
     pub fn link(&self, from: u32, to: u32) -> LinkFaults {
-        self.shared.faults.lock().get(from, to)
+        self.shared.faults.lock().expect("faults lock").get(from, to)
     }
 
     /// Partitions site groups `a` and `b` from each other (both
@@ -209,7 +208,7 @@ impl ChaosNet {
     /// are refused until [`ChaosNet::heal`]. Non-blocking fault fields of
     /// affected links are preserved.
     pub fn partition(&self, a: &[u32], b: &[u32]) {
-        let mut table = self.shared.faults.lock();
+        let mut table = self.shared.faults.lock().expect("faults lock");
         for &x in a {
             for &y in b {
                 table.entry(x, y).blocked = true;
@@ -222,7 +221,7 @@ impl ChaosNet {
     /// partition: requests die, replies from the other side still flow on
     /// their own links).
     pub fn partition_oneway(&self, from: &[u32], to: &[u32]) {
-        let mut table = self.shared.faults.lock();
+        let mut table = self.shared.faults.lock().expect("faults lock");
         for &x in from {
             for &y in to {
                 table.entry(x, y).blocked = true;
@@ -234,7 +233,7 @@ impl ChaosNet {
     /// rejoin on their own backoff schedules — the harness asserts that the
     /// rejoin is paced, not a thundering herd.
     pub fn heal(&self) {
-        let mut table = self.shared.faults.lock();
+        let mut table = self.shared.faults.lock().expect("faults lock");
         table.default.blocked = false;
         for faults in table.links.values_mut() {
             faults.blocked = false;
@@ -245,7 +244,7 @@ impl ChaosNet {
     /// counters).
     pub fn metrics(&self) -> Metrics {
         let mut out = Metrics::new();
-        out.merge(&self.shared.metrics.lock());
+        out.merge(&self.shared.metrics.lock().expect("metrics lock"));
         out
     }
 
@@ -275,7 +274,7 @@ fn accept_loop(listener: TcpListener, to: u32, shared: Arc<Shared>) {
         match listener.accept() {
             Ok((stream, _)) => {
                 let serial = shared.conn_serial.fetch_add(1, Ordering::Relaxed);
-                let real = shared.reals.lock()[to as usize];
+                let real = shared.reals.lock().expect("reals lock")[to as usize];
                 let shared = Arc::clone(&shared);
                 if let Ok(handle) = std::thread::Builder::new()
                     .name(format!("pv-chaos-pump-{to}-{serial}"))
@@ -367,7 +366,7 @@ fn pump_conn(
         }
     };
 
-    if shared.faults.lock().get(from, to).blocked {
+    if shared.faults.lock().expect("faults lock").get(from, to).blocked {
         shared.inc("chaos.injected.conn_refused");
         return; // dropping the socket = connection refused mid-partition
     }
@@ -398,7 +397,7 @@ fn pump_conn(
         if shared.stop.load(Ordering::SeqCst) {
             return;
         }
-        let faults = shared.faults.lock().get(from, to);
+        let faults = shared.faults.lock().expect("faults lock").get(from, to);
         if faults.blocked {
             shared.inc("chaos.injected.conn_killed");
             return;

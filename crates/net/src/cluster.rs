@@ -16,7 +16,6 @@ use crate::chaos::ChaosNet;
 use crate::client::NetClient;
 use crate::node::{Node, NodeConfig};
 use crate::wire::NodeSnapshot;
-use parking_lot::Mutex;
 use pv_core::TransactionSpec;
 use pv_engine::messages::TxnResult;
 use pv_engine::topology::Topology;
@@ -24,6 +23,7 @@ use pv_engine::{EngineError, Site};
 use pv_simnet::Metrics;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::Mutex;
 use std::time::Duration;
 
 /// Configures and starts a [`NetCluster`] from a shared [`Topology`].
@@ -175,7 +175,7 @@ impl NetCluster {
         if site as usize >= self.addrs.len() {
             return Err(EngineError::UnknownSite(site));
         }
-        let mut guard = self.control.lock();
+        let mut guard = self.control.lock().expect("control lock");
         if guard.is_none() {
             let mut clients = Vec::with_capacity(self.addrs.len());
             for s in 0..self.addrs.len() as u32 {
@@ -260,7 +260,7 @@ impl NetCluster {
     /// returning the final [`Site`] states.
     pub fn shutdown(self) -> Result<Vec<Site>, EngineError> {
         {
-            let mut guard = self.control.lock();
+            let mut guard = self.control.lock().expect("control lock");
             if guard.is_none() {
                 let mut clients = Vec::with_capacity(self.addrs.len());
                 for s in 0..self.addrs.len() as u32 {

@@ -47,8 +47,6 @@ use std::os::unix::net::UnixStream;
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-use bytes::BytesMut;
-
 /// Most protocol messages held for a down peer before the oldest drop.
 /// The §3.1 timers and §3.3 inquiries re-drive anything lost.
 const PENDING_CAP: usize = 4096;
@@ -75,14 +73,11 @@ impl Conn {
         })
     }
 
-    /// Encodes `frame` onto the write queue. The loop flushes each queue
-    /// once per pass, so everything a pass emits to one peer leaves in one
-    /// `write`.
+    /// Encodes `frame` onto the write queue (which an un-frameable one
+    /// leaves untouched). The loop flushes each queue once per pass, so
+    /// everything a pass emits to one peer leaves in one `write`.
     fn queue(&mut self, frame: &Frame) -> Result<(), EngineError> {
-        let mut out = BytesMut::new();
-        encode_frame(frame, &mut out)?;
-        self.wbuf.extend_from_slice(&out);
-        Ok(())
+        Ok(encode_frame(frame, &mut self.wbuf)?)
     }
 
     /// This connection's entry in the wait set: readable always; writable
@@ -689,17 +684,13 @@ impl Node {
                     }
                     Frame::InspectReq => {
                         let snap = self.snapshot();
-                        if let Some(conn) = self.conns[slot].as_mut() {
-                            conn.queue(&Frame::InspectResp(snap))?;
-                        }
+                        self.respond(slot, &Frame::InspectResp(snap));
                     }
                     Frame::MetricsReq => {
                         // Storage metrics were flushed by the engine inside
                         // the last callback; the registry is current.
                         let wire = WireMetrics::from_metrics(&self.metrics);
-                        if let Some(conn) = self.conns[slot].as_mut() {
-                            conn.queue(&Frame::MetricsResp(wire))?;
-                        }
+                        self.respond(slot, &Frame::MetricsResp(wire));
                     }
                     Frame::ConfigBackoff(cfg) => {
                         self.set_backoff(Backoff::from_config(&cfg));
@@ -716,6 +707,18 @@ impl Node {
                     }
                 }
             }
+        }
+    }
+
+    /// Queues a control response on the inbound connection that asked. One
+    /// that cannot be framed (a registry or item table past
+    /// [`MAX_FRAME_LEN`]) is that connection's failure, not the site's: the
+    /// connection is dropped and the node keeps serving.
+    fn respond(&mut self, slot: usize, frame: &Frame) {
+        let Some(conn) = self.conns[slot].as_mut() else { return };
+        if conn.queue(frame).is_err() {
+            conn.dead = true;
+            self.metrics.inc("net.encode_errors");
         }
     }
 
@@ -773,14 +776,19 @@ mod tests {
     use super::*;
     use pv_engine::Directory;
 
-    #[test]
-    fn an_accepted_connection_takes_the_first_reaped_slot() {
+    /// A bound one-site node.
+    fn lone_node() -> Node {
         let config = NodeConfig {
             site: 0,
             topo: Topology::new(1, Directory::Mod(1)),
             backoff: Backoff::default(),
         };
-        let mut node = Node::bind(config, "127.0.0.1:0".parse().unwrap()).unwrap();
+        Node::bind(config, "127.0.0.1:0".parse().unwrap()).unwrap()
+    }
+
+    #[test]
+    fn an_accepted_connection_takes_the_first_reaped_slot() {
+        let mut node = lone_node();
         let addr = node.local_addr().unwrap();
         let dial = |n: usize| -> Vec<TcpStream> {
             (0..n).map(|_| TcpStream::connect(addr).unwrap()).collect()
@@ -800,5 +808,29 @@ mod tests {
         assert!(node.conns.iter().all(Option::is_some));
         assert_eq!(node.metrics.counter("net.accepted"), 5);
         assert_eq!(node.metrics.counter("net.conn_closed"), 1);
+    }
+
+    #[test]
+    fn an_unframeable_response_costs_the_connection_not_the_node() {
+        let mut node = lone_node();
+        let _client = TcpStream::connect(node.local_addr().unwrap()).unwrap();
+        node.accept_all().unwrap();
+        node.respond(0, &Frame::InspectResp(node.snapshot()));
+        let queued = node.conns[0].as_ref().unwrap().wbuf.clone();
+        assert!(!queued.is_empty());
+
+        // A registry whose raw observations no longer fit one frame.
+        let samples = vec![0u64; MAX_FRAME_LEN as usize / 8 + 1];
+        let oversized = WireMetrics {
+            counters: Vec::new(),
+            histograms: vec![("phase.submit_decided".into(), samples)],
+        };
+        node.respond(0, &Frame::MetricsResp(oversized));
+        let conn = node.conns[0].as_ref().unwrap();
+        assert!(conn.dead);
+        assert_eq!(conn.wbuf, queued, "the half-encoded frame is gone from the queue");
+        assert_eq!(node.metrics.counter("net.encode_errors"), 1);
+        node.reap_inbound();
+        assert!(node.conns[0].is_none());
     }
 }

@@ -28,7 +28,6 @@
 //! counts the payload cannot back — is a typed [`DecodeError`], never a
 //! panic or an allocation sized by the sender.
 
-use bytes::{BufMut, BytesMut};
 use pv_core::{Entry, ItemId, Value};
 use pv_engine::messages::Msg;
 use pv_engine::topology::BackoffConfig;
@@ -289,33 +288,36 @@ wire_table! {
     }
 }
 
-/// Appends one whole frame (header + payload) to `out`.
-pub fn encode_frame(frame: &Frame, out: &mut BytesMut) -> Result<(), EncodeError> {
-    let mut payload = BytesMut::new();
-    frame.put_fields(&mut payload);
-    if payload.len() > MAX_FRAME_LEN as usize {
-        return Err(EncodeError::TooLarge { len: payload.len() });
-    }
+/// Appends one whole frame (header + payload) to `out`. The payload is
+/// encoded where it will stay and the header's length and checksum are
+/// filled in afterwards; a payload over [`MAX_FRAME_LEN`] leaves `out` as it
+/// was.
+pub fn encode_frame(frame: &Frame, out: &mut Vec<u8>) -> Result<(), EncodeError> {
     let start = out.len();
-    out.put_u32_le(MAGIC);
-    out.put_u8(VERSION);
-    out.put_u8(frame.tag());
-    out.put_u8(0);
-    out.put_u8(0);
-    out.put_u32_le(payload.len() as u32);
+    out.extend_from_slice(&[0; HEADER_LEN]);
+    frame.put_fields(out);
+    let (header, payload) = out[start..].split_at_mut(HEADER_LEN);
+    let len = payload.len();
+    if len > MAX_FRAME_LEN as usize {
+        out.truncate(start);
+        return Err(EncodeError::TooLarge { len });
+    }
+    header[..4].copy_from_slice(&MAGIC.to_le_bytes());
+    header[4] = VERSION;
+    header[5] = frame.tag();
+    header[8..HEADER_PREFIX_LEN].copy_from_slice(&(len as u32).to_le_bytes());
     // The checksum covers the header prefix as well as the payload, so a
     // flipped kind or length byte can never pass as a valid frame.
-    let sum = checksum(&out[start..start + HEADER_PREFIX_LEN]) ^ checksum(&payload);
-    out.put_u32_le(sum);
-    out.put_slice(&payload);
+    let sum = checksum(&header[..HEADER_PREFIX_LEN]) ^ checksum(payload);
+    header[HEADER_PREFIX_LEN..].copy_from_slice(&sum.to_le_bytes());
     Ok(())
 }
 
 /// Encodes a frame into a fresh buffer (convenience over [`encode_frame`]).
 pub fn frame_bytes(frame: &Frame) -> Result<Vec<u8>, EncodeError> {
-    let mut out = BytesMut::new();
+    let mut out = Vec::new();
     encode_frame(frame, &mut out)?;
-    Ok(out.to_vec())
+    Ok(out)
 }
 
 /// Tries to decode one frame from the front of `buf`.
@@ -525,27 +527,26 @@ mod tests {
     fn over_deep_expression_is_rejected_not_overflowed() {
         // Hand-encode a Proto/Submit whose guard is Neg(Neg(...Const)))
         // nested past the depth limit.
-        let mut payload = BytesMut::new();
-        payload.put_u32_le(0); // from
-        payload.put_u8(0); // Submit
-        payload.put_u64_le(1); // req_id
-        payload.put_u8(1); // guard present
+        let mut payload = Vec::new();
+        0u32.put(&mut payload); // from
+        0u8.put(&mut payload); // Submit
+        1u64.put(&mut payload); // req_id
+        1u8.put(&mut payload); // guard present
         for _ in 0..(MAX_EXPR_DEPTH + 8) {
-            payload.put_u8(4); // Neg(
+            4u8.put(&mut payload); // Neg(
         }
-        payload.put_u8(0); // Const
+        0u8.put(&mut payload); // Const
         Value::Int(1).put(&mut payload);
-        payload.put_u32_le(0); // updates
-        payload.put_u32_le(0); // outputs
-        let mut bytes = BytesMut::new();
-        bytes.put_u32_le(MAGIC);
-        bytes.put_u8(VERSION);
-        bytes.put_u8(1); // Proto
-        bytes.put_u8(0);
-        bytes.put_u8(0);
-        bytes.put_u32_le(payload.len() as u32);
-        bytes.put_u32_le(checksum(&bytes[..HEADER_PREFIX_LEN]) ^ checksum(&payload));
-        bytes.put_slice(&payload);
+        0u32.put(&mut payload); // updates
+        0u32.put(&mut payload); // outputs
+        let mut bytes = Vec::new();
+        MAGIC.put(&mut bytes);
+        VERSION.put(&mut bytes);
+        1u8.put(&mut bytes); // Proto
+        bytes.extend_from_slice(&[0, 0]); // reserved
+        (payload.len() as u32).put(&mut bytes);
+        (checksum(&bytes[..HEADER_PREFIX_LEN]) ^ checksum(&payload)).put(&mut bytes);
+        bytes.extend_from_slice(&payload);
         assert_eq!(decode_frame(&bytes), Err(DecodeError::TooDeep));
     }
 

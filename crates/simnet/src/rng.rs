@@ -5,23 +5,43 @@
 //! Independent components fork their own sub-streams so that adding a
 //! component does not perturb the draws seen by the others.
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-
-/// A deterministic random stream.
+/// A deterministic random stream: xoshiro256++, its state expanded from the
+/// seed with SplitMix64. `golden_streams_are_pinned` holds the streams fixed.
 #[derive(Debug, Clone)]
 pub struct SimRng {
-    rng: SmallRng,
+    s: [u64; 4],
     seed: u64,
+}
+
+/// SplitMix64's increment.
+const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// SplitMix64's output function.
+fn mix(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
 impl SimRng {
     /// Creates the master stream for a run.
     pub fn new(seed: u64) -> Self {
-        SimRng {
-            rng: SmallRng::seed_from_u64(seed),
-            seed,
-        }
+        let s = [1u64, 2, 3, 4].map(|i| mix(seed.wrapping_add(i.wrapping_mul(GAMMA))));
+        SimRng { s, seed }
+    }
+
+    /// One xoshiro256++ step.
+    fn next_u64(&mut self) -> u64 {
+        let s = &mut self.s;
+        let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
+        let t = s[1] << 17;
+        s[2] ^= s[0];
+        s[3] ^= s[1];
+        s[1] ^= s[2];
+        s[0] ^= s[3];
+        s[2] ^= t;
+        s[3] = s[3].rotate_left(45);
+        result
     }
 
     /// The seed this stream was created from.
@@ -34,17 +54,12 @@ impl SimRng {
     /// Forking is a pure function of `(seed, stream)`: the sub-stream does
     /// not depend on how much the parent has been consumed.
     pub fn fork(&self, stream: u64) -> SimRng {
-        // SplitMix64-style mixing of the (seed, stream) pair.
-        let mut z = self.seed ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        SimRng::new(z)
+        SimRng::new(mix(self.seed ^ stream.wrapping_mul(GAMMA)))
     }
 
-    /// A uniform draw in `[0, 1)`.
+    /// A uniform draw in `[0, 1)`: the top 53 bits as the mantissa.
     pub fn unit(&mut self) -> f64 {
-        self.rng.random::<f64>()
+        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
     /// A uniform draw in `[lo, hi)`.
@@ -55,7 +70,7 @@ impl SimRng {
     /// A uniform integer in `[0, n)`; `n` must be positive.
     pub fn below(&mut self, n: u64) -> u64 {
         assert!(n > 0, "below(0) is meaningless");
-        self.rng.random_range(0..n)
+        self.next_u64() % n
     }
 
     /// A Bernoulli draw with probability `p` (clamped to `[0, 1]`).
@@ -69,10 +84,8 @@ impl SimRng {
         self.unit() < p
     }
 
-    /// An exponential draw with the given mean, by inverse transform.
-    ///
-    /// The offline `rand` crate does not bundle `rand_distr`; inverse
-    /// transform sampling (`-mean · ln(1-u)`) is exact and two lines.
+    /// An exponential draw with the given mean, by inverse transform
+    /// (`-mean · ln(1-u)`, which is exact).
     pub fn exponential(&mut self, mean: f64) -> f64 {
         assert!(mean >= 0.0, "exponential mean must be non-negative");
         if mean == 0.0 {

@@ -23,13 +23,10 @@
 //! it, exactly the recovery contract of a production WAL.
 
 use crate::wal::{Record, Wal};
-use bytes::{BufMut, Bytes};
 use pv_core::cond::{Condition, Literal, Product};
 use pv_core::expr::BinOp;
 use pv_core::{CmpOp, Entry, Expr, ItemId, TransactionSpec, TxnId, Value};
 use std::fmt;
-
-pub use bytes::BytesMut;
 
 /// Errors detected while decoding.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -88,7 +85,7 @@ pub fn checksum(data: &[u8]) -> u32 {
 /// decode through the same impl.
 pub trait Wire: Sized {
     /// Appends this value's encoding to `buf`.
-    fn put(&self, buf: &mut BytesMut);
+    fn put(&self, buf: &mut Vec<u8>);
     /// Decodes one value from the front of `buf`, advancing it. Hostile
     /// input is an `Err`, never a panic or an oversized allocation.
     fn get(buf: &mut &[u8]) -> Result<Self, CodecError>;
@@ -102,14 +99,14 @@ pub trait Tagged: Sized {
     /// The variant's tag byte.
     fn tag(&self) -> u8;
     /// Appends the variant's fields, without the tag.
-    fn put_fields(&self, buf: &mut BytesMut);
+    fn put_fields(&self, buf: &mut Vec<u8>);
     /// Decodes the fields of the variant `tag` names; `Ok(None)` when it
     /// names none.
     fn get_fields(tag: u8, buf: &mut &[u8]) -> Result<Option<Self>, CodecError>;
 }
 
 impl<T: Tagged> Wire for T {
-    fn put(&self, buf: &mut BytesMut) {
+    fn put(&self, buf: &mut Vec<u8>) {
         self.tag().put(buf);
         self.put_fields(buf);
     }
@@ -130,7 +127,7 @@ impl<T: Tagged> Wire for T {
 /// here (plus a line in `results/wire_golden.txt`).
 ///
 /// ```
-/// use pv_store::codec::{BytesMut, Wire};
+/// use pv_store::codec::Wire;
 ///
 /// #[derive(Debug, PartialEq)]
 /// enum Shape {
@@ -140,9 +137,9 @@ impl<T: Tagged> Wire for T {
 /// }
 /// pv_store::wire_table! { enum Shape { 0 => Dot, 1 => Circle(r), 2 => Rect { w, h } } }
 ///
-/// let mut buf = BytesMut::new();
+/// let mut buf = Vec::new();
 /// Shape::Rect { w: 2, h: 3 }.put(&mut buf);
-/// assert_eq!(&buf[..], [2, 2, 0, 0, 0, 3, 0, 0, 0]);
+/// assert_eq!(buf, [2, 2, 0, 0, 0, 3, 0, 0, 0]);
 /// assert_eq!(Shape::get(&mut &buf[..]), Ok(Shape::Rect { w: 2, h: 3 }));
 /// ```
 ///
@@ -161,7 +158,7 @@ impl<T: Tagged> Wire for T {
 macro_rules! wire_table {
     (struct $ty:ident { $($field:tt),* $(,)? }) => {
         impl $crate::codec::Wire for $ty {
-            fn put(&self, buf: &mut $crate::codec::BytesMut) {
+            fn put(&self, buf: &mut Vec<u8>) {
                 $( $crate::codec::Wire::put(&self.$field, buf); )*
             }
 
@@ -179,7 +176,7 @@ macro_rules! wire_table {
             }
 
             #[allow(unused_variables)]
-            fn put_fields(&self, buf: &mut $crate::codec::BytesMut) {
+            fn put_fields(&self, buf: &mut Vec<u8>) {
                 match self { $(
                     $ty::$var $( { $($f),* } )? $( ( $($t),* ) )? => {
                         $( $( $crate::codec::Wire::put($f, buf); )* )?
@@ -212,8 +209,8 @@ macro_rules! wire_table {
 macro_rules! wire_le_int {
     ($($int:ty),*) => { $(
         impl Wire for $int {
-            fn put(&self, buf: &mut BytesMut) {
-                buf.put_slice(&self.to_le_bytes());
+            fn put(&self, buf: &mut Vec<u8>) {
+                buf.extend_from_slice(&self.to_le_bytes());
             }
 
             fn get(buf: &mut &[u8]) -> Result<Self, CodecError> {
@@ -228,7 +225,7 @@ macro_rules! wire_le_int {
 wire_le_int!(u8, u32, u64, i64);
 
 impl Wire for bool {
-    fn put(&self, buf: &mut BytesMut) {
+    fn put(&self, buf: &mut Vec<u8>) {
         u8::from(*self).put(buf);
     }
 
@@ -239,7 +236,7 @@ impl Wire for bool {
 
 /// The bit pattern as a `u64`; only finite values decode.
 impl Wire for f64 {
-    fn put(&self, buf: &mut BytesMut) {
+    fn put(&self, buf: &mut Vec<u8>) {
         self.to_bits().put(buf);
     }
 
@@ -255,9 +252,9 @@ impl Wire for f64 {
 
 /// `u32` byte length, then UTF-8.
 impl Wire for String {
-    fn put(&self, buf: &mut BytesMut) {
+    fn put(&self, buf: &mut Vec<u8>) {
         (self.len() as u32).put(buf);
-        buf.put_slice(self.as_bytes());
+        buf.extend_from_slice(self.as_bytes());
     }
 
     fn get(buf: &mut &[u8]) -> Result<Self, CodecError> {
@@ -269,7 +266,7 @@ impl Wire for String {
 }
 
 impl<A: Wire, B: Wire> Wire for (A, B) {
-    fn put(&self, buf: &mut BytesMut) {
+    fn put(&self, buf: &mut Vec<u8>) {
         self.0.put(buf);
         self.1.put(buf);
     }
@@ -281,7 +278,7 @@ impl<A: Wire, B: Wire> Wire for (A, B) {
 
 /// A presence byte (0 or 1), then the value if present.
 impl<T: Wire> Wire for Option<T> {
-    fn put(&self, buf: &mut BytesMut) {
+    fn put(&self, buf: &mut Vec<u8>) {
         match self {
             None => 0u8.put(buf),
             Some(value) => {
@@ -308,7 +305,7 @@ impl<T: Wire> Wire for Option<T> {
 const MAX_PREALLOC: usize = 1024;
 
 /// `u32` element count, then the elements.
-fn put_seq<T: Wire>(items: &[T], buf: &mut BytesMut) {
+fn put_seq<T: Wire>(items: &[T], buf: &mut Vec<u8>) {
     (items.len() as u32).put(buf);
     for item in items {
         item.put(buf);
@@ -316,7 +313,7 @@ fn put_seq<T: Wire>(items: &[T], buf: &mut BytesMut) {
 }
 
 impl<T: Wire> Wire for Vec<T> {
-    fn put(&self, buf: &mut BytesMut) {
+    fn put(&self, buf: &mut Vec<u8>) {
         put_seq(self, buf);
     }
 
@@ -347,7 +344,7 @@ wire_table! {
 }
 
 impl Wire for Literal {
-    fn put(&self, buf: &mut BytesMut) {
+    fn put(&self, buf: &mut Vec<u8>) {
         self.txn().put(buf);
         self.is_positive().put(buf);
     }
@@ -363,7 +360,7 @@ impl Wire for Literal {
 }
 
 impl Wire for Product {
-    fn put(&self, buf: &mut BytesMut) {
+    fn put(&self, buf: &mut Vec<u8>) {
         (self.len() as u32).put(buf);
         for literal in self.literals() {
             literal.put(buf);
@@ -377,7 +374,7 @@ impl Wire for Product {
 
 /// A DNF condition: its products, each a list of `(txn, polarity)` literals.
 impl Wire for Condition {
-    fn put(&self, buf: &mut BytesMut) {
+    fn put(&self, buf: &mut Vec<u8>) {
         put_seq(self.products(), buf);
     }
 
@@ -389,7 +386,7 @@ impl Wire for Condition {
 /// A simple value (tag 0) or a polyvalue's `(value, condition)` pairs
 /// (tag 1).
 impl Wire for Entry<Value> {
-    fn put(&self, buf: &mut BytesMut) {
+    fn put(&self, buf: &mut Vec<u8>) {
         match self {
             Entry::Simple(v) => {
                 0u8.put(buf);
@@ -452,7 +449,7 @@ wire_table! {
 pub const MAX_EXPR_DEPTH: u32 = 200;
 
 impl Wire for Expr {
-    fn put(&self, buf: &mut BytesMut) {
+    fn put(&self, buf: &mut Vec<u8>) {
         match self {
             Expr::Const(v) => {
                 0u8.put(buf);
@@ -534,13 +531,18 @@ wire_table! {
     }
 }
 
-/// Encodes one record into its framed wire form.
-pub fn encode_record(record: &Record, out: &mut BytesMut) {
-    let mut payload = BytesMut::new();
-    record.put(&mut payload);
-    (payload.len() as u32).put(out);
-    checksum(&payload).put(out);
-    out.put_slice(&payload);
+/// Bytes of a record frame before its payload: length, then checksum.
+const RECORD_HEADER_LEN: usize = 8;
+
+/// Appends one record to `out` in its framed form. The payload is encoded
+/// where it will stay; the header in front of it is filled in afterwards.
+pub fn encode_record(record: &Record, out: &mut Vec<u8>) {
+    let start = out.len();
+    out.extend_from_slice(&[0; RECORD_HEADER_LEN]);
+    record.put(out);
+    let (header, payload) = out[start..].split_at_mut(RECORD_HEADER_LEN);
+    header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    header[4..].copy_from_slice(&checksum(payload).to_le_bytes());
 }
 
 /// Decodes one framed record from the front of `data`; advances `data`.
@@ -556,12 +558,12 @@ fn decode_record(data: &mut &[u8]) -> Result<Record, CodecError> {
 }
 
 /// Serialises a whole log.
-pub fn encode_wal(wal: &Wal) -> Bytes {
-    let mut out = BytesMut::new();
+pub fn encode_wal(wal: &Wal) -> Vec<u8> {
+    let mut out = Vec::new();
     for record in wal.iter() {
         encode_record(record, &mut out);
     }
-    out.freeze()
+    out
 }
 
 /// Deserialises a log image, requiring every byte to parse.
@@ -684,6 +686,12 @@ mod tests {
         Wal::from_records(records)
     }
 
+    /// A hand-made frame around `payload`, its checksum valid.
+    fn framed(payload: &[u8]) -> Vec<u8> {
+        let len = payload.len() as u32;
+        [&len.to_le_bytes()[..], &checksum(payload).to_le_bytes(), payload].concat()
+    }
+
     #[test]
     fn round_trip_every_record_kind() {
         let wal = wal_of(sample_records());
@@ -715,7 +723,7 @@ mod tests {
                 .take_while(|c| c.is_alphanumeric())
                 .collect();
             assert_eq!(*name, format!("record.{i:02}.{variant}"));
-            let mut out = BytesMut::new();
+            let mut out = Vec::new();
             encode_record(record, &mut out);
             let encoded: String = out.iter().map(|b| format!("{b:02x}")).collect();
             assert_eq!(
@@ -789,7 +797,7 @@ mod tests {
     fn corrupted_payload_is_rejected() {
         let wal = wal_of(sample_records());
         let bytes = encode_wal(&wal);
-        let mut corrupt = bytes.to_vec();
+        let mut corrupt = bytes;
         // Flip a byte inside the first frame's payload.
         corrupt[9] ^= 0xFF;
         let (recovered, err) = decode_wal_lossy(&corrupt);
@@ -800,19 +808,13 @@ mod tests {
 
     #[test]
     fn unknown_tag_is_rejected() {
-        // Hand-craft a frame with tag 99 and a valid checksum.
-        let mut out = BytesMut::new();
-        let payload = [99u8];
-        out.put_u32_le(1);
-        out.put_u32_le(checksum(&payload));
-        out.put_slice(&payload);
-        assert!(matches!(decode_wal(&out), Err(CodecError::BadTag(99))));
+        assert!(matches!(decode_wal(&framed(&[99])), Err(CodecError::BadTag(99))));
     }
 
     #[test]
     fn strict_decode_fails_on_any_trailing_garbage() {
         let wal = wal_of(vec![Record::Epoch { epoch: 1 }]);
-        let mut bytes = encode_wal(&wal).to_vec();
+        let mut bytes = encode_wal(&wal);
         bytes.push(0x01);
         assert!(decode_wal(&bytes).is_err());
         let (recovered, err) = decode_wal_lossy(&bytes);
@@ -824,18 +826,14 @@ mod tests {
     fn invalid_polyvalue_images_are_rejected() {
         // Encode a "polyvalue" whose single pair is conditioned on T1 only —
         // incomplete, so assembly must refuse it.
-        let mut payload = BytesMut::new();
-        payload.put_u8(1); // SetItem
-        payload.put_u64_le(1); // item
-        payload.put_u8(1); // Entry::Poly
-        payload.put_u32_le(1); // one pair
+        let mut payload = Vec::new();
+        1u8.put(&mut payload); // SetItem
+        1u64.put(&mut payload); // item
+        1u8.put(&mut payload); // Entry::Poly
+        1u32.put(&mut payload); // one pair
         Value::Int(5).put(&mut payload);
         Condition::var(TxnId(1)).put(&mut payload);
-        let mut out = BytesMut::new();
-        out.put_u32_le(payload.len() as u32);
-        out.put_u32_le(checksum(&payload));
-        out.put_slice(&payload);
-        assert!(matches!(decode_wal(&out), Err(CodecError::BadPolyvalue)));
+        assert!(matches!(decode_wal(&framed(&payload)), Err(CodecError::BadPolyvalue)));
     }
 
     /// A length prefix is the writer's claim, not a fact: a count the record
@@ -865,13 +863,7 @@ mod tests {
             ),
         ] {
             let payload = [prefix, le32(u32::MAX)].concat();
-            let image = [
-                le32(payload.len() as u32),
-                le32(checksum(&payload)),
-                payload,
-            ]
-            .concat();
-            let (wal, consumed, err) = decode_wal_prefix(&image);
+            let (wal, consumed, err) = decode_wal_prefix(&framed(&payload));
             assert_eq!((wal.len(), consumed), (0, 0), "{what}");
             assert_eq!(err, Some(CodecError::Truncated), "{what}");
         }

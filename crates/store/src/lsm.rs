@@ -25,7 +25,6 @@
 //! authority: the keyspace is derived state, held in memory and rebuilt by
 //! WAL replay on every recovery.
 
-use crate::codec::{BytesMut, Wire};
 use pv_core::{Entry, ItemId, Value};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -135,7 +134,6 @@ impl Run {
 struct Partition {
     memtable: BTreeMap<ItemId, Vec<Version>>,
     memtable_versions: usize,
-    memtable_bytes: u64,
     runs: Vec<Run>,
 }
 
@@ -231,12 +229,10 @@ impl Keyspace {
             self.poly_items.remove(&item);
         }
         self.items.insert(item);
-        let bytes = encoded_len(item, seq, &entry);
         let p = self.part_of(item);
         let part = &mut self.parts[p];
         part.memtable.entry(item).or_default().push(Version { seq, entry });
         part.memtable_versions += 1;
-        part.memtable_bytes += bytes;
         if part.memtable_versions >= self.cfg.memtable_max_entries {
             self.flush_partition(p);
         }
@@ -257,7 +253,6 @@ impl Keyspace {
             }
         }
         part.memtable_versions = 0;
-        part.memtable_bytes = 0;
         let run = Run { versions };
         self.op_seq += 1;
         self.stats.flushes += 1;
@@ -376,11 +371,6 @@ impl Keyspace {
         self.parts.iter().map(|p| p.runs.len()).sum()
     }
 
-    /// Approximate bytes held in memtables (codec-encoded size).
-    pub fn memtable_bytes(&self) -> u64 {
-        self.parts.iter().map(|p| p.memtable_bytes).sum()
-    }
-
     /// How many writes the oldest live snapshot lags the present by.
     pub fn snapshot_age(&self) -> u64 {
         self.tracker.oldest().map_or(0, |s| self.seq - s)
@@ -402,7 +392,6 @@ impl Keyspace {
         for part in &mut self.parts {
             part.memtable.clear();
             part.memtable_versions = 0;
-            part.memtable_bytes = 0;
             part.runs.clear();
         }
         self.seq = 0;
@@ -412,16 +401,6 @@ impl Keyspace {
         // op_seq / stats deliberately survive: op_seq is a lifetime crash
         // coordinate (like the WAL's append counter).
     }
-}
-
-/// Codec-encoded size of `(item, seq, entry)` under the WAL's
-/// `[len][checksum][payload]` framing (the `store.memtable_bytes` gauge).
-fn encoded_len(item: ItemId, seq: SeqNo, entry: &Entry<Value>) -> u64 {
-    let mut payload = BytesMut::new();
-    item.put(&mut payload);
-    seq.put(&mut payload);
-    entry.put(&mut payload);
-    8 + payload.len() as u64
 }
 
 #[cfg(test)]

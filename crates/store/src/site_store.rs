@@ -365,11 +365,6 @@ impl SiteStore {
         self.keyspace.run_count()
     }
 
-    /// Approximate codec-encoded bytes held in keyspace memtables.
-    pub fn lsm_memtable_bytes(&self) -> u64 {
-        self.keyspace.memtable_bytes()
-    }
-
     /// How many writes the oldest live snapshot lags the present by.
     pub fn snapshot_age(&self) -> u64 {
         self.keyspace.snapshot_age()
@@ -819,7 +814,7 @@ impl SiteStore {
     }
 
     /// Serialises the WAL to its binary on-disk form.
-    pub fn export_wal(&self) -> bytes::Bytes {
+    pub fn export_wal(&self) -> Vec<u8> {
         crate::codec::encode_wal(&self.wal)
     }
 

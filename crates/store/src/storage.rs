@@ -19,7 +19,6 @@
 
 use crate::codec;
 use crate::wal::Record;
-use bytes::BytesMut;
 use std::fmt;
 use std::fs;
 use std::io::Write as _;
@@ -131,12 +130,6 @@ pub trait Storage: Send + fmt::Debug {
     fn stats(&self) -> StorageStats;
 }
 
-fn encode_frame(record: &Record) -> BytesMut {
-    let mut buf = BytesMut::new();
-    codec::encode_record(record, &mut buf);
-    buf
-}
-
 // ---- in-memory backend ------------------------------------------------------
 
 /// The in-memory backend: a synced byte region plus an un-synced tail.
@@ -209,10 +202,10 @@ impl MemStorage {
 
 impl Storage for MemStorage {
     fn append(&mut self, record: &Record) -> Result<(), StorageError> {
-        let frame = encode_frame(record);
-        self.stats.bytes_appended += frame.len() as u64;
+        let before = self.unsynced.len();
+        codec::encode_record(record, &mut self.unsynced);
+        self.stats.bytes_appended += (self.unsynced.len() - before) as u64;
         self.stats.appends += 1;
-        self.unsynced.extend_from_slice(&frame);
         self.unsynced_appends += 1;
         if self.policy.wants_sync(record, self.unsynced_appends) {
             self.sync()?;
@@ -253,11 +246,10 @@ impl Storage for MemStorage {
     }
 
     fn reset(&mut self, records: &[Record]) -> Result<(), StorageError> {
-        let mut image = BytesMut::new();
+        self.synced.clear();
         for record in records {
-            codec::encode_record(record, &mut image);
+            codec::encode_record(record, &mut self.synced);
         }
-        self.synced = image.to_vec();
         self.unsynced.clear();
         self.unsynced_appends = 0;
         self.stats.compactions += 1;
@@ -418,7 +410,8 @@ fn sync_dir(dir: &Path) {
 
 impl Storage for DiskWal {
     fn append(&mut self, record: &Record) -> Result<(), StorageError> {
-        let frame = encode_frame(record);
+        let mut frame = Vec::new();
+        codec::encode_record(record, &mut frame);
         if self.active_len > 0 && self.active_len + frame.len() as u64 > self.max_segment_bytes {
             self.rotate()?;
         }
@@ -499,7 +492,7 @@ impl Storage for DiskWal {
     }
 
     fn reset(&mut self, records: &[Record]) -> Result<(), StorageError> {
-        let mut image = BytesMut::new();
+        let mut image = Vec::new();
         for record in records {
             codec::encode_record(record, &mut image);
         }
