@@ -75,6 +75,12 @@ pub struct CrashPointConfig {
     /// Keyspace run count that triggers a size-tiered compaction. Tiny by
     /// default so the sweep reaches compaction-in-flight crash points.
     pub run_threshold: usize,
+    /// Floor of the WAL checkpoint rule
+    /// ([`pv_store::SiteStore::maybe_compact`]). Tiny by default so sites
+    /// checkpoint several times within the scenario and the append
+    /// coordinates straddle them: crashes land just before and just after
+    /// the log was rewritten.
+    pub compact_threshold: usize,
 }
 
 impl Default for CrashPointConfig {
@@ -93,6 +99,7 @@ impl Default for CrashPointConfig {
             protocol: CommitProtocol::Polyvalue,
             memtable_threshold: 2,
             run_threshold: 2,
+            compact_threshold: 8,
         }
     }
 }
@@ -147,6 +154,9 @@ pub struct CrashPointReport {
     pub points_per_site: Vec<usize>,
     /// LSM flush/compaction points explored per site.
     pub lsm_points_per_site: Vec<usize>,
+    /// WAL checkpoints the crash-free reference run made, all sites together
+    /// (zero means no append point had a checkpoint on either side of it).
+    pub wal_checkpoints: u64,
     /// Every invariant violation found (empty on a clean pass).
     pub violations: Vec<Violation>,
 }
@@ -162,7 +172,7 @@ impl fmt::Display for CrashPointReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} crash points (append {}, lsm {}), {} violation(s)",
+            "{} crash points (append {}, lsm {}; {} WAL checkpoints crossed), {} violation(s)",
             self.points_explored,
             self.points_per_site
                 .iter()
@@ -174,6 +184,7 @@ impl fmt::Display for CrashPointReport {
                 .map(|n| n.to_string())
                 .collect::<Vec<_>>()
                 .join("+"),
+            self.wal_checkpoints,
             self.violations.len()
         )
     }
@@ -186,6 +197,7 @@ fn build(cfg: &CrashPointConfig) -> Cluster {
     let engine = EngineConfig {
         memtable_threshold: cfg.memtable_threshold,
         run_threshold: cfg.run_threshold,
+        compact_threshold: cfg.compact_threshold,
         ..EngineConfig::with_protocol(cfg.protocol)
     };
     ClusterBuilder::new(cfg.sites, Directory::Mod(cfg.sites))
@@ -212,7 +224,7 @@ fn build(cfg: &CrashPointConfig) -> Cluster {
 /// append several records at once; a crash can only strike between
 /// callbacks, so these are exactly the reachable crash states.)
 pub fn enumerate_points(cfg: &CrashPointConfig) -> Vec<BTreeSet<u64>> {
-    enumerate_by(cfg, |store| store.append_seq())
+    enumerate_by(cfg, pv_store::SiteStore::append_seq).0
 }
 
 /// Like [`enumerate_points`], but over the keyspace's LSM operation counter:
@@ -221,13 +233,15 @@ pub fn enumerate_points(cfg: &CrashPointConfig) -> Vec<BTreeSet<u64>> {
 /// size-tiered compaction completed — recovery must rebuild the keyspace
 /// from the WAL regardless of what the run set looked like.
 pub fn enumerate_lsm_points(cfg: &CrashPointConfig) -> Vec<BTreeSet<u64>> {
-    enumerate_by(cfg, |store| store.lsm_op_seq())
+    enumerate_by(cfg, pv_store::SiteStore::lsm_op_seq).0
 }
 
+/// The reference run: every value of `seq` each site reaches at a callback
+/// boundary, and the WAL checkpoints the run made.
 fn enumerate_by(
     cfg: &CrashPointConfig,
     seq: impl Fn(&pv_store::SiteStore) -> u64,
-) -> Vec<BTreeSet<u64>> {
+) -> (Vec<BTreeSet<u64>>, u64) {
     let mut cluster = build(cfg);
     let mut points: Vec<BTreeSet<u64>> = vec![BTreeSet::new(); cfg.sites as usize];
     let horizon = SimTime::from_secs(cfg.settle_secs);
@@ -243,7 +257,7 @@ fn enumerate_by(
     while cluster.world.now() <= horizon && cluster.world.step() {
         sample(&cluster, &mut points);
     }
-    points
+    (points, cluster.world.metrics().counter("wal.compactions"))
 }
 
 /// Replays the scenario, crashes `site` the first time it reaches the crash
@@ -349,12 +363,14 @@ pub fn explore(cfg: &CrashPointConfig) -> CrashPointReport {
         }
         per_site
     };
-    let points_per_site = sweep(&enumerate_points(cfg), CrashCoord::Append);
+    let (append_points, wal_checkpoints) = enumerate_by(cfg, pv_store::SiteStore::append_seq);
+    let points_per_site = sweep(&append_points, CrashCoord::Append);
     let lsm_points_per_site = sweep(&enumerate_lsm_points(cfg), CrashCoord::LsmOp);
     CrashPointReport {
         points_explored,
         points_per_site,
         lsm_points_per_site,
+        wal_checkpoints,
         violations,
     }
 }
@@ -402,6 +418,8 @@ mod tests {
         let text = report.to_string();
         assert!(text.contains("violation"), "report: {text}");
         assert!(report.ok(), "violations: {:?}", report.violations);
+        // Even four transfers cross the tiny checkpoint floor.
+        assert!(report.wal_checkpoints > 0, "report: {text}");
     }
 
     #[test]

@@ -226,6 +226,8 @@ impl Site {
         ctx.metrics().inc_by("wal.segments", stats.wal_segments);
         ctx.metrics().inc_by("wal.compactions", stats.wal_compactions);
         ctx.metrics()
+            .inc_by("wal.checkpoint_records", stats.wal_checkpoint_records);
+        ctx.metrics()
             .inc_by("recovery.replay_records", stats.recovery_replay_records);
         ctx.metrics()
             .inc_by("recovery.truncations", stats.recovery_truncations);

@@ -179,8 +179,10 @@ impl Topology {
         self
     }
 
-    /// Sets the WAL length (in records) above which a site compacts its log
-    /// into a snapshot after applying a decision.
+    /// Sets the floor of the WAL checkpoint rule: a site rewrites its log as
+    /// a snapshot once the records appended since the last checkpoint reach
+    /// what that checkpoint wrote, and at least `records`
+    /// ([`EngineConfig::compact_threshold`]).
     pub fn compact_threshold(mut self, records: usize) -> Self {
         self.engine.compact_threshold = records;
         self

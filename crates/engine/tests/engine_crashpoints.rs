@@ -35,6 +35,9 @@ fn scenario(protocol: CommitProtocol, policy: FsyncPolicy) -> CrashPointConfig {
         // compaction crash coordinates, not just WAL append points.
         memtable_threshold: 2,
         run_threshold: 2,
+        // And a tiny checkpoint floor: append points on both sides of
+        // several WAL checkpoints at every site.
+        compact_threshold: 8,
     }
 }
 
@@ -44,6 +47,10 @@ fn assert_clean(label: &str, cfg: &CrashPointConfig) {
     assert!(
         report.points_explored > 20,
         "{label}: search space too small: {report}"
+    );
+    assert!(
+        report.wal_checkpoints > 0,
+        "{label}: no crash point straddles a WAL checkpoint: {report}"
     );
     assert!(
         report.ok(),

@@ -69,7 +69,9 @@ fn total_funds(cluster: &NetCluster) -> i64 {
 
 #[test]
 fn transfers_commit_and_conserve_over_tcp() {
-    let cluster = NetCluster::from_topology(bank_topology(3, 6)).expect("start");
+    // A tiny checkpoint floor, so 20 transfers checkpoint every site's log.
+    let topology = bank_topology(3, 6).compact_threshold(8);
+    let cluster = NetCluster::from_topology(topology).expect("start");
     let deadline = Duration::from_secs(10);
 
     let committed = (0..20)
@@ -94,6 +96,15 @@ fn transfers_commit_and_conserve_over_tcp() {
     assert!(
         metrics.counter("txn.committed") > 0,
         "site-side commit counters travel the wire"
+    );
+    // So does the log's write amplification: checkpoints ran, and rewrote no
+    // more than two records per record appended.
+    let rewritten = metrics.counter("wal.checkpoint_records");
+    let appended = metrics.counter("wal.appends");
+    assert!(metrics.counter("wal.compactions") > 0 && rewritten > 0);
+    assert!(
+        rewritten <= 2 * appended,
+        "{rewritten} records rewritten for {appended} appended"
     );
 
     let sites = cluster.shutdown().expect("clean shutdown");

@@ -105,8 +105,11 @@ pub struct EngineConfig {
     /// before evaluation starts. Off by default: well-tested workloads
     /// need not pay the analysis cost on every submit.
     pub static_checks: bool,
-    /// WAL length (in records) above which a site compacts its log into a
-    /// snapshot after applying a decision.
+    /// Floor of the WAL checkpoint rule. After applying a decision a site
+    /// rewrites its log as a snapshot of its state once the records appended
+    /// since the last checkpoint reach what that checkpoint wrote (the log
+    /// has doubled) and at least this many. Log length, and so recovery
+    /// replay, stays within twice the last checkpoint plus this floor.
     pub compact_threshold: usize,
     /// Versions a keyspace partition's memtable holds before it flushes
     /// into a sorted run (entry-counted for seed determinism).

@@ -252,6 +252,16 @@ impl MetricsSnapshot {
     }
 }
 
+/// Applies `record` to the series `name`, created empty on first use. Every
+/// recording call lands here: one lookup by `&str`, and the name is copied
+/// to the heap only when the series is new.
+fn with_series<V: Default>(map: &mut BTreeMap<String, V>, name: &str, record: impl FnOnce(&mut V)) {
+    match map.get_mut(name) {
+        Some(series) => record(series),
+        None => record(map.entry(name.to_owned()).or_default()),
+    }
+}
+
 /// A named registry of counters, gauges, and histograms for one run.
 #[derive(Debug, Clone, Default)]
 pub struct Metrics {
@@ -268,7 +278,7 @@ impl Metrics {
 
     /// Adds `by` to the counter `name` (creating it at zero).
     pub fn inc_by(&mut self, name: &str, by: u64) {
-        *self.counters.entry(name.to_owned()).or_insert(0) += by;
+        with_series(&mut self.counters, name, |c| *c += by);
     }
 
     /// Adds one to the counter `name`.
@@ -283,7 +293,7 @@ impl Metrics {
 
     /// Appends a gauge sample at time `t`.
     pub fn gauge(&mut self, name: &str, t: SimTime, v: f64) {
-        self.gauges.entry(name.to_owned()).or_default().push((t, v));
+        with_series(&mut self.gauges, name, |s| s.push((t, v)));
     }
 
     /// The sample series of a gauge (empty if never sampled).
@@ -329,10 +339,7 @@ impl Metrics {
 
     /// Records an observation into histogram `name`.
     pub fn observe(&mut self, name: &str, v: f64) {
-        self.histograms
-            .entry(name.to_owned())
-            .or_default()
-            .observe(v);
+        with_series(&mut self.histograms, name, |h| h.observe(v));
     }
 
     /// The histogram `name`, if any observation was recorded.
@@ -382,19 +389,13 @@ impl Metrics {
     /// histograms concatenate).
     pub fn merge(&mut self, other: &Metrics) {
         for (k, v) in &other.counters {
-            *self.counters.entry(k.clone()).or_insert(0) += v;
+            with_series(&mut self.counters, k, |c| *c += v);
         }
         for (k, series) in &other.gauges {
-            self.gauges
-                .entry(k.clone())
-                .or_default()
-                .extend(series.iter().copied());
+            with_series(&mut self.gauges, k, |s| s.extend(series.iter().copied()));
         }
         for (k, h) in &other.histograms {
-            let dst = self.histograms.entry(k.clone()).or_default();
-            for &v in h.values() {
-                dst.observe(v);
-            }
+            with_series(&mut self.histograms, k, |dst| dst.values.extend_from_slice(&h.values));
         }
     }
 }
@@ -433,6 +434,24 @@ mod tests {
         m.inc_by("x", 4);
         assert_eq!(m.counter("x"), 5);
         assert_eq!(m.counters().collect::<Vec<_>>(), vec![("x", 5)]);
+    }
+
+    #[test]
+    fn a_series_exists_from_its_first_recording_and_only_once() {
+        let mut m = Metrics::new();
+        m.inc_by("b", 0);
+        m.inc_by("a", 0);
+        m.inc_by("b", 0);
+        // Incrementing by zero still creates the counter, in name order.
+        assert_eq!(m.counters().collect::<Vec<_>>(), vec![("a", 0), ("b", 0)]);
+        for v in [1.0, 2.0] {
+            m.observe("h", v);
+            m.gauge("g", SimTime::ZERO, v);
+        }
+        assert_eq!(m.histograms().count(), 1);
+        assert_eq!(m.histogram("h").unwrap().values(), [1.0, 2.0]);
+        assert_eq!(m.gauge_series("g").len(), 2);
+        assert!(m.snapshot().to_json().contains("\"a\": 0,\n    \"b\": 0"));
     }
 
     #[test]

@@ -62,6 +62,9 @@ pub struct StoreStats {
     pub wal_segments: u64,
     /// Compactions performed.
     pub wal_compactions: u64,
+    /// Records written by those compactions: over `wal_appends` it is the
+    /// log's write amplification.
+    pub wal_checkpoint_records: u64,
     /// Records replayed by recoveries.
     pub recovery_replay_records: u64,
     /// Recoveries that had to truncate a torn or corrupt tail.
@@ -121,7 +124,11 @@ pub struct SiteStore {
     decisions: BTreeMap<TxnId, bool>,
     paxos: BTreeMap<TxnId, PaxosState>,
     epoch: u32,
+    /// Floor of the checkpoint rule, see [`SiteStore::maybe_compact`].
     compact_threshold: usize,
+    /// Records in the image the log was last rebuilt from: what the last
+    /// [`SiteStore::compact`] wrote, or what the last recovery replayed.
+    last_checkpoint: usize,
     /// Monotonic count of records ever appended; unlike the WAL length it is
     /// never reset by compaction, so it names crash points stably.
     append_seq: u64,
@@ -157,6 +164,7 @@ impl Clone for SiteStore {
             paxos: self.paxos.clone(),
             epoch: self.epoch,
             compact_threshold: self.compact_threshold,
+            last_checkpoint: self.last_checkpoint,
             append_seq: self.append_seq,
             drained: StorageStats::default(),
             drained_lsm: KeyspaceStats::default(),
@@ -184,6 +192,7 @@ impl SiteStore {
             paxos: BTreeMap::new(),
             epoch: 0,
             compact_threshold: 4096,
+            last_checkpoint: 0,
             append_seq: 0,
             drained: StorageStats::default(),
             drained_lsm: KeyspaceStats::default(),
@@ -201,7 +210,9 @@ impl SiteStore {
         store
     }
 
-    /// Sets how many WAL appends trigger [`SiteStore::maybe_compact`].
+    /// Sets the floor of the checkpoint rule: the fewest records appended
+    /// since the last checkpoint at which [`SiteStore::maybe_compact`] runs
+    /// one (default 4,096).
     pub fn with_compact_threshold(mut self, threshold: usize) -> Self {
         self.compact_threshold = threshold;
         self
@@ -250,6 +261,7 @@ impl SiteStore {
         out.wal_syncs = now.syncs - self.drained.syncs;
         out.wal_segments = now.segments_created - self.drained.segments_created;
         out.wal_compactions = now.compactions - self.drained.compactions;
+        out.wal_checkpoint_records = now.checkpoint_records - self.drained.checkpoint_records;
         out.lsm_flushes = lsm.flushes - self.drained_lsm.flushes;
         out.lsm_compactions = lsm.compactions - self.drained_lsm.compactions;
         out.lsm_gc_dropped = lsm.gc_dropped - self.drained_lsm.gc_dropped;
@@ -655,6 +667,7 @@ impl SiteStore {
         self.recovery
             .recovery_durations
             .push(started.elapsed().as_secs_f64());
+        self.last_checkpoint = wal.len();
         self.wal = wal;
     }
 
@@ -713,10 +726,21 @@ impl SiteStore {
         }
     }
 
-    /// Compacts the WAL into a snapshot if enough has been appended since the
-    /// last compaction. Returns whether compaction ran.
+    /// Checkpoints the WAL ([`SiteStore::compact`]) once the log has doubled:
+    /// when the records appended since the last checkpoint reach the number
+    /// that checkpoint wrote, and at least the `compact_threshold` floor.
+    /// Returns whether a checkpoint ran.
+    ///
+    /// A checkpoint rewrites the whole live state, so a fixed period would
+    /// cost O(state) every `compact_threshold` appends; waiting for the log
+    /// to double makes it amortised O(1) per append (a checkpoint holds at
+    /// most the previous one plus what was appended since, so checkpoints
+    /// write no more than two records per record appended) and keeps the
+    /// log — what a recovery replays — within twice the last checkpoint plus
+    /// the floor.
     pub fn maybe_compact(&mut self) -> bool {
-        if self.wal.appended_since_compaction() < self.compact_threshold {
+        let due = self.compact_threshold.max(self.last_checkpoint);
+        if self.wal.appended_since_compaction() < due {
             return false;
         }
         self.compact();
@@ -779,6 +803,7 @@ impl SiteStore {
         self.storage
             .reset(&records)
             .expect("stable storage compaction failed");
+        self.last_checkpoint = records.len();
         self.wal.replace_with(records);
     }
 
@@ -1015,6 +1040,92 @@ mod tests {
         assert_eq!(s.get(ItemId(1)), Some(simple(19)));
         // Below threshold → no compaction.
         assert!(!s.maybe_compact());
+    }
+
+    /// The doubling rule's three promises, on a site-sized store: a seeded
+    /// table, then transfers this site takes part in, a third of which it
+    /// also coordinates (so the checkpointed state grows, as `decisions`
+    /// does).
+    #[test]
+    fn checkpoint_write_amplification_is_bounded() {
+        const SEED: u64 = 10_000;
+        const FLOOR: usize = 64;
+        let mut store = SiteStore::new().with_compact_threshold(FLOOR);
+        let mut twin = SiteStore::new();
+        for s in [&mut store, &mut twin] {
+            for item in 0..SEED {
+                s.seed_item(ItemId(item), Value::Int(100));
+            }
+        }
+        let mut last_checkpoint = 0;
+        for n in 0..100_000u64 {
+            let (txn, item) = (TxnId(n), ItemId(n * 7919 % SEED));
+            for s in [&mut store, &mut twin] {
+                s.stage(txn, 1, vec![(item, simple(n as i64))]);
+                if n % 3 == 0 {
+                    s.record_decision(txn, true);
+                }
+                s.apply_decision(txn, true);
+            }
+            if store.maybe_compact() {
+                last_checkpoint = store.wal().len();
+            }
+            assert!(
+                store.wal().len() <= 2 * last_checkpoint + FLOOR,
+                "log of {} records after a checkpoint of {last_checkpoint}",
+                store.wal().len()
+            );
+        }
+        let stats = store.take_stats();
+        assert!(stats.wal_compactions > 0);
+        assert!(
+            stats.wal_checkpoint_records <= 2 * stats.wal_appends + SEED,
+            "{} records rewritten for {} appended",
+            stats.wal_checkpoint_records,
+            stats.wal_appends
+        );
+        let view = |s: &SiteStore| format!("{:?}", s.logical_view());
+        assert_eq!(view(&store), view(&twin));
+        store.crash_and_recover();
+        twin.crash_and_recover();
+        assert_eq!(view(&store), view(&twin));
+        // The recovered image counts as the last checkpoint: the next one
+        // waits for the log to double again.
+        let replayed = store.take_stats().recovery_replay_records as usize;
+        assert!(replayed <= 2 * last_checkpoint + FLOOR);
+        assert!(!store.maybe_compact());
+    }
+
+    #[test]
+    fn checkpoint_waits_for_the_log_to_double() {
+        let mut s = SiteStore::new().with_compact_threshold(4);
+        for item in 0..10 {
+            s.seed_item(ItemId(item), Value::Int(0));
+        }
+        // The floor decides while nothing has been checkpointed yet.
+        assert!(s.maybe_compact());
+        assert_eq!(s.wal().len(), 10);
+        // From then on the last checkpoint's size does: 9 overwrites leave
+        // the log at 19 records, the 10th doubles it.
+        for i in 0..9 {
+            s.set_entry(ItemId(0), simple(i));
+            assert!(!s.maybe_compact(), "after {} appends", i + 1);
+        }
+        s.set_entry(ItemId(0), simple(9));
+        assert!(s.maybe_compact());
+        assert_eq!(s.wal().len(), 10);
+        // A recovery's image is a checkpoint too.
+        for i in 0..5 {
+            s.set_entry(ItemId(1), simple(i));
+        }
+        s.crash_and_recover();
+        for i in 0..14 {
+            s.set_entry(ItemId(1), simple(i));
+            assert!(!s.maybe_compact());
+        }
+        s.set_entry(ItemId(1), simple(14));
+        assert!(s.maybe_compact());
+        assert_eq!(s.take_stats().wal_checkpoint_records, 30);
     }
 
     #[test]
@@ -1278,6 +1389,7 @@ mod tests {
         let busy = s.take_stats();
         assert!(busy.wal_bytes > 0);
         assert_eq!(busy.wal_compactions, 1);
+        assert_eq!(busy.wal_checkpoint_records, 1);
         assert_eq!(busy.recovery_replay_records, 2);
         assert_eq!(busy.recovery_durations.len(), 1);
     }

@@ -95,6 +95,8 @@ pub struct StorageStats {
     pub segments_created: u64,
     /// Compactions performed ([`Storage::reset`] calls).
     pub compactions: u64,
+    /// Records written by those compactions.
+    pub checkpoint_records: u64,
 }
 
 /// One site's stable storage: an append-only, checksummed-framed log.
@@ -253,6 +255,7 @@ impl Storage for MemStorage {
         self.unsynced.clear();
         self.unsynced_appends = 0;
         self.stats.compactions += 1;
+        self.stats.checkpoint_records += records.len() as u64;
         self.stats.segments_created += 1;
         self.stats.syncs += 1;
         Ok(())
@@ -518,6 +521,7 @@ impl Storage for DiskWal {
         self.unsynced_appends = 0;
         self.reopen_active()?;
         self.stats.compactions += 1;
+        self.stats.checkpoint_records += records.len() as u64;
         self.stats.segments_created += 1;
         self.stats.syncs += 1;
         Ok(())

@@ -308,4 +308,31 @@ proptest! {
         compacted.crash_and_recover();
         prop_assert_eq!(&before, &observe(&compacted));
     }
+
+    /// The same sequences with every `Compact` left to the checkpoint rule
+    /// (floor 1): it runs exactly when the appends since the last checkpoint
+    /// reach what that checkpoint wrote, and whether it ran is invisible.
+    #[test]
+    fn checkpoint_rule_is_invisible(ops in prop::collection::vec(op_strategy(), 0..40)) {
+        let mut plain = seeded_store();
+        let mut ruled = seeded_store().with_compact_threshold(1);
+        let (mut last_checkpoint, mut appended_at) = (0, 0);
+        for op in &ops {
+            apply(&mut plain, op);
+            if !matches!(op, Op::Compact) {
+                apply(&mut ruled, op);
+                continue;
+            }
+            let appended = ruled.append_seq() - appended_at;
+            let ran = ruled.maybe_compact();
+            prop_assert_eq!(ran, appended >= last_checkpoint.max(1));
+            if ran {
+                last_checkpoint = ruled.wal().len() as u64;
+                appended_at = ruled.append_seq();
+            }
+            prop_assert_eq!(observe(&plain), observe(&ruled));
+        }
+        ruled.crash_and_recover();
+        prop_assert_eq!(observe(&plain), observe(&ruled));
+    }
 }
