@@ -46,6 +46,7 @@ pub mod cond;
 pub mod entry;
 pub mod expectation;
 pub mod expr;
+pub mod hash;
 pub mod poly;
 pub mod spec;
 pub mod txn;
@@ -55,6 +56,7 @@ pub use cond::{Condition, Literal, Product};
 pub use entry::Entry;
 pub use expectation::{condition_probability, EntryExpectation, OutcomePrior};
 pub use expr::{evaluate, EvalOutcome, Expr, ItemId, SplitMode};
+pub use hash::{DetHasher, DetState};
 pub use poly::{PolyError, Polyvalue};
 pub use spec::TransactionSpec;
 pub use txn::{Outcome, TxnId};

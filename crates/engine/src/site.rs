@@ -101,10 +101,18 @@ impl Site {
         let cold_start = !store.wal().is_empty();
         let mut site = Site::with_store(id, topo.engine.clone(), topo.directory.clone(), store);
         site.cold_start = cold_start;
-        for (item, value) in &topo.items {
-            if topo.directory.site_of(*item) == Some(id) && !site.store.contains(*item) {
-                site.seed_item(*item, value.clone());
-            }
+        let seeds: Vec<_> = topo
+            .items
+            .iter()
+            .filter(|(item, _)| {
+                topo.directory.site_of(*item) == Some(id) && !site.store.contains(*item)
+            })
+            .collect();
+        // Sized once: a doubling index would leave its outgrown tables
+        // behind as allocator holes, a few MiB of peak RSS per cluster.
+        site.store.reserve_items(seeds.len());
+        for (item, value) in seeds {
+            site.seed_item(*item, value.clone());
         }
         site.sync_store();
         site
@@ -214,27 +222,32 @@ impl Site {
     /// Drains the store's accumulated storage/recovery statistics into the
     /// shared metrics registry. Called after every actor callback so the
     /// counters track the WAL in near-real time without the store needing a
-    /// metrics handle of its own.
+    /// metrics handle of its own. Only the deltas that moved are recorded:
+    /// an absent counter reads as 0, and most callbacks move only the WAL's.
     fn flush_storage_metrics(&mut self, ctx: &mut Ctx<Msg>) {
         let stats = self.store.take_stats();
         if stats.is_empty() {
             return;
         }
-        ctx.metrics().inc_by("wal.bytes", stats.wal_bytes);
-        ctx.metrics().inc_by("wal.appends", stats.wal_appends);
-        ctx.metrics().inc_by("wal.syncs", stats.wal_syncs);
-        ctx.metrics().inc_by("wal.segments", stats.wal_segments);
-        ctx.metrics().inc_by("wal.compactions", stats.wal_compactions);
-        ctx.metrics()
-            .inc_by("wal.checkpoint_records", stats.wal_checkpoint_records);
-        ctx.metrics()
-            .inc_by("recovery.replay_records", stats.recovery_replay_records);
-        ctx.metrics()
-            .inc_by("recovery.truncations", stats.recovery_truncations);
-        ctx.metrics().inc_by("store.flushes", stats.lsm_flushes);
-        ctx.metrics().inc_by("store.compactions", stats.lsm_compactions);
-        ctx.metrics().inc_by("store.gc_dropped", stats.lsm_gc_dropped);
-        ctx.metrics().inc_by("store.snapshot_reads", stats.snapshot_reads);
+        let deltas = [
+            ("wal.bytes", stats.wal_bytes),
+            ("wal.appends", stats.wal_appends),
+            ("wal.syncs", stats.wal_syncs),
+            ("wal.segments", stats.wal_segments),
+            ("wal.compactions", stats.wal_compactions),
+            ("wal.checkpoint_records", stats.wal_checkpoint_records),
+            ("recovery.replay_records", stats.recovery_replay_records),
+            ("recovery.truncations", stats.recovery_truncations),
+            ("store.flushes", stats.lsm_flushes),
+            ("store.compactions", stats.lsm_compactions),
+            ("store.gc_dropped", stats.lsm_gc_dropped),
+            ("store.snapshot_reads", stats.snapshot_reads),
+        ];
+        for (name, delta) in deltas {
+            if delta > 0 {
+                ctx.metrics().inc_by(name, delta);
+            }
+        }
         if self.wall_clock_metrics {
             for d in stats.recovery_durations {
                 ctx.metrics().observe("recovery.duration", d);

@@ -18,57 +18,12 @@
 //! [`release_all`]: LockTable::release_all
 //! [`conflicts`]: LockTable::conflicts
 
-use pv_core::{ItemId, TxnId};
+use pv_core::{DetHasher, DetState, ItemId, TxnId};
 use std::collections::{BTreeSet, HashMap};
-use std::hash::{BuildHasher, Hasher};
+use std::hash::Hasher;
 
 /// Number of shards; a power of two so the shard index is a mask.
 const SHARDS: usize = 16;
-
-/// An FxHash-style multiply-rotate hasher. Deterministic across processes
-/// and platforms (unlike `RandomState`), so sharding and map layout are
-/// reproducible — and no per-process seed can perturb anything observable.
-#[derive(Debug, Clone, Default)]
-pub struct DetHasher(u64);
-
-impl Hasher for DetHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.mix(b as u64);
-        }
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.mix(n);
-    }
-
-    fn write_usize(&mut self, n: usize) {
-        self.mix(n as u64);
-    }
-}
-
-impl DetHasher {
-    fn mix(&mut self, word: u64) {
-        const K: u64 = 0x517c_c1b7_2722_0a95;
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(K);
-    }
-}
-
-/// [`BuildHasher`] for [`DetHasher`] (zero state, fully deterministic).
-#[derive(Debug, Clone, Default)]
-pub struct DetState;
-
-impl BuildHasher for DetState {
-    type Hasher = DetHasher;
-
-    fn build_hasher(&self) -> DetHasher {
-        DetHasher::default()
-    }
-}
 
 /// A hash map keyed with the deterministic hasher.
 type DetMap<K, V> = HashMap<K, V, DetState>;

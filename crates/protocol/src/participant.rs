@@ -324,7 +324,7 @@ impl SiteMachine {
         let mut entries = Vec::with_capacity(items.len());
         let mut sent: Vec<TxnId> = Vec::new();
         for &(item, _) in items {
-            let entry = store.get(item).expect("existence checked").clone();
+            let entry = store.get(item).expect("existence checked");
             sent.extend(entry.deps());
             entries.push((item, entry));
         }

@@ -1,15 +1,19 @@
 //! The partitioned LSM keyspace: MVCC version chains behind the WAL.
 //!
-//! [`Keyspace`] is the materialised table a site serves reads from. The
-//! layout follows the classic memtable-plus-sorted-runs idiom (fjall-style):
+//! [`Keyspace`] is the materialised table a site serves reads from. Each
+//! item's **newest version** lives in one hash map, the only place it is
+//! stored: the protocol's reads, writes and existence checks are one probe.
+//! Everything older is **history**, kept for snapshot reads in the classic
+//! memtable-plus-sorted-runs idiom (fjall-style):
 //!
 //! * items hash into a fixed set of **partitions**;
-//! * each partition holds a **memtable** of version chains plus a stack of
-//!   immutable sorted **runs**;
-//! * a memtable that reaches its entry threshold is **flushed** into a new
-//!   run; when a partition accumulates `run_threshold` runs they are
-//!   **size-tiered compacted** into one, dropping versions no live snapshot
-//!   can see.
+//! * a write that supersedes an item's newest version moves the superseded
+//!   version into its partition's **memtable**; an item's first write
+//!   enters none;
+//! * a memtable that reaches its entry threshold is **flushed** into an
+//!   immutable run sorted by `(item, seq)`; when a partition accumulates
+//!   `run_threshold` runs they are **size-tiered compacted** into one,
+//!   dropping history no live snapshot can see.
 //!
 //! Every write is stamped with a monotone [`SeqNo`], so an entry's history
 //! is a version chain: a polyvalue install is just another version whose
@@ -17,16 +21,18 @@
 //! next version up the chain — no special casing anywhere in the storage
 //! layer. A [`SnapshotTracker`] pins the oldest sequence number any live
 //! read-only transaction may still visit; compaction garbage-collects
-//! versions strictly below every pin (keeping, per item, the newest version
-//! at or below the horizon, which is exactly what any pinned snapshot
-//! resolves to).
+//! history strictly below every pin. Per item it keeps the versions above
+//! the horizon plus the newest at or below it — exactly what any pinned
+//! snapshot resolves to — and keeps none once the newest version itself is
+//! at or below the horizon. With no pin live, a compacted keyspace holds one
+//! version per item.
 //!
 //! **Durability split.** The WAL is the commit log and the sole recovery
 //! authority: the keyspace is derived state, held in memory and rebuilt by
 //! WAL replay on every recovery.
 
-use pv_core::{Entry, ItemId, Value};
-use std::collections::{BTreeMap, BTreeSet};
+use pv_core::{DetState, Entry, ItemId, Value};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// A monotone sequence number stamped on every version written to the
 /// keyspace. Snapshot reads are "the newest version at or below this".
@@ -50,7 +56,8 @@ pub struct Version {
 pub struct KeyspaceConfig {
     /// Number of hash partitions items spread over.
     pub partitions: usize,
-    /// Versions a partition's memtable holds before flushing into a run.
+    /// Superseded versions a partition's memtable holds before flushing
+    /// into a run.
     pub memtable_max_entries: usize,
     /// Runs a partition accumulates before they are compacted into one.
     pub run_threshold: usize,
@@ -128,23 +135,30 @@ impl Run {
     }
 }
 
-/// One hash partition: a mutable memtable of version chains plus a stack of
-/// immutable sorted runs (newest last).
+/// One hash partition's history: a memtable of superseded versions in the
+/// order they were superseded (so each item's are in `seq` order) plus a
+/// stack of immutable sorted runs (newest last). For any one item, every
+/// memtable version is newer than every run version, and a newer run's
+/// versions are newer than an older run's.
 #[derive(Debug, Clone, Default)]
 struct Partition {
-    memtable: BTreeMap<ItemId, Vec<Version>>,
-    memtable_versions: usize,
+    memtable: Vec<(ItemId, Version)>,
     runs: Vec<Run>,
 }
 
 impl Partition {
+    /// The newest history version of `item` with `seq <= snap`, if any.
     fn get_at(&self, item: ItemId, snap: SeqNo) -> Option<&Version> {
-        if let Some(chain) = self.memtable.get(&item) {
-            if let Some(v) = chain.iter().rev().find(|v| v.seq <= snap) {
-                return Some(v);
-            }
-        }
-        self.runs.iter().rev().find_map(|r| r.get_at(item, snap))
+        self.memtable
+            .iter()
+            .rev()
+            .find(|(i, v)| *i == item && v.seq <= snap)
+            .map(|(_, v)| v)
+            .or_else(|| self.runs.iter().rev().find_map(|r| r.get_at(item, snap)))
+    }
+
+    fn version_count(&self) -> usize {
+        self.memtable.len() + self.runs.iter().map(|r| r.versions.len()).sum::<usize>()
     }
 }
 
@@ -156,7 +170,7 @@ pub struct KeyspaceStats {
     pub flushes: u64,
     /// Size-tiered compactions performed.
     pub compactions: u64,
-    /// Versions dropped by compaction GC (invisible to every pin).
+    /// History versions dropped by compaction GC (invisible to every pin).
     pub gc_dropped: u64,
 }
 
@@ -169,8 +183,9 @@ pub struct Keyspace {
     /// The sequence number of the most recent write (0 = nothing written).
     seq: SeqNo,
     tracker: SnapshotTracker,
-    /// Index of every item ever written (iteration order + O(log n) count).
-    items: BTreeSet<ItemId>,
+    /// Each item's newest version, held nowhere else; its keys are every
+    /// item ever written.
+    latest: HashMap<ItemId, Version, DetState>,
     /// Items whose *latest* version is a polyvalue — the paper's `P(t)`.
     poly_items: BTreeSet<ItemId>,
     /// Counts every flush and compaction: the LSM's crash-coordinate
@@ -195,7 +210,7 @@ impl Keyspace {
             parts: vec![Partition::default(); partitions],
             seq: 0,
             tracker: SnapshotTracker::default(),
-            items: BTreeSet::new(),
+            latest: HashMap::default(),
             poly_items: BTreeSet::new(),
             op_seq: 0,
             stats: KeyspaceStats::default(),
@@ -214,12 +229,18 @@ impl Keyspace {
         self.cfg
     }
 
+    /// Makes room for at least `additional` more items.
+    pub fn reserve(&mut self, additional: usize) {
+        self.latest.reserve(additional);
+    }
+
     fn part_of(&self, item: ItemId) -> usize {
         (item.0 % self.parts.len() as u64) as usize
     }
 
     /// Installs `entry` as the next version of `item`, returning its
-    /// [`SeqNo`]. May flush the item's partition and trigger compaction.
+    /// [`SeqNo`]. The version it supersedes, if any, enters the item's
+    /// partition memtable, which may flush and trigger compaction.
     pub fn put(&mut self, item: ItemId, entry: Entry<Value>) -> SeqNo {
         self.seq += 1;
         let seq = self.seq;
@@ -228,81 +249,98 @@ impl Keyspace {
         } else {
             self.poly_items.remove(&item);
         }
-        self.items.insert(item);
+        let Some(superseded) = self.latest.insert(item, Version { seq, entry }) else {
+            return seq;
+        };
         let p = self.part_of(item);
         let part = &mut self.parts[p];
-        part.memtable.entry(item).or_default().push(Version { seq, entry });
-        part.memtable_versions += 1;
-        if part.memtable_versions >= self.cfg.memtable_max_entries {
+        part.memtable.push((item, superseded));
+        if part.memtable.len() >= self.cfg.memtable_max_entries {
             self.flush_partition(p);
+            if self.parts[p].runs.len() >= self.cfg.run_threshold {
+                self.compact_partition(p);
+            }
         }
         seq
     }
 
-    /// Flushes partition `p`'s memtable into a new run, then compacts the
-    /// partition if it crossed the run threshold.
+    /// Flushes partition `p`'s memtable into a new run.
     fn flush_partition(&mut self, p: usize) {
-        let part = &mut self.parts[p];
-        if part.memtable.is_empty() {
-            return;
-        }
-        let mut versions = Vec::with_capacity(part.memtable_versions);
-        for (item, chain) in std::mem::take(&mut part.memtable) {
-            for v in chain {
-                versions.push((item, v));
-            }
-        }
-        part.memtable_versions = 0;
-        let run = Run { versions };
+        let mut versions = std::mem::take(&mut self.parts[p].memtable);
+        // Stable: each item's versions keep their (ascending) seq order.
+        versions.sort_by_key(|(item, _)| *item);
+        self.parts[p].runs.push(Run { versions });
         self.op_seq += 1;
         self.stats.flushes += 1;
-        self.parts[p].runs.push(run);
-        if self.parts[p].runs.len() >= self.cfg.run_threshold {
-            self.compact_partition(p);
-        }
     }
 
     /// Size-tiered compaction: merges every run of partition `p` into one,
-    /// dropping versions invisible to the oldest pinned snapshot. The GC
-    /// horizon is `min(oldest pin, current seq)`; per item, every version
-    /// above the horizon survives plus the newest at-or-below it (that one
-    /// is what the oldest pin resolves the item to).
+    /// dropping history invisible to the oldest pinned snapshot. The GC
+    /// horizon is `min(oldest pin, current seq)`. Per item, every version
+    /// above the horizon survives plus the newest at-or-below it (what the
+    /// oldest pin resolves the item to) — unless the item's newest version
+    /// is itself at or below the horizon, when every pin resolves to that
+    /// and none of the history survives.
     fn compact_partition(&mut self, p: usize) {
         let horizon = self.tracker.oldest().unwrap_or(self.seq).min(self.seq);
-        let part = &mut self.parts[p];
-        let mut chains: BTreeMap<ItemId, Vec<Version>> = BTreeMap::new();
-        for run in part.runs.drain(..) {
-            for (item, v) in run.versions {
-                chains.entry(item).or_default().push(v);
-            }
-        }
-        let mut versions = Vec::new();
-        let mut dropped = 0u64;
-        for (item, mut chain) in chains {
-            chain.sort_by_key(|v| v.seq);
-            let keep_from = chain
-                .iter()
-                .rposition(|v| v.seq <= horizon)
-                .unwrap_or(0);
-            dropped += keep_from as u64;
-            for v in chain.into_iter().skip(keep_from) {
+        // Runs are oldest first, so a stable sort of their concatenation
+        // orders every item's versions by seq.
+        let mut merged: Vec<(ItemId, Version)> = self.parts[p]
+            .runs
+            .drain(..)
+            .flat_map(|r| r.versions)
+            .collect();
+        merged.sort_by_key(|(item, _)| *item);
+        let before = merged.len();
+        let mut versions = Vec::with_capacity(before);
+        // Newest first: `covered` is the item whose newest at-or-below-
+        // horizon version has been seen, so older ones are invisible.
+        let mut covered = None;
+        for (item, v) in merged.into_iter().rev() {
+            if v.seq > horizon {
                 versions.push((item, v));
+            } else if covered != Some(item) {
+                covered = Some(item);
+                let newest = self.latest.get(&item).expect("history belongs to a written item");
+                if newest.seq > horizon {
+                    versions.push((item, v));
+                }
             }
         }
-        let run = Run { versions };
+        versions.reverse();
         self.op_seq += 1;
         self.stats.compactions += 1;
-        self.stats.gc_dropped += dropped;
-        self.parts[p].runs = vec![run];
+        self.stats.gc_dropped += (before - versions.len()) as u64;
+        if !versions.is_empty() {
+            self.parts[p].runs.push(Run { versions });
+        }
+    }
+
+    /// Flushes every partition's memtable and compacts its runs into at
+    /// most one, regardless of thresholds. With no pin live this leaves
+    /// one version per item.
+    pub fn compact_all(&mut self) {
+        for p in 0..self.parts.len() {
+            if !self.parts[p].memtable.is_empty() {
+                self.flush_partition(p);
+            }
+            if !self.parts[p].runs.is_empty() {
+                self.compact_partition(p);
+            }
+        }
     }
 
     /// The newest entry of `item`.
     pub fn latest(&self, item: ItemId) -> Option<&Entry<Value>> {
-        self.get_at(item, self.seq)
+        self.latest.get(&item).map(|v| &v.entry)
     }
 
     /// The newest entry of `item` visible at snapshot `snap`.
     pub fn get_at(&self, item: ItemId, snap: SeqNo) -> Option<&Entry<Value>> {
+        let newest = self.latest.get(&item)?;
+        if newest.seq <= snap {
+            return Some(&newest.entry);
+        }
         self.parts[self.part_of(item)]
             .get_at(item, snap)
             .map(|v| &v.entry)
@@ -333,17 +371,17 @@ impl Keyspace {
 
     /// Number of distinct items ever written.
     pub fn len(&self) -> usize {
-        self.items.len()
+        self.latest.len()
     }
 
     /// Whether no item was ever written.
     pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
+        self.latest.is_empty()
     }
 
     /// Whether `item` has any version.
     pub fn contains(&self, item: ItemId) -> bool {
-        self.items.contains(&item)
+        self.latest.contains_key(&item)
     }
 
     /// Number of items whose latest version is a polyvalue.
@@ -353,17 +391,17 @@ impl Keyspace {
 
     /// Iterates `(item, latest entry)` in item order.
     pub fn iter_latest(&self) -> impl Iterator<Item = (ItemId, &Entry<Value>)> + '_ {
-        self.items.iter().filter_map(move |&item| {
-            self.latest(item).map(|e| (item, e))
-        })
+        let mut items: Vec<(ItemId, &Entry<Value>)> =
+            self.latest.iter().map(|(&i, v)| (i, &v.entry)).collect();
+        items.sort_unstable_by_key(|(i, _)| *i);
+        items.into_iter()
     }
 
-    /// Total versions held across memtables and runs.
+    /// Total versions held: one newest per item plus the history in
+    /// memtables and runs.
     pub fn version_count(&self) -> usize {
-        self.parts
-            .iter()
-            .map(|p| p.memtable_versions + p.runs.iter().map(|r| r.versions.len()).sum::<usize>())
-            .sum()
+        let history: usize = self.parts.iter().map(Partition::version_count).sum();
+        self.latest.len() + history
     }
 
     /// Total runs across all partitions.
@@ -391,11 +429,10 @@ impl Keyspace {
     pub fn clear(&mut self) {
         for part in &mut self.parts {
             part.memtable.clear();
-            part.memtable_versions = 0;
             part.runs.clear();
         }
         self.seq = 0;
-        self.items.clear();
+        self.latest.clear();
         self.poly_items.clear();
         self.tracker.clear();
         // op_seq / stats deliberately survive: op_seq is a lifetime crash
@@ -453,18 +490,56 @@ mod tests {
     #[test]
     fn flush_and_compaction_fire_at_thresholds() {
         let mut ks = tiny();
-        // Partition 1 (odd item): 4 versions per flush, 3 runs compact.
-        for i in 0..12 {
+        // Partition 1 (odd item). The first write enters only the newest-
+        // version map; each of the next 12 supersedes one version into the
+        // memtable: 4 per flush, and the third run triggers compaction.
+        for i in 0..13 {
             ks.put(ItemId(1), simple(i));
         }
         let st = ks.stats();
         assert_eq!(st.flushes, 3);
         assert_eq!(st.compactions, 1);
-        assert!(st.gc_dropped > 0);
-        assert_eq!(ks.latest(ItemId(1)), Some(&simple(11)));
-        // After GC with no pins, only the newest version survives the
-        // compacted run.
-        assert_eq!(ks.run_count(), 1);
+        // No pin is live, so the compaction dropped the whole history.
+        assert_eq!(st.gc_dropped, 12);
+        assert_eq!(ks.run_count(), 0);
+        assert_eq!(ks.version_count(), 1);
+        assert_eq!(ks.latest(ItemId(1)), Some(&simple(12)));
+    }
+
+    #[test]
+    fn seeding_performs_no_flush() {
+        let mut ks = tiny();
+        for i in 0..100 {
+            ks.put(ItemId(i), simple(i as i64));
+        }
+        assert_eq!(ks.stats().flushes, 0);
+        assert_eq!(ks.op_seq(), 0);
+        assert_eq!(ks.len(), 100);
+        assert_eq!(ks.version_count(), ks.len());
+    }
+
+    #[test]
+    fn superseded_version_stays_visible_to_its_pin() {
+        let mut ks = tiny();
+        let item = ItemId(1);
+        ks.put(item, simple(1));
+        let s1 = ks.snapshot_acquire();
+        ks.put(item, simple(2));
+        ks.compact_all();
+        // v2 is only in the newest-version map; superseding it must move it
+        // into history where the pin taken between v2 and v3 finds it.
+        let s2 = ks.snapshot_acquire();
+        ks.put(item, simple(3));
+        assert_eq!(ks.get_at(item, s2), Some(&simple(2)));
+        assert_eq!(ks.get_at(item, s1), Some(&simple(1)));
+        ks.compact_all();
+        assert_eq!(ks.get_at(item, s2), Some(&simple(2)));
+        assert_eq!(ks.get_at(item, s1), Some(&simple(1)));
+        assert_eq!(ks.latest(item), Some(&simple(3)));
+        ks.snapshot_release(s1);
+        ks.snapshot_release(s2);
+        ks.compact_all();
+        assert_eq!(ks.version_count(), 1);
     }
 
     #[test]

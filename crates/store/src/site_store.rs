@@ -294,6 +294,12 @@ impl SiteStore {
         self.keyspace.latest(item).cloned()
     }
 
+    /// Makes room for at least `additional` more items, so seeding a known
+    /// population sizes the keyspace's index once.
+    pub fn reserve_items(&mut self, additional: usize) {
+        self.keyspace.reserve(additional);
+    }
+
     /// Whether this site holds `item`.
     pub fn contains(&self, item: ItemId) -> bool {
         self.keyspace.contains(item)

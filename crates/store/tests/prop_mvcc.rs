@@ -130,6 +130,48 @@ proptest! {
         }
     }
 
+    /// The newest-version map is the read path and history sits behind it:
+    /// `latest` is the last write, a read at the current seq agrees with
+    /// it, `iter_latest` is strictly item-ordered, and once every pin is
+    /// released a full compaction leaves exactly one version per item.
+    #[test]
+    fn newest_version_map_agrees_with_history(
+        steps in prop::collection::vec(step_strategy(), 0..80),
+    ) {
+        let mut ks = tiny_keyspace();
+        let mut model: BTreeMap<u64, i64> = BTreeMap::new();
+        let mut held: Vec<SeqNo> = Vec::new();
+        for step in &steps {
+            match step {
+                Step::Write { item, value } => {
+                    ks.put(ItemId(*item), Entry::Simple(Value::Int(*value)));
+                    model.insert(*item, *value);
+                }
+                Step::Acquire => held.push(ks.snapshot_acquire()),
+                Step::ReleaseOldest => {
+                    if !held.is_empty() {
+                        ks.snapshot_release(held.remove(0));
+                    }
+                }
+                Step::ReadOldest | Step::Crash => {}
+            }
+            let now = ks.current_seq();
+            for (item, value) in &model {
+                let latest = ks.latest(ItemId(*item));
+                prop_assert_eq!(latest.and_then(|e| e.as_simple()).and_then(|v| v.as_int()), Some(*value));
+                prop_assert_eq!(ks.get_at(ItemId(*item), now), latest);
+            }
+            let order: Vec<u64> = ks.iter_latest().map(|(i, _)| i.0).collect();
+            prop_assert!(order.windows(2).all(|w| w[0] < w[1]), "iter_latest out of order: {order:?}");
+            prop_assert_eq!(order.len(), model.len());
+        }
+        for snap in held {
+            ks.snapshot_release(snap);
+        }
+        ks.compact_all();
+        prop_assert_eq!(ks.version_count(), ks.len());
+    }
+
     /// Store-level MVCC with crashes: `snapshot_read` always returns the
     /// serial-order state, including immediately after a WAL replay
     /// rebuilt the keyspace from scratch.
