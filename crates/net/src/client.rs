@@ -7,9 +7,22 @@
 //! request id and [`NetClient::recv_reply`] collects replies in arrival
 //! order — which is what the load generator uses to hold N transactions in
 //! flight per connection.
+//!
+//! Frames are encoded into one write buffer, and a write carries everything
+//! queued in it. A submit's bytes leave in the call that queued them, with
+//! one exception: a [`NetClient::submit_async`] issued while a whole frame
+//! already waits in the read buffer. Its caller is draining replies that
+//! have arrived and will read again without blocking, so the submit waits
+//! for the write that the read path issues just before it would block —
+//! one `write` per drained batch instead of one per submit. Every other
+//! request (`submit`, `snapshot_read`, `inspect`, `metrics`,
+//! `configure_backoff`, `shutdown`) writes at once, [`NetClient::flush`]
+//! forces a deferred submit out, and dropping the client flushes on a
+//! best-effort basis. A fresh connection's read buffer is empty, so its
+//! submits always leave at once.
 
 use crate::backoff::Backoff;
-use crate::wire::{decode_frame, frame_bytes, Frame, NodeSnapshot, PeerKind};
+use crate::wire::{decode_frame, encode_frame, holds_frame, Frame, NodeSnapshot, PeerKind};
 use pv_core::TransactionSpec;
 use pv_engine::messages::{Msg, TxnResult};
 use pv_engine::topology::BackoffConfig;
@@ -23,6 +36,9 @@ use std::time::{Duration, Instant};
 pub struct NetClient {
     stream: TcpStream,
     rbuf: Vec<u8>,
+    /// Encoded frames not yet written (see the module docs for when they
+    /// leave).
+    wbuf: Vec<u8>,
     node: u32,
     next_req: u64,
 }
@@ -48,6 +64,7 @@ impl NetClient {
                     let mut client = NetClient {
                         stream,
                         rbuf: Vec::new(),
+                        wbuf: Vec::new(),
                         node,
                         next_req: 1,
                     };
@@ -71,11 +88,21 @@ impl NetClient {
         self.node
     }
 
+    /// Writes `frame` together with anything queued before it.
     fn send_frame(&mut self, frame: &Frame) -> Result<(), EngineError> {
-        let bytes = frame_bytes(frame)?;
-        self.stream
-            .write_all(&bytes)
-            .map_err(|e| EngineError::Io(format!("send: {e}")))
+        encode_frame(frame, &mut self.wbuf)?;
+        self.flush()
+    }
+
+    /// Writes every queued frame. A failed write leaves nothing queued: the
+    /// connection is broken either way.
+    pub fn flush(&mut self) -> Result<(), EngineError> {
+        if self.wbuf.is_empty() {
+            return Ok(());
+        }
+        let sent = self.stream.write_all(&self.wbuf);
+        self.wbuf.clear();
+        sent.map_err(|e| EngineError::Io(format!("send: {e}")))
     }
 
     /// Receives the next frame, blocking up to `deadline`.
@@ -88,6 +115,9 @@ impl NetClient {
                 self.rbuf.drain(..n);
                 return Ok(frame);
             }
+            // About to block: deferred submits leave first, or the replies
+            // this read waits for may never be sent.
+            self.flush()?;
             let remaining = limit.saturating_duration_since(Instant::now());
             if remaining.is_zero() {
                 return Err(EngineError::Timeout);
@@ -111,17 +141,24 @@ impl NetClient {
     }
 
     /// Sends a transaction without waiting for its reply; returns the
-    /// request id the eventual `Reply` will echo.
+    /// request id the eventual `Reply` will echo. While a whole frame waits
+    /// in the read buffer, the submit stays queued and leaves with the next
+    /// write: the read path's, just before it would block, any later
+    /// request's, a [`NetClient::flush`], or the client's drop.
     pub fn submit_async(&mut self, spec: &TransactionSpec) -> Result<u64, EngineError> {
         let req_id = self.next_req;
         self.next_req += 1;
-        self.send_frame(&Frame::Proto {
+        let frame = Frame::Proto {
             from: self.node,
             msg: Msg::Submit {
                 req_id,
                 spec: spec.clone(),
             },
-        })?;
+        };
+        encode_frame(&frame, &mut self.wbuf)?;
+        if !holds_frame(&self.rbuf) {
+            self.flush()?;
+        }
         Ok(req_id)
     }
 
@@ -151,6 +188,7 @@ impl NetClient {
         deadline: Duration,
     ) -> Result<TxnResult, EngineError> {
         let want = self.submit_async(spec)?;
+        self.flush()?;
         let limit = Instant::now() + deadline;
         loop {
             let remaining = limit.saturating_duration_since(Instant::now());
@@ -246,5 +284,13 @@ impl NetClient {
     /// Asks the site process to flush its WAL and exit cleanly.
     pub fn shutdown(&mut self) -> Result<(), EngineError> {
         self.send_frame(&Frame::Shutdown)
+    }
+}
+
+impl Drop for NetClient {
+    /// Sends a submit still deferred behind buffered replies; errors are
+    /// ignored, as the connection is closing anyway.
+    fn drop(&mut self) {
+        let _ = self.flush();
     }
 }

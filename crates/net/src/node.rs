@@ -6,7 +6,8 @@
 //! the [`SiteHost`] runs every callback, applies effects in emission order,
 //! steps self-sends and keeps the wall-clock timers. What this module adds
 //! is real I/O: a readiness loop over non-blocking `std::net` sockets
-//! (accept, read, decode, one write per connection per pass) and
+//! (accept, read until a short read, decode in place, one write per
+//! connection per pass) and
 //! **deadline-driven peer dialing**: connection attempts run on detached
 //! dialer threads and report back through a channel, so the event loop keeps
 //! serving live peers and clients while an unreachable peer is being
@@ -33,7 +34,8 @@
 use crate::backoff::{Backoff, Circuit, CircuitState, CircuitVerdict};
 use crate::poll::{self, PollFd};
 use crate::wire::{
-    decode_frame, encode_frame, Frame, NodeSnapshot, PeerKind, WireMetrics, MAX_FRAME_LEN,
+    decode_frame, encode_frame, DecodeError, Frame, NodeSnapshot, PeerKind, WireMetrics,
+    MAX_FRAME_LEN,
 };
 use pv_engine::messages::Msg;
 use pv_engine::topology::Topology;
@@ -50,6 +52,10 @@ use std::time::{Duration, Instant};
 /// Most protocol messages held for a down peer before the oldest drop.
 /// The §3.1 timers and §3.3 inquiries re-drive anything lost.
 const PENDING_CAP: usize = 4096;
+
+/// Bytes one `read` asks for. A read that returns fewer found the socket
+/// empty.
+const READ_CHUNK: usize = 16 * 1024;
 
 /// One live connection with read/write buffering. Writes that the socket
 /// will not take immediately stay queued in `wbuf` and drain as the peer
@@ -88,9 +94,12 @@ impl Conn {
         PollFd::new(&self.stream, poll::IN | out)
     }
 
-    /// Writes as much queued output as the socket accepts.
-    fn flush(&mut self) {
+    /// Writes as much queued output as the socket accepts; returns the
+    /// `write` calls made.
+    fn flush(&mut self) -> u64 {
+        let mut writes = 0;
         while !self.wbuf.is_empty() && !self.dead {
+            writes += 1;
             match self.stream.write(&self.wbuf) {
                 Ok(0) => {
                     self.dead = true;
@@ -105,13 +114,19 @@ impl Conn {
                 }
             }
         }
+        writes
     }
 
-    /// Reads everything currently available. EOF or a socket error marks
-    /// the connection dead (already buffered frames still parse).
-    fn fill(&mut self) {
-        let mut chunk = [0u8; 16 * 1024];
+    /// Reads what the socket holds, stopping after the first read shorter
+    /// than [`READ_CHUNK`]: the socket was empty then, and the
+    /// level-triggered wait reports anything that arrives later. EOF or a
+    /// socket error marks the connection dead (already buffered frames still
+    /// parse). Returns the `read` calls made.
+    fn fill(&mut self) -> u64 {
+        let mut chunk = [0u8; READ_CHUNK];
+        let mut reads = 0;
         loop {
+            reads += 1;
             match self.stream.read(&mut chunk) {
                 Ok(0) => {
                     self.dead = true;
@@ -125,6 +140,9 @@ impl Conn {
                         self.dead = true;
                         break;
                     }
+                    if n < READ_CHUNK {
+                        break;
+                    }
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
@@ -134,7 +152,44 @@ impl Conn {
                 }
             }
         }
+        reads
     }
+
+    /// Decodes every whole frame in the read buffer onto `events`, in order,
+    /// then drops the consumed bytes in one move. A malformed stream cannot
+    /// be resynchronised: the error marks the connection dead.
+    fn decode_into(
+        &mut self,
+        slot: usize,
+        events: &mut Vec<(usize, Frame)>,
+    ) -> Result<(), DecodeError> {
+        let mut at = 0;
+        let decoded = loop {
+            match decode_frame(&self.rbuf[at..]) {
+                Ok(Some((frame, n))) => {
+                    at += n;
+                    events.push((slot, frame));
+                }
+                Ok(None) => break Ok(()),
+                Err(e) => {
+                    self.dead = true;
+                    break Err(e);
+                }
+            }
+        };
+        self.rbuf.drain(..at);
+        decoded
+    }
+}
+
+/// Socket calls on connections since a `MetricsReq` last folded them into
+/// the registry. Plain fields, so the loop's hot path does no string-keyed
+/// lookup.
+#[derive(Default)]
+struct SockCounts {
+    reads: u64,
+    writes: u64,
+    polls: u64,
 }
 
 /// The dial/reconnect state of one outbound peer link.
@@ -223,6 +278,10 @@ pub struct Node {
     /// after sending their result; the loop waits on `wake_rx`.
     wake_rx: UnixStream,
     wake_tx: UnixStream,
+    /// The messages of the host call `drive` is running (kept for its
+    /// capacity).
+    out: Vec<(NodeId, Msg)>,
+    sock: SockCounts,
 }
 
 impl Node {
@@ -269,6 +328,8 @@ impl Node {
             routes: BTreeMap::new(),
             wake_rx,
             wake_tx,
+            out: Vec::new(),
+            sock: SockCounts::default(),
         })
     }
 
@@ -313,11 +374,12 @@ impl Node {
         &mut self,
         f: impl FnOnce(&mut SiteHost, &mut Metrics, &mut Trace, &mut Vec<(NodeId, Msg)>) -> R,
     ) -> Result<R, EngineError> {
-        let mut out = Vec::new();
+        let mut out = std::mem::take(&mut self.out);
         let result = f(&mut self.host, &mut self.metrics, &mut self.trace, &mut out);
-        for (to, msg) in out {
+        for (to, msg) in out.drain(..) {
             self.send(to, msg)?;
         }
+        self.out = out;
         Ok(result)
     }
 
@@ -511,8 +573,17 @@ impl Node {
     fn flush_all(&mut self) {
         let peers = self.peers.iter_mut().filter_map(|link| link.conn.as_mut());
         for conn in self.conns.iter_mut().flatten().chain(peers) {
-            conn.flush();
+            self.sock.writes += conn.flush();
         }
+    }
+
+    /// Adds the socket calls counted since the last fold to the registry as
+    /// `net.sock.reads`, `net.sock.writes` and `net.polls`.
+    fn fold_sock_counts(&mut self) {
+        let SockCounts { reads, writes, polls } = std::mem::take(&mut self.sock);
+        self.metrics.inc_by("net.sock.reads", reads);
+        self.metrics.inc_by("net.sock.writes", writes);
+        self.metrics.inc_by("net.polls", polls);
     }
 
     /// Records a failure on peer link `p`: the circuit opens with the next
@@ -581,6 +652,7 @@ impl Node {
         }
         let mut set: Vec<PollFd> = Vec::new();
         let mut sources: Vec<Source> = Vec::new();
+        let mut events: Vec<(usize, Frame)> = Vec::new();
         loop {
             // 1. Fire due timers.
             self.drive(|host, m, t, out| host.fire_due(m, t, out))?;
@@ -618,6 +690,7 @@ impl Node {
                     sources.push(Source::Peer(p));
                 }
             }
+            self.sock.polls += 1;
             let ready = poll::wait(&mut set, self.wait_timeout())
                 .map_err(|e| EngineError::Io(format!("poll: {e}")))?;
             if ready == 0 {
@@ -630,7 +703,6 @@ impl Node {
             // error surfaces through `fill`, and queued output goes out in
             // the next pass's flush. IO and engine work are separate passes
             // so the engine borrows cleanly.
-            let mut events: Vec<(usize, Frame)> = Vec::new();
             for (source, _) in sources.iter().zip(&set).filter(|(_, fd)| fd.ready()) {
                 match *source {
                     Source::Listener => self.accept_all()?,
@@ -642,38 +714,24 @@ impl Node {
                     }
                     Source::Inbound(slot) => {
                         let Some(conn) = self.conns[slot].as_mut() else { continue };
-                        conn.fill();
-                        loop {
-                            match decode_frame(&conn.rbuf) {
-                                Ok(Some((frame, n))) => {
-                                    conn.rbuf.drain(..n);
-                                    events.push((slot, frame));
-                                }
-                                Ok(None) => break,
-                                Err(_) => {
-                                    // A malformed stream cannot be
-                                    // resynchronised; drop the connection.
-                                    // (Counted, not fatal: only this peer is
-                                    // affected.)
-                                    self.metrics.inc("net.decode_errors");
-                                    conn.dead = true;
-                                    break;
-                                }
-                            }
+                        self.sock.reads += conn.fill();
+                        if conn.decode_into(slot, &mut events).is_err() {
+                            // Counted, not fatal: only this peer is affected.
+                            self.metrics.inc("net.decode_errors");
                         }
                     }
                     // Peers never send frames back on our dialed pipe; the
                     // read is how its EOF is noticed.
                     Source::Peer(p) => {
                         if let Some(conn) = self.peers[p].conn.as_mut() {
-                            conn.fill();
+                            self.sock.reads += conn.fill();
                         }
                     }
                 }
             }
 
             // 6. Process frames through the engine.
-            for (slot, frame) in events {
+            for (slot, frame) in events.drain(..) {
                 match frame {
                     Frame::Hello { node, kind: _ } => {
                         self.routes.insert(node, slot);
@@ -688,7 +746,8 @@ impl Node {
                     }
                     Frame::MetricsReq => {
                         // Storage metrics were flushed by the engine inside
-                        // the last callback; the registry is current.
+                        // the last callback; the socket counts fold in here.
+                        self.fold_sock_counts();
                         let wire = WireMetrics::from_metrics(&self.metrics);
                         self.respond(slot, &Frame::MetricsResp(wire));
                     }
@@ -723,7 +782,9 @@ impl Node {
     }
 
     /// Accepts every connection waiting on the listener, each into the
-    /// first free slot of the slab.
+    /// first free slot of the slab. A failure that concerns only the
+    /// connection being accepted is counted as `net.accept_errors`; any
+    /// other ends the node.
     fn accept_all(&mut self) -> Result<(), EngineError> {
         loop {
             match self.listener.accept() {
@@ -737,6 +798,9 @@ impl Node {
                     self.metrics.inc("net.accepted");
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(()),
+                Err(e) if accept_error_is_transient(e.kind()) => {
+                    self.metrics.inc("net.accept_errors");
+                }
                 Err(e) => return Err(EngineError::Io(format!("accept: {e}"))),
             }
         }
@@ -764,6 +828,14 @@ enum Source {
     Inbound(usize),
     /// The dialed connection to this peer site.
     Peer(usize),
+}
+
+/// Whether a failed `accept` concerns only the connection it would have
+/// returned — the client reset it while it queued, or a signal interrupted
+/// the call — so the listener can keep serving. Every other kind is the
+/// listener's own failure.
+fn accept_error_is_transient(kind: ErrorKind) -> bool {
+    matches!(kind, ErrorKind::ConnectionAborted | ErrorKind::Interrupted)
 }
 
 /// Jitter salt of the (node, peer) directed link.
@@ -832,5 +904,82 @@ mod tests {
         assert_eq!(node.metrics.counter("net.encode_errors"), 1);
         node.reap_inbound();
         assert!(node.conns[0].is_none());
+    }
+
+    #[test]
+    fn only_aborted_and_interrupted_accepts_are_survived() {
+        assert!(accept_error_is_transient(ErrorKind::ConnectionAborted));
+        assert!(accept_error_is_transient(ErrorKind::Interrupted));
+        let emfile = std::io::Error::from_raw_os_error(24).kind();
+        for fatal in [
+            ErrorKind::PermissionDenied,
+            ErrorKind::InvalidInput,
+            ErrorKind::Other,
+            emfile,
+        ] {
+            assert!(!accept_error_is_transient(fatal), "{fatal:?}");
+        }
+    }
+
+    /// A connected pair: the writing end, and the node's end as a `Conn`.
+    fn loopback_pair() -> (TcpStream, Conn) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let tx = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let rx = Conn::new(listener.accept().unwrap().0).unwrap();
+        (tx, rx)
+    }
+
+    /// Waits until `n` bytes are readable on `conn` without reading them.
+    fn await_readable(conn: &Conn, n: usize) {
+        let limit = Instant::now() + Duration::from_secs(10);
+        let mut peek = vec![0u8; n + 1];
+        while !matches!(conn.stream.peek(&mut peek), Ok(got) if got >= n) {
+            assert!(Instant::now() < limit, "{n} bytes never arrived");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn frames_decode_once_and_in_order_across_reads() {
+        let (mut tx, mut rx) = loopback_pair();
+        let hello = |node| Frame::Hello {
+            node,
+            kind: PeerKind::Client,
+        };
+        let mut events = Vec::new();
+
+        // Just over three chunks: reads of exactly READ_CHUNK bytes are not
+        // short, so one fill takes all of it in four reads, and no fifth.
+        let mut bytes = Vec::new();
+        let mut sent = 0;
+        while bytes.len() <= 3 * READ_CHUNK {
+            encode_frame(&hello(sent), &mut bytes).unwrap();
+            sent += 1;
+        }
+        assert_ne!(bytes.len() % READ_CHUNK, 0);
+        tx.write_all(&bytes).unwrap();
+        await_readable(&rx, bytes.len());
+        assert_eq!(rx.fill(), 4);
+        assert_eq!(rx.rbuf.len(), bytes.len());
+        rx.decode_into(3, &mut events).unwrap();
+        assert!(rx.rbuf.is_empty() && !rx.dead);
+
+        // One frame split across two writes with a pause between them.
+        let split = crate::wire::frame_bytes(&hello(sent)).unwrap();
+        let (head, tail) = split.split_at(split.len() / 2);
+        tx.write_all(head).unwrap();
+        await_readable(&rx, head.len());
+        assert_eq!(rx.fill(), 1, "a short read ends the fill");
+        rx.decode_into(3, &mut events).unwrap();
+        assert_eq!(events.len() as u32, sent, "half a frame decodes nothing");
+        std::thread::sleep(Duration::from_millis(20));
+        tx.write_all(tail).unwrap();
+        await_readable(&rx, tail.len());
+        rx.fill();
+        rx.decode_into(3, &mut events).unwrap();
+        assert!(rx.rbuf.is_empty());
+
+        let expected: Vec<_> = (0..=sent).map(|n| (3, hello(n))).collect();
+        assert_eq!(events, expected);
     }
 }

@@ -320,6 +320,17 @@ pub fn frame_bytes(frame: &Frame) -> Result<Vec<u8>, EncodeError> {
     Ok(out)
 }
 
+/// Whether `buf` starts with a whole frame: a header and as many payload
+/// bytes as it declares. Only the length field is read; [`decode_frame`]
+/// validates the rest.
+pub(crate) fn holds_frame(buf: &[u8]) -> bool {
+    let Some(len) = buf.get(8..HEADER_PREFIX_LEN) else {
+        return false;
+    };
+    let len = u32::from_le_bytes(len.try_into().expect("four bytes")) as usize;
+    buf.len() >= HEADER_LEN + len
+}
+
 /// Tries to decode one frame from the front of `buf`.
 ///
 /// Returns `Ok(Some((frame, consumed)))` when a whole valid frame is
@@ -497,8 +508,10 @@ mod tests {
         .unwrap();
         for cut in 0..bytes.len() {
             assert_eq!(decode_frame(&bytes[..cut]).unwrap(), None, "cut at {cut}");
+            assert!(!holds_frame(&bytes[..cut]), "cut at {cut}");
         }
         assert!(decode_frame(&bytes).unwrap().is_some());
+        assert!(holds_frame(&bytes));
     }
 
     #[test]

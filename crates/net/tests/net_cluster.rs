@@ -152,25 +152,54 @@ fn pipelined_submissions_all_reply() {
     let cluster = NetCluster::from_topology(bank_topology(2, 4)).expect("start");
     let mut client = cluster.client(0).expect("client");
 
-    // Hold 8 transactions in flight on one connection; every one must get
-    // a reply routed back to this client node.
-    let mut pending: Vec<u64> = (0..8)
-        .map(|i| {
-            client
-                .submit_async(&transfer(i % 4, (i + 1) % 4, 1))
-                .expect("submit_async")
-        })
-        .collect();
-    let limit = Instant::now() + Duration::from_secs(20);
-    while !pending.is_empty() {
+    // Keep 16 transactions in flight on one connection, refilling the window
+    // as each reply lands, until 300 have been sent. Refills issued while
+    // replies are still buffered are deferred to the next read; every
+    // request must still get exactly one reply routed back to this client.
+    let (total, window) = (300u64, 16);
+    let mut sent = 0;
+    let mut pending: Vec<u64> = Vec::new();
+    let limit = Instant::now() + Duration::from_secs(60);
+    while sent < total || !pending.is_empty() {
+        while pending.len() < window && sent < total {
+            let spec = transfer(sent % 4, (sent + 1) % 4, 1);
+            pending.push(client.submit_async(&spec).expect("submit_async"));
+            sent += 1;
+        }
         let remaining = limit.saturating_duration_since(Instant::now());
         assert!(!remaining.is_zero(), "replies missing: {pending:?}");
         let (req_id, _result) = client.recv_reply(remaining).expect("reply");
+        let before = pending.len();
         pending.retain(|&p| p != req_id);
+        assert_eq!(pending.len() + 1, before, "reply {req_id} answers no request in flight");
     }
 
     drain(&cluster);
     assert_eq!(total_funds(&cluster), 400);
+    let m = cluster.site_metrics(0, Duration::from_secs(5)).expect("metrics");
+    for c in ["net.sock.reads", "net.sock.writes", "net.polls"] {
+        assert!(m.counter(c) > 0, "{c} is counted");
+    }
+    cluster.shutdown().expect("clean shutdown");
+}
+
+#[test]
+fn an_unread_submit_still_commits() {
+    let cluster = NetCluster::from_topology(bank_topology(2, 2)).expect("start");
+    let deadline = Duration::from_secs(5);
+    let committed = || cluster.metrics(deadline).expect("metrics").counter("txn.committed");
+    let before = committed();
+
+    // A fresh client's submit leaves at once: it needs no later read, flush
+    // or drop to reach the site.
+    let mut client = cluster.client(0).expect("client");
+    client.submit_async(&transfer(0, 1, 5)).expect("submit_async");
+    let limit = Instant::now() + Duration::from_secs(10);
+    while committed() == before {
+        assert!(Instant::now() < limit, "the unread submit never committed");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    drop(client);
     cluster.shutdown().expect("clean shutdown");
 }
 

@@ -85,6 +85,16 @@ fn main() {
         metrics.counter("net.accepted"),
         metrics.counter("store.snapshot_reads"),
     );
+    // The sites' socket calls, summed over the three processes. With one
+    // request in flight and inspects between transfers, these are far above
+    // what a loaded cluster spends per commit.
+    let per_commit = |name| metrics.counter(name) as f64 / metrics.counter("txn.committed") as f64;
+    println!(
+        "per committed transaction: {:.1} socket reads, {:.1} socket writes, {:.1} poll waits",
+        per_commit("net.sock.reads"),
+        per_commit("net.sock.writes"),
+        per_commit("net.polls"),
+    );
     cluster.shutdown().expect("clean shutdown");
     println!("clean shutdown.");
 }
