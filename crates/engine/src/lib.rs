@@ -46,5 +46,5 @@ pub use host::SiteHost;
 pub use ids::{coordinator_of, encode_txn};
 pub use messages::{AbortReason, AccessMode, Msg, TxnResult};
 pub use site::{site_node, Site};
-pub use topology::{BackoffConfig, Topology};
+pub use topology::Topology;
 pub use workload::{RandomTransfers, Script, UniformRmw, Workload};

@@ -32,41 +32,6 @@ use pv_core::{ItemId, Value};
 use pv_store::FsyncPolicy;
 use std::path::PathBuf;
 
-/// Runtime-agnostic description of a reconnect/backoff policy, consumed by
-/// the networked runtime (`pv_net::Backoff::from_config`) and carried on the
-/// wire by the `ConfigBackoff` control frame for live reconfiguration.
-///
-/// Plain milliseconds/floats rather than `Duration` so the value can live in
-/// a [`Topology`], travel in a frame, and be compared exactly.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BackoffConfig {
-    /// Delay before the first retry, in milliseconds.
-    pub base_ms: u64,
-    /// Upper bound any single delay grows to, in milliseconds.
-    pub max_ms: u64,
-    /// Multiplicative growth per attempt (≥ 1.0).
-    pub factor: f64,
-    /// Fraction of each delay randomised (0.0 = none, 0.5 = ±50 %).
-    pub jitter: f64,
-    /// Consecutive failures tolerated before a peer is declared unreachable.
-    pub attempts: u32,
-}
-
-// The `ConfigBackoff` frame's payload; a non-finite float does not decode.
-pv_store::wire_table! { struct BackoffConfig { base_ms, max_ms, factor, jitter, attempts } }
-
-impl Default for BackoffConfig {
-    fn default() -> Self {
-        BackoffConfig {
-            base_ms: 50,
-            max_ms: 1000,
-            factor: 2.0,
-            jitter: 0.25,
-            attempts: 50,
-        }
-    }
-}
-
 /// A complete, runtime-agnostic description of one polyvalue cluster.
 ///
 /// Construct with [`Topology::new`], refine with the chainable setters, then
@@ -95,10 +60,6 @@ pub struct Topology {
     /// Whether the runtime buffers a full protocol trace. Streaming sinks
     /// remain per-builder: a sink is a live callback, not cluster shape.
     pub collect_trace: bool,
-    /// Reconnect/backoff policy of the networked runtime (`None` = that
-    /// runtime's default). The simulation has no sockets to redial and
-    /// ignores it.
-    pub backoff: Option<BackoffConfig>,
 }
 
 impl Topology {
@@ -118,7 +79,6 @@ impl Topology {
             data_dir: None,
             fsync_policy: FsyncPolicy::PerDecision,
             collect_trace: false,
-            backoff: None,
         }
     }
 
@@ -169,13 +129,6 @@ impl Topology {
     /// the cheapest policy that keeps the §3.1 protocol crash-safe).
     pub fn fsync_policy(mut self, policy: FsyncPolicy) -> Self {
         self.fsync_policy = policy;
-        self
-    }
-
-    /// Sets the networked runtime's reconnect/backoff policy (ignored by
-    /// the socketless runtimes).
-    pub fn backoff(mut self, backoff: BackoffConfig) -> Self {
-        self.backoff = Some(backoff);
         self
     }
 
@@ -257,15 +210,5 @@ mod tests {
     #[should_panic(expected = "at least one site")]
     fn zero_sites_is_rejected() {
         let _ = Topology::new(0, Directory::Mod(1));
-    }
-
-    #[test]
-    fn backoff_setter_records_the_policy() {
-        let topo = Topology::new(2, Directory::Mod(2)).backoff(BackoffConfig {
-            attempts: 7,
-            ..BackoffConfig::default()
-        });
-        assert_eq!(topo.backoff.unwrap().attempts, 7);
-        assert!(Topology::new(1, Directory::Mod(1)).backoff.is_none());
     }
 }

@@ -15,17 +15,15 @@
 //! have arrived and will read again without blocking, so the submit waits
 //! for the write that the read path issues just before it would block —
 //! one `write` per drained batch instead of one per submit. Every other
-//! request (`submit`, `snapshot_read`, `inspect`, `metrics`,
-//! `configure_backoff`, `shutdown`) writes at once, [`NetClient::flush`]
-//! forces a deferred submit out, and dropping the client flushes on a
-//! best-effort basis. A fresh connection's read buffer is empty, so its
-//! submits always leave at once.
+//! request (`submit`, `snapshot_read`, `inspect`, `metrics`, `shutdown`)
+//! writes at once, [`NetClient::flush`] forces a deferred submit out, and
+//! dropping the client flushes on a best-effort basis. A fresh connection's
+//! read buffer is empty, so its submits always leave at once.
 
 use crate::backoff::Backoff;
-use crate::wire::{decode_frame, encode_frame, holds_frame, Frame, NodeSnapshot, PeerKind};
+use crate::wire::{decode_frame, encode_frame, holds_frame, Frame, NodeSnapshot};
 use pv_core::TransactionSpec;
 use pv_engine::messages::{Msg, TxnResult};
-use pv_engine::topology::BackoffConfig;
 use pv_engine::EngineError;
 use pv_simnet::Metrics;
 use std::io::{ErrorKind, Read, Write};
@@ -68,10 +66,7 @@ impl NetClient {
                         node,
                         next_req: 1,
                     };
-                    client.send_frame(&Frame::Hello {
-                        node,
-                        kind: PeerKind::Client,
-                    })?;
+                    client.send_frame(&Frame::Hello { node })?;
                     return Ok(client);
                 }
                 Err(e) => last = e.to_string(),
@@ -272,13 +267,6 @@ impl NetClient {
                 _ => continue,
             }
         }
-    }
-
-    /// Pushes a new reconnect/backoff policy to the connected site live —
-    /// its peer circuits re-pace without a restart (fire-and-forget; confirm
-    /// via the `net.backoff.reconfigured` counter in [`NetClient::metrics`]).
-    pub fn configure_backoff(&mut self, config: BackoffConfig) -> Result<(), EngineError> {
-        self.send_frame(&Frame::ConfigBackoff(config))
     }
 
     /// Asks the site process to flush its WAL and exit cleanly.

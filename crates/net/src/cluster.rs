@@ -35,23 +35,18 @@ pub struct NetBuilder {
 
 impl NetBuilder {
     /// Starts a builder over an existing cluster description — the same
-    /// value `ClusterBuilder::from_topology` accepts. A [`Topology::backoff`]
-    /// policy, when present, seeds the builder's backoff.
+    /// value `ClusterBuilder::from_topology` accepts — with the default
+    /// dial/reconnect policy.
     pub fn from_topology(topo: Topology) -> Self {
-        let backoff = topo
-            .backoff
-            .as_ref()
-            .map(Backoff::from_config)
-            .unwrap_or_default();
         NetBuilder {
             topo,
-            backoff,
+            backoff: Backoff::default(),
             chaos_seed: None,
         }
     }
 
-    /// Overrides the dial/reconnect policy (tests use
-    /// [`Backoff::fast_fail`]).
+    /// Sets the dial/reconnect policy every node and client of the cluster
+    /// uses for its whole life (tests use [`Backoff::fast_fail`]).
     pub fn backoff(mut self, backoff: Backoff) -> Self {
         self.backoff = backoff;
         self
@@ -243,17 +238,6 @@ impl NetCluster {
     /// Fetches one site's metrics registry (unmerged).
     pub fn site_metrics(&self, site: u32, deadline: Duration) -> Result<Metrics, EngineError> {
         self.with_control(site, |c| c.metrics(deadline))
-    }
-
-    /// Pushes a new reconnect/backoff policy to every site live.
-    pub fn configure_backoff(
-        &self,
-        config: pv_engine::topology::BackoffConfig,
-    ) -> Result<(), EngineError> {
-        for s in 0..self.addrs.len() as u32 {
-            self.with_control(s, |c| c.configure_backoff(config))?;
-        }
-        Ok(())
     }
 
     /// Sends every site a shutdown frame and joins the event-loop threads,

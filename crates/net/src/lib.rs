@@ -12,9 +12,10 @@
 //!   [`pv_engine::SiteHost`] that blocks in `poll(2)` on its sockets and a
 //!   wake pipe until one is ready or the next deadline (accept, read,
 //!   decode, one write per connection per pass), with deadline-driven peer
-//!   dialing governed by [`backoff`].
-//! * [`backoff`] — the jittered-exponential [`Backoff`] policy and the
-//!   per-peer [`Circuit`] breaker that pace every dial and reconnect.
+//!   dialing: each peer link counts its failures and holds its next retry
+//!   time under the node's policy, fixed when the node starts.
+//! * [`backoff`] — the jittered-exponential [`Backoff`] policy that paces
+//!   every dial and reconnect.
 //! * [`client`] — a blocking client connection with pipelined submission.
 //! * [`cluster`] — [`NetCluster`]: every node's event loop hosted on an
 //!   in-process thread over real localhost TCP, consuming the same
@@ -43,9 +44,9 @@ pub mod node;
 mod poll;
 pub mod wire;
 
-pub use backoff::{Backoff, Circuit, CircuitState, CircuitVerdict};
+pub use backoff::Backoff;
 pub use chaos::{ChaosNet, LinkFaults};
 pub use client::NetClient;
 pub use cluster::{NetBuilder, NetCluster};
 pub use node::{Node, NodeConfig};
-pub use wire::{DecodeError, EncodeError, Frame, NodeSnapshot, PeerKind, WireMetrics};
+pub use wire::{DecodeError, EncodeError, Frame, NodeSnapshot, WireMetrics};

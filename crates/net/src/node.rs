@@ -11,12 +11,14 @@
 //! **deadline-driven peer dialing**: connection attempts run on detached
 //! dialer threads and report back through a channel, so the event loop keeps
 //! serving live peers and clients while an unreachable peer is being
-//! retried. Retries are governed by a
-//! per-peer [`Circuit`] breaker under a jittered-exponential [`Backoff`]
-//! policy — a peer that stays dead walks Closed → Open → HalfOpen with
-//! growing pauses (never a hot loop), and a peer that stays unreachable past
-//! the policy's attempt budget is a structured [`EngineError::Unreachable`],
-//! never a hang. Messages bound for a down peer queue (bounded) and flush on
+//! retried. Retries are paced by the node's jittered-exponential [`Backoff`]
+//! policy, fixed when the node is built: each peer link counts its
+//! consecutive failures and holds the time of its next dial, so a peer that
+//! stays dead is probed one dial at a time with growing pauses (never a hot
+//! loop), and a peer that stays unreachable past the policy's attempt budget
+//! is a structured [`EngineError::Unreachable`], never a hang. A connection
+//! forgets its link's failures only once it has stayed up for a stability
+//! window. Messages bound for a down peer queue (bounded) and flush on
 //! reconnect; the §3.3 inquiry protocol absorbs anything the bound drops.
 //!
 //! Between passes the loop blocks in `poll(2)` on its own descriptors
@@ -27,15 +29,13 @@
 //! A dial result arrives on a channel, which `poll(2)` cannot watch: the
 //! dialer thread writes a byte to the wake pipe after it sends. The wait is
 //! bounded by the earliest of three deadlines, each of which the next pass
-//! acts on: the host's next protocol timer, the probe time of an open
-//! circuit on a link that needs a connection, and the end of a recovering
-//! link's stability window.
+//! acts on: the host's next protocol timer, the retry time of a link that
+//! needs a connection, and the end of a recovering link's stability window.
 
-use crate::backoff::{Backoff, Circuit, CircuitState, CircuitVerdict};
+use crate::backoff::Backoff;
 use crate::poll::{self, PollFd};
 use crate::wire::{
-    decode_frame, encode_frame, DecodeError, Frame, NodeSnapshot, PeerKind, WireMetrics,
-    MAX_FRAME_LEN,
+    decode_frame, encode_frame, DecodeError, Frame, NodeSnapshot, WireMetrics, MAX_FRAME_LEN,
 };
 use pv_engine::messages::Msg;
 use pv_engine::topology::Topology;
@@ -192,46 +192,48 @@ struct SockCounts {
     polls: u64,
 }
 
-/// The dial/reconnect state of one outbound peer link.
+/// The dial/reconnect state of one outbound peer link. Every peer site's
+/// link is kept connected, traffic or not, so a cluster re-forms itself as
+/// soon as a partition heals.
+#[derive(Default)]
 struct PeerLink {
     addr: Option<SocketAddr>,
     conn: Option<Conn>,
     /// Channel from an in-flight dialer thread, if one is out.
     dial: Option<mpsc::Receiver<std::io::Result<TcpStream>>>,
-    circuit: Circuit,
+    /// Consecutive failures since the link last stayed up for a stability
+    /// window.
+    failures: u32,
+    /// No dial launches before this: the backoff wait after the last
+    /// failure.
+    retry_at: Option<Instant>,
     /// When the current connection was established (stability window: the
-    /// circuit only re-closes after the link survives a while, so a
+    /// failures are only forgotten after the link survives a while, so a
     /// flapping peer keeps walking up the backoff curve).
     connected_at: Option<Instant>,
     /// Messages awaiting reconnect (bounded by [`PENDING_CAP`]).
     pending: VecDeque<Msg>,
-    /// Whether this link should be connected even without queued traffic.
-    /// Always true for peer sites: a cluster eagerly re-forms itself after
-    /// a partition heals instead of waiting for traffic.
-    want: bool,
     ever_connected: bool,
     last_err: String,
 }
 
 impl PeerLink {
-    fn unused(policy: Backoff, salt: u64) -> Self {
-        PeerLink {
-            addr: None,
-            conn: None,
-            dial: None,
-            circuit: Circuit::new(policy, salt),
-            connected_at: None,
-            pending: VecDeque::new(),
-            want: false,
-            ever_connected: false,
-            last_err: String::new(),
-        }
+    /// Whether the link has neither a connection nor a dial in flight.
+    fn needs_conn(&self) -> bool {
+        self.conn.is_none() && self.dial.is_none()
     }
 
-    /// Whether the link should be dialled: it is wanted or has traffic
-    /// queued, and has neither a connection nor a dial in flight.
-    fn needs_conn(&self) -> bool {
-        self.conn.is_none() && self.dial.is_none() && (self.want || !self.pending.is_empty())
+    /// The time the loop must next look at this link even if no socket
+    /// becomes ready: its retry time while it needs a connection, or the
+    /// end of a recovering connection's stability window.
+    fn deadline(&self, stability: Duration) -> Option<Instant> {
+        if self.needs_conn() {
+            self.retry_at
+        } else if self.failures > 0 {
+            self.connected_at.map(|t| t + stability)
+        } else {
+            None
+        }
     }
 }
 
@@ -241,11 +243,10 @@ pub struct NodeConfig {
     /// Which site of the topology this process is.
     pub site: SiteId,
     /// The shared cluster description (same value the simulation
-    /// consumes). When it carries a
-    /// [`BackoffConfig`](pv_engine::topology::BackoffConfig), that policy
-    /// overrides `backoff`.
+    /// consumes).
     pub topo: Topology,
-    /// Dial/reconnect policy for peer connections.
+    /// Dial/reconnect policy for peer connections, fixed for the node's
+    /// life.
     pub backoff: Backoff,
 }
 
@@ -294,11 +295,6 @@ impl Node {
         if s >= topo.sites {
             return Err(EngineError::UnknownSite(s));
         }
-        let backoff = topo
-            .backoff
-            .as_ref()
-            .map(Backoff::from_config)
-            .unwrap_or(backoff);
         let listener = TcpListener::bind(listen)
             .map_err(|e| EngineError::Io(format!("bind {listen}: {e}")))?;
         listener
@@ -312,9 +308,7 @@ impl Node {
             })
             .map_err(|e| EngineError::Io(format!("wake pipe: {e}")))?;
         let site = Site::open(s, &topo)?;
-        let peers = (0..topo.sites)
-            .map(|p| PeerLink::unused(backoff, peer_salt(s, p)))
-            .collect();
+        let peers = (0..topo.sites).map(|_| PeerLink::default()).collect();
         Ok(Node {
             me: NodeId(s),
             sites: topo.sites,
@@ -346,26 +340,8 @@ impl Node {
     /// may point at chaos proxies while the node listens on its real
     /// address.
     pub fn set_peers(&mut self, addrs: Vec<SocketAddr>) {
-        for (p, addr) in addrs.into_iter().enumerate() {
-            if let Some(link) = self.peers.get_mut(p) {
-                link.addr = Some(addr);
-                link.want = p as u32 != self.me.0;
-            }
-        }
-    }
-
-    /// The active dial/reconnect policy.
-    pub fn backoff(&self) -> Backoff {
-        self.backoff
-    }
-
-    /// Swaps the dial/reconnect policy live (also reachable over the wire
-    /// via the `ConfigBackoff` control frame). Connection state carries
-    /// over; only future backoff decisions change.
-    pub fn set_backoff(&mut self, policy: Backoff) {
-        self.backoff = policy;
-        for link in &mut self.peers {
-            link.circuit.set_policy(policy);
+        for (link, addr) in self.peers.iter_mut().zip(addrs) {
+            link.addr = Some(addr);
         }
     }
 
@@ -388,8 +364,8 @@ impl Node {
     /// the message like a datagram — the protocol's timers and inquiries
     /// already tolerate loss. A message for a peer site
     /// that is currently down queues (bounded) for delivery on reconnect;
-    /// the reconnect itself is governed by the peer's circuit breaker and
-    /// never blocks this loop.
+    /// the reconnect itself is paced by the backoff policy and never blocks
+    /// this loop.
     fn send(&mut self, to: NodeId, msg: Msg) -> Result<(), EngineError> {
         if to.0 < self.sites {
             let link = &mut self.peers[to.0 as usize];
@@ -422,12 +398,12 @@ impl Node {
         Ok(())
     }
 
-    /// Advances every peer link one step: reap dead connections, collect
-    /// dial results, promote links that survived the stability window, and
-    /// launch new circuit-gated dial probes. Never blocks; a peer whose
-    /// circuit exhausts its budget is a fatal structured `Unreachable`.
-    fn pump_peers(&mut self) -> Result<(), EngineError> {
-        let now = Instant::now();
+    /// Advances every peer link one step at `now`: reap dead connections,
+    /// forget the failures of links that survived the stability window,
+    /// collect dial results, and launch the dials whose backoff wait has
+    /// passed. Never blocks; a peer that exhausts the attempt budget is a
+    /// fatal structured `Unreachable`.
+    fn pump_peers(&mut self, now: Instant) -> Result<(), EngineError> {
         let stability = self.stability();
         for p in 0..self.peers.len() {
             if p as u32 == self.me.0 {
@@ -443,13 +419,12 @@ impl Node {
                 self.fail_link(p, now)?;
             }
             // 2. A healthy connection that outlived the stability window
-            //    re-closes the circuit (resets the failure count).
+            //    resets the failure count.
             let link = &mut self.peers[p];
-            if let Some(t) = link.connected_at {
-                if link.circuit.failures() > 0 && now.duration_since(t) >= stability {
-                    link.circuit.on_success();
-                    self.metrics.inc("net.circuit_reclosed");
-                }
+            let stable = link.connected_at.is_some_and(|t| now.duration_since(t) >= stability);
+            if link.failures > 0 && stable {
+                link.failures = 0;
+                self.metrics.inc("net.circuit_reclosed");
             }
             // 3. Collect an in-flight dial result.
             let mut dial_result = None;
@@ -468,33 +443,21 @@ impl Node {
                     link.dial = None;
                     match Conn::new(stream) {
                         Ok(mut conn) => {
-                            let hello = conn.queue(&Frame::Hello {
-                                node: self.me.0,
-                                kind: PeerKind::Site,
-                            });
-                            match hello {
-                                Ok(()) => {
-                                    link.connected_at = Some(now);
-                                    if link.ever_connected {
-                                        self.metrics.inc("net.reconnects");
-                                    }
-                                    link.ever_connected = true;
-                                    // First-ever success closes immediately;
-                                    // a recovering link waits out the
-                                    // stability window (step 2).
-                                    if link.circuit.failures() == 0 {
-                                        link.circuit.on_success();
-                                    }
-                                    while let Some(msg) = link.pending.pop_front() {
-                                        conn.queue(&Frame::Proto {
-                                            from: self.me.0,
-                                            msg,
-                                        })?;
-                                    }
-                                    link.conn = Some(conn);
-                                }
-                                Err(e) => return Err(e),
+                            conn.queue(&Frame::Hello { node: self.me.0 })?;
+                            // A recovering link keeps its failures until it
+                            // outlives the stability window (step 2).
+                            link.connected_at = Some(now);
+                            if link.ever_connected {
+                                self.metrics.inc("net.reconnects");
                             }
+                            link.ever_connected = true;
+                            while let Some(msg) = link.pending.pop_front() {
+                                conn.queue(&Frame::Proto {
+                                    from: self.me.0,
+                                    msg,
+                                })?;
+                            }
+                            link.conn = Some(conn);
                         }
                         Err(e) => {
                             link.last_err = format!("configure socket: {e}");
@@ -510,10 +473,10 @@ impl Node {
                 }
                 None => {}
             }
-            // 4. Launch a new probe if the link should be up and the
-            //    circuit allows one.
+            // 4. Launch a dial if the link is down and its backoff wait is
+            //    over.
             let link = &mut self.peers[p];
-            if link.needs_conn() && link.circuit.try_probe(now) {
+            if link.needs_conn() && link.retry_at.is_none_or(|t| now >= t) {
                 let Some(addr) = link.addr else {
                     return Err(EngineError::UnknownSite(p as SiteId));
                 };
@@ -539,32 +502,20 @@ impl Node {
         Ok(())
     }
 
-    /// How long a connection must stay up before its circuit re-closes, so a
-    /// link that flaps (accept-then-kill partitions) keeps climbing the
-    /// backoff curve instead of hot-cycling at dial speed.
+    /// How long a connection must stay up before its link's failures are
+    /// forgotten, so a link that flaps (accept-then-kill partitions) keeps
+    /// climbing the backoff curve instead of hot-cycling at dial speed.
     fn stability(&self) -> Duration {
         self.backoff.base.max(Duration::from_millis(250))
     }
 
     /// How long the wait may block: until the earliest thing the next pass
     /// would act on without any socket becoming ready — the host's next
-    /// protocol timer, the probe time of an open circuit on a link that
-    /// needs a connection, or the end of a recovering link's stability
-    /// window. `None` when nothing is scheduled.
+    /// protocol timer, or a link's [`PeerLink::deadline`]. `None` when
+    /// nothing is scheduled.
     fn wait_timeout(&self) -> Option<Duration> {
         let stability = self.stability();
-        let links = self.peers.iter().filter_map(|link| {
-            if link.needs_conn() {
-                match link.circuit.state() {
-                    CircuitState::Open { until } => Some(until),
-                    CircuitState::Closed | CircuitState::HalfOpen => None,
-                }
-            } else if link.circuit.failures() > 0 {
-                link.connected_at.map(|t| t + stability)
-            } else {
-                None
-            }
-        });
+        let links = self.peers.iter().filter_map(|link| link.deadline(stability));
         let due = self.host.next_deadline().into_iter().chain(links).min()?;
         Some(due.saturating_duration_since(Instant::now()))
     }
@@ -586,35 +537,33 @@ impl Node {
         self.metrics.inc_by("net.polls", polls);
     }
 
-    /// Records a failure on peer link `p`: the circuit opens with the next
-    /// backoff delay (observable as `net.circuit_open` / `net.backoff.*`),
-    /// or, past the attempt budget, the node gives up with a structured
-    /// [`EngineError::Unreachable`].
+    /// Records a failure on peer link `p` at `now`: the next dial waits the
+    /// next backoff delay (observable as `net.circuit_open` /
+    /// `net.backoff.*`), or, at the attempt budget, the node gives up with a
+    /// structured [`EngineError::Unreachable`].
     fn fail_link(&mut self, p: usize, now: Instant) -> Result<(), EngineError> {
         let link = &mut self.peers[p];
-        match link.circuit.on_failure(now) {
-            CircuitVerdict::Backoff { wait } => {
-                self.metrics.inc("net.circuit_open");
-                self.metrics
-                    .observe("net.backoff.wait_ms", wait.as_secs_f64() * 1e3);
-                Ok(())
-            }
-            CircuitVerdict::Exhausted => {
-                self.metrics.inc("net.backoff.exhausted");
-                let addr = link
-                    .addr
-                    .map(|a| a.to_string())
-                    .unwrap_or_else(|| "<unset>".into());
-                Err(EngineError::Unreachable {
-                    site: p as SiteId,
-                    detail: format!(
-                        "{addr} after {} attempts: {}",
-                        link.circuit.policy().attempts,
-                        link.last_err
-                    ),
-                })
-            }
+        link.failures = link.failures.saturating_add(1);
+        if link.failures >= self.backoff.attempts {
+            self.metrics.inc("net.backoff.exhausted");
+            let addr = link
+                .addr
+                .map(|a| a.to_string())
+                .unwrap_or_else(|| "<unset>".into());
+            return Err(EngineError::Unreachable {
+                site: p as SiteId,
+                detail: format!(
+                    "{addr} after {} attempts: {}",
+                    self.backoff.attempts, link.last_err
+                ),
+            });
         }
+        let wait = self.backoff.delay(link.failures, peer_salt(self.me.0, p as u32));
+        link.retry_at = Some(now + wait);
+        self.metrics.inc("net.circuit_open");
+        self.metrics
+            .observe("net.backoff.wait_ms", wait.as_secs_f64() * 1e3);
+        Ok(())
     }
 
     fn snapshot(&self) -> NodeSnapshot {
@@ -668,7 +617,7 @@ impl Node {
 
             // 3. Advance peer links (lost connections, dial results,
             // reconnect probes) and reap dead inbound connections.
-            self.pump_peers()?;
+            self.pump_peers(Instant::now())?;
             self.reap_inbound();
 
             // 4. Block until a descriptor is ready or the next deadline.
@@ -733,7 +682,7 @@ impl Node {
             // 6. Process frames through the engine.
             for (slot, frame) in events.drain(..) {
                 match frame {
-                    Frame::Hello { node, kind: _ } => {
+                    Frame::Hello { node } => {
                         self.routes.insert(node, slot);
                     }
                     Frame::Proto { from, msg } => {
@@ -750,10 +699,6 @@ impl Node {
                         self.fold_sock_counts();
                         let wire = WireMetrics::from_metrics(&self.metrics);
                         self.respond(slot, &Frame::MetricsResp(wire));
-                    }
-                    Frame::ConfigBackoff(cfg) => {
-                        self.set_backoff(Backoff::from_config(&cfg));
-                        self.metrics.inc("net.backoff.reconfigured");
                     }
                     Frame::Shutdown => {
                         // Best-effort flush of queued replies before exit.
@@ -942,10 +887,7 @@ mod tests {
     #[test]
     fn frames_decode_once_and_in_order_across_reads() {
         let (mut tx, mut rx) = loopback_pair();
-        let hello = |node| Frame::Hello {
-            node,
-            kind: PeerKind::Client,
-        };
+        let hello = |node| Frame::Hello { node };
         let mut events = Vec::new();
 
         // Just over three chunks: reads of exactly READ_CHUNK bytes are not
@@ -981,5 +923,96 @@ mod tests {
 
         let expected: Vec<_> = (0..=sent).map(|n| (3, hello(n))).collect();
         assert_eq!(events, expected);
+    }
+
+    /// Site 0 of a two-site cluster under `backoff`, its link to site 1
+    /// pointed at `peer`.
+    fn node_with_peer(backoff: Backoff, peer: SocketAddr) -> Node {
+        let config = NodeConfig {
+            site: 0,
+            topo: Topology::new(2, Directory::Mod(2)),
+            backoff,
+        };
+        let mut node = Node::bind(config, "127.0.0.1:0".parse().unwrap()).unwrap();
+        let me = node.local_addr().unwrap();
+        node.set_peers(vec![me, peer]);
+        node
+    }
+
+    #[test]
+    fn a_failing_link_backs_off_dials_once_and_recovers_after_the_stability_window() {
+        let backoff = Backoff {
+            attempts: 5,
+            ..Backoff::default()
+        };
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let peer = listener.local_addr().unwrap();
+        let mut node = node_with_peer(backoff, peer);
+        let stability = node.stability();
+        let dials = |node: &Node| node.metrics.counter("net.backoff.attempts");
+
+        // The jittered delays of link 0 → 1, as the policy has always drawn
+        // them: `Backoff::default()`, salt `peer_salt(0, 1)`.
+        let waits = [41_177_341, 80_263_283, 204_601_744, 499_585_280].map(Duration::from_nanos);
+        let mut now = Instant::now();
+        for (k, &wait) in waits.iter().enumerate() {
+            node.fail_link(1, now).unwrap();
+            let link = &node.peers[1];
+            assert_eq!(link.failures, k as u32 + 1);
+            assert_eq!(link.retry_at, Some(now + wait));
+            assert_eq!(link.deadline(stability), Some(now + wait));
+            node.pump_peers(now + wait - Duration::from_nanos(1)).unwrap();
+            assert_eq!(dials(&node), 0, "no dial before the wait is over");
+            now += wait;
+        }
+        assert_eq!(node.metrics.counter("net.circuit_open"), 4);
+        let observed = node.metrics.histogram("net.backoff.wait_ms").unwrap().values().to_vec();
+        let expected: Vec<f64> = waits.iter().map(|w| w.as_secs_f64() * 1e3).collect();
+        assert_eq!(observed, expected);
+
+        // The wait is over: one dial launches, and no second one while it
+        // is out, however long it takes.
+        node.pump_peers(now).unwrap();
+        assert_eq!(dials(&node), 1);
+        let (tx, rx) = mpsc::channel();
+        node.peers[1].dial = Some(rx);
+        node.pump_peers(now + Duration::from_secs(3600)).unwrap();
+        assert_eq!(dials(&node), 1, "one dial at a time");
+
+        // The dial succeeds, but the link keeps its failures until the
+        // connection outlives the stability window.
+        tx.send(TcpStream::connect(peer)).unwrap();
+        node.pump_peers(now).unwrap();
+        let link = &node.peers[1];
+        assert!(link.conn.is_some() && link.dial.is_none());
+        assert_eq!(link.failures, 4);
+        assert_eq!(link.deadline(stability), Some(now + stability));
+        node.pump_peers(now + stability - Duration::from_nanos(1)).unwrap();
+        assert_eq!(node.peers[1].failures, 4);
+        assert_eq!(node.metrics.counter("net.circuit_reclosed"), 0);
+        node.pump_peers(now + stability).unwrap();
+        assert_eq!(node.peers[1].failures, 0);
+        assert_eq!(node.peers[1].deadline(stability), None);
+        assert_eq!(node.metrics.counter("net.circuit_reclosed"), 1);
+        assert_eq!(dials(&node), 1);
+    }
+
+    #[test]
+    fn the_attempts_th_failure_is_unreachable_and_names_the_budget() {
+        let peer: SocketAddr = "127.0.0.1:9".parse().unwrap();
+        let mut node = node_with_peer(Backoff::fast_fail(), peer);
+        node.peers[1].last_err = "connection refused".into();
+        let now = Instant::now();
+        node.fail_link(1, now).unwrap();
+        node.fail_link(1, now).unwrap();
+        match node.fail_link(1, now) {
+            Err(EngineError::Unreachable { site, detail }) => {
+                assert_eq!(site, 1);
+                assert_eq!(detail, format!("{peer} after 3 attempts: connection refused"));
+            }
+            other => panic!("expected Unreachable, got {other:?}"),
+        }
+        assert_eq!(node.metrics.counter("net.circuit_open"), 2);
+        assert_eq!(node.metrics.counter("net.backoff.exhausted"), 1);
     }
 }

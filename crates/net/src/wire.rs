@@ -30,7 +30,6 @@
 
 use pv_core::{Entry, ItemId, Value};
 use pv_engine::messages::Msg;
-use pv_engine::topology::BackoffConfig;
 use pv_engine::EngineError;
 use pv_simnet::Metrics;
 use pv_store::codec::{checksum, CodecError, Tagged, Wire};
@@ -156,28 +155,7 @@ impl From<CodecError> for DecodeError {
             CodecError::BadUtf8 => DecodeError::BadUtf8,
             CodecError::BadPolyvalue => DecodeError::BadPolyvalue,
             CodecError::TooDeep => DecodeError::TooDeep,
-            // A frame whose floats are not numbers is as unusable as one
-            // whose length lies.
-            CodecError::NonFinite => DecodeError::Malformed,
         }
-    }
-}
-
-/// What kind of node sits behind a [`Frame::Hello`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PeerKind {
-    /// Another site: the connection carries [`Frame::Proto`] traffic and the
-    /// sender's site id is authoritative for `from` routing.
-    Site,
-    /// A client: the connection carries `Submit`s in and `Reply`s out, plus
-    /// the control frames (inspect, metrics, shutdown).
-    Client,
-}
-
-wire_table! {
-    enum PeerKind {
-        0 => Site,
-        1 => Client,
     }
 }
 
@@ -243,12 +221,11 @@ impl WireMetrics {
 pub enum Frame {
     /// First frame on every connection: who is dialing. A site identifies
     /// itself so the receiver can route subsequent [`Frame::Proto`] traffic;
-    /// a client receives `Reply` frames on the same connection.
+    /// a client receives `Reply` frames on the same connection. Node ids
+    /// below the site count are sites.
     Hello {
         /// The dialer's node id (site id, or a client's node id).
         node: u32,
-        /// Whether the dialer is a site or a client.
-        kind: PeerKind,
     },
     /// A protocol message between nodes — the entire [`Msg`] vocabulary of
     /// §3.1/§3.3, carried verbatim.
@@ -268,23 +245,18 @@ pub enum Frame {
     MetricsResp(WireMetrics),
     /// Control: ask the site process to flush its WAL and exit cleanly.
     Shutdown,
-    /// Control: live-reconfigure the site's reconnect/backoff policy. Takes
-    /// effect for every subsequent dial decision; in-flight connections are
-    /// untouched.
-    ConfigBackoff(BackoffConfig),
 }
 
 // The tag is the header's kind byte; the fields are the payload.
 wire_table! {
     enum Frame {
-        0 => Hello { node, kind },
+        0 => Hello { node },
         1 => Proto { from, msg },
         2 => InspectReq,
         3 => InspectResp(snapshot),
         4 => MetricsReq,
         5 => MetricsResp(metrics),
         6 => Shutdown,
-        7 => ConfigBackoff(config),
     }
 }
 
@@ -395,36 +367,11 @@ mod tests {
 
     #[test]
     fn hello_and_control_frames_round_trip() {
-        roundtrip(Frame::Hello {
-            node: 7,
-            kind: PeerKind::Site,
-        });
-        roundtrip(Frame::Hello {
-            node: 42,
-            kind: PeerKind::Client,
-        });
+        roundtrip(Frame::Hello { node: 7 });
+        roundtrip(Frame::Hello { node: 42 });
         roundtrip(Frame::InspectReq);
         roundtrip(Frame::MetricsReq);
         roundtrip(Frame::Shutdown);
-        roundtrip(Frame::ConfigBackoff(BackoffConfig {
-            base_ms: 25,
-            max_ms: 750,
-            factor: 1.7,
-            jitter: 0.33,
-            attempts: 12,
-        }));
-    }
-
-    #[test]
-    fn non_finite_backoff_floats_are_rejected() {
-        let mut bytes = frame_bytes(&Frame::ConfigBackoff(BackoffConfig::default())).unwrap();
-        // Overwrite the factor field (payload offset 16) with NaN bits and
-        // re-checksum so only the semantic validation can object.
-        let nan = f64::NAN.to_bits().to_le_bytes();
-        bytes[HEADER_LEN + 16..HEADER_LEN + 24].copy_from_slice(&nan);
-        let sum = checksum(&bytes[..HEADER_PREFIX_LEN]) ^ checksum(&bytes[HEADER_LEN..]);
-        bytes[12..16].copy_from_slice(&sum.to_le_bytes());
-        assert_eq!(decode_frame(&bytes), Err(DecodeError::Malformed));
     }
 
     #[test]
@@ -501,11 +448,7 @@ mod tests {
 
     #[test]
     fn incremental_decode_waits_for_whole_frame() {
-        let bytes = frame_bytes(&Frame::Hello {
-            node: 1,
-            kind: PeerKind::Site,
-        })
-        .unwrap();
+        let bytes = frame_bytes(&Frame::Hello { node: 1 }).unwrap();
         for cut in 0..bytes.len() {
             assert_eq!(decode_frame(&bytes[..cut]).unwrap(), None, "cut at {cut}");
             assert!(!holds_frame(&bytes[..cut]), "cut at {cut}");
@@ -526,11 +469,7 @@ mod tests {
 
     #[test]
     fn corrupt_payload_fails_checksum() {
-        let mut bytes = frame_bytes(&Frame::Hello {
-            node: 1,
-            kind: PeerKind::Site,
-        })
-        .unwrap();
+        let mut bytes = frame_bytes(&Frame::Hello { node: 1 }).unwrap();
         let last = bytes.len() - 1;
         bytes[last] ^= 0xFF;
         assert_eq!(decode_frame(&bytes), Err(DecodeError::BadChecksum));

@@ -4,7 +4,20 @@
 
 use std::net::TcpListener;
 use std::process::{Command, Stdio};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
+
+/// Held for the whole body of every test that hands out released ports, so
+/// a port one test expects to stay dead never becomes the listener of a
+/// binary another test starts. Cargo runs test binaries one at a time, so
+/// this file is the only place such tests can overlap.
+static PORTS: Mutex<()> = Mutex::new(());
+
+/// Takes [`PORTS`]; a test that panicked while holding it leaves nothing
+/// to repair.
+fn hold_ports() -> MutexGuard<'static, ()> {
+    PORTS.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Runs `cmd` with a watchdog; panics if it outlives `limit`.
 fn run_with_timeout(mut cmd: Command, limit: Duration) -> (i32, String) {
@@ -48,6 +61,7 @@ fn dead_port() -> String {
 
 #[test]
 fn pv_node_exits_nonzero_on_unreachable_peer() {
+    let _ports = hold_ports();
     let live = dead_port(); // we bind it ourselves below via pv-node
     let dead = dead_port();
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_pv-node"));
@@ -87,6 +101,7 @@ fn pv_node_exits_2_on_bad_arguments() {
 
 #[test]
 fn pv_loadgen_exits_nonzero_when_cluster_is_unreachable() {
+    let _ports = hold_ports();
     let dead_a = dead_port();
     let dead_b = dead_port();
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_pv-loadgen"));

@@ -43,8 +43,6 @@ pub enum CodecError {
     BadPolyvalue,
     /// An expression nested deeper than [`MAX_EXPR_DEPTH`].
     TooDeep,
-    /// A float field was NaN or infinite.
-    NonFinite,
 }
 
 impl fmt::Display for CodecError {
@@ -56,7 +54,6 @@ impl fmt::Display for CodecError {
             CodecError::BadUtf8 => write!(f, "invalid UTF-8 in string field"),
             CodecError::BadPolyvalue => write!(f, "decoded polyvalue violates invariant"),
             CodecError::TooDeep => write!(f, "expression nests deeper than {MAX_EXPR_DEPTH}"),
-            CodecError::NonFinite => write!(f, "float field is not finite"),
         }
     }
 }
@@ -231,22 +228,6 @@ impl Wire for bool {
 
     fn get(buf: &mut &[u8]) -> Result<Self, CodecError> {
         Ok(u8::get(buf)? != 0)
-    }
-}
-
-/// The bit pattern as a `u64`; only finite values decode.
-impl Wire for f64 {
-    fn put(&self, buf: &mut Vec<u8>) {
-        self.to_bits().put(buf);
-    }
-
-    fn get(buf: &mut &[u8]) -> Result<Self, CodecError> {
-        let value = f64::from_bits(u64::get(buf)?);
-        if value.is_finite() {
-            Ok(value)
-        } else {
-            Err(CodecError::NonFinite)
-        }
     }
 }
 
@@ -877,6 +858,5 @@ mod tests {
         assert!(CodecError::BadUtf8.to_string().contains("UTF-8"));
         assert!(CodecError::BadPolyvalue.to_string().contains("invariant"));
         assert!(CodecError::TooDeep.to_string().contains("deeper"));
-        assert!(CodecError::NonFinite.to_string().contains("finite"));
     }
 }
