@@ -68,13 +68,6 @@ pub struct CrashPointConfig {
     /// different durability surface — per-acceptor vote/promise/accept
     /// records — whose replay the sweep must also cover.
     pub protocol: CommitProtocol,
-    /// Keyspace memtable flush threshold (entries per partition). The
-    /// default is deliberately tiny so the scenario forces frequent
-    /// memtable flushes, making the LSM coordinate space dense.
-    pub memtable_threshold: usize,
-    /// Keyspace run count that triggers a size-tiered compaction. Tiny by
-    /// default so the sweep reaches compaction-in-flight crash points.
-    pub run_threshold: usize,
     /// Floor of the WAL checkpoint rule
     /// ([`pv_store::SiteStore::maybe_compact`]). Tiny by default so sites
     /// checkpoint several times within the scenario and the append
@@ -97,33 +90,7 @@ impl Default for CrashPointConfig {
             recover_after: SimDuration::from_millis(700),
             max_points_per_site: None,
             protocol: CommitProtocol::Polyvalue,
-            memtable_threshold: 2,
-            run_threshold: 2,
             compact_threshold: 8,
-        }
-    }
-}
-
-/// One crash coordinate: a point in a site's stable-storage activity where
-/// a crash can be injected reproducibly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum CrashCoord {
-    /// "The first moment the site has appended `k` WAL records"
-    /// ([`pv_store::SiteStore::append_seq`]).
-    Append(u64),
-    /// "The first moment the site's keyspace has completed `k` LSM
-    /// operations" — memtable flushes and size-tiered compactions
-    /// ([`pv_store::SiteStore::lsm_op_seq`]). Crashing here strikes just
-    /// after a flush or compaction rewired the partition's runs, the
-    /// window where a non-derived store would be most fragile.
-    LsmOp(u64),
-}
-
-impl fmt::Display for CrashCoord {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CrashCoord::Append(k) => write!(f, "append {k}"),
-            CrashCoord::LsmOp(k) => write!(f, "lsm_op {k}"),
         }
     }
 }
@@ -133,27 +100,30 @@ impl fmt::Display for CrashCoord {
 pub struct Violation {
     /// The crashed site.
     pub site: SiteId,
-    /// The crash coordinate the crash was injected at.
-    pub point: CrashCoord,
+    /// The append point the crash was injected at: the first moment the
+    /// site had appended this many WAL records.
+    pub point: u64,
     /// What went wrong.
     pub what: String,
 }
 
 impl fmt::Display for Violation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "site {} @ {}: {}", self.site, self.point, self.what)
+        write!(
+            f,
+            "site {} @ append {}: {}",
+            self.site, self.point, self.what
+        )
     }
 }
 
 /// The outcome of an exploration.
 #[derive(Debug, Clone)]
 pub struct CrashPointReport {
-    /// Total crash points explored across all sites (both coordinate kinds).
+    /// Total crash points explored across all sites.
     pub points_explored: usize,
     /// WAL append points explored per site.
     pub points_per_site: Vec<usize>,
-    /// LSM flush/compaction points explored per site.
-    pub lsm_points_per_site: Vec<usize>,
     /// WAL checkpoints the crash-free reference run made, all sites together
     /// (zero means no append point had a checkpoint on either side of it).
     pub wal_checkpoints: u64,
@@ -172,14 +142,9 @@ impl fmt::Display for CrashPointReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} crash points (append {}, lsm {}; {} WAL checkpoints crossed), {} violation(s)",
+            "{} crash points (append {}; {} WAL checkpoints crossed), {} violation(s)",
             self.points_explored,
             self.points_per_site
-                .iter()
-                .map(|n| n.to_string())
-                .collect::<Vec<_>>()
-                .join("+"),
-            self.lsm_points_per_site
                 .iter()
                 .map(|n| n.to_string())
                 .collect::<Vec<_>>()
@@ -195,8 +160,6 @@ impl fmt::Display for CrashPointReport {
 fn build(cfg: &CrashPointConfig) -> Cluster {
     let policy = cfg.policy;
     let engine = EngineConfig {
-        memtable_threshold: cfg.memtable_threshold,
-        run_threshold: cfg.run_threshold,
         compact_threshold: cfg.compact_threshold,
         ..EngineConfig::with_protocol(cfg.protocol)
     };
@@ -224,30 +187,22 @@ fn build(cfg: &CrashPointConfig) -> Cluster {
 /// append several records at once; a crash can only strike between
 /// callbacks, so these are exactly the reachable crash states.)
 pub fn enumerate_points(cfg: &CrashPointConfig) -> Vec<BTreeSet<u64>> {
-    enumerate_by(cfg, pv_store::SiteStore::append_seq).0
+    reference_run(cfg).0
 }
 
-/// Like [`enumerate_points`], but over the keyspace's LSM operation counter:
-/// every flush/compaction count each site reaches at a callback boundary.
-/// Crashing at these coordinates strikes right after a memtable flush or a
-/// size-tiered compaction completed — recovery must rebuild the keyspace
-/// from the WAL regardless of what the run set looked like.
-pub fn enumerate_lsm_points(cfg: &CrashPointConfig) -> Vec<BTreeSet<u64>> {
-    enumerate_by(cfg, pv_store::SiteStore::lsm_op_seq).0
-}
-
-/// The reference run: every value of `seq` each site reaches at a callback
+/// The reference run: every append count each site reaches at a callback
 /// boundary, and the WAL checkpoints the run made.
-fn enumerate_by(
-    cfg: &CrashPointConfig,
-    seq: impl Fn(&pv_store::SiteStore) -> u64,
-) -> (Vec<BTreeSet<u64>>, u64) {
+fn reference_run(cfg: &CrashPointConfig) -> (Vec<BTreeSet<u64>>, u64) {
     let mut cluster = build(cfg);
     let mut points: Vec<BTreeSet<u64>> = vec![BTreeSet::new(); cfg.sites as usize];
     let horizon = SimTime::from_secs(cfg.settle_secs);
     let sample = |cluster: &Cluster, points: &mut Vec<BTreeSet<u64>>| {
         for s in 0..cfg.sites {
-            let n = seq(cluster.site(s as SiteId).expect("site ids in range").store());
+            let n = cluster
+                .site(s as SiteId)
+                .expect("site ids in range")
+                .store()
+                .append_seq();
             if n > 0 {
                 points[s as usize].insert(n);
             }
@@ -260,16 +215,16 @@ fn enumerate_by(
     (points, cluster.world.metrics().counter("wal.compactions"))
 }
 
-/// Replays the scenario, crashes `site` the first time it reaches the crash
-/// coordinate `point`, recovers it, settles, and checks invariants.
-fn crash_at(cfg: &CrashPointConfig, site: SiteId, point: CrashCoord) -> Option<Violation> {
+/// Replays the scenario, crashes `site` the first time it has appended
+/// `point` records, recovers it, settles, and checks invariants.
+fn crash_at(cfg: &CrashPointConfig, site: SiteId, point: u64) -> Option<Violation> {
     let mut cluster = build(cfg);
     let reached = |c: &Cluster| {
-        let store = c.site(site).expect("site ids in range").store();
-        match point {
-            CrashCoord::Append(k) => store.append_seq() >= k,
-            CrashCoord::LsmOp(k) => store.lsm_op_seq() >= k,
-        }
+        c.site(site)
+            .expect("site ids in range")
+            .store()
+            .append_seq()
+            >= point
     };
     while !reached(&cluster) {
         if !cluster.world.step() {
@@ -301,7 +256,7 @@ fn check_invariants(
     cluster: &Cluster,
     cfg: &CrashPointConfig,
     site: SiteId,
-    point: CrashCoord,
+    point: u64,
 ) -> Option<Violation> {
     let expected = cfg.accounts as i64 * cfg.initial;
     let fail = |what: String| Some(Violation { site, point, what });
@@ -341,35 +296,27 @@ fn check_invariants(
 /// Explores every enumerated crash point (or an even sample capped by
 /// `max_points_per_site`) and reports all violations found.
 pub fn explore(cfg: &CrashPointConfig) -> CrashPointReport {
+    let (points, wal_checkpoints) = reference_run(cfg);
     let mut violations = Vec::new();
-    let mut points_explored = 0;
-    let mut sweep = |points: &[BTreeSet<u64>], coord: fn(u64) -> CrashCoord| {
-        let mut per_site = Vec::with_capacity(points.len());
-        for (s, set) in points.iter().enumerate() {
-            let all: Vec<u64> = set.iter().copied().collect();
-            let chosen: Vec<u64> = match cfg.max_points_per_site {
-                Some(cap) if all.len() > cap && cap > 0 => {
-                    (0..cap).map(|i| all[i * all.len() / cap]).collect()
-                }
-                _ => all,
-            };
-            per_site.push(chosen.len());
-            for &point in &chosen {
-                points_explored += 1;
-                if let Some(v) = crash_at(cfg, s as SiteId, coord(point)) {
-                    violations.push(v);
-                }
+    let mut points_per_site = Vec::with_capacity(points.len());
+    for (s, set) in points.iter().enumerate() {
+        let all: Vec<u64> = set.iter().copied().collect();
+        let chosen: Vec<u64> = match cfg.max_points_per_site {
+            Some(cap) if all.len() > cap && cap > 0 => {
+                (0..cap).map(|i| all[i * all.len() / cap]).collect()
             }
-        }
-        per_site
-    };
-    let (append_points, wal_checkpoints) = enumerate_by(cfg, pv_store::SiteStore::append_seq);
-    let points_per_site = sweep(&append_points, CrashCoord::Append);
-    let lsm_points_per_site = sweep(&enumerate_lsm_points(cfg), CrashCoord::LsmOp);
+            _ => all,
+        };
+        points_per_site.push(chosen.len());
+        violations.extend(
+            chosen
+                .iter()
+                .filter_map(|&point| crash_at(cfg, s as SiteId, point)),
+        );
+    }
     CrashPointReport {
-        points_explored,
+        points_explored: points_per_site.iter().sum(),
         points_per_site,
-        lsm_points_per_site,
         wal_checkpoints,
         violations,
     }
@@ -414,23 +361,11 @@ mod tests {
         let report = explore(&tiny());
         assert!(report.points_explored > 0);
         assert_eq!(report.points_per_site.len(), 2);
-        assert_eq!(report.lsm_points_per_site.len(), 2);
         let text = report.to_string();
         assert!(text.contains("violation"), "report: {text}");
         assert!(report.ok(), "violations: {:?}", report.violations);
         // Even four transfers cross the tiny checkpoint floor.
         assert!(report.wal_checkpoints > 0, "report: {text}");
-    }
-
-    #[test]
-    fn tiny_thresholds_reach_lsm_crash_points() {
-        // The default thresholds are small enough that even the tiny
-        // scenario flushes memtables, giving the LSM sweep a real space.
-        let points = enumerate_lsm_points(&tiny());
-        assert!(
-            points.iter().any(|set| !set.is_empty()),
-            "no site ever flushed or compacted: {points:?}"
-        );
     }
 
     #[test]
@@ -447,15 +382,9 @@ mod tests {
     fn violation_display_names_the_coordinates() {
         let v = Violation {
             site: 1,
-            point: CrashCoord::Append(42),
+            point: 42,
             what: "example".into(),
         };
         assert_eq!(v.to_string(), "site 1 @ append 42: example");
-        let v = Violation {
-            site: 0,
-            point: CrashCoord::LsmOp(3),
-            what: "example".into(),
-        };
-        assert_eq!(v.to_string(), "site 0 @ lsm_op 3: example");
     }
 }

@@ -63,9 +63,7 @@ impl Site {
         directory: Directory,
         store: SiteStore,
     ) -> Self {
-        let store = store
-            .with_compact_threshold(config.compact_threshold)
-            .with_lsm_thresholds(config.memtable_threshold, config.run_threshold);
+        let store = store.with_compact_threshold(config.compact_threshold);
         Site {
             machine: SiteMachine::new(id, config, directory),
             store,
@@ -238,9 +236,6 @@ impl Site {
             ("wal.checkpoint_records", stats.wal_checkpoint_records),
             ("recovery.replay_records", stats.recovery_replay_records),
             ("recovery.truncations", stats.recovery_truncations),
-            ("store.flushes", stats.lsm_flushes),
-            ("store.compactions", stats.lsm_compactions),
-            ("store.gc_dropped", stats.lsm_gc_dropped),
             ("store.snapshot_reads", stats.snapshot_reads),
         ];
         for (name, delta) in deltas {
@@ -252,22 +247,14 @@ impl Site {
             for d in stats.recovery_durations {
                 ctx.metrics().observe("recovery.duration", d);
             }
-        } else {
-            let now = ctx.now();
-            ctx.metrics().gauge("store.runs", now, self.store.lsm_runs() as f64);
-            ctx.metrics()
-                .gauge("store.mvcc_versions", now, self.store.mvcc_versions() as f64);
-            ctx.metrics()
-                .gauge("store.snapshot_age", now, self.store.snapshot_age() as f64);
         }
     }
 
     /// Serves a coordination-free read-only transaction directly against
-    /// the store: acquires a snapshot sequence number, reads `items` (all
-    /// items when empty) at that point in time, and returns
-    /// `(snapshot, entries)`. Emits the snapshot-read trace event and the
-    /// `store.snapshot_reads` counter; touches no lock table and sends no
-    /// protocol messages.
+    /// the store: reads `items` (all items when empty) at the current
+    /// sequence number and returns `(snapshot, entries)`. Emits the
+    /// snapshot-read trace event and the `store.snapshot_reads` counter;
+    /// touches no lock table and sends no protocol messages.
     pub fn snapshot_read(
         &mut self,
         ctx: &mut Ctx<Msg>,

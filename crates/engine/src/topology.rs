@@ -141,15 +141,13 @@ impl Topology {
         self
     }
 
-    /// Sets the number of versions a keyspace partition's memtable holds
-    /// before it flushes into a sorted run.
+    /// No effect; kept for the frozen benchmark; deleted with its last caller by ROADMAP item 1.
     pub fn memtable_threshold(mut self, versions: usize) -> Self {
         self.engine.memtable_threshold = versions;
         self
     }
 
-    /// Sets the number of sorted runs a keyspace partition accumulates
-    /// before a size-tiered compaction merges them.
+    /// No effect; kept for the frozen benchmark; deleted with its last caller by ROADMAP item 1.
     pub fn run_threshold(mut self, runs: usize) -> Self {
         self.engine.run_threshold = runs;
         self
@@ -197,13 +195,8 @@ mod tests {
 
     #[test]
     fn storage_threshold_setters_reach_the_engine_config() {
-        let topo = Topology::new(1, Directory::Mod(1))
-            .compact_threshold(64)
-            .memtable_threshold(8)
-            .run_threshold(3);
+        let topo = Topology::new(1, Directory::Mod(1)).compact_threshold(64);
         assert_eq!(topo.engine.compact_threshold, 64);
-        assert_eq!(topo.engine.memtable_threshold, 8);
-        assert_eq!(topo.engine.run_threshold, 3);
     }
 
     #[test]

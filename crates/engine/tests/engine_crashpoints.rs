@@ -31,12 +31,8 @@ fn scenario(protocol: CommitProtocol, policy: FsyncPolicy) -> CrashPointConfig {
         recover_after: SimDuration::from_millis(700),
         max_points_per_site: None, // exhaustive
         protocol,
-        // Tiny LSM thresholds: the scenario must reach flush and
-        // compaction crash coordinates, not just WAL append points.
-        memtable_threshold: 2,
-        run_threshold: 2,
-        // And a tiny checkpoint floor: append points on both sides of
-        // several WAL checkpoints at every site.
+        // A tiny checkpoint floor: append points on both sides of several
+        // WAL checkpoints at every site.
         compact_threshold: 8,
     }
 }
@@ -129,22 +125,5 @@ fn paxos_crash_points_cover_acceptor_records() {
     assert_eq!(points.len(), 3);
     for (s, set) in points.iter().enumerate() {
         assert!(!set.is_empty(), "site {s} reached no append points");
-    }
-}
-
-#[test]
-fn lsm_crash_points_cover_flushes_and_compactions() {
-    use pv_engine::crashpoint::enumerate_lsm_points;
-    // Under the tiny thresholds every site's keyspace flushes (and, past
-    // run_threshold runs, compacts) during the scenario, so the LSM sweep
-    // has real coordinates at every site — crashes land just after a flush
-    // or compaction rewired the partition's run set.
-    let points = enumerate_lsm_points(&scenario(
-        CommitProtocol::Polyvalue,
-        FsyncPolicy::PerDecision,
-    ));
-    assert_eq!(points.len(), 3);
-    for (s, set) in points.iter().enumerate() {
-        assert!(!set.is_empty(), "site {s} never flushed or compacted");
     }
 }

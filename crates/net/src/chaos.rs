@@ -4,11 +4,10 @@
 //! listener. Site peer tables point at the proxies (the nodes themselves
 //! still bind their real addresses), so every site→site connection crosses a
 //! proxy that can misbehave on command: delay frames, drop them, duplicate
-//! them, throttle bytes, cut a connection in the middle of a frame, or
-//! blackhole a direction entirely (a partition). Faults are configured per
-//! *directed link* — the proxy learns which node is talking from the `Hello`
-//! frame every connection opens with — so one-way partitions and asymmetric
-//! loss are first-class.
+//! them, or blackhole a direction entirely (a partition). Faults are
+//! configured per *directed link* — the proxy learns which node is talking
+//! from the `Hello` frame every connection opens with — so one-way
+//! partitions and asymmetric loss are first-class.
 //!
 //! Injection decisions come from a [`SimRng`] forked per connection from one
 //! master seed, so a chaos schedule replays the same decision sequence for
@@ -16,15 +15,12 @@
 //! is not deterministic — the *faults* are, the timing is not; the recovery
 //! invariants the harness checks hold under any interleaving.)
 //!
-//! The proxy operates on whole frames in the faulted direction: a dropped
-//! or delayed frame never corrupts the byte stream, mirroring message-level
-//! loss in the simulator's [`pv_simnet`] fault model. The one deliberate
-//! exception is [`LinkFaults::cut_midframe_prob`], which truncates a frame
-//! and closes the socket — exercising the decoder's partial-frame handling
-//! and the node's reconnect path at once. Everything injected is counted in
-//! a shared metrics registry under `chaos.injected.*`.
+//! The proxy operates on whole frames in the faulted direction: no fault
+//! ever corrupts the byte stream, mirroring message-level
+//! loss in the simulator's [`pv_simnet`] fault model. Everything injected is
+//! counted in a shared metrics registry under `chaos.injected.*`.
 
-use crate::wire::{decode_frame, Frame, HEADER_LEN};
+use crate::wire::{decode_frame, Frame};
 use pv_engine::EngineError;
 use pv_simnet::{Metrics, SimRng};
 use std::collections::{BTreeMap, VecDeque};
@@ -53,11 +49,6 @@ pub struct LinkFaults {
     pub drop_prob: f64,
     /// Probability a frame is delivered twice.
     pub dup_prob: f64,
-    /// Byte-rate cap on the link (`0` = unlimited).
-    pub throttle_bytes_per_sec: u64,
-    /// Probability a frame is truncated mid-header/payload and the
-    /// connection cut — the receiver sees a partial frame then EOF.
-    pub cut_midframe_prob: f64,
     /// Blackholes the direction: existing connections are killed and new
     /// ones closed as soon as their `Hello` identifies the link.
     pub blocked: bool,
@@ -310,24 +301,21 @@ fn fill(stream: &mut TcpStream, buf: &mut Vec<u8>) -> bool {
     }
 }
 
-/// Writes as much of `buf` as the socket takes, up to `budget` bytes;
-/// returns `Err(())` once the connection is finished.
-fn drain(stream: &mut TcpStream, buf: &mut Vec<u8>, budget: usize) -> Result<usize, ()> {
-    let mut written = 0;
-    while written < budget && !buf.is_empty() {
-        let n = buf.len().min(budget - written);
-        match stream.write(&buf[..n]) {
+/// Writes as much of `buf` as the socket takes; returns `Err(())` once the
+/// connection is finished.
+fn drain(stream: &mut TcpStream, buf: &mut Vec<u8>) -> Result<(), ()> {
+    while !buf.is_empty() {
+        match stream.write(buf) {
             Ok(0) => return Err(()),
             Ok(k) => {
                 buf.drain(..k);
-                written += k;
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == ErrorKind::Interrupted => continue,
             Err(_) => return Err(()),
         }
     }
-    Ok(written)
+    Ok(())
 }
 
 /// One proxied connection: learn the source node from its `Hello`, dial the
@@ -384,14 +372,10 @@ fn pump_conn(
 
     // Frames waiting out their injected delay, FIFO per due time.
     let mut delayed: VecDeque<(Instant, Vec<u8>)> = VecDeque::new();
-    // Bytes cleared for the site, pending socket capacity (and throttle).
+    // Bytes cleared for the site, pending socket capacity.
     let mut server_wbuf: Vec<u8> = hello_raw;
     // Reverse direction: site → dialer, relayed verbatim.
     let mut client_wbuf: Vec<u8> = Vec::new();
-    // Token bucket for throttling (refilled by wall-clock elapsed).
-    let mut tokens: f64 = 0.0;
-    let mut last_refill = Instant::now();
-    let mut cut_after_flush = false;
 
     loop {
         if shared.stop.load(Ordering::SeqCst) {
@@ -417,15 +401,6 @@ fn pump_conn(
                     if faults.drop_prob > 0.0 && rng.chance(faults.drop_prob) {
                         shared.inc("chaos.injected.drop");
                         continue;
-                    }
-                    if faults.cut_midframe_prob > 0.0 && rng.chance(faults.cut_midframe_prob) {
-                        shared.inc("chaos.injected.cut_midframe");
-                        // Forward a prefix that ends inside the frame, then
-                        // hang up once it has flushed.
-                        let cut = (raw.len() / 2).max(HEADER_LEN / 2).min(raw.len() - 1);
-                        server_wbuf.extend_from_slice(&raw[..cut]);
-                        cut_after_flush = true;
-                        break;
                     }
                     let copies = if faults.dup_prob > 0.0 && rng.chance(faults.dup_prob) {
                         shared.inc("chaos.injected.dup");
@@ -454,36 +429,13 @@ fn pump_conn(
             server_wbuf.extend_from_slice(&raw);
         }
 
-        // Throttle: spendable bytes this tick.
-        let budget = if faults.throttle_bytes_per_sec > 0 {
-            let elapsed = now.duration_since(last_refill).as_secs_f64();
-            last_refill = now;
-            tokens = (tokens + elapsed * faults.throttle_bytes_per_sec as f64)
-                .min(faults.throttle_bytes_per_sec as f64);
-            if !server_wbuf.is_empty() && tokens < 1.0 {
-                shared.inc("chaos.injected.throttle_stall");
-            }
-            tokens as usize
-        } else {
-            last_refill = now;
-            usize::MAX
-        };
-        match drain(&mut server, &mut server_wbuf, budget) {
-            Ok(written) => {
-                if faults.throttle_bytes_per_sec > 0 {
-                    tokens -= written as f64;
-                }
-            }
-            Err(()) => return,
-        }
-        if cut_after_flush && server_wbuf.is_empty() {
-            shared.inc("chaos.injected.conn_killed");
+        if drain(&mut server, &mut server_wbuf).is_err() {
             return;
         }
 
         // Reverse direction, verbatim.
         let server_alive = fill(&mut server, &mut client_wbuf);
-        if drain(&mut client, &mut client_wbuf, usize::MAX).is_err() {
+        if drain(&mut client, &mut client_wbuf).is_err() {
             return;
         }
 

@@ -22,7 +22,7 @@
 //!   [`pv_engine::Topology`] as the other two runtimes.
 //! * [`chaos`] — a fault-injecting TCP proxy ([`ChaosNet`]) that sits on
 //!   every site→site link and applies seeded, deterministic delay, drop,
-//!   duplication, throttling, partitions, and mid-frame cuts.
+//!   duplication, and partitions.
 //!
 //! The `pv-node` binary wraps [`node::Node`] for one-process-per-site
 //! deployment; `pv-loadgen` spawns or targets such a cluster, drives funds

@@ -111,11 +111,9 @@ pub struct EngineConfig {
     /// has doubled) and at least this many. Log length, and so recovery
     /// replay, stays within twice the last checkpoint plus this floor.
     pub compact_threshold: usize,
-    /// Versions a keyspace partition's memtable holds before it flushes
-    /// into a sorted run (entry-counted for seed determinism).
+    /// No effect; kept for the frozen benchmark; deleted with its last caller by ROADMAP item 1.
     pub memtable_threshold: usize,
-    /// Sorted runs a keyspace partition accumulates before a size-tiered
-    /// compaction merges them (dropping versions no live snapshot can see).
+    /// No effect; kept for the frozen benchmark; deleted with its last caller by ROADMAP item 1.
     pub run_threshold: usize,
 }
 

@@ -18,7 +18,7 @@ pub mod storage;
 mod wal;
 
 pub use codec::CodecError;
-pub use lsm::{Keyspace, KeyspaceConfig, KeyspaceStats, SeqNo, SnapshotTracker, Version};
+pub use lsm::{Keyspace, KeyspaceConfig, SeqNo, SnapshotTracker, Version};
 pub use outcomes::{DepEntry, OutcomeTable};
 pub use site_store::{PaxosState, PendingTxn, SiteStore, SnapshotView, StoreStats};
 pub use storage::{

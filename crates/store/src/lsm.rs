@@ -1,31 +1,21 @@
-//! The partitioned LSM keyspace: MVCC version chains behind the WAL.
+//! The keyspace: each item's newest version, behind the WAL.
 //!
 //! [`Keyspace`] is the materialised table a site serves reads from. Each
 //! item's **newest version** lives in one hash map, the only place it is
 //! stored: the protocol's reads, writes and existence checks are one probe.
-//! Everything older is **history**, kept for snapshot reads in the classic
-//! memtable-plus-sorted-runs idiom (fjall-style):
+//! Every write is stamped with a monotone [`SeqNo`]. A polyvalue install is
+//! just another version whose entry carries its condition, and the collapse
+//! that resolves it is the next one: what a site knows about an in-doubt item
+//! lives inside the item's one current value, so no version history is
+//! needed to represent it.
 //!
-//! * items hash into a fixed set of **partitions**;
-//! * a write that supersedes an item's newest version moves the superseded
-//!   version into its partition's **memtable**; an item's first write
-//!   enters none;
-//! * a memtable that reaches its entry threshold is **flushed** into an
-//!   immutable run sorted by `(item, seq)`; when a partition accumulates
-//!   `run_threshold` runs they are **size-tiered compacted** into one,
-//!   dropping history no live snapshot can see.
-//!
-//! Every write is stamped with a monotone [`SeqNo`], so an entry's history
-//! is a version chain: a polyvalue install is just another version whose
-//! entry carries its condition, and the collapse that resolves it is the
-//! next version up the chain — no special casing anywhere in the storage
-//! layer. A [`SnapshotTracker`] pins the oldest sequence number any live
-//! read-only transaction may still visit; compaction garbage-collects
-//! history strictly below every pin. Per item it keeps the versions above
-//! the horizon plus the newest at or below it — exactly what any pinned
-//! snapshot resolves to — and keeps none once the newest version itself is
-//! at or below the horizon. With no pin live, a compacted keyspace holds one
-//! version per item.
+//! **Snapshot pins.** A [`SnapshotTracker`] pins sequence numbers for
+//! read-only transactions held open across writes. A write keeps the version
+//! it supersedes only while a live pin can still see it (the newest pin is at
+//! or above its `seq`), and that history is dropped when the last pin is
+//! released. With no pin live the keyspace holds exactly one version per
+//! item; a site's own snapshot read pins nothing (see
+//! [`crate::SiteStore::snapshot_read`]).
 //!
 //! **Durability split.** The WAL is the commit log and the sole recovery
 //! authority: the keyspace is derived state, held in memory and rebuilt by
@@ -38,7 +28,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 /// keyspace. Snapshot reads are "the newest version at or below this".
 pub type SeqNo = u64;
 
-/// One version in an item's chain.
+/// One version of an item.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Version {
     /// The write's position in the site's total version order.
@@ -47,37 +37,14 @@ pub struct Version {
     pub entry: Entry<Value>,
 }
 
-/// Tuning knobs of a [`Keyspace`].
-///
-/// Thresholds are counted in **entries**, not bytes: entry counts are a
-/// pure function of the write sequence, so flush and compaction points are
-/// byte-stable across same-seed runs regardless of value encoding width.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct KeyspaceConfig {
-    /// Number of hash partitions items spread over.
-    pub partitions: usize,
-    /// Superseded versions a partition's memtable holds before flushing
-    /// into a run.
-    pub memtable_max_entries: usize,
-    /// Runs a partition accumulates before they are compacted into one.
-    pub run_threshold: usize,
-}
-
-impl Default for KeyspaceConfig {
-    fn default() -> Self {
-        KeyspaceConfig {
-            partitions: 4,
-            memtable_max_entries: 512,
-            run_threshold: 4,
-        }
-    }
-}
+/// No effect; kept for the frozen benchmark; deleted with its last caller by ROADMAP item 1.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+// Non-exhaustive so `default()` stays the way to build it: clippy flags
+// `default()` on a plain unit struct, and the frozen caller uses it.
+#[non_exhaustive]
+pub struct KeyspaceConfig;
 
 /// Refcounted pins on snapshot sequence numbers.
-///
-/// Acquiring a snapshot pins the current [`SeqNo`]; compaction may only
-/// drop versions invisible to the oldest pin. Releasing the last reference
-/// on the oldest pin advances the GC horizon.
 #[derive(Debug, Clone, Default)]
 pub struct SnapshotTracker {
     pins: BTreeMap<SeqNo, usize>,
@@ -100,14 +67,9 @@ impl SnapshotTracker {
         }
     }
 
-    /// The oldest pinned sequence number, if any snapshot is live.
-    pub fn oldest(&self) -> Option<SeqNo> {
-        self.pins.keys().next().copied()
-    }
-
-    /// Number of distinct pinned sequence numbers.
-    pub fn pinned(&self) -> usize {
-        self.pins.len()
+    /// The newest pinned sequence number, if any snapshot is live.
+    fn newest(&self) -> Option<SeqNo> {
+        self.pins.keys().next_back().copied()
     }
 
     /// Drops every pin (volatile state lost in a crash).
@@ -116,131 +78,41 @@ impl SnapshotTracker {
     }
 }
 
-/// An immutable sorted run: versions ordered by `(item, seq)`.
-#[derive(Debug, Clone)]
-struct Run {
-    versions: Vec<(ItemId, Version)>,
-}
-
-impl Run {
-    /// The newest version of `item` with `seq <= snap`, if any.
-    fn get_at(&self, item: ItemId, snap: SeqNo) -> Option<&Version> {
-        let start = self.versions.partition_point(|(i, _)| *i < item);
-        let end = self.versions[start..].partition_point(|(i, _)| *i == item) + start;
-        self.versions[start..end]
-            .iter()
-            .rev()
-            .map(|(_, v)| v)
-            .find(|v| v.seq <= snap)
-    }
-}
-
-/// One hash partition's history: a memtable of superseded versions in the
-/// order they were superseded (so each item's are in `seq` order) plus a
-/// stack of immutable sorted runs (newest last). For any one item, every
-/// memtable version is newer than every run version, and a newer run's
-/// versions are newer than an older run's.
+/// The keyspace. See the module docs for the layout and durability
+/// contract.
 #[derive(Debug, Clone, Default)]
-struct Partition {
-    memtable: Vec<(ItemId, Version)>,
-    runs: Vec<Run>,
-}
-
-impl Partition {
-    /// The newest history version of `item` with `seq <= snap`, if any.
-    fn get_at(&self, item: ItemId, snap: SeqNo) -> Option<&Version> {
-        self.memtable
-            .iter()
-            .rev()
-            .find(|(i, v)| *i == item && v.seq <= snap)
-            .map(|(_, v)| v)
-            .or_else(|| self.runs.iter().rev().find_map(|r| r.get_at(item, snap)))
-    }
-
-    fn version_count(&self) -> usize {
-        self.memtable.len() + self.runs.iter().map(|r| r.versions.len()).sum::<usize>()
-    }
-}
-
-/// Monotone counters and gauges of keyspace activity, surfaced as the
-/// engine's `store.*` metrics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct KeyspaceStats {
-    /// Memtable flushes performed (each produced one run).
-    pub flushes: u64,
-    /// Size-tiered compactions performed.
-    pub compactions: u64,
-    /// History versions dropped by compaction GC (invisible to every pin).
-    pub gc_dropped: u64,
-}
-
-/// The partitioned LSM keyspace. See the module docs for the layout and
-/// durability contract.
-#[derive(Debug, Clone)]
 pub struct Keyspace {
-    cfg: KeyspaceConfig,
-    parts: Vec<Partition>,
     /// The sequence number of the most recent write (0 = nothing written).
     seq: SeqNo,
     tracker: SnapshotTracker,
-    /// Each item's newest version, held nowhere else; its keys are every
-    /// item ever written.
+    /// Each item's newest version; its keys are every item ever written.
     latest: HashMap<ItemId, Version, DetState>,
+    /// Superseded versions a live pin can still see, in the order they were
+    /// superseded (so each item's are in `seq` order). Empty while no pin is
+    /// live.
+    history: Vec<(ItemId, Version)>,
     /// Items whose *latest* version is a polyvalue — the paper's `P(t)`.
     poly_items: BTreeSet<ItemId>,
-    /// Counts every flush and compaction: the LSM's crash-coordinate
-    /// counter, sampled by the crashpoint harness alongside the WAL's
-    /// append counter.
-    op_seq: u64,
-    stats: KeyspaceStats,
-}
-
-impl Default for Keyspace {
-    fn default() -> Self {
-        Keyspace::new(KeyspaceConfig::default())
-    }
 }
 
 impl Keyspace {
-    /// An empty keyspace with the given tuning.
-    pub fn new(cfg: KeyspaceConfig) -> Self {
-        let partitions = cfg.partitions.max(1);
-        Keyspace {
-            cfg: KeyspaceConfig { partitions, ..cfg },
-            parts: vec![Partition::default(); partitions],
-            seq: 0,
-            tracker: SnapshotTracker::default(),
-            latest: HashMap::default(),
-            poly_items: BTreeSet::new(),
-            op_seq: 0,
-            stats: KeyspaceStats::default(),
-        }
+    /// An empty keyspace, the same as [`Keyspace::default`]: the config has
+    /// no effect.
+    pub fn new(_cfg: KeyspaceConfig) -> Self {
+        Keyspace::default()
     }
 
-    /// Replaces the tuning knobs (only meaningful before writes arrive;
-    /// the partition count is fixed at construction and is not changed).
-    pub fn set_thresholds(&mut self, memtable_max_entries: usize, run_threshold: usize) {
-        self.cfg.memtable_max_entries = memtable_max_entries.max(1);
-        self.cfg.run_threshold = run_threshold.max(2);
-    }
-
-    /// The active tuning.
-    pub fn config(&self) -> KeyspaceConfig {
-        self.cfg
-    }
+    /// No effect; kept for the frozen benchmark; deleted with its last caller by ROADMAP item 1.
+    pub fn set_thresholds(&mut self, _: usize, _: usize) {}
 
     /// Makes room for at least `additional` more items.
     pub fn reserve(&mut self, additional: usize) {
         self.latest.reserve(additional);
     }
 
-    fn part_of(&self, item: ItemId) -> usize {
-        (item.0 % self.parts.len() as u64) as usize
-    }
-
     /// Installs `entry` as the next version of `item`, returning its
-    /// [`SeqNo`]. The version it supersedes, if any, enters the item's
-    /// partition memtable, which may flush and trigger compaction.
+    /// [`SeqNo`]. The version it supersedes is kept only if a live pin can
+    /// still see it.
     pub fn put(&mut self, item: ItemId, entry: Entry<Value>) -> SeqNo {
         self.seq += 1;
         let seq = self.seq;
@@ -249,85 +121,16 @@ impl Keyspace {
         } else {
             self.poly_items.remove(&item);
         }
-        let Some(superseded) = self.latest.insert(item, Version { seq, entry }) else {
-            return seq;
-        };
-        let p = self.part_of(item);
-        let part = &mut self.parts[p];
-        part.memtable.push((item, superseded));
-        if part.memtable.len() >= self.cfg.memtable_max_entries {
-            self.flush_partition(p);
-            if self.parts[p].runs.len() >= self.cfg.run_threshold {
-                self.compact_partition(p);
+        if let Some(superseded) = self.latest.insert(item, Version { seq, entry }) {
+            if self
+                .tracker
+                .newest()
+                .is_some_and(|pin| pin >= superseded.seq)
+            {
+                self.history.push((item, superseded));
             }
         }
         seq
-    }
-
-    /// Flushes partition `p`'s memtable into a new run.
-    fn flush_partition(&mut self, p: usize) {
-        let mut versions = std::mem::take(&mut self.parts[p].memtable);
-        // Stable: each item's versions keep their (ascending) seq order.
-        versions.sort_by_key(|(item, _)| *item);
-        self.parts[p].runs.push(Run { versions });
-        self.op_seq += 1;
-        self.stats.flushes += 1;
-    }
-
-    /// Size-tiered compaction: merges every run of partition `p` into one,
-    /// dropping history invisible to the oldest pinned snapshot. The GC
-    /// horizon is `min(oldest pin, current seq)`. Per item, every version
-    /// above the horizon survives plus the newest at-or-below it (what the
-    /// oldest pin resolves the item to) — unless the item's newest version
-    /// is itself at or below the horizon, when every pin resolves to that
-    /// and none of the history survives.
-    fn compact_partition(&mut self, p: usize) {
-        let horizon = self.tracker.oldest().unwrap_or(self.seq).min(self.seq);
-        // Runs are oldest first, so a stable sort of their concatenation
-        // orders every item's versions by seq.
-        let mut merged: Vec<(ItemId, Version)> = self.parts[p]
-            .runs
-            .drain(..)
-            .flat_map(|r| r.versions)
-            .collect();
-        merged.sort_by_key(|(item, _)| *item);
-        let before = merged.len();
-        let mut versions = Vec::with_capacity(before);
-        // Newest first: `covered` is the item whose newest at-or-below-
-        // horizon version has been seen, so older ones are invisible.
-        let mut covered = None;
-        for (item, v) in merged.into_iter().rev() {
-            if v.seq > horizon {
-                versions.push((item, v));
-            } else if covered != Some(item) {
-                covered = Some(item);
-                let newest = self.latest.get(&item).expect("history belongs to a written item");
-                if newest.seq > horizon {
-                    versions.push((item, v));
-                }
-            }
-        }
-        versions.reverse();
-        self.op_seq += 1;
-        self.stats.compactions += 1;
-        self.stats.gc_dropped += (before - versions.len()) as u64;
-        if !versions.is_empty() {
-            self.parts[p].runs.push(Run { versions });
-        }
-    }
-
-    /// Flushes every partition's memtable and compacts its runs into at
-    /// most one, regardless of thresholds. With no pin live this leaves
-    /// one version per item.
-    pub fn compact_all(&mut self) {
-        for p in 0..self.parts.len() {
-            if !self.parts[p].memtable.is_empty() {
-                self.flush_partition(p);
-            }
-            if !self.parts[p].runs.is_empty() {
-                self.compact_partition(p);
-            }
-        }
     }
 
     /// The newest entry of `item`.
@@ -341,9 +144,11 @@ impl Keyspace {
         if newest.seq <= snap {
             return Some(&newest.entry);
         }
-        self.parts[self.part_of(item)]
-            .get_at(item, snap)
-            .map(|v| &v.entry)
+        self.history
+            .iter()
+            .rev()
+            .find(|(i, v)| *i == item && v.seq <= snap)
+            .map(|(_, v)| &v.entry)
     }
 
     /// The sequence number of the most recent write.
@@ -359,14 +164,12 @@ impl Keyspace {
         seq
     }
 
-    /// Releases one pin on `seq`.
+    /// Releases one pin on `seq`; releasing the last pin drops the history.
     pub fn snapshot_release(&mut self, seq: SeqNo) {
         self.tracker.release(seq);
-    }
-
-    /// The snapshot pin tracker.
-    pub fn tracker(&self) -> &SnapshotTracker {
-        &self.tracker
+        if self.tracker.newest().is_none() {
+            self.history.clear();
+        }
     }
 
     /// Number of distinct items ever written.
@@ -397,46 +200,20 @@ impl Keyspace {
         items.into_iter()
     }
 
-    /// Total versions held: one newest per item plus the history in
-    /// memtables and runs.
+    /// Total versions held: one newest per item plus the history a live pin
+    /// can still see.
     pub fn version_count(&self) -> usize {
-        let history: usize = self.parts.iter().map(Partition::version_count).sum();
-        self.latest.len() + history
+        self.latest.len() + self.history.len()
     }
 
-    /// Total runs across all partitions.
-    pub fn run_count(&self) -> usize {
-        self.parts.iter().map(|p| p.runs.len()).sum()
-    }
-
-    /// How many writes the oldest live snapshot lags the present by.
-    pub fn snapshot_age(&self) -> u64 {
-        self.tracker.oldest().map_or(0, |s| self.seq - s)
-    }
-
-    /// The flush/compaction operation counter (LSM crash coordinate).
-    pub fn op_seq(&self) -> u64 {
-        self.op_seq
-    }
-
-    /// Activity counters.
-    pub fn stats(&self) -> KeyspaceStats {
-        self.stats
-    }
-
-    /// Clears every version, chain index, and pin (crash of volatile
-    /// state; the WAL replay that follows rebuilds the keyspace).
+    /// Clears every version and pin (crash of volatile state; the WAL replay
+    /// that follows rebuilds the keyspace).
     pub fn clear(&mut self) {
-        for part in &mut self.parts {
-            part.memtable.clear();
-            part.runs.clear();
-        }
         self.seq = 0;
         self.latest.clear();
+        self.history.clear();
         self.poly_items.clear();
         self.tracker.clear();
-        // op_seq / stats deliberately survive: op_seq is a lifetime crash
-        // coordinate (like the WAL's append counter).
     }
 }
 
@@ -453,14 +230,6 @@ mod tests {
         Entry::in_doubt(simple(a), simple(b), TxnId(t))
     }
 
-    fn tiny() -> Keyspace {
-        Keyspace::new(KeyspaceConfig {
-            partitions: 2,
-            memtable_max_entries: 4,
-            run_threshold: 3,
-        })
-    }
-
     #[test]
     fn put_then_latest_round_trips() {
         let mut ks = Keyspace::default();
@@ -475,10 +244,10 @@ mod tests {
 
     #[test]
     fn snapshot_reads_see_point_in_time_view() {
-        let mut ks = tiny();
+        let mut ks = Keyspace::default();
         ks.put(ItemId(1), simple(10));
         let snap = ks.snapshot_acquire();
-        // Writes after the snapshot are invisible to it, across flushes.
+        // Writes after the snapshot are invisible to it.
         for i in 0..20 {
             ks.put(ItemId(1), simple(100 + i));
         }
@@ -488,82 +257,61 @@ mod tests {
     }
 
     #[test]
-    fn flush_and_compaction_fire_at_thresholds() {
-        let mut ks = tiny();
-        // Partition 1 (odd item). The first write enters only the newest-
-        // version map; each of the next 12 supersedes one version into the
-        // memtable: 4 per flush, and the third run triggers compaction.
+    fn overwrites_leave_one_version_per_item() {
+        let mut ks = Keyspace::default();
+        // With no pin live nothing can read a superseded version, so none
+        // is kept.
         for i in 0..13 {
             ks.put(ItemId(1), simple(i));
         }
-        let st = ks.stats();
-        assert_eq!(st.flushes, 3);
-        assert_eq!(st.compactions, 1);
-        // No pin is live, so the compaction dropped the whole history.
-        assert_eq!(st.gc_dropped, 12);
-        assert_eq!(ks.run_count(), 0);
         assert_eq!(ks.version_count(), 1);
-        assert_eq!(ks.latest(ItemId(1)), Some(&simple(12)));
+        for i in 0..40 {
+            ks.put(ItemId(i % 8), poly(i as i64 + 1, 0, i));
+        }
+        assert_eq!(ks.len(), 8);
+        assert_eq!(ks.version_count(), ks.len());
+        assert_eq!(ks.latest(ItemId(1)), Some(&poly(34, 0, 33)));
     }
 
     #[test]
-    fn seeding_performs_no_flush() {
-        let mut ks = tiny();
-        for i in 0..100 {
-            ks.put(ItemId(i), simple(i as i64));
+    fn history_holds_only_what_a_live_pin_can_see() {
+        let mut ks = Keyspace::default();
+        ks.put(ItemId(1), simple(0));
+        let snap = ks.snapshot_acquire();
+        for i in 1..12 {
+            ks.put(ItemId(1), simple(i));
         }
-        assert_eq!(ks.stats().flushes, 0);
-        assert_eq!(ks.op_seq(), 0);
-        assert_eq!(ks.len(), 100);
-        assert_eq!(ks.version_count(), ks.len());
+        // Only the version the pin resolves to outlives its successor.
+        assert_eq!(ks.version_count(), 2);
+        assert_eq!(ks.get_at(ItemId(1), snap), Some(&simple(0)));
+        ks.snapshot_release(snap);
+        assert_eq!(ks.version_count(), 1);
     }
 
     #[test]
     fn superseded_version_stays_visible_to_its_pin() {
-        let mut ks = tiny();
+        let mut ks = Keyspace::default();
         let item = ItemId(1);
         ks.put(item, simple(1));
         let s1 = ks.snapshot_acquire();
         ks.put(item, simple(2));
-        ks.compact_all();
         // v2 is only in the newest-version map; superseding it must move it
         // into history where the pin taken between v2 and v3 finds it.
         let s2 = ks.snapshot_acquire();
         ks.put(item, simple(3));
         assert_eq!(ks.get_at(item, s2), Some(&simple(2)));
         assert_eq!(ks.get_at(item, s1), Some(&simple(1)));
-        ks.compact_all();
-        assert_eq!(ks.get_at(item, s2), Some(&simple(2)));
-        assert_eq!(ks.get_at(item, s1), Some(&simple(1)));
         assert_eq!(ks.latest(item), Some(&simple(3)));
+        // History outlives any one pin, and goes with the last.
         ks.snapshot_release(s1);
+        assert_eq!(ks.get_at(item, s2), Some(&simple(2)));
         ks.snapshot_release(s2);
-        ks.compact_all();
         assert_eq!(ks.version_count(), 1);
     }
 
     #[test]
-    fn compaction_preserves_pinned_versions() {
-        let mut ks = tiny();
-        ks.put(ItemId(1), simple(1));
-        ks.put(ItemId(1), simple(2));
-        let snap = ks.snapshot_acquire();
-        for i in 3..30 {
-            ks.put(ItemId(1), simple(i));
-        }
-        assert!(ks.stats().compactions >= 1);
-        assert_eq!(ks.get_at(ItemId(1), snap), Some(&simple(2)));
-        ks.snapshot_release(snap);
-        // With the pin gone, further compactions may GC it.
-        for i in 30..60 {
-            ks.put(ItemId(1), simple(i));
-        }
-        assert_eq!(ks.latest(ItemId(1)), Some(&simple(59)));
-    }
-
-    #[test]
     fn polyvalue_versions_ride_the_chain() {
-        let mut ks = tiny();
+        let mut ks = Keyspace::default();
         ks.put(ItemId(1), simple(100));
         let snap = ks.snapshot_acquire();
         ks.put(ItemId(1), poly(90, 100, 7));
@@ -579,7 +327,7 @@ mod tests {
 
     #[test]
     fn iter_latest_is_item_ordered_and_current() {
-        let mut ks = tiny();
+        let mut ks = Keyspace::default();
         ks.put(ItemId(3), simple(3));
         ks.put(ItemId(1), simple(1));
         ks.put(ItemId(2), simple(2));
@@ -595,34 +343,36 @@ mod tests {
     }
 
     #[test]
-    fn clear_resets_data_but_keeps_crash_coordinates() {
-        let mut ks = tiny();
-        for i in 0..12 {
-            ks.put(ItemId(1), simple(i));
-        }
-        let ops = ks.op_seq();
-        assert!(ops > 0);
+    fn clear_resets_data_and_pins() {
+        let mut ks = Keyspace::default();
+        ks.put(ItemId(1), simple(0));
+        ks.snapshot_acquire();
+        ks.put(ItemId(1), simple(1));
+        assert_eq!(ks.version_count(), 2);
         ks.clear();
         assert!(ks.is_empty());
         assert_eq!(ks.current_seq(), 0);
         assert_eq!(ks.version_count(), 0);
-        assert_eq!(ks.op_seq(), ops);
+        // The pin went with the crash: nothing keeps history any more.
+        ks.put(ItemId(1), simple(2));
+        ks.put(ItemId(1), simple(3));
+        assert_eq!(ks.version_count(), 1);
     }
 
     #[test]
     fn snapshot_tracker_refcounts() {
         let mut t = SnapshotTracker::default();
-        assert_eq!(t.oldest(), None);
+        assert_eq!(t.newest(), None);
         t.acquire(5);
         t.acquire(5);
         t.acquire(9);
-        assert_eq!(t.oldest(), Some(5));
-        t.release(5);
-        assert_eq!(t.oldest(), Some(5));
-        t.release(5);
-        assert_eq!(t.oldest(), Some(9));
+        assert_eq!(t.newest(), Some(9));
         t.release(9);
-        assert_eq!(t.oldest(), None);
+        assert_eq!(t.newest(), Some(5));
+        t.release(5);
+        assert_eq!(t.newest(), Some(5));
+        t.release(5);
+        assert_eq!(t.newest(), None);
         // Releasing an unknown pin is a no-op.
         t.release(42);
     }

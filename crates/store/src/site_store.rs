@@ -8,7 +8,7 @@
 //! rebuilds it by replaying whatever image survived the crash, which is
 //! exactly what the engine's sites do when the failure injector crashes them.
 
-use crate::lsm::{Keyspace, KeyspaceStats, SeqNo};
+use crate::lsm::{Keyspace, SeqNo};
 use crate::outcomes::{DepEntry, OutcomeTable};
 use crate::storage::{MemStorage, Storage, StorageStats};
 use crate::wal::{Record, SiteId, Wal};
@@ -16,7 +16,7 @@ use pv_core::expr::ReadSource;
 use pv_core::{Entry, ItemId, TxnId, Value};
 use std::collections::BTreeMap;
 
-/// What a snapshot read returns: the pinned sequence number and the
+/// What a snapshot read returns: the sequence number it read at and the
 /// `(item, entry)` pairs observed at exactly that point in time.
 pub type SnapshotView = (SeqNo, Vec<(ItemId, Entry<Value>)>);
 
@@ -71,11 +71,11 @@ pub struct StoreStats {
     pub recovery_truncations: u64,
     /// Wall-clock duration of each recovery, in seconds.
     pub recovery_durations: Vec<f64>,
-    /// Keyspace memtable flushes (each produced a sorted run).
+    /// Always 0: no effect; kept for the frozen benchmark; deleted with its last caller by ROADMAP item 1.
     pub lsm_flushes: u64,
-    /// Keyspace size-tiered compactions.
+    /// Always 0: no effect; kept for the frozen benchmark; deleted with its last caller by ROADMAP item 1.
     pub lsm_compactions: u64,
-    /// Versions garbage-collected by keyspace compactions.
+    /// Always 0: no effect; kept for the frozen benchmark; deleted with its last caller by ROADMAP item 1.
     pub lsm_gc_dropped: u64,
     /// Snapshot read transactions served.
     pub snapshot_reads: u64,
@@ -116,8 +116,8 @@ pub struct SiteStore {
     /// In-memory mirror of the appended records (may run ahead of what the
     /// backend has made durable; recovery re-reads the backend).
     wal: Wal,
-    /// The materialised table: a partitioned LSM keyspace of MVCC version
-    /// chains, derived state rebuilt from the WAL on every recovery.
+    /// The materialised table: each item's newest version, derived state
+    /// rebuilt from the WAL on every recovery.
     keyspace: Keyspace,
     pending: BTreeMap<TxnId, PendingTxn>,
     outcomes: OutcomeTable,
@@ -134,8 +134,6 @@ pub struct SiteStore {
     append_seq: u64,
     /// Storage counters at the last [`SiteStore::take_stats`] drain.
     drained: StorageStats,
-    /// Keyspace counters at the last [`SiteStore::take_stats`] drain.
-    drained_lsm: KeyspaceStats,
     /// Snapshot reads served since the last drain.
     snapshot_reads: u64,
     /// Recovery activity since the last drain.
@@ -167,7 +165,6 @@ impl Clone for SiteStore {
             last_checkpoint: self.last_checkpoint,
             append_seq: self.append_seq,
             drained: StorageStats::default(),
-            drained_lsm: KeyspaceStats::default(),
             snapshot_reads: 0,
             recovery: StoreStats::default(),
         }
@@ -195,7 +192,6 @@ impl SiteStore {
             last_checkpoint: 0,
             append_seq: 0,
             drained: StorageStats::default(),
-            drained_lsm: KeyspaceStats::default(),
             snapshot_reads: 0,
             recovery: StoreStats::default(),
         }
@@ -218,10 +214,8 @@ impl SiteStore {
         self
     }
 
-    /// Sets the keyspace's memtable flush threshold (entries per partition
-    /// memtable) and run-compaction threshold (runs per partition).
-    pub fn with_lsm_thresholds(mut self, memtable_max_entries: usize, run_threshold: usize) -> Self {
-        self.keyspace.set_thresholds(memtable_max_entries, run_threshold);
+    /// No effect; kept for the frozen benchmark; deleted with its last caller by ROADMAP item 1.
+    pub fn with_lsm_thresholds(self, _: usize, _: usize) -> Self {
         self
     }
 
@@ -254,7 +248,6 @@ impl SiteStore {
     /// Drains storage and recovery activity since the last call.
     pub fn take_stats(&mut self) -> StoreStats {
         let now = self.storage.stats();
-        let lsm = self.keyspace.stats();
         let mut out = std::mem::take(&mut self.recovery);
         out.wal_bytes = now.bytes_appended - self.drained.bytes_appended;
         out.wal_appends = now.appends - self.drained.appends;
@@ -262,12 +255,8 @@ impl SiteStore {
         out.wal_segments = now.segments_created - self.drained.segments_created;
         out.wal_compactions = now.compactions - self.drained.compactions;
         out.wal_checkpoint_records = now.checkpoint_records - self.drained.checkpoint_records;
-        out.lsm_flushes = lsm.flushes - self.drained_lsm.flushes;
-        out.lsm_compactions = lsm.compactions - self.drained_lsm.compactions;
-        out.lsm_gc_dropped = lsm.gc_dropped - self.drained_lsm.gc_dropped;
         out.snapshot_reads = std::mem::take(&mut self.snapshot_reads);
         self.drained = now;
-        self.drained_lsm = lsm;
         out
     }
 
@@ -322,81 +311,41 @@ impl SiteStore {
         self.keyspace.iter_latest().map(|(i, e)| (i, e.clone()))
     }
 
-    // ---- MVCC snapshots ----------------------------------------------------
-
-    /// The entry of `item` visible at snapshot `snap` (the newest version
-    /// with sequence number at or below it).
-    pub fn get_at(&self, item: ItemId, snap: SeqNo) -> Option<Entry<Value>> {
-        self.keyspace.get_at(item, snap).cloned()
-    }
+    // ---- snapshot reads ----------------------------------------------------
 
     /// The sequence number of the most recent versioned write.
     pub fn current_seq(&self) -> SeqNo {
         self.keyspace.current_seq()
     }
 
-    /// Pins the current sequence number for a read-only transaction;
-    /// compaction will not GC any version the pin can see. Pair with
-    /// [`SiteStore::snapshot_release`].
-    pub fn snapshot_acquire(&mut self) -> SeqNo {
-        self.keyspace.snapshot_acquire()
-    }
-
-    /// Releases one pin on `snap`.
-    pub fn snapshot_release(&mut self, snap: SeqNo) {
-        self.keyspace.snapshot_release(snap);
-    }
-
-    /// Serves a coordination-free read-only transaction: acquires a
-    /// snapshot, reads every requested item (all of them if `items` is
-    /// empty) at that single point in time, releases the pin, and returns
-    /// `(snapshot, entries)`. Touches no lock table, stages nothing, and
-    /// appends nothing to the WAL.
+    /// Serves a coordination-free read-only transaction: reads every
+    /// requested item (all of them if `items` is empty) and returns
+    /// `(current_seq, entries)`. The read is one call on a single-threaded
+    /// site, so no write can interleave with it and it needs no pin: the
+    /// newest entries are exactly the view at the current sequence number.
+    /// Touches no lock table, stages nothing, and appends nothing to the WAL.
     pub fn snapshot_read(&mut self, items: &[ItemId]) -> SnapshotView {
-        let snap = self.keyspace.snapshot_acquire();
         let entries = if items.is_empty() {
-            self.keyspace
-                .iter_latest()
-                .map(|(i, _)| i)
-                .collect::<Vec<_>>()
-                .into_iter()
-                .filter_map(|i| self.keyspace.get_at(i, snap).cloned().map(|e| (i, e)))
-                .collect()
+            self.iter_items().collect()
         } else {
             items
                 .iter()
-                .filter_map(|&i| self.keyspace.get_at(i, snap).cloned().map(|e| (i, e)))
+                .filter_map(|&i| self.get(i).map(|e| (i, e)))
                 .collect()
         };
-        self.keyspace.snapshot_release(snap);
         self.snapshot_reads += 1;
-        (snap, entries)
+        (self.current_seq(), entries)
     }
 
-    /// Total MVCC versions held across memtables and runs.
+    /// Versions the keyspace holds: one per item, plus any history a live
+    /// pin can still see.
     pub fn mvcc_versions(&self) -> usize {
         self.keyspace.version_count()
     }
 
-    /// Sorted runs currently held across all keyspace partitions.
+    /// Always 0: no effect; kept for the frozen benchmark; deleted with its last caller by ROADMAP item 1.
     pub fn lsm_runs(&self) -> usize {
-        self.keyspace.run_count()
-    }
-
-    /// How many writes the oldest live snapshot lags the present by.
-    pub fn snapshot_age(&self) -> u64 {
-        self.keyspace.snapshot_age()
-    }
-
-    /// The keyspace's flush/compaction operation counter — the LSM
-    /// crash-point coordinate, analogous to [`SiteStore::append_seq`].
-    pub fn lsm_op_seq(&self) -> u64 {
-        self.keyspace.op_seq()
-    }
-
-    /// The keyspace's activity counters (lifetime totals, not deltas).
-    pub fn keyspace_stats(&self) -> KeyspaceStats {
-        self.keyspace.stats()
+        0
     }
 
     // ---- wait-phase staging (§3.1) ----------------------------------------
@@ -825,10 +774,10 @@ impl SiteStore {
     /// the log itself, compaction bookkeeping, and stats counters — none of
     /// which affect future protocol-visible behaviour.
     pub fn logical_view(&self) -> impl std::fmt::Debug + '_ {
-        // Render only the *latest* visible entry per item, never sequence
-        // numbers or the physical memtable/run layout: different record
-        // interleavings assign different SeqNos yet materialise identical
-        // latest-entry maps, and deduplication must treat them as equal.
+        // Render only the *latest* entry per item, never sequence numbers:
+        // different record interleavings assign different SeqNos yet
+        // materialise identical latest-entry maps, and deduplication must
+        // treat them as equal.
         let items: BTreeMap<ItemId, Entry<Value>> = self
             .keyspace
             .iter_latest()
@@ -1132,6 +1081,24 @@ mod tests {
         s.set_entry(ItemId(1), simple(14));
         assert!(s.maybe_compact());
         assert_eq!(s.take_stats().wal_checkpoint_records, 30);
+    }
+
+    #[test]
+    fn overwrites_and_their_replay_leave_one_version_per_item() {
+        let mut s = SiteStore::new();
+        for item in 0..4 {
+            s.seed_item(ItemId(item), Value::Int(0));
+        }
+        for i in 0..40 {
+            s.set_entry(ItemId(i % 4), simple(i as i64));
+        }
+        assert_eq!(s.mvcc_versions(), 4);
+        // The replayed log is the 4 seeds and all 40 overwrites.
+        s.crash_and_recover();
+        assert_eq!(s.take_stats().recovery_replay_records, 44);
+        assert_eq!(s.item_count(), 4);
+        assert_eq!(s.mvcc_versions(), 4);
+        assert_eq!(s.get(ItemId(3)), Some(simple(39)));
     }
 
     #[test]

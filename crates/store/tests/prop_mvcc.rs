@@ -1,19 +1,17 @@
 //! MVCC property tests: any interleaving of versioned writes, held-open
-//! snapshots, memtable flushes, size-tiered compactions, and
-//! crash-recoveries yields reads consistent with the serial order of the
-//! writes.
+//! snapshots and crash-recoveries yields reads consistent with the serial
+//! order of the writes.
 //!
 //! The driver is single-threaded, so the serial order is the program
 //! order; the property under test is that every snapshot observes exactly
 //! the prefix of writes that preceded its acquisition — no more, no less —
-//! regardless of how the keyspace reorganised itself (flush, compaction,
-//! GC) or crashed and replayed in between. A snapshot that stays pinned
-//! across compactions must keep resolving to the same values: the GC
-//! horizon may never overtake a live pin.
+//! however many writes, pins and releases came in between, or a crash and
+//! replay. A snapshot that stays pinned must keep resolving to the same
+//! values, and with no pin live the keyspace holds one version per item.
 
 use proptest::prelude::*;
 use pv_core::{Entry, ItemId, Value};
-use pv_store::{Keyspace, KeyspaceConfig, SeqNo, SiteStore};
+use pv_store::{Keyspace, SeqNo, SiteStore};
 use std::collections::BTreeMap;
 
 const ITEMS: u64 = 5;
@@ -21,15 +19,15 @@ const ITEMS: u64 = 5;
 /// One step of the interleaving.
 #[derive(Debug, Clone)]
 enum Step {
-    /// Install a new version (tiny thresholds make this flush/compact
-    /// frequently as a side effect).
+    /// Install a new version.
     Write { item: u64, value: i64 },
     /// Pin a snapshot and remember the model state it should observe.
     Acquire,
     /// Re-read every item through the oldest still-held snapshot and
     /// compare against the state remembered at its acquisition.
     ReadOldest,
-    /// Release the oldest held snapshot (advances the GC horizon).
+    /// Release the oldest held snapshot (the last release drops the
+    /// history).
     ReleaseOldest,
     /// Crash and recover the store (WAL replay rebuilds the keyspace).
     /// Only meaningful in the `SiteStore` property; a bare keyspace is
@@ -39,7 +37,7 @@ enum Step {
 
 fn step_strategy() -> impl Strategy<Value = Step> {
     // The vendored proptest has no weighted oneof; repeating the write arm
-    // biases interleavings toward writes so flushes and compactions fire.
+    // biases interleavings toward writes, so pins see many overwrites.
     prop_oneof![
         (0..ITEMS, -99i64..100).prop_map(|(item, value)| Step::Write { item, value }),
         (0..ITEMS, 100i64..299).prop_map(|(item, value)| Step::Write { item, value }),
@@ -48,16 +46,6 @@ fn step_strategy() -> impl Strategy<Value = Step> {
         Just(Step::ReleaseOldest),
         Just(Step::Crash),
     ]
-}
-
-/// Tiny thresholds: flush every 2 versions per partition, compact at 2
-/// runs — reorganisation happens constantly under the interleavings.
-fn tiny_keyspace() -> Keyspace {
-    Keyspace::new(KeyspaceConfig {
-        partitions: 2,
-        memtable_max_entries: 2,
-        run_threshold: 2,
-    })
 }
 
 /// Checks one held snapshot against the model state captured when it was
@@ -81,13 +69,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Pure keyspace MVCC: snapshots held open across any interleaving of
-    /// writes, flushes, and compactions keep observing the exact write
-    /// prefix that preceded them.
+    /// writes, pins and releases keep observing the exact write prefix that
+    /// preceded them.
     #[test]
     fn held_snapshots_observe_their_write_prefix(
         steps in prop::collection::vec(step_strategy(), 0..60),
     ) {
-        let mut ks = tiny_keyspace();
+        let mut ks = Keyspace::default();
         let mut model: BTreeMap<u64, i64> = BTreeMap::new();
         // Held pins, oldest first: (snapshot seq, model at acquisition).
         let mut held: Vec<(SeqNo, BTreeMap<u64, i64>)> = Vec::new();
@@ -117,7 +105,7 @@ proptest! {
             }
         }
         // Every pin must still resolve correctly at the end, after all the
-        // reorganisation the trailing writes triggered.
+        // trailing writes.
         for (snap, expected) in &held {
             check_snapshot(&ks, *snap, expected);
         }
@@ -132,13 +120,13 @@ proptest! {
 
     /// The newest-version map is the read path and history sits behind it:
     /// `latest` is the last write, a read at the current seq agrees with
-    /// it, `iter_latest` is strictly item-ordered, and once every pin is
-    /// released a full compaction leaves exactly one version per item.
+    /// it, `iter_latest` is strictly item-ordered, and whenever no pin is
+    /// live the keyspace holds exactly one version per item.
     #[test]
     fn newest_version_map_agrees_with_history(
         steps in prop::collection::vec(step_strategy(), 0..80),
     ) {
-        let mut ks = tiny_keyspace();
+        let mut ks = Keyspace::default();
         let mut model: BTreeMap<u64, i64> = BTreeMap::new();
         let mut held: Vec<SeqNo> = Vec::new();
         for step in &steps {
@@ -164,11 +152,13 @@ proptest! {
             let order: Vec<u64> = ks.iter_latest().map(|(i, _)| i.0).collect();
             prop_assert!(order.windows(2).all(|w| w[0] < w[1]), "iter_latest out of order: {order:?}");
             prop_assert_eq!(order.len(), model.len());
+            if held.is_empty() {
+                prop_assert_eq!(ks.version_count(), ks.len());
+            }
         }
         for snap in held {
             ks.snapshot_release(snap);
         }
-        ks.compact_all();
         prop_assert_eq!(ks.version_count(), ks.len());
     }
 
