@@ -124,8 +124,9 @@ pub struct CrashPointReport {
     pub points_explored: usize,
     /// WAL append points explored per site.
     pub points_per_site: Vec<usize>,
-    /// WAL checkpoints the crash-free reference run made, all sites together
-    /// (zero means no append point had a checkpoint on either side of it).
+    /// WAL checkpoints the crash-free reference run made once its sites had
+    /// started, all sites together; the seeded images are not counted (zero
+    /// means no append point had a checkpoint on either side of it).
     pub wal_checkpoints: u64,
     /// Every invariant violation found (empty on a clean pass).
     pub violations: Vec<Violation>,
@@ -191,9 +192,13 @@ pub fn enumerate_points(cfg: &CrashPointConfig) -> Vec<BTreeSet<u64>> {
 }
 
 /// The reference run: every append count each site reaches at a callback
-/// boundary, and the WAL checkpoints the run made.
+/// boundary, and the WAL checkpoints the run made after its sites started
+/// (each site's seeded image is a checkpoint too, written before any crash
+/// point).
 fn reference_run(cfg: &CrashPointConfig) -> (Vec<BTreeSet<u64>>, u64) {
     let mut cluster = build(cfg);
+    cluster.world.start();
+    let seeded = cluster.world.metrics().counter("wal.compactions");
     let mut points: Vec<BTreeSet<u64>> = vec![BTreeSet::new(); cfg.sites as usize];
     let horizon = SimTime::from_secs(cfg.settle_secs);
     let sample = |cluster: &Cluster, points: &mut Vec<BTreeSet<u64>>| {
@@ -212,7 +217,8 @@ fn reference_run(cfg: &CrashPointConfig) -> (Vec<BTreeSet<u64>>, u64) {
     while cluster.world.now() <= horizon && cluster.world.step() {
         sample(&cluster, &mut points);
     }
-    (points, cluster.world.metrics().counter("wal.compactions"))
+    let checkpoints = cluster.world.metrics().counter("wal.compactions") - seeded;
+    (points, checkpoints)
 }
 
 /// Replays the scenario, crashes `site` the first time it has appended

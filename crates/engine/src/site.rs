@@ -93,9 +93,12 @@ impl Site {
     /// [`Site::open`] over a store the caller built (the simulation's
     /// pluggable-storage runs): seeds the topology's items this site is home
     /// to and does not already hold, and makes that population durable
-    /// before the site serves traffic.
+    /// before the site serves traffic. An empty store takes its whole
+    /// population as its first checkpoint, in one synced write
+    /// ([`SiteStore::seed_checkpoint`]); a reopened image only gains the
+    /// items it lacks, one logged record each.
     pub(crate) fn open_over(id: SiteId, topo: &Topology, store: SiteStore) -> Site {
-        // Read before seeding: seeding a fresh store also appends records.
+        // Read before seeding: seeding a fresh store also writes its log.
         let cold_start = store.log_len() != 0;
         let mut site = Site::with_store(id, topo.engine.clone(), topo.directory.clone(), store);
         site.cold_start = cold_start;
@@ -105,14 +108,16 @@ impl Site {
             .filter(|(item, _)| {
                 topo.directory.site_of(*item) == Some(id) && !site.store.contains(*item)
             })
+            .cloned()
             .collect();
-        // Sized once: a doubling index would leave its outgrown tables
-        // behind as allocator holes, a few MiB of peak RSS per cluster.
-        site.store.reserve_items(seeds.len());
-        for (item, value) in seeds {
-            site.seed_item(*item, value.clone());
+        if cold_start {
+            for (item, value) in seeds {
+                site.seed_item(item, value);
+            }
+            site.sync_store();
+        } else {
+            site.store.seed_checkpoint(seeds);
         }
-        site.sync_store();
         site
     }
 
@@ -188,7 +193,6 @@ impl Site {
                 Output::Trace(ev) => ctx.trace(ev),
                 Output::Metric(op) => match op {
                     MetricOp::Inc(name) => ctx.metrics().inc(name),
-                    MetricOp::IncOwned(name) => ctx.metrics().inc(&name),
                     MetricOp::IncBy(name, n) => ctx.metrics().inc_by(name, n),
                     MetricOp::Observe(name, v) => ctx.metrics().observe(name, v),
                     MetricOp::Gauge(name, v) => {
@@ -276,9 +280,12 @@ impl Actor for Site {
 
     fn on_start(&mut self, ctx: &mut Ctx<Msg>) {
         // A site opened over a previous incarnation's image recovers before
-        // it touches any traffic; a fresh site has nothing to do.
+        // it touches any traffic; a fresh site only reports the write of its
+        // seeded image.
         if std::mem::take(&mut self.cold_start) {
             self.on_recover(ctx);
+        } else {
+            self.flush_storage_metrics(ctx);
         }
     }
 
@@ -348,6 +355,35 @@ mod tests {
         assert_eq!(s.store().get(ItemId(0)), Some(Entry::Simple(Value::Int(5))));
         assert_eq!(s.poly_count(), 0);
         assert!(s.is_quiescent());
+    }
+
+    #[test]
+    fn a_reopened_seeded_directory_is_a_cold_start_and_is_not_reseeded() {
+        let dir = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+            .join("../../target/tmp/site-tests/reopened-seeded");
+        let _ = std::fs::remove_dir_all(&dir);
+        let topo = Topology::new(2, Directory::Mod(2))
+            .uniform_items(6, 100)
+            .data_dir(&dir);
+        let fresh = Site::open(0, &topo).unwrap();
+        assert!(!fresh.is_cold_start());
+        assert_eq!(fresh.store().item_count(), 3);
+        assert_eq!((fresh.store().append_seq(), fresh.store().log_len()), (3, 3));
+        drop(fresh);
+
+        // The image holds every item: the reopened store appends nothing.
+        let reopened = Site::open(0, &topo).unwrap();
+        assert!(reopened.is_cold_start());
+        assert_eq!(reopened.store().item_count(), 3);
+        assert_eq!((reopened.store().append_seq(), reopened.store().log_len()), (0, 3));
+        drop(reopened);
+
+        // An item the image lacks is seeded on its own, one append.
+        let grown = Site::open(0, &topo.item(8u64, 7i64)).unwrap();
+        assert!(grown.is_cold_start());
+        assert_eq!(grown.store().get(ItemId(8)), Some(Entry::Simple(Value::Int(7))));
+        assert_eq!((grown.store().append_seq(), grown.store().log_len()), (1, 4));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -28,7 +28,7 @@
 
 use pv_engine::{CommitProtocol, Directory, EngineConfig, EngineError, Topology};
 use pv_net::backoff::Backoff;
-use pv_net::node::{Node, NodeConfig};
+use pv_net::node::Node;
 use pv_simnet::SimDuration;
 use std::net::SocketAddr;
 use std::process::ExitCode;
@@ -182,14 +182,7 @@ fn run(args: Args) -> Result<(), EngineError> {
         topo = topo.data_dir(dir);
     }
     let listen = args.listen.unwrap_or(args.addrs[args.site as usize]);
-    let mut node = Node::bind(
-        NodeConfig {
-            site: args.site,
-            topo,
-            backoff: args.backoff,
-        },
-        listen,
-    )?;
+    let mut node = Node::bind(args.site, &topo, args.backoff, listen)?;
     node.set_peers(args.addrs.clone());
     eprintln!("pv-node: site {} serving on {listen}", args.site);
     node.run()?;

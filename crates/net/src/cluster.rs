@@ -14,7 +14,7 @@
 use crate::backoff::Backoff;
 use crate::chaos::ChaosNet;
 use crate::client::NetClient;
-use crate::node::{Node, NodeConfig};
+use crate::node::Node;
 use crate::wire::NodeSnapshot;
 use pv_core::TransactionSpec;
 use pv_engine::messages::TxnResult;
@@ -66,13 +66,9 @@ impl NetBuilder {
     pub fn start(self) -> Result<NetCluster, EngineError> {
         let sites = self.topo.sites;
         let mut nodes = Vec::with_capacity(sites as usize);
+        let loopback = "127.0.0.1:0".parse().expect("loopback");
         for s in 0..sites {
-            let config = NodeConfig {
-                site: s,
-                topo: self.topo.clone(),
-                backoff: self.backoff,
-            };
-            nodes.push(Node::bind(config, "127.0.0.1:0".parse().expect("loopback"))?);
+            nodes.push(Node::bind(s, &self.topo, self.backoff, loopback)?);
         }
         let addrs: Vec<SocketAddr> = nodes
             .iter()
@@ -100,7 +96,7 @@ impl NetBuilder {
             addrs,
             handles,
             chaos,
-            topo: self.topo,
+            static_checks: self.topo.engine.static_checks,
             backoff: self.backoff,
             next_client: AtomicU32::new(sites + 1),
             control: Mutex::new(None),
@@ -113,7 +109,9 @@ pub struct NetCluster {
     addrs: Vec<SocketAddr>,
     handles: Vec<std::thread::JoinHandle<Result<Site, EngineError>>>,
     chaos: Option<ChaosNet>,
-    topo: Topology,
+    /// Whether submissions are gated client-side first
+    /// (`Topology::static_checks`).
+    static_checks: bool,
     backoff: Backoff,
     next_client: AtomicU32,
     /// One lazily-opened control connection per site, for
@@ -190,7 +188,7 @@ impl NetCluster {
         spec: &TransactionSpec,
         deadline: Duration,
     ) -> Result<TxnResult, EngineError> {
-        if self.topo.engine.static_checks {
+        if self.static_checks {
             if let Err(report) = pv_analysis::gate_spec(spec) {
                 return Err(EngineError::Rejected(report));
             }

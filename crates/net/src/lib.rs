@@ -48,5 +48,5 @@ pub use backoff::Backoff;
 pub use chaos::{ChaosNet, LinkFaults};
 pub use client::NetClient;
 pub use cluster::{NetBuilder, NetCluster};
-pub use node::{Node, NodeConfig};
+pub use node::Node;
 pub use wire::{DecodeError, EncodeError, Frame, NodeSnapshot, WireMetrics};

@@ -237,19 +237,6 @@ impl PeerLink {
     }
 }
 
-/// Configuration of one site process.
-#[derive(Debug, Clone)]
-pub struct NodeConfig {
-    /// Which site of the topology this process is.
-    pub site: SiteId,
-    /// The shared cluster description (same value the simulation
-    /// consumes).
-    pub topo: Topology,
-    /// Dial/reconnect policy for peer connections, fixed for the node's
-    /// life.
-    pub backoff: Backoff,
-}
-
 /// A bound-but-not-yet-running site node.
 ///
 /// Construction is two-phase so an in-process cluster can bind every
@@ -287,11 +274,18 @@ pub struct Node {
 
 impl Node {
     /// Opens the listener on `listen` (use port 0 to let the OS pick) and
-    /// builds the site from the topology: disk-backed WAL under
-    /// `data_dir/site-<s>` when the topology has a data dir, recovery from a
-    /// non-empty image, seeded items durable before serving.
-    pub fn bind(config: NodeConfig, listen: SocketAddr) -> Result<Node, EngineError> {
-        let NodeConfig { site: s, topo, backoff } = config;
+    /// builds site `s` of the shared cluster description `topo` (the value
+    /// the simulation consumes; borrowed, so in-process sites share one item
+    /// table): disk-backed WAL under `data_dir/site-<s>` when the topology
+    /// has a data dir, recovery from a non-empty image, seeded items durable
+    /// before serving. `backoff` is the dial/reconnect policy for peer
+    /// connections, fixed for the node's life.
+    pub fn bind(
+        s: SiteId,
+        topo: &Topology,
+        backoff: Backoff,
+        listen: SocketAddr,
+    ) -> Result<Node, EngineError> {
         if s >= topo.sites {
             return Err(EngineError::UnknownSite(s));
         }
@@ -307,7 +301,7 @@ impl Node {
                 Ok((rx, tx))
             })
             .map_err(|e| EngineError::Io(format!("wake pipe: {e}")))?;
-        let site = Site::open(s, &topo)?;
+        let site = Site::open(s, topo)?;
         let peers = (0..topo.sites).map(|_| PeerLink::default()).collect();
         Ok(Node {
             me: NodeId(s),
@@ -795,12 +789,8 @@ mod tests {
 
     /// A bound one-site node.
     fn lone_node() -> Node {
-        let config = NodeConfig {
-            site: 0,
-            topo: Topology::new(1, Directory::Mod(1)),
-            backoff: Backoff::default(),
-        };
-        Node::bind(config, "127.0.0.1:0".parse().unwrap()).unwrap()
+        let topo = Topology::new(1, Directory::Mod(1));
+        Node::bind(0, &topo, Backoff::default(), "127.0.0.1:0".parse().unwrap()).unwrap()
     }
 
     #[test]
@@ -928,12 +918,8 @@ mod tests {
     /// Site 0 of a two-site cluster under `backoff`, its link to site 1
     /// pointed at `peer`.
     fn node_with_peer(backoff: Backoff, peer: SocketAddr) -> Node {
-        let config = NodeConfig {
-            site: 0,
-            topo: Topology::new(2, Directory::Mod(2)),
-            backoff,
-        };
-        let mut node = Node::bind(config, "127.0.0.1:0".parse().unwrap()).unwrap();
+        let topo = Topology::new(2, Directory::Mod(2));
+        let mut node = Node::bind(0, &topo, backoff, "127.0.0.1:0".parse().unwrap()).unwrap();
         let me = node.local_addr().unwrap();
         node.set_peers(vec![me, peer]);
         node

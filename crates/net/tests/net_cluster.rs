@@ -73,6 +73,8 @@ fn transfers_commit_and_conserve_over_tcp() {
     let topology = bank_topology(3, 6).compact_threshold(8);
     let cluster = NetCluster::from_topology(topology).expect("start");
     let deadline = Duration::from_secs(10);
+    // Each site's seeded image is its first checkpoint: count from here.
+    let seeded = cluster.metrics(deadline).expect("metrics at start");
 
     let committed = (0..20)
         .filter(|i| {
@@ -99,9 +101,10 @@ fn transfers_commit_and_conserve_over_tcp() {
     );
     // So does the log's write amplification: checkpoints ran, and rewrote no
     // more than two records per record appended.
-    let rewritten = metrics.counter("wal.checkpoint_records");
-    let appended = metrics.counter("wal.appends");
-    assert!(metrics.counter("wal.compactions") > 0 && rewritten > 0);
+    let since_start = |name| metrics.counter(name) - seeded.counter(name);
+    let rewritten = since_start("wal.checkpoint_records");
+    let appended = since_start("wal.appends");
+    assert!(since_start("wal.compactions") > 0 && rewritten > 0);
     assert!(
         rewritten <= 2 * appended,
         "{rewritten} records rewritten for {appended} appended"
@@ -112,6 +115,28 @@ fn transfers_commit_and_conserve_over_tcp() {
     for site in &sites {
         assert!(site.is_quiescent());
     }
+}
+
+#[test]
+fn every_site_starts_with_its_share_of_the_items() {
+    const ITEMS: u64 = 65_536;
+    let topo = bank_topology(3, ITEMS);
+    let seeded = topo.seeded_int_total();
+    let cluster = NetCluster::from_topology(topo).expect("start cluster");
+    let mut total = 0;
+    for s in 0..3u32 {
+        let snap = cluster.inspect(s, Duration::from_secs(10)).expect("inspect");
+        let share: Vec<ItemId> = (0..ITEMS).filter(|i| i % 3 == u64::from(s)).map(ItemId).collect();
+        let held: Vec<ItemId> = snap.items.iter().map(|(item, _)| *item).collect();
+        assert_eq!(held, share, "site {s} holds exactly its share");
+        total += snap
+            .items
+            .iter()
+            .map(|(_, entry)| entry.as_simple().and_then(|v| v.as_int()).expect("seeded int"))
+            .sum::<i64>();
+    }
+    assert_eq!(total, seeded);
+    cluster.shutdown().expect("clean shutdown");
 }
 
 #[test]
@@ -332,17 +357,10 @@ fn static_checks_gate_client_side() {
 fn unreachable_peer_fails_fast_with_structured_error() {
     // A node whose peer table points at a dead port must give up within
     // its backoff attempt budget and name the unreachable site — not hang.
-    use pv_net::node::{Node, NodeConfig};
+    use pv_net::node::Node;
     let topo = bank_topology(2, 2);
-    let mut node = Node::bind(
-        NodeConfig {
-            site: 0,
-            topo,
-            backoff: Backoff::fast_fail(),
-        },
-        "127.0.0.1:0".parse().unwrap(),
-    )
-    .expect("bind");
+    let mut node = Node::bind(0, &topo, Backoff::fast_fail(), "127.0.0.1:0".parse().unwrap())
+        .expect("bind");
     let dead = {
         // Grab a port and release it so nothing listens there.
         let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();

@@ -6,7 +6,7 @@ use crate::messages::{AbortReason, Msg, TxnResult};
 use crate::timer::TimerKey;
 use pv_core::expr::evaluate;
 use pv_core::{Entry, ItemId, TransactionSpec, TxnId, Value};
-use pv_simnet::{Metrics, NodeId, SimTime, TraceEvent};
+use pv_simnet::{NodeId, SimTime, TraceEvent};
 use pv_store::{SiteId, SiteStore};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -354,16 +354,7 @@ impl SiteMachine {
             let vote_phase = em.now.since(prepared_at).as_secs_f64();
             em.observe("phase.prepared_decided", vote_phase);
         }
-        let by_protocol = Metrics::with_label(
-            if completed {
-                "txn.decided.complete"
-            } else {
-                "txn.decided.abort"
-            },
-            "protocol",
-            self.config.protocol.label(),
-        );
-        em.inc_owned(by_protocol);
+        em.inc(decided_counter(self.config.protocol, completed));
     }
 
     pub(crate) fn note_commit_metrics(&self, em: &mut Emit<'_>, result: &TxnResult) {
@@ -460,6 +451,47 @@ impl SiteMachine {
                 self.start_takeover(em, store, txn);
             } else {
                 self.finish_abort(em, store, txn, AbortReason::Timeout);
+            }
+        }
+    }
+}
+
+/// The decided-transaction counter for `protocol`: `txn.decided.complete`
+/// or `txn.decided.abort` with its `protocol` label, spelled as
+/// `Metrics::with_label` renders it, so counting a decision allocates
+/// nothing.
+fn decided_counter(protocol: CommitProtocol, completed: bool) -> &'static str {
+    match (protocol, completed) {
+        (CommitProtocol::Polyvalue, true) => r#"txn.decided.complete{protocol="polyvalue"}"#,
+        (CommitProtocol::Polyvalue, false) => r#"txn.decided.abort{protocol="polyvalue"}"#,
+        (CommitProtocol::Blocking2pc, true) => r#"txn.decided.complete{protocol="blocking-2pc"}"#,
+        (CommitProtocol::Blocking2pc, false) => r#"txn.decided.abort{protocol="blocking-2pc"}"#,
+        (CommitProtocol::Relaxed { .. }, true) => r#"txn.decided.complete{protocol="relaxed"}"#,
+        (CommitProtocol::Relaxed { .. }, false) => r#"txn.decided.abort{protocol="relaxed"}"#,
+        (CommitProtocol::PaxosCommit, true) => r#"txn.decided.complete{protocol="paxos-commit"}"#,
+        (CommitProtocol::PaxosCommit, false) => r#"txn.decided.abort{protocol="paxos-commit"}"#,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pv_simnet::Metrics;
+
+    #[test]
+    fn decided_counters_are_the_labelled_names() {
+        let protocols = [
+            CommitProtocol::Polyvalue,
+            CommitProtocol::Blocking2pc,
+            CommitProtocol::Relaxed { complete_prob: 0.5 },
+            CommitProtocol::PaxosCommit,
+        ];
+        for protocol in protocols {
+            for (completed, name) in [(true, "txn.decided.complete"), (false, "txn.decided.abort")] {
+                assert_eq!(
+                    decided_counter(protocol, completed),
+                    Metrics::with_label(name, "protocol", protocol.label())
+                );
             }
         }
     }

@@ -77,8 +77,6 @@ pub enum Input {
 pub enum MetricOp {
     /// Increment a counter by one.
     Inc(&'static str),
-    /// Increment a dynamically-named counter (labelled variants) by one.
-    IncOwned(String),
     /// Increment a counter by `n`.
     IncBy(&'static str, u64),
     /// Record a histogram observation.
@@ -144,10 +142,6 @@ impl Emit<'_> {
 
     pub(crate) fn inc(&mut self, name: &'static str) {
         self.out.push(Output::Metric(MetricOp::Inc(name)));
-    }
-
-    pub(crate) fn inc_owned(&mut self, name: String) {
-        self.out.push(Output::Metric(MetricOp::IncOwned(name)));
     }
 
     pub(crate) fn inc_by(&mut self, name: &'static str, n: u64) {

@@ -280,6 +280,32 @@ impl SiteStore {
         self.set_entry(item, Entry::Simple(value));
     }
 
+    /// Loads an empty store's whole population and writes it as the store's
+    /// first checkpoint: one synced [`Storage::reset`] instead of one append
+    /// per item. The result is the store [`SiteStore::seed_item`] over
+    /// `items` then [`SiteStore::compact`] would leave: a duplicate item
+    /// keeps its last value, [`SiteStore::append_seq`] advances by one per
+    /// item given, and the log is the image, so the next checkpoint waits
+    /// for the log to double from it. An empty population writes nothing.
+    ///
+    /// # Panics
+    /// If the store already holds a log, or on a storage failure.
+    pub fn seed_checkpoint(&mut self, items: Vec<(ItemId, Value)>) {
+        assert_eq!(self.log_len(), 0, "only an empty store is seeded by checkpoint");
+        if items.is_empty() {
+            return;
+        }
+        self.append_seq += items.len() as u64;
+        // Sized once: a doubling table would leave its outgrown copies
+        // behind as allocator holes. The store is empty, so a simple value
+        // has no outcome-table entry to clear.
+        self.keyspace.reserve(items.len());
+        for (item, value) in items {
+            self.keyspace.put(item, Entry::Simple(value));
+        }
+        self.compact();
+    }
+
     /// Durably installs `entry` as the current value of `item`, maintaining
     /// the outcome-dependency table.
     pub fn set_entry(&mut self, item: ItemId, entry: Entry<Value>) {
@@ -293,12 +319,6 @@ impl SiteStore {
     /// The current entry of `item`.
     pub fn get(&self, item: ItemId) -> Option<Entry<Value>> {
         self.keyspace.latest(item).cloned()
-    }
-
-    /// Makes room for at least `additional` more items, so seeding a known
-    /// population sizes the keyspace's index once.
-    pub fn reserve_items(&mut self, additional: usize) {
-        self.keyspace.reserve(additional);
     }
 
     /// Whether this site holds `item`.
@@ -610,14 +630,24 @@ impl SiteStore {
                 .truncate(consumed as u64)
                 .expect("stable storage truncate failed");
         }
+        drop(image);
         self.keyspace.clear();
         self.pending.clear();
         self.outcomes = OutcomeTable::new();
         self.decisions.clear();
         self.paxos.clear();
         self.epoch = 0;
-        for record in wal.iter() {
-            self.replay(record.clone());
+        let replayed = wal.len();
+        // An image opens with its checkpoint's items, one record each: size
+        // the table for those once. Counting every `SetItem` would size it
+        // for the overwrites appended since as well.
+        let checkpointed = wal
+            .iter()
+            .take_while(|r| matches!(r, Record::SetItem { .. }))
+            .count();
+        self.keyspace.reserve(checkpointed);
+        for record in wal {
+            self.replay(record);
         }
         // A durable decision makes the acceptor state for that transaction
         // dead weight: `pc_forget` is logged un-synced (see its doc), so a
@@ -626,14 +656,14 @@ impl SiteStore {
         // arming inquiry ticks for a transaction that is already settled.
         let decisions = &self.decisions;
         self.paxos.retain(|txn, _| !decisions.contains_key(txn));
-        self.recovery.recovery_replay_records += wal.len() as u64;
+        self.recovery.recovery_replay_records += replayed as u64;
         if error.is_some() {
             self.recovery.recovery_truncations += 1;
         }
         self.recovery
             .recovery_durations
             .push(started.elapsed().as_secs_f64());
-        self.last_checkpoint = wal.len();
+        self.last_checkpoint = replayed;
         self.checkpoint_seq = self.append_seq;
     }
 
@@ -1081,6 +1111,97 @@ mod tests {
         s.set_entry(ItemId(1), simple(14));
         assert!(s.maybe_compact());
         assert_eq!(s.take_stats().wal_checkpoint_records, 30);
+    }
+
+    /// A site-sized population, seeded item by item and by checkpoint.
+    fn seeded_both_ways(items: &[(ItemId, Value)]) -> (SiteStore, SiteStore) {
+        let mut by_item = SiteStore::new();
+        for (item, value) in items {
+            by_item.seed_item(*item, value.clone());
+        }
+        let mut by_checkpoint = SiteStore::new();
+        by_checkpoint.seed_checkpoint(items.to_vec());
+        (by_item, by_checkpoint)
+    }
+
+    fn image_records(s: &mut SiteStore) -> Vec<Record> {
+        let image = s.export_wal().expect("the image reads");
+        crate::codec::decode_wal(&image)
+            .expect("an intact image decodes strictly")
+            .into_iter()
+            .collect()
+    }
+
+    fn items_of(s: &SiteStore) -> Vec<(ItemId, Entry<Value>)> {
+        s.iter_items().collect()
+    }
+
+    #[test]
+    fn checkpoint_seeding_matches_seeding_item_by_item() {
+        let items: Vec<_> = (0..1_000).map(|i| (ItemId(i * 3), Value::Int(i as i64))).collect();
+        let (mut by_item, mut by_checkpoint) = seeded_both_ways(&items);
+        assert_eq!(items_of(&by_checkpoint), items_of(&by_item));
+        assert_eq!(by_checkpoint.log_len(), by_item.log_len());
+        assert_eq!(by_checkpoint.append_seq(), by_item.append_seq());
+        assert_eq!(by_checkpoint.poly_count(), by_item.poly_count());
+        assert_eq!(image_records(&mut by_checkpoint), image_records(&mut by_item));
+        // One synced write of the whole image, and no append.
+        let stats = by_checkpoint.take_stats();
+        assert_eq!((stats.wal_appends, stats.wal_syncs), (0, 1));
+        assert_eq!((stats.wal_compactions, stats.wal_checkpoint_records), (1, 1_000));
+    }
+
+    #[test]
+    fn checkpoint_seeded_image_recovers_the_same_table() {
+        let items: Vec<_> = (0..500).map(|i| (ItemId(i), Value::Int(100))).collect();
+        let (by_item, mut by_checkpoint) = seeded_both_ways(&items);
+        by_checkpoint.crash_and_recover();
+        assert_eq!(items_of(&by_checkpoint), items_of(&by_item));
+        assert_eq!(by_checkpoint.log_len(), 500);
+        assert_eq!(by_checkpoint.take_stats().recovery_replay_records, 500);
+    }
+
+    #[test]
+    fn checkpoint_seeding_keeps_the_last_value_of_a_duplicate_item() {
+        let items = [
+            (ItemId(1), Value::Int(10)),
+            (ItemId(2), Value::Int(20)),
+            (ItemId(1), Value::Int(11)),
+        ];
+        let (by_item, mut by_checkpoint) = seeded_both_ways(&items);
+        assert_eq!(items_of(&by_checkpoint), items_of(&by_item));
+        assert_eq!(by_checkpoint.get(ItemId(1)), Some(simple(11)));
+        assert_eq!(by_checkpoint.append_seq(), 3);
+        // The image holds each item once.
+        assert_eq!(by_checkpoint.log_len(), 2);
+        by_checkpoint.crash_and_recover();
+        assert_eq!(items_of(&by_checkpoint), items_of(&by_item));
+    }
+
+    #[test]
+    fn checkpoint_seeded_image_is_the_first_checkpoint() {
+        let mut s = SiteStore::new().with_compact_threshold(4);
+        s.seed_checkpoint((0..10).map(|i| (ItemId(i), Value::Int(0))).collect());
+        // The seeded image counts as the last checkpoint: the next one waits
+        // for 10 appends, not for the floor of 4.
+        for i in 0..9 {
+            s.set_entry(ItemId(0), simple(i));
+            assert!(!s.maybe_compact(), "after {} appends", i + 1);
+        }
+        s.set_entry(ItemId(0), simple(9));
+        assert!(s.maybe_compact());
+        // An empty population writes nothing.
+        let mut empty = SiteStore::new();
+        empty.seed_checkpoint(Vec::new());
+        assert_eq!((empty.log_len(), empty.append_seq()), (0, 0));
+        assert_eq!(empty.take_stats(), SiteStore::new().take_stats());
+    }
+
+    #[test]
+    #[should_panic(expected = "only an empty store")]
+    fn checkpoint_seeding_refuses_a_store_that_holds_a_log() {
+        let mut s = store_with_item(1, 100);
+        s.seed_checkpoint(vec![(ItemId(2), Value::Int(1))]);
     }
 
     #[test]

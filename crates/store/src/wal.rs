@@ -196,6 +196,16 @@ impl Wal {
     }
 }
 
+impl IntoIterator for Wal {
+    type Item = Record;
+    type IntoIter = std::vec::IntoIter<Record>;
+
+    /// Consumes the image, yielding its records in append order.
+    fn into_iter(self) -> Self::IntoIter {
+        self.records.into_iter()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
