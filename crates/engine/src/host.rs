@@ -35,6 +35,9 @@ pub struct SiteHost {
     timers: BTreeMap<(Instant, u64), u64>,
     /// Wall-clock time zero of the site's [`SimTime`].
     epoch: Instant,
+    /// The effect list every callback fills; kept so its allocation is
+    /// reused.
+    effects: Vec<Effect<Msg>>,
 }
 
 impl SiteHost {
@@ -48,6 +51,7 @@ impl SiteHost {
             next_timer_id: 0,
             timers: BTreeMap::new(),
             epoch: Instant::now(),
+            effects: Vec::new(),
         }
     }
 
@@ -141,6 +145,7 @@ impl SiteHost {
         loopback: &mut VecDeque<Msg>,
         f: impl FnOnce(&mut Site, &mut Ctx<Msg>),
     ) {
+        let mut effects = std::mem::take(&mut self.effects);
         let mut ctx = Ctx::external(
             self.now(),
             self.me,
@@ -148,17 +153,18 @@ impl SiteHost {
             metrics,
             trace,
             &mut self.next_timer_id,
+            &mut effects,
         );
         f(&mut self.site, &mut ctx);
-        let effects = ctx.drain_effects();
-        self.apply(effects, out, loopback);
+        self.apply(effects.drain(..), out, loopback);
+        self.effects = effects;
     }
 
     /// Applies effects in emission order: remote sends to `out`, self-sends
     /// to `loopback`, timers to the map.
     fn apply(
         &mut self,
-        effects: Vec<Effect<Msg>>,
+        effects: impl IntoIterator<Item = Effect<Msg>>,
         out: &mut Vec<(NodeId, Msg)>,
         loopback: &mut VecDeque<Msg>,
     ) {

@@ -22,9 +22,8 @@ use crate::messages::{AbortReason, Msg, TxnResult};
 use crate::topology::Topology;
 use pv_protocol::timer::TimerKey;
 use pv_protocol::{Input, MetricOp, Output, SiteMachine};
-use pv_simnet::{Actor, Ctx, NodeId};
+use pv_simnet::{Actor, Ctx, NodeId, SimTime};
 use pv_store::{DiskWal, SiteId, SiteStore};
-use std::collections::VecDeque;
 
 pub use pv_protocol::site_node;
 
@@ -45,6 +44,9 @@ pub struct Site {
     /// (epoch bump, lock re-acquisition for staged transactions, inquiry
     /// timer) once, before any traffic.
     cold_start: bool,
+    /// The outputs [`Site::drive`] has yet to apply, as a stack (the next
+    /// one last); kept so its allocation is reused.
+    outputs: Vec<Output>,
 }
 
 impl Site {
@@ -69,6 +71,7 @@ impl Site {
             store,
             wall_clock_metrics: false,
             cold_start: false,
+            outputs: Vec::new(),
         }
     }
 
@@ -181,10 +184,9 @@ impl Site {
     /// seed). A [`Output::NeedCoin`] request is answered from the node's RNG
     /// and fed back into the machine at its position in the effect stream.
     fn drive(&mut self, ctx: &mut Ctx<Msg>, input: Input) {
-        let mut out = Vec::new();
-        self.machine.step(ctx.now(), input, &mut self.store, &mut out);
-        let mut out = VecDeque::from(out);
-        while let Some(output) = out.pop_front() {
+        let mut out = std::mem::take(&mut self.outputs);
+        self.step_onto(ctx.now(), input, &mut out);
+        while let Some(output) = out.pop() {
             match output {
                 Output::Send { to, msg } => ctx.send(to, msg),
                 Output::ArmTimer { delay, key } => {
@@ -204,21 +206,22 @@ impl Site {
                 },
                 Output::NeedCoin { txn, complete_prob } => {
                     let completed = ctx.rng().chance(complete_prob);
-                    let mut follow = Vec::new();
-                    self.machine.step(
-                        ctx.now(),
-                        Input::Coin { txn, completed },
-                        &mut self.store,
-                        &mut follow,
-                    );
-                    // The follow-up effects take the request's place at the
-                    // front, so the overall order matches the machine's.
-                    for output in follow.into_iter().rev() {
-                        out.push_front(output);
-                    }
+                    // The follow-up effects go on top of the stack: they
+                    // take the request's place, so the overall order
+                    // matches the machine's.
+                    self.step_onto(ctx.now(), Input::Coin { txn, completed }, &mut out);
                 }
             }
         }
+        self.outputs = out;
+    }
+
+    /// Steps the machine and pushes its outputs onto the stack `out`, the
+    /// first one emitted on top.
+    fn step_onto(&mut self, now: SimTime, input: Input, out: &mut Vec<Output>) {
+        let base = out.len();
+        self.machine.step(now, input, &mut self.store, out);
+        out[base..].reverse();
     }
 
     /// Drains the store's accumulated storage/recovery statistics into the

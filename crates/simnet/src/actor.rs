@@ -64,8 +64,8 @@ pub trait Actor {
 /// Effects emitted by an actor callback.
 ///
 /// The simulation world applies these internally; external drivers (such as
-/// the engine's wall-clock `SiteHost`) obtain them via
-/// [`Ctx::drain_effects`] and map them onto real sockets and timers.
+/// the engine's wall-clock `SiteHost`) lend [`Ctx::external`] the buffer
+/// they are collected in and map them onto real sockets and timers.
 #[derive(Debug)]
 pub enum Effect<M> {
     /// Send `msg` to node `to`.
@@ -92,7 +92,7 @@ pub enum Effect<M> {
 pub struct Ctx<'a, M> {
     pub(crate) now: SimTime,
     pub(crate) me: NodeId,
-    pub(crate) effects: Vec<Effect<M>>,
+    pub(crate) effects: &'a mut Vec<Effect<M>>,
     pub(crate) rng: &'a mut SimRng,
     pub(crate) metrics: &'a mut Metrics,
     pub(crate) trace: &'a mut Trace,
@@ -101,9 +101,10 @@ pub struct Ctx<'a, M> {
 
 impl<'a, M> Ctx<'a, M> {
     /// Builds a context for an *external* driver (a runtime other than
-    /// [`crate::World`], e.g. a thread-per-node deployment). The driver is
-    /// responsible for applying the effects collected here; see
-    /// [`Ctx::drain_effects`].
+    /// [`crate::World`], e.g. a thread-per-node deployment). The callback's
+    /// effects are appended to `effects`, in emission order; the driver
+    /// applies and clears them once the context is gone, and can lend the
+    /// same buffer to every callback.
     pub fn external(
         now: SimTime,
         me: NodeId,
@@ -111,22 +112,17 @@ impl<'a, M> Ctx<'a, M> {
         metrics: &'a mut Metrics,
         trace: &'a mut Trace,
         next_timer_id: &'a mut u64,
+        effects: &'a mut Vec<Effect<M>>,
     ) -> Self {
         Ctx {
             now,
             me,
-            effects: Vec::new(),
+            effects,
             rng,
             metrics,
             trace,
             next_timer_id,
         }
-    }
-
-    /// Takes the effects accumulated so far (external drivers only; the
-    /// world drains internally).
-    pub fn drain_effects(&mut self) -> Vec<Effect<M>> {
-        std::mem::take(&mut self.effects)
     }
 
     /// The current virtual time.
@@ -198,10 +194,11 @@ mod tests {
         let mut metrics = Metrics::new();
         let mut trace = Trace::collecting();
         let mut next = 0u64;
+        let mut effects = Vec::new();
         let mut ctx: Ctx<'_, u32> = Ctx {
             now: SimTime::from_secs(1),
             me: NodeId(0),
-            effects: Vec::new(),
+            effects: &mut effects,
             rng: &mut rng,
             metrics: &mut metrics,
             trace: &mut trace,

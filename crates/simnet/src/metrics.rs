@@ -1,7 +1,7 @@
 //! Metrics registry: counters, gauge time series, and histograms.
 
 use crate::time::SimTime;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 /// A value-distribution accumulator with summary statistics.
@@ -253,21 +253,33 @@ impl MetricsSnapshot {
 }
 
 /// Applies `record` to the series `name`, created empty on first use. Every
-/// recording call lands here: one lookup by `&str`, and the name is copied
-/// to the heap only when the series is new.
-fn with_series<V: Default>(map: &mut BTreeMap<String, V>, name: &str, record: impl FnOnce(&mut V)) {
+/// recording call lands here: one hashed lookup by `&str`, and the name is
+/// copied to the heap only when the series is new.
+fn with_series<V: Default>(map: &mut HashMap<String, V>, name: &str, record: impl FnOnce(&mut V)) {
     match map.get_mut(name) {
         Some(series) => record(series),
         None => record(map.entry(name.to_owned()).or_default()),
     }
 }
 
+/// The series of `map` in name order.
+fn by_name<V>(map: &HashMap<String, V>) -> Vec<(&str, &V)> {
+    let mut series: Vec<_> = map.iter().map(|(k, v)| (k.as_str(), v)).collect();
+    series.sort_unstable_by_key(|&(k, _)| k);
+    series
+}
+
 /// A named registry of counters, gauges, and histograms for one run.
+///
+/// Recording finds a series by hashing its name; everything that iterates
+/// the registry ([`Metrics::counters`], [`Metrics::histograms`],
+/// [`Metrics::snapshot`], `Display`) sorts by name first, so exports stay
+/// deterministic.
 #[derive(Debug, Clone, Default)]
 pub struct Metrics {
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, Vec<(SimTime, f64)>>,
-    histograms: BTreeMap<String, Histogram>,
+    counters: HashMap<String, u64>,
+    gauges: HashMap<String, Vec<(SimTime, f64)>>,
+    histograms: HashMap<String, Histogram>,
 }
 
 impl Metrics {
@@ -349,14 +361,14 @@ impl Metrics {
 
     /// Iterates over all counters in name order.
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counters.iter().map(|(k, &v)| (k.as_str(), v))
+        by_name(&self.counters).into_iter().map(|(k, &v)| (k, v))
     }
 
     /// Iterates over all histograms in name order (used by exporters and by
     /// the `pv-net` wire format, which ships raw observations so site-local
     /// registries merge losslessly at the load generator).
     pub fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> {
-        self.histograms.iter().map(|(k, h)| (k.as_str(), h))
+        by_name(&self.histograms).into_iter()
     }
 
     /// Composes a metric name carrying a Prometheus-style label, e.g.
@@ -371,7 +383,7 @@ impl Metrics {
     /// histogram summaries) for export as JSON or Prometheus text.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
-            counters: self.counters.clone(),
+            counters: self.counters.iter().map(|(k, &v)| (k.clone(), v)).collect(),
             gauges: self
                 .gauges
                 .iter()
@@ -402,10 +414,10 @@ impl Metrics {
 
 impl fmt::Display for Metrics {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (k, v) in &self.counters {
+        for (k, v) in by_name(&self.counters) {
             writeln!(f, "counter {k} = {v}")?;
         }
-        for (k, h) in &self.histograms {
+        for (k, h) in by_name(&self.histograms) {
             writeln!(
                 f,
                 "hist {k}: n={} mean={:.3} p50={:.3} p99={:.3}",
@@ -415,7 +427,7 @@ impl fmt::Display for Metrics {
                 h.quantile(0.99).unwrap_or(f64::NAN),
             )?;
         }
-        for (k, series) in &self.gauges {
+        for (k, series) in by_name(&self.gauges) {
             writeln!(f, "gauge {k}: {} samples", series.len())?;
         }
         Ok(())
@@ -452,6 +464,36 @@ mod tests {
         assert_eq!(m.histogram("h").unwrap().values(), [1.0, 2.0]);
         assert_eq!(m.gauge_series("g").len(), 2);
         assert!(m.snapshot().to_json().contains("\"a\": 0,\n    \"b\": 0"));
+    }
+
+    #[test]
+    fn every_export_lists_series_in_name_order() {
+        let mut m = Metrics::new();
+        for name in ["zeta", "alpha", "mid"] {
+            m.inc(&format!("c.{name}"));
+            m.observe(&format!("h.{name}"), 1.0);
+            m.gauge(&format!("g.{name}"), SimTime::ZERO, 1.0);
+        }
+        let sorted = ["alpha", "mid", "zeta"];
+        let named = |kind: &str| sorted.map(|name| format!("{kind}.{name}"));
+        assert_eq!(m.counters().map(|(k, _)| k).collect::<Vec<_>>(), named("c"));
+        assert_eq!(m.histograms().map(|(k, _)| k).collect::<Vec<_>>(), named("h"));
+        // Every needle appears, each after the one before it.
+        let in_order = |text: &str, needles: [String; 3]| {
+            let at = needles.each_ref().map(|n| text.find(n).unwrap_or_else(|| panic!("{n} in\n{text}")));
+            assert!(at.windows(2).all(|w| w[0] < w[1]), "{needles:?} out of order:\n{text}");
+        };
+        let snapshot = m.snapshot();
+        let json = snapshot.to_json();
+        let prom = snapshot.to_prometheus();
+        let text = m.to_string();
+        for kind in ["c", "g", "h"] {
+            in_order(&json, named(kind).map(|n| format!("{n:?}")));
+            in_order(&prom, sorted.map(|name| format!("# TYPE pv_{kind}_{name} ")));
+        }
+        in_order(&text, named("c").map(|n| format!("counter {n} = 1")));
+        in_order(&text, named("h").map(|n| format!("hist {n}:")));
+        in_order(&text, named("g").map(|n| format!("gauge {n}:")));
     }
 
     #[test]

@@ -17,17 +17,6 @@ enum EventKind<M> {
         to: NodeId,
         msg: M,
     },
-    /// Several messages from one sender callback that share a delivery time
-    /// and destination, delivered back-to-back in send order. Produced by
-    /// the adjacent-send batching in [`World::run_callback`]; behaviourally
-    /// identical to the equivalent run of single `Deliver` events (which
-    /// would occupy consecutive `(at, seq)` slots anyway), but costs one
-    /// heap operation instead of one per message.
-    DeliverBatch {
-        from: NodeId,
-        to: NodeId,
-        msgs: Vec<M>,
-    },
     Timer {
         node: NodeId,
         id: u64,
@@ -40,38 +29,15 @@ enum EventKind<M> {
     LinkUp(NodeId, NodeId),
 }
 
-/// A scheduled event. Ordering is `(time, seq)`: ties broken by insertion
-/// order, which keeps runs fully deterministic.
-#[derive(Debug)]
-struct Scheduled<M> {
+/// A pending event's place in the queue; the event itself waits in
+/// `World::slab[slot]`. Ordering is `(at, seq)`, ties broken by push order,
+/// which keeps runs fully deterministic: `seq` is unique, so `slot` never
+/// decides.
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
+struct Key {
     at: SimTime,
     seq: u64,
-    kind: EventKind<M>,
-}
-
-impl<M> PartialEq for Scheduled<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<M> Eq for Scheduled<M> {}
-impl<M> PartialOrd for Scheduled<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M> Ord for Scheduled<M> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-
-/// The in-progress run of staged sends from one callback: none, a single
-/// message, or a coalesced batch sharing a `(delivery time, destination)`.
-enum Pending<M> {
-    None,
-    One(SimTime, NodeId, M),
-    Many(SimTime, NodeId, Vec<M>),
+    slot: u32,
 }
 
 /// A deterministic discrete-event simulation of a message-passing system.
@@ -107,7 +73,15 @@ pub struct World<A: Actor> {
     now: SimTime,
     seq: u64,
     next_timer_id: u64,
-    events: BinaryHeap<Reverse<Scheduled<A::Msg>>>,
+    /// Keys of the pending events, earliest first.
+    queue: BinaryHeap<Reverse<Key>>,
+    /// The pending events, each in the slot its key names; `None` slots are
+    /// listed in `free` and reused before the slab grows.
+    slab: Vec<Option<EventKind<A::Msg>>>,
+    free: Vec<u32>,
+    /// The effect list every callback fills; kept so its allocation is
+    /// reused.
+    effects: Vec<Effect<A::Msg>>,
     actors: Vec<A>,
     up: Vec<bool>,
     crash_gen: Vec<u32>,
@@ -127,7 +101,10 @@ impl<A: Actor> World<A> {
             now: SimTime::ZERO,
             seq: 0,
             next_timer_id: 0,
-            events: BinaryHeap::new(),
+            queue: BinaryHeap::new(),
+            slab: Vec::new(),
+            free: Vec::new(),
+            effects: Vec::new(),
             actors: Vec::new(),
             up: Vec::new(),
             crash_gen: Vec::new(),
@@ -277,12 +254,14 @@ impl<A: Actor> World<A> {
     /// Processes a single event; returns `false` if the queue was empty.
     pub fn step(&mut self) -> bool {
         self.start();
-        let Some(Reverse(ev)) = self.events.pop() else {
+        let Some(Reverse(key)) = self.queue.pop() else {
             return false;
         };
-        debug_assert!(ev.at >= self.now, "time went backwards");
-        self.now = ev.at;
-        match ev.kind {
+        debug_assert!(key.at >= self.now, "time went backwards");
+        self.now = key.at;
+        let kind = self.slab[key.slot as usize].take().expect("a queued key names a live slot");
+        self.free.push(key.slot);
+        match kind {
             EventKind::Deliver { from, to, msg } => {
                 let to_idx = to.0 as usize;
                 if to_idx >= self.actors.len() || !self.up[to_idx] {
@@ -293,24 +272,6 @@ impl<A: Actor> World<A> {
                 } else {
                     self.metrics.inc("net.delivered");
                     self.run_callback(to, |actor, ctx| actor.on_message(ctx, from, msg));
-                }
-            }
-            EventKind::DeliverBatch { from, to, msgs } => {
-                // The destination's liveness and the link state cannot change
-                // between the batch's messages (both change only via events,
-                // and this batch occupies a single event slot), so the checks
-                // hoist out of the loop; metrics count per message, exactly
-                // as the unbatched path would.
-                let to_idx = to.0 as usize;
-                if to_idx >= self.actors.len() || !self.up[to_idx] {
-                    self.metrics.inc_by("net.dropped_dest_down", msgs.len() as u64);
-                } else if from != NodeId::ENV && from != to && !self.links.connected(from, to) {
-                    self.metrics.inc_by("net.dropped_partition", msgs.len() as u64);
-                } else {
-                    for msg in msgs {
-                        self.metrics.inc("net.delivered");
-                        self.run_callback(to, |actor, ctx| actor.on_message(ctx, from, msg));
-                    }
                 }
             }
             EventKind::Timer { node, id, key, gen } => {
@@ -358,7 +319,7 @@ impl<A: Actor> World<A> {
     /// rewinds).
     pub fn run_until(&mut self, t: SimTime) {
         self.start();
-        while let Some(Reverse(head)) = self.events.peek() {
+        while let Some(Reverse(head)) = self.queue.peek() {
             if head.at > t {
                 break;
             }
@@ -380,41 +341,46 @@ impl<A: Actor> World<A> {
 
     /// Number of pending events (for tests).
     pub fn pending_events(&self) -> usize {
-        self.events.len()
+        self.queue.len()
     }
 
     fn push(&mut self, at: SimTime, kind: EventKind<A::Msg>) {
         let at = at.max(self.now);
         let seq = self.seq;
         self.seq += 1;
-        self.events.push(Reverse(Scheduled { at, seq, kind }));
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = Some(kind);
+                slot
+            }
+            None => {
+                self.slab.push(Some(kind));
+                u32::try_from(self.slab.len() - 1).expect("fewer than 2^32 pending events")
+            }
+        };
+        self.queue.push(Reverse(Key { at, seq, slot }));
     }
 
     /// Runs one actor callback and applies its effects.
     fn run_callback(&mut self, node: NodeId, f: impl FnOnce(&mut A, &mut Ctx<A::Msg>)) {
         let idx = node.0 as usize;
         let mut node_rng = self.rng.fork(u64::from(node.0) + 1);
+        let mut effects = std::mem::take(&mut self.effects);
         let mut ctx = Ctx {
             now: self.now,
             me: node,
-            effects: Vec::new(),
+            effects: &mut effects,
             rng: &mut node_rng,
             metrics: &mut self.metrics,
             trace: &mut self.trace,
             next_timer_id: &mut self.next_timer_id,
         };
         f(&mut self.actors[idx], &mut ctx);
-        let effects = std::mem::take(&mut ctx.effects);
         // Refresh the master stream so successive callbacks differ.
         self.rng = self.rng.fork(0x5eed);
-        // Outgoing sends are staged so that *adjacent* sends sharing a
-        // delivery time and destination coalesce into one `DeliverBatch`
-        // event. The RNG is consumed per message in effect order (identical
-        // to the unbatched scheme), and a pending run is flushed before any
-        // event-pushing effect so the `(at, seq)` interleaving of deliveries
-        // against timers is preserved exactly.
-        let mut pending = Pending::None;
-        for effect in effects {
+        // Effects apply in emission order: the RNG is consumed per message,
+        // and each send or timer takes the next `seq`.
+        for effect in effects.drain(..) {
             match effect {
                 Effect::Send { to, msg } => {
                     if node != to && !self.links.connected(node, to) {
@@ -455,11 +421,10 @@ impl<A: Actor> World<A> {
                         } else {
                             msg.clone().expect("copies pending")
                         };
-                        self.stage(node, &mut pending, self.now + delay, to, m);
+                        self.push(self.now + delay, EventKind::Deliver { from: node, to, msg: m });
                     }
                 }
                 Effect::SetTimer { id, key, at } => {
-                    self.flush(node, &mut pending);
                     self.push(
                         at,
                         EventKind::Timer {
@@ -475,52 +440,7 @@ impl<A: Actor> World<A> {
                 }
             }
         }
-        self.flush(node, &mut pending);
-    }
-
-    /// Stages one outgoing message, coalescing it with the pending run when
-    /// the delivery slot matches, and flushing the run otherwise.
-    fn stage(
-        &mut self,
-        node: NodeId,
-        pending: &mut Pending<A::Msg>,
-        at: SimTime,
-        to: NodeId,
-        msg: A::Msg,
-    ) {
-        match std::mem::replace(pending, Pending::None) {
-            Pending::None => *pending = Pending::One(at, to, msg),
-            Pending::One(at0, to0, m0) => {
-                if at0 == at && to0 == to {
-                    *pending = Pending::Many(at, to, vec![m0, msg]);
-                } else {
-                    self.push(at0, EventKind::Deliver { from: node, to: to0, msg: m0 });
-                    *pending = Pending::One(at, to, msg);
-                }
-            }
-            Pending::Many(at0, to0, mut ms) => {
-                if at0 == at && to0 == to {
-                    ms.push(msg);
-                    *pending = Pending::Many(at0, to0, ms);
-                } else {
-                    self.push(at0, EventKind::DeliverBatch { from: node, to: to0, msgs: ms });
-                    *pending = Pending::One(at, to, msg);
-                }
-            }
-        }
-    }
-
-    /// Emits the pending delivery run, if any, as a single event.
-    fn flush(&mut self, node: NodeId, pending: &mut Pending<A::Msg>) {
-        match std::mem::replace(pending, Pending::None) {
-            Pending::None => {}
-            Pending::One(at, to, msg) => {
-                self.push(at, EventKind::Deliver { from: node, to, msg });
-            }
-            Pending::Many(at, to, msgs) => {
-                self.push(at, EventKind::DeliverBatch { from: node, to, msgs });
-            }
-        }
+        self.effects = effects;
     }
 }
 
@@ -534,6 +454,8 @@ mod tests {
     struct Node {
         received: Vec<(NodeId, u32)>,
         timers_fired: Vec<u64>,
+        /// Deliveries (by value) and timers (by key), in firing order.
+        fired: Vec<(SimTime, u64)>,
         crashed: u32,
         recovered: u32,
         // "Stable" state surviving crashes, vs volatile scratch.
@@ -547,6 +469,10 @@ mod tests {
         PingTo(NodeId, u32),
         ArmTimer(u64),
         ArmAndCancel(u64),
+        /// Arms timer `key` and sends `Ping(v)` to itself, both due one
+        /// microsecond later on an instant network; the timer first when
+        /// `timer_first`.
+        Both { timer_first: bool, key: u64, v: u32 },
         Bump,
     }
 
@@ -555,7 +481,10 @@ mod tests {
 
         fn on_message(&mut self, ctx: &mut Ctx<Msg>, from: NodeId, msg: Msg) {
             match msg {
-                Msg::Ping(v) => self.received.push((from, v)),
+                Msg::Ping(v) => {
+                    self.received.push((from, v));
+                    self.fired.push((ctx.now(), u64::from(v)));
+                }
                 Msg::PingTo(to, v) => ctx.send(to, Msg::Ping(v)),
                 Msg::ArmTimer(key) => {
                     ctx.set_timer(SimDuration::from_millis(100), key);
@@ -564,6 +493,15 @@ mod tests {
                     let t = ctx.set_timer(SimDuration::from_millis(100), key);
                     ctx.cancel_timer(t);
                 }
+                Msg::Both { timer_first, key, v } => {
+                    if timer_first {
+                        ctx.set_timer(SimDuration::from_micros(1), key);
+                    }
+                    ctx.send(ctx.me(), Msg::Ping(v));
+                    if !timer_first {
+                        ctx.set_timer(SimDuration::from_micros(1), key);
+                    }
+                }
                 Msg::Bump => {
                     self.stable += 1;
                     self.volatile += 1;
@@ -571,8 +509,9 @@ mod tests {
             }
         }
 
-        fn on_timer(&mut self, _ctx: &mut Ctx<Msg>, key: u64) {
+        fn on_timer(&mut self, ctx: &mut Ctx<Msg>, key: u64) {
             self.timers_fired.push(key);
+            self.fired.push((ctx.now(), key));
         }
 
         fn on_crash(&mut self) {
@@ -619,6 +558,62 @@ mod tests {
         w.send_from_env(a, Msg::ArmAndCancel(6));
         w.run_until(SimTime::from_secs(1));
         assert_eq!(w.actor(a).timers_fired, vec![5]);
+    }
+
+    #[test]
+    fn events_due_at_one_instant_fire_in_push_order() {
+        let mut w = world();
+        let a = w.add_node(Node::default());
+        w.send_from_env(a, Msg::Both { timer_first: true, key: 1, v: 2 });
+        w.run_until(SimTime::from_millis(1));
+        w.send_from_env(a, Msg::Both { timer_first: false, key: 3, v: 4 });
+        w.run_until(SimTime::from_millis(2));
+        let fired = &w.actor(a).fired;
+        assert_eq!(fired.iter().map(|&(_, k)| k).collect::<Vec<_>>(), [1, 2, 4, 3]);
+        // Each pair really was due at one instant, so only `seq` ordered it.
+        assert_eq!(fired[0].0, fired[1].0);
+        assert_eq!(fired[2].0, fired[3].0);
+    }
+
+    #[test]
+    fn the_slab_reuses_slots_and_never_outgrows_the_peak_backlog() {
+        assert_eq!(std::mem::size_of::<Key>(), 24);
+        let mut w = world();
+        let a = w.add_node(Node::default());
+        w.start();
+        let mut peak = 0;
+        for i in 0..100_000u64 {
+            w.send_from_env(a, Msg::Bump);
+            peak = peak.max(w.pending_events());
+            // Drain to a backlog that climbs to 64 and falls back to 0.
+            let backlog = 64 - (i % 128).abs_diff(64);
+            while w.pending_events() as u64 > backlog {
+                w.step();
+            }
+            assert!(w.slab.len() <= peak, "cycle {i}: {} slots, peak {peak}", w.slab.len());
+        }
+        assert_eq!((peak, w.slab.len()), (65, 65));
+        w.run_to_quiescence(u64::MAX);
+        assert_eq!(w.actor(a).stable, 100_000);
+        assert_eq!(w.free.len(), w.slab.len());
+    }
+
+    #[test]
+    fn pending_events_counts_only_live_events() {
+        let mut w = world();
+        let a = w.add_node(Node::default());
+        for v in 0..3 {
+            w.send_from_env(a, Msg::Ping(v));
+        }
+        assert!(w.step() && w.step());
+        assert_eq!((w.pending_events(), w.slab.len()), (1, 3));
+        // A new event takes a freed slot instead of growing the slab.
+        w.send_from_env(a, Msg::Ping(3));
+        assert_eq!((w.pending_events(), w.slab.len()), (2, 3));
+        w.run_to_quiescence(10);
+        assert_eq!((w.pending_events(), w.slab.len()), (0, 3));
+        let got: Vec<u32> = w.actor(a).received.iter().map(|&(_, v)| v).collect();
+        assert_eq!(got, [0, 1, 2, 3]);
     }
 
     #[test]
