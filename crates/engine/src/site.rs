@@ -238,7 +238,6 @@ impl Site {
             ("wal.bytes", stats.wal_bytes),
             ("wal.appends", stats.wal_appends),
             ("wal.syncs", stats.wal_syncs),
-            ("wal.segments", stats.wal_segments),
             ("wal.compactions", stats.wal_compactions),
             ("wal.checkpoint_records", stats.wal_checkpoint_records),
             ("recovery.replay_records", stats.recovery_replay_records),

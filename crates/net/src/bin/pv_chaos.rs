@@ -691,20 +691,6 @@ fn partition(h: &mut Harness) -> Result<(bool, Duration), EngineError> {
     std::thread::sleep(Duration::from_millis(140 + h.rng.below(40)));
     let rest: Vec<u32> = (1..h.sites).collect();
     h.chaos.partition(&[0], &rest);
-    if std::env::var_os("PV_CHAOS_DEBUG").is_some() {
-        let t0 = Instant::now();
-        while t0.elapsed() < Duration::from_millis(600) {
-            let mut line = format!("t={:>5.1}ms", t0.elapsed().as_secs_f64() * 1e3);
-            for s in 0..h.sites {
-                match h.client(s).and_then(|mut c| c.inspect(Duration::from_secs(1))) {
-                    Ok(sn) => line.push_str(&format!(" s{s}:polys={} q={}", sn.poly_count, sn.quiescent)),
-                    Err(e) => line.push_str(&format!(" s{s}:err({e:?})")),
-                }
-            }
-            eprintln!("{line}");
-            std::thread::sleep(Duration::from_millis(10));
-        }
-    }
     let poller = h.spawn_poly_poller(&rest, Duration::from_millis(2500));
     h.collect_replies(&mut client, &mut pending, Duration::from_millis(1200));
     let polys = poller.join().unwrap_or(false);

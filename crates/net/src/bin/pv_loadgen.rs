@@ -22,6 +22,7 @@ use pv_core::{Expr, ItemId, TransactionSpec};
 use pv_engine::EngineError;
 use pv_net::backoff::Backoff;
 use pv_net::client::NetClient;
+use pv_net::node::error_json;
 use pv_simnet::{Metrics, SimRng};
 use std::net::{SocketAddr, TcpListener};
 use std::process::{Child, Command, ExitCode, Stdio};
@@ -34,31 +35,6 @@ fn usage() -> ! {
          [--attempts N] [--delay-ms N]"
     );
     std::process::exit(2);
-}
-
-fn error_json(e: &EngineError) -> String {
-    let (kind, site) = match e {
-        EngineError::Unreachable { site, .. } => ("unreachable", Some(*site)),
-        EngineError::Io(_) => ("io", None),
-        EngineError::Timeout => ("timeout", None),
-        EngineError::Disconnected => ("disconnected", None),
-        _ => ("engine", None),
-    };
-    let detail: String = e
-        .to_string()
-        .chars()
-        .map(|c| match c {
-            '"' => '\'',
-            '\n' => ' ',
-            c => c,
-        })
-        .collect();
-    match site {
-        Some(s) => {
-            format!("{{\"error\":{{\"kind\":\"{kind}\",\"site\":{s},\"detail\":\"{detail}\"}}}}")
-        }
-        None => format!("{{\"error\":{{\"kind\":\"{kind}\",\"detail\":\"{detail}\"}}}}"),
-    }
 }
 
 struct Args {

@@ -28,7 +28,7 @@
 
 use pv_engine::{CommitProtocol, Directory, EngineConfig, EngineError, Topology};
 use pv_net::backoff::Backoff;
-use pv_net::node::Node;
+use pv_net::node::{error_json, Node};
 use pv_simnet::SimDuration;
 use std::net::SocketAddr;
 use std::process::ExitCode;
@@ -41,34 +41,6 @@ fn usage() -> ! {
          [--static-checks] [--fast] [--attempts N] [--delay-ms N] [--max-delay-ms N]"
     );
     std::process::exit(2);
-}
-
-/// Renders an [`EngineError`] as the structured stderr line contract.
-fn error_json(e: &EngineError) -> String {
-    let (kind, site) = match e {
-        EngineError::Unreachable { site, .. } => ("unreachable", Some(*site)),
-        EngineError::Io(_) => ("io", None),
-        EngineError::Encode(_) => ("encode", None),
-        EngineError::Decode(_) => ("decode", None),
-        EngineError::Timeout => ("timeout", None),
-        EngineError::Disconnected => ("disconnected", None),
-        _ => ("engine", None),
-    };
-    let detail: String = e
-        .to_string()
-        .chars()
-        .map(|c| match c {
-            '"' => '\'',
-            '\n' => ' ',
-            c => c,
-        })
-        .collect();
-    match site {
-        Some(s) => {
-            format!("{{\"error\":{{\"kind\":\"{kind}\",\"site\":{s},\"detail\":\"{detail}\"}}}}")
-        }
-        None => format!("{{\"error\":{{\"kind\":\"{kind}\",\"detail\":\"{detail}\"}}}}"),
-    }
 }
 
 /// The short-timeout engine configuration used by localhost benches (the

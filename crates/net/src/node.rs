@@ -773,6 +773,38 @@ enum Source {
 /// returned — the client reset it while it queued, or a signal interrupted
 /// the call — so the listener can keep serving. Every other kind is the
 /// listener's own failure.
+/// Renders a fatal [`EngineError`] as the one JSON line `pv-node` and
+/// `pv-loadgen` print on stderr before they exit non-zero, e.g.
+/// `{"error":{"kind":"unreachable","site":2,"detail":"..."}}`. Only
+/// `unreachable` carries a `site`; `detail` is the error's `Display` with
+/// double quotes made single and newlines made spaces.
+pub fn error_json(e: &EngineError) -> String {
+    let (kind, site) = match e {
+        EngineError::Unreachable { site, .. } => ("unreachable", Some(*site)),
+        EngineError::Io(_) => ("io", None),
+        EngineError::Encode(_) => ("encode", None),
+        EngineError::Decode(_) => ("decode", None),
+        EngineError::Timeout => ("timeout", None),
+        EngineError::Disconnected => ("disconnected", None),
+        _ => ("engine", None),
+    };
+    let detail: String = e
+        .to_string()
+        .chars()
+        .map(|c| match c {
+            '"' => '\'',
+            '\n' => ' ',
+            c => c,
+        })
+        .collect();
+    match site {
+        Some(s) => {
+            format!("{{\"error\":{{\"kind\":\"{kind}\",\"site\":{s},\"detail\":\"{detail}\"}}}}")
+        }
+        None => format!("{{\"error\":{{\"kind\":\"{kind}\",\"detail\":\"{detail}\"}}}}"),
+    }
+}
+
 fn accept_error_is_transient(kind: ErrorKind) -> bool {
     matches!(kind, ErrorKind::ConnectionAborted | ErrorKind::Interrupted)
 }
@@ -791,6 +823,37 @@ mod tests {
     fn lone_node() -> Node {
         let topo = Topology::new(1, Directory::Mod(1));
         Node::bind(0, &topo, Backoff::default(), "127.0.0.1:0".parse().unwrap()).unwrap()
+    }
+
+    #[test]
+    fn error_json_pins_the_kind_of_every_engine_error() {
+        use pv_core::ItemId;
+        let kinds = [
+            (EngineError::Timeout, "timeout"),
+            (EngineError::Disconnected, "disconnected"),
+            (EngineError::UnknownSite(4), "engine"),
+            (EngineError::UnknownClient(1), "engine"),
+            (EngineError::UnplacedItem(ItemId(3)), "engine"),
+            (EngineError::MissingItem(ItemId(3)), "engine"),
+            (EngineError::NotAnInt(ItemId(3)), "engine"),
+            (EngineError::Rejected("PV001".into()), "engine"),
+            (EngineError::Encode("too long".into()), "encode"),
+            (EngineError::Decode("bad crc".into()), "decode"),
+            (EngineError::Io("refused".into()), "io"),
+        ];
+        for (e, kind) in kinds {
+            let line = error_json(&e);
+            let head = format!("{{\"error\":{{\"kind\":\"{kind}\",\"detail\":\"");
+            assert!(line.starts_with(&head), "{e:?} renders {line}");
+        }
+        let e = EngineError::Unreachable {
+            site: 2,
+            detail: "dial \"x\"\nrefused".into(),
+        };
+        assert_eq!(
+            error_json(&e),
+            r#"{"error":{"kind":"unreachable","site":2,"detail":"site s2 unreachable: dial 'x' refused"}}"#
+        );
     }
 
     #[test]

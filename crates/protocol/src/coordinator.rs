@@ -56,13 +56,6 @@ pub struct Coordinator {
 }
 
 impl Coordinator {
-    /// Whether this site currently coordinates `txn` (used by the §3.3
-    /// inquiry handler: a live coordinator answers "still deciding" by
-    /// staying silent).
-    pub fn is_coordinating(&self, txn: TxnId) -> bool {
-        self.coords.contains_key(&txn)
-    }
-
     /// Number of transactions currently being coordinated.
     pub fn in_flight(&self) -> usize {
         self.coords.len()

@@ -226,11 +226,6 @@ pub struct Participant {
 }
 
 impl Participant {
-    /// The Figure-1 phase of `txn` at this site, if it is active here.
-    pub fn phase_of(&self, txn: TxnId) -> Option<PartPhase> {
-        self.parts.get(&txn).map(|p| p.phase)
-    }
-
     /// Number of transactions this site currently participates in.
     pub fn active(&self) -> usize {
         self.parts.len()

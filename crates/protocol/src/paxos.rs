@@ -76,13 +76,6 @@ pub struct Paxos {
     pub(crate) takeovers: BTreeMap<TxnId, Takeover>,
 }
 
-impl Paxos {
-    /// Number of takeovers this site currently leads.
-    pub fn active_takeovers(&self) -> usize {
-        self.takeovers.len()
-    }
-}
-
 impl SiteMachine {
     /// The acceptor group size and the majority threshold.
     fn quorum(&self) -> (u32, usize) {

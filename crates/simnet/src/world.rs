@@ -131,11 +131,6 @@ impl<A: Actor> World<A> {
         id
     }
 
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.actors.len()
-    }
-
     /// The current virtual time.
     pub fn now(&self) -> SimTime {
         self.now
@@ -149,12 +144,6 @@ impl<A: Actor> World<A> {
     /// Immutable access to a node's actor (for assertions and scraping).
     pub fn actor(&self, node: NodeId) -> &A {
         &self.actors[node.0 as usize]
-    }
-
-    /// Mutable access to a node's actor. Intended for test setup; effects
-    /// cannot be emitted through this path.
-    pub fn actor_mut(&mut self, node: NodeId) -> &mut A {
-        &mut self.actors[node.0 as usize]
     }
 
     /// Runs a caller-supplied callback on `node`'s actor with a full effect
@@ -186,20 +175,10 @@ impl<A: Actor> World<A> {
         &self.trace
     }
 
-    /// Mutable access to the trace (e.g. for recording driver-level events).
-    pub fn trace_mut(&mut self) -> &mut Trace {
-        &mut self.trace
-    }
-
     /// Installs a trace recorder; pass [`Trace::collecting`] to capture the
     /// run's protocol transitions.
     pub fn set_trace(&mut self, trace: Trace) {
         self.trace = trace;
-    }
-
-    /// Removes and returns the trace, leaving a disabled one behind.
-    pub fn take_trace(&mut self) -> Trace {
-        std::mem::take(&mut self.trace)
     }
 
     /// The master random stream (e.g. for workload generation).

@@ -58,8 +58,6 @@ pub struct StoreStats {
     pub wal_appends: u64,
     /// Effective storage syncs.
     pub wal_syncs: u64,
-    /// Segments created (rotations and compaction targets).
-    pub wal_segments: u64,
     /// Compactions performed.
     pub wal_compactions: u64,
     /// Records written by those compactions: over `wal_appends` it is the
@@ -264,7 +262,6 @@ impl SiteStore {
         out.wal_bytes = now.bytes_appended - self.drained.bytes_appended;
         out.wal_appends = now.appends - self.drained.appends;
         out.wal_syncs = now.syncs - self.drained.syncs;
-        out.wal_segments = now.segments_created - self.drained.segments_created;
         out.wal_compactions = now.compactions - self.drained.compactions;
         out.wal_checkpoint_records = now.checkpoint_records - self.drained.checkpoint_records;
         out.snapshot_reads = std::mem::take(&mut self.snapshot_reads);
@@ -1454,18 +1451,36 @@ mod tests {
         let dir = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
             .join("../../target/tmp/storage-tests/site-store-disk");
         let _ = std::fs::remove_dir_all(&dir);
-        {
+        let view = {
             let storage = DiskWal::open(&dir, FsyncPolicy::PerDecision).unwrap();
-            let mut s = SiteStore::open(Box::new(storage));
+            let mut s = SiteStore::open(Box::new(storage)).with_compact_threshold(2);
             s.seed_item(ItemId(1), Value::Int(100));
+            s.seed_item(ItemId(2), Value::Int(200));
+            let mut checkpoints = 0;
+            for v in 0..8 {
+                s.set_entry(ItemId(2), simple(v));
+                checkpoints += usize::from(s.maybe_compact());
+            }
+            assert!(checkpoints >= 3, "a 2-record floor checkpoints often: {checkpoints}");
             s.stage(TxnId(5), 2, vec![(ItemId(1), simple(90))]);
             s.install_in_doubt(TxnId(5));
             s.note_sent(TxnId(5), 7);
             s.record_decision(TxnId(9), true);
+            s.compact();
+            let view = format!("{:?}", s.logical_view());
+            s.crash_and_recover();
+            assert_eq!(format!("{:?}", s.logical_view()), view, "a crash after a checkpoint");
             s.sync();
-        }
+            view
+        };
         let storage = DiskWal::open(&dir, FsyncPolicy::PerDecision).unwrap();
         let s = SiteStore::open(Box::new(storage));
+        assert_eq!(format!("{:?}", s.logical_view()), view);
+        let files: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(files, ["wal.log"]);
         assert_eq!(s.poly_count(), 1);
         assert_eq!(s.tracked_txns(), vec![TxnId(5)]);
         assert_eq!(s.dep_entry(TxnId(5)).unwrap().sent_to.len(), 1);

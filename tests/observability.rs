@@ -110,7 +110,7 @@ fn trace_stream_orders_protocol_transitions() {
 fn storage_metrics_flow_into_the_registry() {
     // A busy run with a tiny compaction threshold and a mid-run crash must
     // surface the whole durability surface in the metrics registry: WAL
-    // traffic, segment rotation, compaction, and recovery replay.
+    // traffic, compaction, and recovery replay.
     let mut cluster = ClusterBuilder::new(3, Directory::Mod(3))
         .seed(9)
         .net(NetConfig::default())
@@ -143,10 +143,6 @@ fn storage_metrics_flow_into_the_registry() {
     assert!(m.counter("wal.bytes") > 0, "WAL traffic must be measured");
     assert!(m.counter("wal.appends") > 0);
     assert!(m.counter("wal.syncs") > 0);
-    assert!(
-        m.counter("wal.segments") >= 3,
-        "each site opens at least its initial segment"
-    );
     assert!(
         m.counter("wal.compactions") > seeded,
         "a 16-record threshold must force compactions in a 120-transfer run"
