@@ -10,33 +10,8 @@
 use super::literal::Literal;
 use super::product::Product;
 use crate::txn::TxnId;
-use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-
-/// Per-outcome memo table: condition → substituted condition.
-type AssignMemo = HashMap<Condition, Condition>;
-
-/// Cap on conditions memoized per `(txn, outcome)` key; the table is cleared
-/// when full, so a pathological workload degrades to the uncached path
-/// instead of growing without bound.
-const ASSIGN_MEMO_CONDS: usize = 1024;
-
-/// Cap on distinct `(txn, outcome)` keys kept; decided transactions stop
-/// being substituted once their outcome has propagated, so old keys are dead
-/// weight and the whole cache is dropped when this many accumulate.
-const ASSIGN_MEMO_KEYS: usize = 256;
-
-thread_local! {
-    /// Memo for [`Condition::assign`]. Outcome substitution is the engine's
-    /// hottest condition operation — when a decision propagates, a site
-    /// substitutes the same `(txn, outcome)` into every entry it holds, and
-    /// entries overwhelmingly share conditions — so a hit rate near 1 is
-    /// typical. Thread-local (no locks) and bounded; purely a speed cache,
-    /// results are identical to [`Condition::assign_uncached`].
-    static ASSIGN_MEMO: RefCell<HashMap<(TxnId, bool), AssignMemo>> =
-        RefCell::new(HashMap::new());
-}
 
 /// A boolean predicate over transaction identifiers, kept in canonical
 /// sum-of-products form.
@@ -178,43 +153,7 @@ impl Condition {
     }
 
     /// Substitutes a known outcome for transaction `txn` and re-simplifies.
-    ///
-    /// Memoized per thread: repeated substitution of the same outcome into
-    /// the same condition (the shape of outcome propagation across a site's
-    /// entries) is answered from a bounded cache. Semantically identical to
-    /// [`Condition::assign_uncached`].
     pub fn assign(&self, txn: TxnId, completed: bool) -> Condition {
-        // Constants and conditions that don't mention the variable are
-        // returned directly — cheaper than hashing into the memo.
-        if self.is_false() || self.is_true() {
-            return self.clone();
-        }
-        if !self.products.iter().any(|p| p.polarity_of(txn).is_some()) {
-            return self.clone();
-        }
-        ASSIGN_MEMO.with(|memo| {
-            let mut memo = memo.borrow_mut();
-            if memo.len() >= ASSIGN_MEMO_KEYS {
-                memo.clear();
-            }
-            let table = memo.entry((txn, completed)).or_default();
-            if let Some(hit) = table.get(self) {
-                return hit.clone();
-            }
-            let result = self.assign_uncached(txn, completed);
-            if table.len() >= ASSIGN_MEMO_CONDS {
-                table.clear();
-            }
-            table.insert(self.clone(), result.clone());
-            result
-        })
-    }
-
-    /// The uncached reference implementation of [`Condition::assign`].
-    ///
-    /// Exposed so differential tests can check the memoized path against a
-    /// direct recomputation; production code should call `assign`.
-    pub fn assign_uncached(&self, txn: TxnId, completed: bool) -> Condition {
         let products = self
             .products
             .iter()
@@ -265,12 +204,6 @@ impl Condition {
             }
         }
         true
-    }
-
-    /// Total number of literals across all products (a size measure used by
-    /// the benchmarks).
-    pub fn literal_count(&self) -> usize {
-        self.products.iter().map(Product::len).sum()
     }
 
     /// Restores the canonical form: the **Blake canonical form**, i.e. the
@@ -499,6 +432,5 @@ mod tests {
     fn idempotence_of_canonical_form() {
         let c = v(1).or(&v(1)).or(&v(1).and(&v(2)));
         assert_eq!(c, v(1));
-        assert_eq!(c.literal_count(), 1);
     }
 }

@@ -5,93 +5,6 @@ use crate::txn::TxnId;
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::hash::{Hash, Hasher};
-
-/// How many literals a product stores inline before spilling to the heap.
-///
-/// Real polyvalue conditions are tiny — an in-doubt pair is one literal, and
-/// even chained uncertainty rarely conjoins more than three — so four inline
-/// slots make the overwhelmingly common case allocation-free.
-const INLINE: usize = 4;
-
-/// The literal storage: a sorted, duplicate-free run of `(variable,
-/// polarity)` pairs, inline up to [`INLINE`] entries.
-///
-/// The pair order is ascending by variable, which makes slice comparison
-/// agree with the lexicographic `(key, value)` order a `BTreeMap` would give
-/// — the canonical product order is therefore representation-independent.
-#[derive(Debug, Clone)]
-enum Lits {
-    /// Up to [`INLINE`] literals stored in place.
-    Inline {
-        /// Number of live pairs in `buf`.
-        len: u8,
-        /// The pairs; only `buf[..len]` is meaningful.
-        buf: [(TxnId, bool); INLINE],
-    },
-    /// More than [`INLINE`] literals, spilled to a heap vector.
-    Heap(Vec<(TxnId, bool)>),
-}
-
-const EMPTY_BUF: [(TxnId, bool); INLINE] = [(TxnId(0), false); INLINE];
-
-impl Lits {
-    fn empty() -> Lits {
-        Lits::Inline {
-            len: 0,
-            buf: EMPTY_BUF,
-        }
-    }
-
-    fn as_slice(&self) -> &[(TxnId, bool)] {
-        match self {
-            Lits::Inline { len, buf } => &buf[..*len as usize],
-            Lits::Heap(v) => v,
-        }
-    }
-}
-
-/// Accumulates sorted pairs, staying inline while they fit.
-struct Builder {
-    len: usize,
-    buf: [(TxnId, bool); INLINE],
-    spill: Vec<(TxnId, bool)>,
-}
-
-impl Builder {
-    fn new() -> Builder {
-        Builder {
-            len: 0,
-            buf: EMPTY_BUF,
-            spill: Vec::new(),
-        }
-    }
-
-    /// Appends a pair; the caller pushes in ascending variable order.
-    fn push(&mut self, pair: (TxnId, bool)) {
-        if self.spill.is_empty() && self.len < INLINE {
-            self.buf[self.len] = pair;
-            self.len += 1;
-        } else {
-            if self.spill.is_empty() {
-                self.spill.reserve(self.len + 4);
-                self.spill.extend_from_slice(&self.buf[..self.len]);
-            }
-            self.spill.push(pair);
-        }
-    }
-
-    fn finish(self) -> Lits {
-        if self.spill.is_empty() {
-            Lits::Inline {
-                len: self.len as u8,
-                buf: self.buf,
-            }
-        } else {
-            Lits::Heap(self.spill)
-        }
-    }
-}
 
 /// A conjunction of literals, each over a distinct transaction variable.
 ///
@@ -101,9 +14,9 @@ impl Builder {
 /// literal yields `None` (the constant `false`), so contradictory products are
 /// unrepresentable.
 ///
-/// Literals are kept as a sorted small-vector (inline up to four pairs), so
-/// the common one- and two-literal products of in-doubt conditions are
-/// allocation-free and all set operations are linear merges.
+/// Literals are kept as a sorted vector of `(variable, polarity)` pairs, so
+/// all set operations are linear merges. Ascending variable order makes the
+/// derived (lexicographic) ordering the one a `BTreeMap` iteration would give.
 ///
 /// # Examples
 ///
@@ -118,58 +31,22 @@ impl Builder {
 /// // Conjoining with ¬T1 contradicts T1:
 /// assert!(p.and_literal(t1.negated()).is_none());
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Product {
     /// Sorted `(variable, polarity)` pairs (`true` = positive literal).
-    literals: Lits,
-}
-
-impl PartialEq for Product {
-    fn eq(&self, other: &Self) -> bool {
-        self.pairs() == other.pairs()
-    }
-}
-
-impl Eq for Product {}
-
-impl PartialOrd for Product {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Product {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.pairs().cmp(other.pairs())
-    }
-}
-
-impl Hash for Product {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.pairs().hash(state);
-    }
-}
-
-impl Default for Product {
-    fn default() -> Self {
-        Product::top()
-    }
+    literals: Vec<(TxnId, bool)>,
 }
 
 impl Product {
     /// The empty product, the constant `true`.
     pub fn top() -> Self {
-        Product {
-            literals: Lits::empty(),
-        }
+        Product::default()
     }
 
     /// A product consisting of a single literal.
     pub fn unit(lit: Literal) -> Self {
-        let mut buf = EMPTY_BUF;
-        buf[0] = (lit.txn(), lit.is_positive());
         Product {
-            literals: Lits::Inline { len: 1, buf },
+            literals: vec![(lit.txn(), lit.is_positive())],
         }
     }
 
@@ -182,24 +59,19 @@ impl Product {
         Some(p)
     }
 
-    /// The sorted `(variable, polarity)` pairs.
-    fn pairs(&self) -> &[(TxnId, bool)] {
-        self.literals.as_slice()
-    }
-
     /// Number of literals in the product.
     pub fn len(&self) -> usize {
-        self.pairs().len()
+        self.literals.len()
     }
 
     /// Whether this is the empty product (the constant `true`).
     pub fn is_empty(&self) -> bool {
-        self.pairs().is_empty()
+        self.literals.is_empty()
     }
 
     /// Iterates over the literals in variable order.
     pub fn literals(&self) -> impl Iterator<Item = Literal> + '_ {
-        self.pairs().iter().map(|&(txn, pos)| {
+        self.literals.iter().map(|&(txn, pos)| {
             if pos {
                 Literal::positive(txn)
             } else {
@@ -210,7 +82,7 @@ impl Product {
 
     /// The polarity of `txn` in this product, if present.
     pub fn polarity_of(&self, txn: TxnId) -> Option<bool> {
-        let pairs = self.pairs();
+        let pairs = &self.literals;
         pairs
             .binary_search_by_key(&txn, |&(t, _)| t)
             .ok()
@@ -219,29 +91,23 @@ impl Product {
 
     /// Conjoins a literal; `None` if the result is contradictory.
     pub fn and_literal(&self, lit: Literal) -> Option<Self> {
-        let pairs = self.pairs();
+        let pairs = &self.literals;
         match pairs.binary_search_by_key(&lit.txn(), |&(t, _)| t) {
             Ok(i) if pairs[i].1 != lit.is_positive() => None,
             Ok(_) => Some(self.clone()),
             Err(at) => {
-                let mut b = Builder::new();
-                for &p in &pairs[..at] {
-                    b.push(p);
-                }
-                b.push((lit.txn(), lit.is_positive()));
-                for &p in &pairs[at..] {
-                    b.push(p);
-                }
-                Some(Product {
-                    literals: b.finish(),
-                })
+                let mut literals = Vec::with_capacity(pairs.len() + 1);
+                literals.extend_from_slice(&pairs[..at]);
+                literals.push((lit.txn(), lit.is_positive()));
+                literals.extend_from_slice(&pairs[at..]);
+                Some(Product { literals })
             }
         }
     }
 
     /// Conjoins two products; `None` if the result is contradictory.
     pub fn and(&self, other: &Product) -> Option<Self> {
-        let (a, b) = (self.pairs(), other.pairs());
+        let (a, b) = (&self.literals, &other.literals);
         if b.is_empty() {
             return Some(self.clone());
         }
@@ -250,7 +116,7 @@ impl Product {
         }
         // Sorted two-pointer merge; a polarity clash on a shared variable is
         // the contradiction case.
-        let mut out = Builder::new();
+        let mut out = Vec::with_capacity(a.len() + b.len());
         let (mut i, mut j) = (0, 0);
         while i < a.len() && j < b.len() {
             match a[i].0.cmp(&b[j].0) {
@@ -272,21 +138,15 @@ impl Product {
                 }
             }
         }
-        for &p in &a[i..] {
-            out.push(p);
-        }
-        for &p in &b[j..] {
-            out.push(p);
-        }
-        Some(Product {
-            literals: out.finish(),
-        })
+        out.extend_from_slice(&a[i..]);
+        out.extend_from_slice(&b[j..]);
+        Some(Product { literals: out })
     }
 
     /// Whether this product subsumes `other`: every literal of `self` appears
     /// in `other`, so `other` implies `self` and `self ∨ other = self`.
     pub fn subsumes(&self, other: &Product) -> bool {
-        let (a, b) = (self.pairs(), other.pairs());
+        let (a, b) = (&self.literals, &other.literals);
         if a.len() > b.len() {
             return false;
         }
@@ -315,7 +175,7 @@ impl Product {
     ///
     /// Variables missing from `assignment` are treated as `false` (aborted).
     pub fn eval(&self, assignment: &BTreeMap<TxnId, bool>) -> bool {
-        self.pairs()
+        self.literals
             .iter()
             .all(|&(txn, pos)| assignment.get(&txn).copied().unwrap_or(false) == pos)
     }
@@ -325,19 +185,14 @@ impl Product {
     /// Returns `Some(product)` with the literal removed if the substitution is
     /// consistent, or `None` if it falsifies the product.
     pub fn assign(&self, txn: TxnId, value: bool) -> Option<Self> {
-        let pairs = self.pairs();
+        let pairs = &self.literals;
         match pairs.binary_search_by_key(&txn, |&(t, _)| t) {
             Err(_) => Some(self.clone()),
             Ok(i) if pairs[i].1 == value => {
-                let mut b = Builder::new();
-                for (k, &p) in pairs.iter().enumerate() {
-                    if k != i {
-                        b.push(p);
-                    }
-                }
-                Some(Product {
-                    literals: b.finish(),
-                })
+                let mut literals = Vec::with_capacity(pairs.len() - 1);
+                literals.extend_from_slice(&pairs[..i]);
+                literals.extend_from_slice(&pairs[i + 1..]);
+                Some(Product { literals })
             }
             Ok(_) => None,
         }
@@ -345,7 +200,7 @@ impl Product {
 
     /// The set of variables mentioned by the product, in order.
     pub fn vars(&self) -> impl Iterator<Item = TxnId> + '_ {
-        self.pairs().iter().map(|&(txn, _)| txn)
+        self.literals.iter().map(|&(txn, _)| txn)
     }
 
     /// The consensus of two products, if defined.
@@ -356,7 +211,7 @@ impl Product {
     /// yields the Blake canonical form (the set of all prime implicants),
     /// which [`super::Condition`] uses as its unique normal form.
     pub fn consensus(&self, other: &Product) -> Option<Product> {
-        let (a, b) = (self.pairs(), other.pairs());
+        let (a, b) = (&self.literals, &other.literals);
         // First pass: find the unique clashing variable, if any.
         let mut clash: Option<TxnId> = None;
         let (mut i, mut j) = (0, 0);
@@ -379,20 +234,16 @@ impl Product {
         let clash = clash?;
         // Second pass: merge both sides, skipping the clash variable. No
         // polarity conflicts remain by construction.
-        let mut out = Builder::new();
+        let mut out = Vec::with_capacity(a.len() + b.len() - 2);
         let (mut i, mut j) = (0, 0);
         while i < a.len() && j < b.len() {
             match a[i].0.cmp(&b[j].0) {
                 Ordering::Less => {
-                    if a[i].0 != clash {
-                        out.push(a[i]);
-                    }
+                    out.push(a[i]);
                     i += 1;
                 }
                 Ordering::Greater => {
-                    if b[j].0 != clash {
-                        out.push(b[j]);
-                    }
+                    out.push(b[j]);
                     j += 1;
                 }
                 Ordering::Equal => {
@@ -404,19 +255,9 @@ impl Product {
                 }
             }
         }
-        for &p in &a[i..] {
-            if p.0 != clash {
-                out.push(p);
-            }
-        }
-        for &p in &b[j..] {
-            if p.0 != clash {
-                out.push(p);
-            }
-        }
-        Some(Product {
-            literals: out.finish(),
-        })
+        out.extend_from_slice(&a[i..]);
+        out.extend_from_slice(&b[j..]);
+        Some(Product { literals: out })
     }
 }
 
@@ -515,9 +356,9 @@ mod tests {
     }
 
     #[test]
-    fn spill_to_heap_preserves_semantics() {
-        // Six literals exceed the inline capacity; every operation must agree
-        // with the inline representation's behaviour.
+    fn wide_products_preserve_semantics() {
+        // Six literals, wider than the one- and two-literal products of
+        // in-doubt conditions; every operation must keep order and content.
         let lits: Vec<Literal> = (0..6).map(|n| if n % 2 == 0 { pos(n) } else { neg(n) }).collect();
         let p = Product::from_literals(lits.clone()).unwrap();
         assert_eq!(p.len(), 6);
@@ -550,7 +391,7 @@ mod tests {
     }
 
     #[test]
-    fn consensus_on_heap_products() {
+    fn consensus_on_wide_products() {
         // (T0∧T1∧T2∧T3∧T4) and (¬T0∧T1∧T2∧T3∧T5) clash only on T0.
         let a = Product::from_literals([pos(0), pos(1), pos(2), pos(3), pos(4)]).unwrap();
         let b = Product::from_literals([neg(0), pos(1), pos(2), pos(3), pos(5)]).unwrap();

@@ -1,6 +1,6 @@
 //! A deterministic hasher for the engine's hash maps.
 //!
-//! The lock table and the keyspace index key hash maps by [`ItemId`] and
+//! The lock table and the store's keyspace key hash maps by [`ItemId`] and
 //! [`TxnId`]. `std`'s `RandomState` seeds itself per process, so bucket
 //! layout (and anything that ever iterated it) would differ run to run;
 //! [`DetState`] has no seed, so map layout is reproducible across processes
@@ -12,8 +12,8 @@
 use std::hash::{BuildHasher, Hasher};
 
 /// An FxHash-style multiply-rotate hasher. Deterministic across processes
-/// and platforms (unlike `RandomState`), so sharding and map layout are
-/// reproducible — and no per-process seed can perturb anything observable.
+/// and platforms (unlike `RandomState`), so map layout is reproducible —
+/// and no per-process seed can perturb anything observable.
 #[derive(Debug, Clone, Default)]
 pub struct DetHasher(u64);
 

@@ -2,10 +2,10 @@
 //!
 //! Strategy: generate random condition ASTs over a small variable universe,
 //! build both a `Condition` (canonical DNF) and a reference closure, and
-//! compare them on every assignment of the universe (2^N, N ≤ 5).
+//! compare them on every assignment of the universe (2^N, N ≤ 6).
 
 use proptest::prelude::*;
-use pv_core::{Condition, TxnId};
+use pv_core::{Condition, Literal, Product, TxnId};
 use std::collections::BTreeMap;
 
 /// Number of transaction variables in the test universe.
@@ -62,14 +62,35 @@ fn formula() -> impl Strategy<Value = Formula> {
     })
 }
 
+/// Width of the product [`wide_product`] builds: wider than the one- and
+/// two-literal products of in-doubt conditions, and than the universe.
+const WIDE: u64 = 6;
+
 fn all_assignments() -> Vec<BTreeMap<TxnId, bool>> {
-    (0u32..(1 << VARS))
+    assignments(VARS)
+}
+
+/// Every assignment of transactions `0..vars`.
+fn assignments(vars: u64) -> Vec<BTreeMap<TxnId, bool>> {
+    (0u64..(1 << vars))
         .map(|bits| {
-            (0..VARS)
+            (0..vars)
                 .map(|v| (TxnId(v), bits & (1 << v) != 0))
                 .collect()
         })
         .collect()
+}
+
+/// The product over transactions `0..WIDE` whose polarities are `bits`.
+fn wide_product(bits: u64) -> Product {
+    Product::from_literals((0..WIDE).map(|v| {
+        if bits & (1 << v) != 0 {
+            Literal::positive(TxnId(v))
+        } else {
+            Literal::negative(TxnId(v))
+        }
+    }))
+    .expect("distinct variables never contradict")
 }
 
 proptest! {
@@ -117,12 +138,22 @@ proptest! {
         prop_assert!(cond.and(&neg).is_false());
     }
 
-    /// Outcome substitution equals semantic restriction.
+    /// Outcome substitution equals semantic restriction, also on conditions
+    /// that hold a six-literal product beside the formula's narrower ones.
     #[test]
-    fn assign_is_semantic_restriction(f in formula(), var in 0..VARS, value: bool) {
-        let cond = f.to_condition();
+    fn assign_is_semantic_restriction(
+        f in formula(),
+        with_wide: bool,
+        wide in 0u64..(1 << WIDE),
+        var in 0..WIDE,
+        value: bool,
+    ) {
+        let mut cond = f.to_condition();
+        if with_wide {
+            cond = cond.or(&Condition::from_products([wide_product(wide)]));
+        }
         let restricted = cond.assign(TxnId(var), value);
-        for mut a in all_assignments() {
+        for mut a in assignments(WIDE) {
             a.insert(TxnId(var), value);
             prop_assert_eq!(restricted.eval(&a), cond.eval(&a));
         }
@@ -175,59 +206,6 @@ proptest! {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// Differential: the memoized `assign` agrees with the uncached
-    /// reference path on arbitrary conditions. The memo is a pure speed
-    /// cache, so the two must be *structurally* identical, not just
-    /// semantically equivalent.
-    #[test]
-    fn memoized_assign_matches_uncached(f in formula(), var in 0..VARS, value: bool) {
-        let cond = f.to_condition();
-        let fast = cond.assign(TxnId(var), value);
-        let slow = cond.assign_uncached(TxnId(var), value);
-        prop_assert_eq!(&fast, &slow);
-        // Asking again must serve the (now cached) answer unchanged.
-        prop_assert_eq!(cond.assign(TxnId(var), value), slow);
-    }
-
-    /// Differential: chained substitution (the §3.3 outcome-propagation
-    /// pattern, where each result feeds the next lookup) stays in lockstep
-    /// with the uncached path for every prefix of the outcome sequence.
-    #[test]
-    fn memoized_assign_chain_matches_uncached(f in formula(), outcome_bits in 0u32..(1 << VARS)) {
-        let mut fast = f.to_condition();
-        let mut slow = fast.clone();
-        for v in 0..VARS {
-            let value = outcome_bits & (1 << v) != 0;
-            fast = fast.assign(TxnId(v), value);
-            slow = slow.assign_uncached(TxnId(v), value);
-            prop_assert_eq!(&fast, &slow, "diverged after assigning T{}", v);
-        }
-        // All variables substituted: the condition is now a constant.
-        prop_assert!(fast.is_true() || fast.is_false());
-    }
-
-    /// Differential: both assign paths agree with semantic restriction on
-    /// conditions wider than the inline literal capacity (exercising the
-    /// heap-spilled product representation).
-    #[test]
-    fn memoized_assign_matches_on_wide_products(bits in 0u64..(1 << 6), var in 0u64..6, value: bool) {
-        // One product of six literals (spills the inline small-vec) plus a
-        // couple of overlapping narrower products.
-        use pv_core::{Literal, Product};
-        let wide = Product::from_literals((0..6).map(|v| {
-            if bits & (1 << v) != 0 { Literal::positive(TxnId(v)) } else { Literal::negative(TxnId(v)) }
-        })).expect("distinct variables never contradict");
-        let narrow_a = Product::from_literals([Literal::positive(TxnId(0)), Literal::negative(TxnId(5))]);
-        let narrow_b = Product::from_literals([Literal::negative(TxnId(1))]);
-        let cond = Condition::from_products(
-            [Some(wide), narrow_a, narrow_b].into_iter().flatten(),
-        );
-        prop_assert_eq!(
-            cond.assign(TxnId(var), value),
-            cond.assign_uncached(TxnId(var), value)
-        );
-    }
 
     /// Rendering a condition and parsing it back yields the same condition
     /// (Display and the parser are inverse up to canonicalisation, which

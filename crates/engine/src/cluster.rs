@@ -182,8 +182,6 @@ impl ClusterBuilder {
         let mut world = World::new(self.seed, self.net);
         if let Some(trace) = self.trace {
             world.set_trace(trace);
-        } else if topo.collect_trace {
-            world.set_trace(Trace::collecting());
         }
         for s in 0..topo.sites {
             // An explicit storage factory wins over the topology's data dir

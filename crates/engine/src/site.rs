@@ -343,7 +343,7 @@ impl Actor for Site {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pv_core::{Entry, ItemId, SplitMode, Value};
+    use pv_core::{Entry, ItemId, Value};
 
     fn site() -> Site {
         Site::new(0, EngineConfig::default(), Directory::Mod(1))
@@ -386,15 +386,5 @@ mod tests {
         assert_eq!(grown.store().get(ItemId(8)), Some(Entry::Simple(Value::Int(7))));
         assert_eq!((grown.store().append_seq(), grown.store().log_len()), (1, 4));
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn config_split_mode_is_respected_in_construction() {
-        let cfg = EngineConfig {
-            split_mode: SplitMode::Eager,
-            ..EngineConfig::default()
-        };
-        let s = Site::new(0, cfg, Directory::Mod(1));
-        assert_eq!(s.machine().config().split_mode, SplitMode::Eager);
     }
 }

@@ -7,8 +7,8 @@
 //! written against one could not move to the other without re-plumbing its
 //! configuration. A [`Topology`] is that configuration, once: how many
 //! sites, where items live, which protocol variant and timeouts, the initial
-//! database population, durability (data directory and fsync policy), the
-//! static-checks submit gate, and whether a protocol trace is collected.
+//! database population, durability (data directory and fsync policy), and
+//! the static-checks submit gate.
 //!
 //! Both runtimes consume the same value:
 //!
@@ -45,8 +45,8 @@ pub struct Topology {
     pub sites: u32,
     /// Item placement: which site is home to which item.
     pub directory: Directory,
-    /// Protocol variant, timeouts, lock policy, split mode, the
-    /// static-checks gate, and the WAL compaction threshold.
+    /// Protocol variant, timeouts, lock policy, the static-checks gate,
+    /// and the WAL compaction threshold.
     pub engine: EngineConfig,
     /// Initial database population; each item is seeded at its home site.
     pub items: Vec<(ItemId, Value)>,
@@ -57,14 +57,11 @@ pub struct Topology {
     pub data_dir: Option<PathBuf>,
     /// Fsync policy of disk-backed sites (ignored without a data dir).
     pub fsync_policy: FsyncPolicy,
-    /// Whether the runtime buffers a full protocol trace. Streaming sinks
-    /// remain per-builder: a sink is a live callback, not cluster shape.
-    pub collect_trace: bool,
 }
 
 impl Topology {
     /// A topology of `sites` sites placed by `directory`, with default
-    /// engine configuration, no items, in-memory durability, and no trace.
+    /// engine configuration, no items, and in-memory durability.
     ///
     /// # Panics
     ///
@@ -78,7 +75,6 @@ impl Topology {
             items: Vec::new(),
             data_dir: None,
             fsync_policy: FsyncPolicy::PerDecision,
-            collect_trace: false,
         }
     }
 
@@ -153,14 +149,6 @@ impl Topology {
         self
     }
 
-    /// Buffers a full protocol trace in whichever runtime consumes this
-    /// topology. Simulation traces are byte-identical per seed; a
-    /// wall-clock runtime stamps its records with wall-clock time.
-    pub fn collect_trace(mut self) -> Self {
-        self.collect_trace = true;
-        self
-    }
-
     /// The sum of all integer items seeded by this topology — the expected
     /// conserved total for funds-transfer-style workloads, used by the
     /// cross-runtime equivalence tests and the loadgen conservation gate.
@@ -183,13 +171,11 @@ mod tests {
             .uniform_items(6, 10)
             .item(100u64, 5i64)
             .static_checks()
-            .fsync_policy(FsyncPolicy::PerAppend)
-            .collect_trace();
+            .fsync_policy(FsyncPolicy::PerAppend);
         assert_eq!(topo.sites, 3);
         assert_eq!(topo.items.len(), 7);
         assert!(topo.engine.static_checks);
         assert_eq!(topo.fsync_policy, FsyncPolicy::PerAppend);
-        assert!(topo.collect_trace);
         assert_eq!(topo.seeded_int_total(), 65);
     }
 

@@ -568,14 +568,14 @@ fn sim_rebuilt_over_a_data_dir_replays_cold_recovery() {
     let topo = Topology::new(2, Directory::Mod(2))
         .item(ItemId(0), Value::Int(100))
         .item(ItemId(1), Value::Int(100))
-        .data_dir(&dir)
-        .collect_trace();
+        .data_dir(&dir);
     // One incarnation of the cluster: a single committed transfer. Returns
     // the first transaction id it decided and its coordinator's epoch.
     let life = |amt: i64| {
         let mut cluster = ClusterBuilder::from_topology(topo.clone())
             .seed(7)
             .net(NetConfig::instant())
+            .collect_trace()
             .client(
                 ClientConfig::default(),
                 Box::new(Script::new(vec![transfer(0, 1, amt)], SimDuration::from_millis(10))),

@@ -114,9 +114,9 @@ fn wound_wait_survives_chaos() {
 
 #[test]
 fn sharded_lock_decisions_are_deterministic() {
-    // The lock table shards items across seed-free hash maps. If shard-map
-    // iteration order ever leaked into wound-victim choice or queue service
-    // order, same-seed runs would diverge in their lock counters. Compare
+    // The lock table keys items in a seed-free hash map. If its iteration
+    // order ever leaked into wound-victim choice or queue service order,
+    // same-seed runs would diverge in their lock counters. Compare
     // full metric exports byte-for-byte, and require that both the wound and
     // the queue path actually ran (so the equality is not vacuous).
     let run = |seed| {
@@ -165,9 +165,9 @@ fn queued_requests_are_never_lost() {
 #[test]
 fn lock_table_wakeups_cross_shards() {
     // Table-level no-lost-wakeup check: a blocker's release must free every
-    // item it held — on every shard — so parked requesters can proceed, and
-    // `conflicts` must keep reporting blockers in ascending TxnId order (the
-    // order wound-wait uses to pick victims) regardless of shard layout.
+    // item it held so parked requesters can proceed, and `conflicts` must
+    // keep reporting blockers in ascending TxnId order (the order wound-wait
+    // uses to pick victims) whatever the hash-map layout.
     use pv_core::TxnId;
     use pv_engine::locks::LockTable;
     let mut table = LockTable::new();
@@ -194,8 +194,8 @@ fn lock_table_wakeups_cross_shards() {
     for t in [3u64, 5, 7] {
         table.release_all(TxnId(t));
     }
-    // After the release sweep, every item on every shard is acquirable: no
-    // shard retained a stale lock that would strand a parked request.
+    // After the release sweep, every item is acquirable: no stale lock
+    // remains that would strand a parked request.
     for &item in &items {
         assert!(table.conflicts(TxnId(9), item, true).is_empty());
         assert!(table.try_write(TxnId(9), item), "item {item} stayed locked");

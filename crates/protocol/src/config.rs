@@ -1,6 +1,5 @@
 //! Engine configuration: commit protocol, timeouts, output policy.
 
-use pv_core::SplitMode;
 use pv_simnet::SimDuration;
 
 /// Which commit protocol sites run. The three correspond to the approaches
@@ -81,8 +80,6 @@ pub enum UncertainOutputPolicy {
 pub struct EngineConfig {
     /// The commit protocol.
     pub protocol: CommitProtocol,
-    /// How polytransactions partition alternatives (§3.2).
-    pub split_mode: SplitMode,
     /// Coordinator patience for read responses before aborting.
     pub read_timeout: SimDuration,
     /// Coordinator patience for readies before aborting.
@@ -121,7 +118,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             protocol: CommitProtocol::Polyvalue,
-            split_mode: SplitMode::Lazy,
             read_timeout: SimDuration::from_millis(100),
             ready_timeout: SimDuration::from_millis(100),
             wait_timeout: SimDuration::from_millis(150),
@@ -182,7 +178,6 @@ mod tests {
         assert_eq!(c.protocol, CommitProtocol::Polyvalue);
         assert!(!c.static_checks);
         assert_eq!(c.lock_policy, LockPolicy::NoWait);
-        assert_eq!(c.split_mode, SplitMode::Lazy);
         assert!(c.wait_timeout > SimDuration::ZERO);
         assert_eq!(c.uncertain_outputs, UncertainOutputPolicy::Present);
     }

@@ -4,7 +4,7 @@ use crate::config::{CommitProtocol, UncertainOutputPolicy};
 use crate::machine::{site_node, Emit, SiteMachine};
 use crate::messages::{AbortReason, Msg, TxnResult};
 use crate::timer::TimerKey;
-use pv_core::expr::evaluate;
+use pv_core::expr::{evaluate, SplitMode};
 use pv_core::{Entry, ItemId, TransactionSpec, TxnId, Value};
 use pv_simnet::{NodeId, SimTime, TraceEvent};
 use pv_store::{SiteId, SiteStore};
@@ -84,7 +84,7 @@ impl SiteMachine {
         // A transaction touching nothing evaluates immediately.
         if modes.is_empty() {
             let empty: BTreeMap<ItemId, Entry<Value>> = BTreeMap::new();
-            let result = match evaluate(&spec, &empty, self.config.split_mode) {
+            let result = match evaluate(&spec, &empty, SplitMode::Lazy) {
                 Ok(out) => {
                     let outputs = out.collate_outputs().expect("no items, no polyvalues");
                     let granted = out.collate_granted().expect("no items, no polyvalues");
@@ -170,7 +170,7 @@ impl SiteMachine {
         let Some(coord) = self.coordinator.coords.get_mut(&txn) else {
             return;
         };
-        let out = match evaluate(&coord.spec, &coord.entries, self.config.split_mode) {
+        let out = match evaluate(&coord.spec, &coord.entries, SplitMode::Lazy) {
             Ok(out) => out,
             Err(e) => {
                 let reason = AbortReason::Eval(e.to_string());

@@ -6,24 +6,9 @@
 //! with backoff. Under the polyvalue protocol locks are released as soon as
 //! the site installs in-doubt polyvalues — that early release is exactly the
 //! availability the paper buys; the blocking baseline keeps them.
-//!
-//! The table is *sharded*: items hash (with a deterministic, seed-free
-//! hasher) onto [`SHARDS`] independent hash maps, so a lookup touches one
-//! small map instead of one big ordered tree. Determinism note: no code path
-//! ever iterates a shard map — every multi-item answer ([`release_all`],
-//! [`conflicts`]) is produced from per-transaction `BTreeSet`s and is sorted
-//! — so the (unspecified) hash-map iteration order can never leak into
-//! engine behaviour.
-//!
-//! [`release_all`]: LockTable::release_all
-//! [`conflicts`]: LockTable::conflicts
 
-use pv_core::{DetHasher, DetState, ItemId, TxnId};
+use pv_core::{DetState, ItemId, TxnId};
 use std::collections::{BTreeSet, HashMap};
-use std::hash::Hasher;
-
-/// Number of shards; a power of two so the shard index is a mask.
-const SHARDS: usize = 16;
 
 /// A hash map keyed with the deterministic hasher.
 type DetMap<K, V> = HashMap<K, V, DetState>;
@@ -38,17 +23,14 @@ enum LockState {
 }
 
 /// A site's lock table.
+///
+/// No code path iterates either map: every multi-item answer
+/// ([`LockTable::release_all`], [`LockTable::conflicts`]) comes from a
+/// `BTreeSet` and is sorted, so hash-map order never reaches the engine.
 #[derive(Debug, Clone, Default)]
 pub struct LockTable {
-    shards: [DetMap<ItemId, LockState>; SHARDS],
+    locks: DetMap<ItemId, LockState>,
     held: DetMap<TxnId, BTreeSet<ItemId>>,
-}
-
-/// The shard an item belongs to.
-fn shard_of(item: ItemId) -> usize {
-    let mut h = DetHasher::default();
-    h.write_u64(item.0);
-    (h.finish() as usize) & (SHARDS - 1)
 }
 
 impl LockTable {
@@ -57,21 +39,12 @@ impl LockTable {
         LockTable::default()
     }
 
-    fn shard(&self, item: ItemId) -> &DetMap<ItemId, LockState> {
-        &self.shards[shard_of(item)]
-    }
-
-    fn shard_mut(&mut self, item: ItemId) -> &mut DetMap<ItemId, LockState> {
-        &mut self.shards[shard_of(item)]
-    }
-
     /// Tries to acquire a shared lock; `false` on conflict (no-wait).
     /// Re-acquiring a lock the transaction already holds succeeds.
     pub fn try_read(&mut self, txn: TxnId, item: ItemId) -> bool {
-        match self.shard_mut(item).get_mut(&item) {
+        match self.locks.get_mut(&item) {
             None => {
-                self.shard_mut(item)
-                    .insert(item, LockState::Read([txn].into()));
+                self.locks.insert(item, LockState::Read([txn].into()));
             }
             Some(LockState::Read(readers)) => {
                 readers.insert(txn);
@@ -89,9 +62,9 @@ impl LockTable {
     /// Tries to acquire an exclusive lock; `false` on conflict. A
     /// transaction that is the *sole* reader of the item upgrades in place.
     pub fn try_write(&mut self, txn: TxnId, item: ItemId) -> bool {
-        match self.shard_mut(item).get_mut(&item) {
+        match self.locks.get_mut(&item) {
             None => {
-                self.shard_mut(item).insert(item, LockState::Write(txn));
+                self.locks.insert(item, LockState::Write(txn));
             }
             Some(LockState::Write(owner)) => {
                 if *owner != txn {
@@ -117,7 +90,7 @@ impl LockTable {
     /// given mode (empty = acquirable), in ascending order. Used by
     /// wound-wait to pick victims.
     pub fn conflicts(&self, txn: TxnId, item: ItemId, exclusive: bool) -> Vec<TxnId> {
-        match self.shard(item).get(&item) {
+        match self.locks.get(&item) {
             None => Vec::new(),
             Some(LockState::Write(owner)) => {
                 if *owner == txn {
@@ -142,14 +115,14 @@ impl LockTable {
             return Vec::new();
         };
         for &item in &items {
-            match self.shards[shard_of(item)].get_mut(&item) {
+            match self.locks.get_mut(&item) {
                 Some(LockState::Write(owner)) if *owner == txn => {
-                    self.shards[shard_of(item)].remove(&item);
+                    self.locks.remove(&item);
                 }
                 Some(LockState::Read(readers)) => {
                     readers.remove(&txn);
                     if readers.is_empty() {
-                        self.shards[shard_of(item)].remove(&item);
+                        self.locks.remove(&item);
                     }
                 }
                 _ => {}
@@ -165,19 +138,17 @@ impl LockTable {
 
     /// Whether `item` is locked at all.
     pub fn is_locked(&self, item: ItemId) -> bool {
-        self.shard(item).contains_key(&item)
+        self.locks.contains_key(&item)
     }
 
     /// Number of currently locked items.
     pub fn locked_count(&self) -> usize {
-        self.shards.iter().map(HashMap::len).sum()
+        self.locks.len()
     }
 
     /// Drops every lock (volatile state lost in a crash).
     pub fn clear(&mut self) {
-        for shard in &mut self.shards {
-            shard.clear();
-        }
+        self.locks.clear();
         self.held.clear();
     }
 }
@@ -301,20 +272,9 @@ mod tests {
     }
 
     #[test]
-    fn sharding_is_deterministic_and_spreads_items() {
-        // The same item always lands on the same shard (the hasher has no
-        // per-process seed), and a run of item ids uses more than one shard.
-        let shards: Vec<usize> = (0..64).map(|n| shard_of(i(n))).collect();
-        let again: Vec<usize> = (0..64).map(|n| shard_of(i(n))).collect();
-        assert_eq!(shards, again);
-        let distinct: BTreeSet<usize> = shards.iter().copied().collect();
-        assert!(distinct.len() > SHARDS / 2, "64 items must spread widely");
-    }
-
-    #[test]
-    fn cross_shard_release_stays_sorted() {
-        // A transaction holding items on many shards must still release them
-        // in ascending item order, whatever the shard layout.
+    fn many_items_release_in_ascending_order() {
+        // A transaction that locked many items in descending order still
+        // releases them in ascending item order.
         let mut l = LockTable::new();
         let items: Vec<ItemId> = (0..40).rev().map(i).collect();
         for &item in &items {
