@@ -50,12 +50,6 @@ pub struct Site {
 }
 
 impl Site {
-    /// Creates a site with an empty store.
-    pub fn new(id: SiteId, config: EngineConfig, directory: Directory) -> Self {
-        let store = SiteStore::new();
-        Site::with_store(id, config, directory, store)
-    }
-
     /// Creates a site over an existing store — typically one opened from a
     /// durable [`pv_store::Storage`] backend, possibly holding a recovered
     /// image from a previous incarnation of this site.
@@ -346,7 +340,7 @@ mod tests {
     use pv_core::{Entry, ItemId, Value};
 
     fn site() -> Site {
-        Site::new(0, EngineConfig::default(), Directory::Mod(1))
+        Site::with_store(0, EngineConfig::default(), Directory::Mod(1), SiteStore::new())
     }
 
     #[test]

@@ -769,10 +769,6 @@ enum Source {
     Peer(usize),
 }
 
-/// Whether a failed `accept` concerns only the connection it would have
-/// returned — the client reset it while it queued, or a signal interrupted
-/// the call — so the listener can keep serving. Every other kind is the
-/// listener's own failure.
 /// Renders a fatal [`EngineError`] as the one JSON line `pv-node` and
 /// `pv-loadgen` print on stderr before they exit non-zero, e.g.
 /// `{"error":{"kind":"unreachable","site":2,"detail":"..."}}`. Only
@@ -805,6 +801,10 @@ pub fn error_json(e: &EngineError) -> String {
     }
 }
 
+/// Whether a failed `accept` concerns only the connection it would have
+/// returned — the client reset it while it queued, or a signal interrupted
+/// the call — so the listener can keep serving. Every other kind is the
+/// listener's own failure.
 fn accept_error_is_transient(kind: ErrorKind) -> bool {
     matches!(kind, ErrorKind::ConnectionAborted | ErrorKind::Interrupted)
 }

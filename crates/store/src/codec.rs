@@ -500,7 +500,8 @@ wire_table! {
         1 => SetItem { item, entry },
         2 => PendingPrepare { txn, coordinator, writes },
         3 => PendingResolved { txn },
-        4 => DepNoted { txn, item },
+        // 4 is retired (it named a §3.3 item record nothing ever wrote):
+        // never reuse it.
         5 => DepSent { txn, site },
         6 => DepForgotten { txn },
         7 => Decision { txn, completed },
@@ -614,10 +615,6 @@ mod tests {
                 writes: vec![(ItemId(1), Entry::Simple(Value::Int(7))), (ItemId(3), poly)],
             },
             Record::PendingResolved { txn: TxnId(9) },
-            Record::DepNoted {
-                txn: TxnId(1),
-                item: ItemId(3),
-            },
             Record::DepSent {
                 txn: TxnId(1),
                 site: 2,

@@ -2,19 +2,19 @@
 //!
 //! A [`SiteStore`] owns one site's durable state: the item table, staged
 //! wait-phase transactions, the §3.3 outcome-dependency table, and (when the
-//! site acts as coordinator) decided outcomes. Every mutation is logged to
-//! stable storage (a pluggable [`Storage`] backend) first;
-//! [`SiteStore::crash_and_recover`] discards the materialised state and
-//! rebuilds it by replaying whatever image survived the crash, which is
-//! exactly what the engine's sites do when the failure injector crashes them.
+//! site acts as coordinator) decided outcomes. Every change is a [`Record`]:
+//! appended to stable storage (a pluggable [`Storage`] backend), then applied
+//! to the tables by the one transition function recovery also runs.
+//! [`SiteStore::crash_and_recover`] discards the tables and re-applies
+//! whatever image survived the crash, which is exactly what the engine's
+//! sites do when the failure injector crashes them.
 
 use crate::keyspace::{Keyspace, SeqNo};
-use crate::outcomes::{DepEntry, OutcomeTable};
 use crate::storage::{MemStorage, Storage, StorageError, StorageStats};
 use crate::wal::{Record, SiteId, Wal};
 use pv_core::expr::ReadSource;
 use pv_core::{Entry, ItemId, TxnId, Value};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// What a snapshot read returns: the sequence number it read at and the
 /// `(item, entry)` pairs observed at exactly that point in time.
@@ -29,11 +29,29 @@ pub struct PendingTxn {
     pub writes: Vec<(ItemId, Entry<Value>)>,
 }
 
+/// One transaction's entry in the §3.3 table: "a list of the polyvalues held
+/// by the site that depend on T, and a list of other sites to which
+/// polyvalues dependent on T have been sent".
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct DepEntry {
+    /// Local items whose polyvalues depend on the transaction.
+    pub items: BTreeSet<ItemId>,
+    /// Other sites to which dependent polyvalues have been sent.
+    pub sent_to: BTreeSet<SiteId>,
+}
+
+impl DepEntry {
+    /// Whether the entry carries no information.
+    pub fn is_empty(&self) -> bool {
+        self.items.is_empty() && self.sent_to.is_empty()
+    }
+}
+
 /// Durable Paxos Commit acceptor state for one transaction: the ballot-0
 /// votes this acceptor has accepted, its phase-1 promise, and the
-/// highest-ballot phase-2 verdict it has accepted. Rebuilt from
-/// `PaxosVote`/`PaxosPromise`/`PaxosAccept` records on recovery; discarded by
-/// `PaxosForgotten` once the decision is durable.
+/// highest-ballot phase-2 verdict it has accepted. Built by applying
+/// `PaxosVote`/`PaxosPromise`/`PaxosAccept` records, live and on recovery;
+/// discarded by `PaxosForgotten` once the decision is durable.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PaxosState {
     /// Highest ballot promised in phase 1 (0 = none; ballot 0 needs no
@@ -115,7 +133,8 @@ pub struct SiteStore {
     /// rebuilt from the WAL on every recovery.
     keyspace: Keyspace,
     pending: BTreeMap<TxnId, PendingTxn>,
-    outcomes: OutcomeTable,
+    /// The §3.3 table: in-doubt transaction → dependent items and sites.
+    outcomes: BTreeMap<TxnId, DepEntry>,
     decisions: BTreeMap<TxnId, bool>,
     paxos: BTreeMap<TxnId, PaxosState>,
     epoch: u32,
@@ -184,7 +203,7 @@ impl SiteStore {
             storage,
             keyspace: Keyspace::default(),
             pending: BTreeMap::new(),
-            outcomes: OutcomeTable::new(),
+            outcomes: BTreeMap::new(),
             decisions: BTreeMap::new(),
             paxos: BTreeMap::new(),
             epoch: 0,
@@ -220,16 +239,95 @@ impl SiteStore {
         self
     }
 
-    /// Appends a record to stable storage.
+    /// Appends `record` to stable storage and applies it: the only way the
+    /// tables change, so the live path and recovery cannot disagree.
     ///
     /// # Panics
     /// On a real I/O failure of the backend: the protocol has no story for a
     /// site whose stable storage is broken (the paper assumes it reliable).
-    fn log(&mut self, record: Record) {
+    fn write(&mut self, record: Record) {
         self.storage
             .append(&record)
             .expect("stable storage append failed");
         self.append_seq += 1;
+        self.apply(record);
+    }
+
+    /// [`SiteStore::write`], then forces the log to stable storage: for the
+    /// records a site acts on irreversibly, under every fsync policy.
+    fn write_synced(&mut self, record: Record) {
+        self.write(record);
+        self.sync();
+    }
+
+    /// Applies one record to the tables: the transition function of both
+    /// the live path ([`SiteStore::write`]) and recovery.
+    // Inlined because seeding calls it once per item: a call each added 9%
+    // to a 3-site net cluster's set-up (`setup_s`).
+    #[inline(always)]
+    fn apply(&mut self, record: Record) {
+        match record {
+            Record::SetItem { item, entry } => {
+                // The item's §3.3 dependencies are recomputed from the new
+                // entry. An entry left with no items *and* no send-list
+                // carries no information and is pruned — §3.3's "quickly
+                // deleted when no longer needed". Each step is skipped where
+                // it cannot change the table: seeding a site passes every
+                // item through here, and they would cost it 40% more.
+                if !self.outcomes.is_empty() {
+                    self.outcomes.retain(|_, dep| {
+                        dep.items.remove(&item);
+                        !dep.is_empty()
+                    });
+                }
+                if entry.is_poly() {
+                    for txn in entry.deps() {
+                        self.outcomes.entry(txn).or_default().items.insert(item);
+                    }
+                }
+                self.keyspace.put(item, entry);
+            }
+            Record::PendingPrepare { txn, coordinator, writes } => {
+                self.pending.insert(txn, PendingTxn { coordinator, writes });
+            }
+            Record::PendingResolved { txn } => {
+                self.pending.remove(&txn);
+            }
+            Record::DepSent { txn, site } => {
+                self.outcomes.entry(txn).or_default().sent_to.insert(site);
+            }
+            Record::DepForgotten { txn } => {
+                self.outcomes.remove(&txn);
+            }
+            Record::Decision { txn, completed } => {
+                self.decisions.insert(txn, completed);
+            }
+            Record::Epoch { epoch } => self.epoch = self.epoch.max(epoch),
+            Record::PaxosVote { txn, part, parts, prepared } => {
+                let st = self.paxos.entry(txn).or_default();
+                st.votes.insert(part, prepared);
+                for p in parts {
+                    if !st.parts.contains(&p) {
+                        st.parts.push(p);
+                    }
+                }
+                st.parts.sort_unstable();
+            }
+            Record::PaxosPromise { txn, ballot } => {
+                let st = self.paxos.entry(txn).or_default();
+                st.promised = st.promised.max(ballot);
+            }
+            Record::PaxosAccept { txn, ballot, completed } => {
+                let st = self.paxos.entry(txn).or_default();
+                st.promised = st.promised.max(ballot);
+                if st.accepted.is_none_or(|(b, _)| b <= ballot) {
+                    st.accepted = Some((ballot, completed));
+                }
+            }
+            Record::PaxosForgotten { txn } => {
+                self.paxos.remove(&txn);
+            }
+        }
     }
 
     /// Forces everything appended so far to stable storage. Called
@@ -294,11 +392,13 @@ impl SiteStore {
         }
         self.append_seq += items.len() as u64;
         // Sized once: a doubling table would leave its outgrown copies
-        // behind as allocator holes. The store is empty, so a simple value
-        // has no outcome-table entry to clear.
+        // behind as allocator holes.
         self.keyspace.reserve(items.len());
         for (item, value) in items {
-            self.keyspace.put(item, Entry::Simple(value));
+            self.apply(Record::SetItem {
+                item,
+                entry: Entry::Simple(value),
+            });
         }
         self.compact();
     }
@@ -306,11 +406,7 @@ impl SiteStore {
     /// Durably installs `entry` as the current value of `item`, maintaining
     /// the outcome-dependency table.
     pub fn set_entry(&mut self, item: ItemId, entry: Entry<Value>) {
-        self.log(Record::SetItem {
-            item,
-            entry: entry.clone(),
-        });
-        self.materialise_set(item, entry);
+        self.write(Record::SetItem { item, entry });
     }
 
     /// The current entry of `item`.
@@ -384,19 +480,7 @@ impl SiteStore {
     /// to send `Ready`, and a coordinator may commit on the strength of it —
     /// the staged writes must not be lost to a crash after that.
     pub fn stage(&mut self, txn: TxnId, coordinator: SiteId, writes: Vec<(ItemId, Entry<Value>)>) {
-        self.log(Record::PendingPrepare {
-            txn,
-            coordinator,
-            writes: writes.clone(),
-        });
-        self.sync();
-        self.pending.insert(
-            txn,
-            PendingTxn {
-                coordinator,
-                writes,
-            },
-        );
+        self.write_synced(Record::PendingPrepare { txn, coordinator, writes });
     }
 
     /// The staged transaction, if any.
@@ -413,10 +497,11 @@ impl SiteStore {
     /// polyvalues `{⟨new, T⟩, ⟨old, ¬T⟩}` for each staged write and releases
     /// the staging. Returns the items updated.
     pub fn install_in_doubt(&mut self, txn: TxnId) -> Vec<ItemId> {
+        // Taken, not cloned: the record written next drops it anyway.
         let Some(p) = self.pending.remove(&txn) else {
             return Vec::new();
         };
-        self.log(Record::PendingResolved { txn });
+        self.write(Record::PendingResolved { txn });
         let mut installed = Vec::with_capacity(p.writes.len());
         for (item, new) in p.writes {
             let old = self
@@ -441,7 +526,7 @@ impl SiteStore {
         // Resolve staging first: a late Decision may arrive before (or
         // instead of) the in-doubt timeout.
         if let Some(p) = self.pending.remove(&txn) {
-            self.log(Record::PendingResolved { txn });
+            self.write(Record::PendingResolved { txn });
             if completed {
                 for (item, entry) in p.writes {
                     self.set_entry(item, entry);
@@ -449,10 +534,10 @@ impl SiteStore {
             }
         }
         // Reduce dependent polyvalues and forget the table entry.
-        let Some(dep) = self.outcomes.take(txn) else {
+        let Some(dep) = self.outcomes.remove(&txn) else {
             return DepEntry::default();
         };
-        self.log(Record::DepForgotten { txn });
+        self.write(Record::DepForgotten { txn });
         for &item in &dep.items {
             let Some(entry) = self.keyspace.latest(item) else {
                 continue;
@@ -468,18 +553,17 @@ impl SiteStore {
     /// Records that a polyvalue dependent on `txn` was sent to `site`, so the
     /// outcome can be forwarded there later (§3.3).
     pub fn note_sent(&mut self, txn: TxnId, site: SiteId) {
-        self.log(Record::DepSent { txn, site });
-        self.outcomes.note_sent(txn, site);
+        self.write(Record::DepSent { txn, site });
     }
 
     /// The transactions whose outcomes this site is waiting to learn.
     pub fn tracked_txns(&self) -> Vec<TxnId> {
-        self.outcomes.pending().collect()
+        self.outcomes.keys().copied().collect()
     }
 
     /// The §3.3 entry for `txn`, if tracked.
     pub fn dep_entry(&self, txn: TxnId) -> Option<&DepEntry> {
-        self.outcomes.get(txn)
+        self.outcomes.get(&txn)
     }
 
     /// Whether the site still tracks any in-doubt transaction (bounded-state
@@ -500,9 +584,7 @@ impl SiteStore {
     /// pre-crash ones. Synced under every fsync policy — losing an epoch
     /// bump could reissue a transaction id.
     pub fn bump_epoch(&mut self) -> u32 {
-        self.epoch += 1;
-        self.log(Record::Epoch { epoch: self.epoch });
-        self.sync();
+        self.write_synced(Record::Epoch { epoch: self.epoch + 1 });
         self.epoch
     }
 
@@ -515,9 +597,7 @@ impl SiteStore {
     /// answers inquiries by presumed abort — so a completion it once
     /// announced must never be lost.
     pub fn record_decision(&mut self, txn: TxnId, completed: bool) {
-        self.log(Record::Decision { txn, completed });
-        self.sync();
-        self.decisions.insert(txn, completed);
+        self.write_synced(Record::Decision { txn, completed });
     }
 
     /// The recorded decision for `txn`, if this site coordinated it.
@@ -536,48 +616,28 @@ impl SiteStore {
     /// participant's own Paxos instance). Synced before returning; the
     /// caller replies `PcVoteAck` only afterwards.
     pub fn pc_record_vote(&mut self, txn: TxnId, part: SiteId, parts: Vec<SiteId>, prepared: bool) {
-        self.log(Record::PaxosVote {
-            txn,
-            part,
-            parts: parts.clone(),
-            prepared,
-        });
-        self.sync();
-        self.materialise_paxos_vote(txn, part, parts, prepared);
+        self.write_synced(Record::PaxosVote { txn, part, parts, prepared });
     }
 
     /// Durably promises ballot `ballot` for `txn`'s verdict instance. Synced
     /// before returning; the caller replies `PcPhase1b` only afterwards.
     pub fn pc_promise(&mut self, txn: TxnId, ballot: u64) {
-        self.log(Record::PaxosPromise { txn, ballot });
-        self.sync();
-        let st = self.paxos.entry(txn).or_default();
-        st.promised = st.promised.max(ballot);
+        self.write_synced(Record::PaxosPromise { txn, ballot });
     }
 
     /// Durably accepts the verdict `completed` at `ballot` for `txn` (which
     /// implies the promise). Synced before returning; the caller replies
     /// `PcPhase2b` only afterwards.
     pub fn pc_accept(&mut self, txn: TxnId, ballot: u64, completed: bool) {
-        self.log(Record::PaxosAccept {
-            txn,
-            ballot,
-            completed,
-        });
-        self.sync();
-        let st = self.paxos.entry(txn).or_default();
-        st.promised = st.promised.max(ballot);
-        if st.accepted.is_none_or(|(b, _)| b <= ballot) {
-            st.accepted = Some((ballot, completed));
-        }
+        self.write_synced(Record::PaxosAccept { txn, ballot, completed });
     }
 
     /// Drops the acceptor state for a decided transaction. Not synced — the
     /// decision record preceding it is, and replaying a lost `PaxosForgotten`
     /// merely re-creates prunable state.
     pub fn pc_forget(&mut self, txn: TxnId) {
-        if self.paxos.remove(&txn).is_some() {
-            self.log(Record::PaxosForgotten { txn });
+        if self.paxos.contains_key(&txn) {
+            self.write(Record::PaxosForgotten { txn });
         }
     }
 
@@ -590,17 +650,6 @@ impl SiteStore {
     /// check: quiescent clusters must have pruned them all).
     pub fn pc_txns(&self) -> Vec<TxnId> {
         self.paxos.keys().copied().collect()
-    }
-
-    fn materialise_paxos_vote(&mut self, txn: TxnId, part: SiteId, parts: Vec<SiteId>, prepared: bool) {
-        let st = self.paxos.entry(txn).or_default();
-        st.votes.insert(part, prepared);
-        for p in parts {
-            if !st.parts.contains(&p) {
-                st.parts.push(p);
-            }
-        }
-        st.parts.sort_unstable();
     }
 
     // ---- crash recovery & compaction ---------------------------------------
@@ -630,7 +679,7 @@ impl SiteStore {
         drop(image);
         self.keyspace.clear();
         self.pending.clear();
-        self.outcomes = OutcomeTable::new();
+        self.outcomes.clear();
         self.decisions.clear();
         self.paxos.clear();
         self.epoch = 0;
@@ -644,7 +693,7 @@ impl SiteStore {
             .count();
         self.keyspace.reserve(checkpointed);
         for record in wal {
-            self.replay(record);
+            self.apply(record);
         }
         // A durable decision makes the acceptor state for that transaction
         // dead weight: `pc_forget` is logged un-synced (see its doc), so a
@@ -662,61 +711,6 @@ impl SiteStore {
             .push(started.elapsed().as_secs_f64());
         self.last_checkpoint = replayed;
         self.checkpoint_seq = self.append_seq;
-    }
-
-    fn replay(&mut self, record: Record) {
-        match record {
-            Record::SetItem { item, entry } => self.materialise_set(item, entry),
-            Record::PendingPrepare {
-                txn,
-                coordinator,
-                writes,
-            } => {
-                self.pending.insert(
-                    txn,
-                    PendingTxn {
-                        coordinator,
-                        writes,
-                    },
-                );
-            }
-            Record::PendingResolved { txn } => {
-                self.pending.remove(&txn);
-            }
-            Record::DepNoted { txn, item } => self.outcomes.note_item(txn, item),
-            Record::DepSent { txn, site } => self.outcomes.note_sent(txn, site),
-            Record::DepForgotten { txn } => {
-                self.outcomes.take(txn);
-            }
-            Record::Decision { txn, completed } => {
-                self.decisions.insert(txn, completed);
-            }
-            Record::Epoch { epoch } => self.epoch = self.epoch.max(epoch),
-            Record::PaxosVote {
-                txn,
-                part,
-                parts,
-                prepared,
-            } => self.materialise_paxos_vote(txn, part, parts, prepared),
-            Record::PaxosPromise { txn, ballot } => {
-                let st = self.paxos.entry(txn).or_default();
-                st.promised = st.promised.max(ballot);
-            }
-            Record::PaxosAccept {
-                txn,
-                ballot,
-                completed,
-            } => {
-                let st = self.paxos.entry(txn).or_default();
-                st.promised = st.promised.max(ballot);
-                if st.accepted.is_none_or(|(b, _)| b <= ballot) {
-                    st.accepted = Some((ballot, completed));
-                }
-            }
-            Record::PaxosForgotten { txn } => {
-                self.paxos.remove(&txn);
-            }
-        }
     }
 
     /// Checkpoints the WAL ([`SiteStore::compact`]) once the log has doubled:
@@ -759,11 +753,10 @@ impl SiteStore {
                 entry: entry.clone(),
             });
         }
-        for txn in self.outcomes.pending() {
-            let entry = self.outcomes.get(txn).expect("pending txn has entry");
+        for (&txn, dep) in &self.outcomes {
             // Items are re-derived from SetItem replay; only sent_to needs
             // explicit records.
-            for &site in &entry.sent_to {
+            for &site in &dep.sent_to {
                 records.push(Record::DepSent { txn, site });
             }
         }
@@ -841,17 +834,6 @@ impl SiteStore {
     /// recovery would replay now.
     pub fn export_wal(&mut self) -> Result<Vec<u8>, StorageError> {
         self.storage.read_image()
-    }
-
-    /// Applies a `SetItem` to the materialised state, keeping the outcome
-    /// table consistent: the item's dependencies are recomputed from the new
-    /// entry.
-    fn materialise_set(&mut self, item: ItemId, entry: Entry<Value>) {
-        self.outcomes.clear_item(item);
-        for txn in entry.deps() {
-            self.outcomes.note_item(txn, item);
-        }
-        self.keyspace.put(item, entry);
     }
 }
 
@@ -947,6 +929,7 @@ mod tests {
         s.install_in_doubt(TxnId(5));
         s.note_sent(TxnId(5), 7);
         s.note_sent(TxnId(5), 8);
+        s.note_sent(TxnId(5), 7); // a repeated note changes nothing
         let dep = s.apply_decision(TxnId(5), true);
         assert_eq!(dep.sent_to.into_iter().collect::<Vec<_>>(), vec![7, 8]);
         // Applying again yields nothing (entry forgotten, §3.3).
@@ -957,17 +940,32 @@ mod tests {
     #[test]
     fn overwriting_poly_with_simple_clears_dependency() {
         let mut s = store_with_item(1, 100);
+        s.seed_item(ItemId(2), Value::Int(200));
         s.stage(TxnId(5), 2, vec![(ItemId(1), simple(90))]);
         s.install_in_doubt(TxnId(5));
+        s.stage(TxnId(6), 2, vec![(ItemId(2), simple(190))]);
+        s.install_in_doubt(TxnId(6));
+        s.note_sent(TxnId(6), 7);
         assert_eq!(s.dep_entry(TxnId(5)).unwrap().items.len(), 1);
         // A later transaction writes a simple value (Y in the paper's model):
         // the dependency entry empties out and is pruned (§3.3 cleanup).
         s.set_entry(ItemId(1), simple(55));
-        assert_eq!(s.poly_count(), 0);
+        assert_eq!(s.poly_count(), 1);
         assert!(s.dep_entry(TxnId(5)).is_none());
-        // Learning the outcome now changes nothing.
+        // An entry with a send-list survives losing its last item: the
+        // outcome must still be forwarded to site 7.
+        s.set_entry(ItemId(2), simple(66));
+        assert_eq!(s.poly_count(), 0);
+        let dep = s.dep_entry(TxnId(6)).unwrap();
+        assert!(dep.items.is_empty() && !dep.is_empty());
+        assert_eq!(s.tracked_txns(), vec![TxnId(6)]);
+        // Learning the outcomes now changes no item.
         s.apply_decision(TxnId(5), true);
         assert_eq!(s.get(ItemId(1)), Some(simple(55)));
+        let dep = s.apply_decision(TxnId(6), true);
+        assert_eq!(dep.sent_to.into_iter().collect::<Vec<_>>(), vec![7]);
+        assert_eq!(s.get(ItemId(2)), Some(simple(66)));
+        assert!(!s.has_tracked_txns());
     }
 
     #[test]
@@ -1295,9 +1293,7 @@ mod tests {
         let poly_write = Entry::in_doubt(simple(1), simple(2), TxnId(3));
         s.stage(TxnId(5), 2, vec![(ItemId(1), poly_write)]);
         s.install_in_doubt(TxnId(5));
-        let tracked = s.tracked_txns();
-        assert!(tracked.contains(&TxnId(3)));
-        assert!(tracked.contains(&TxnId(5)));
+        assert_eq!(s.tracked_txns(), vec![TxnId(3), TxnId(5)]);
         // Resolving the outer transaction leaves dependency on the inner.
         s.apply_decision(TxnId(5), true);
         assert_eq!(s.tracked_txns(), vec![TxnId(3)]);

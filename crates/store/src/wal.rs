@@ -1,4 +1,4 @@
-//! Write-ahead log records and replay.
+//! Write-ahead log records, and [`Wal`], the decoded image recovery applies.
 
 use pv_core::{Entry, ItemId, TxnId, Value};
 use std::fmt;
@@ -34,13 +34,6 @@ pub enum Record {
     PendingResolved {
         /// The resolved transaction.
         txn: TxnId,
-    },
-    /// An item at this site depends on the outcome of `txn` (§3.3 table).
-    DepNoted {
-        /// The in-doubt transaction.
-        txn: TxnId,
-        /// The dependent item.
-        item: ItemId,
     },
     /// A polyvalue depending on `txn` was sent to `site` (§3.3 table).
     DepSent {
@@ -125,7 +118,6 @@ impl fmt::Display for Record {
                 )
             }
             Record::PendingResolved { txn } => write!(f, "resolved {txn}"),
-            Record::DepNoted { txn, item } => write!(f, "dep {txn} -> {item}"),
             Record::DepSent { txn, site } => write!(f, "dep {txn} sent to s{site}"),
             Record::DepForgotten { txn } => write!(f, "dep {txn} forgotten"),
             Record::Decision { txn, completed } => {
@@ -168,7 +160,7 @@ impl fmt::Display for Record {
 /// append order.
 ///
 /// The log itself lives in a [`crate::Storage`] backend, the site's *stable
-/// storage*; a `Wal` is what recovery decodes from it and replays.
+/// storage*; a `Wal` is what recovery decodes from it and applies.
 #[derive(Debug, Clone, Default)]
 pub struct Wal {
     records: Vec<Record>,
@@ -259,14 +251,6 @@ mod tests {
         assert_eq!(
             Record::PendingResolved { txn: TxnId(1) }.to_string(),
             "resolved T1"
-        );
-        assert_eq!(
-            Record::DepNoted {
-                txn: TxnId(1),
-                item: ItemId(4)
-            }
-            .to_string(),
-            "dep T1 -> item4"
         );
         assert_eq!(
             Record::DepSent {

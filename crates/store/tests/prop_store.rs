@@ -21,6 +21,10 @@ enum Op {
     RecordDecision { txn: u64, completed: bool },
     BumpEpoch,
     Compact,
+    PcVote { txn: u64, part: u32, prepared: bool },
+    PcPromise { txn: u64, ballot: u64 },
+    PcAccept { txn: u64, ballot: u64, completed: bool },
+    PcForget { txn: u64 },
 }
 
 const ITEMS: u64 = 4;
@@ -40,12 +44,33 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (0..TXNS, any::<bool>()).prop_map(|(txn, completed)| Op::RecordDecision { txn, completed }),
         Just(Op::BumpEpoch),
         Just(Op::Compact),
+        (0..TXNS, 0..3u32, any::<bool>()).prop_map(|(txn, part, prepared)| Op::PcVote {
+            txn,
+            part,
+            prepared
+        }),
+        // Ballot 0 belongs to the participants and is never promised.
+        (0..TXNS, 1..4u64).prop_map(|(txn, ballot)| Op::PcPromise { txn, ballot }),
+        (0..TXNS, 0..4u64, any::<bool>()).prop_map(|(txn, ballot, completed)| Op::PcAccept {
+            txn,
+            ballot,
+            completed
+        }),
+        (0..TXNS).prop_map(|txn| Op::PcForget { txn }),
     ]
 }
 
 /// Applies an op; staging is only legal for not-currently-staged txns whose
 /// items exist, so the driver filters as a real site would.
+///
+/// Acceptor ops run in protocol order: only while the transaction has no
+/// decision, and a decision is followed by `pc_forget`, as a Paxos Commit
+/// site's is (a recovery prunes a decided transaction's acceptor state
+/// anyway). A forget may also come before any decision: the store does not
+/// check that rule, and only there is the forget's own record what keeps it
+/// across a crash.
 fn apply(store: &mut SiteStore, op: &Op) {
+    let undecided = |store: &SiteStore, txn: u64| store.decision_of(TxnId(txn)).is_none();
     match op {
         Op::Set { item, value } => {
             store.set_entry(ItemId(*item), Entry::Simple(Value::Int(*value)));
@@ -67,14 +92,26 @@ fn apply(store: &mut SiteStore, op: &Op) {
         }
         Op::NoteSent { txn, site } => store.note_sent(TxnId(*txn), *site),
         Op::RecordDecision { txn, completed } => {
-            if store.decision_of(TxnId(*txn)).is_none() {
+            if undecided(store, *txn) {
                 store.record_decision(TxnId(*txn), *completed);
+                store.pc_forget(TxnId(*txn));
             }
         }
         Op::BumpEpoch => {
             store.bump_epoch();
         }
         Op::Compact => store.compact(),
+        Op::PcVote { txn, part, prepared } if undecided(store, *txn) => {
+            store.pc_record_vote(TxnId(*txn), *part, (0..=*part).collect(), *prepared);
+        }
+        Op::PcPromise { txn, ballot } if undecided(store, *txn) => {
+            store.pc_promise(TxnId(*txn), *ballot);
+        }
+        Op::PcAccept { txn, ballot, completed } if undecided(store, *txn) => {
+            store.pc_accept(TxnId(*txn), *ballot, *completed);
+        }
+        Op::PcForget { txn } if undecided(store, *txn) => store.pc_forget(TxnId(*txn)),
+        Op::PcVote { .. } | Op::PcPromise { .. } | Op::PcAccept { .. } | Op::PcForget { .. } => {}
     }
 }
 
@@ -97,6 +134,12 @@ fn observe(store: &SiteStore) -> impl PartialEq + std::fmt::Debug {
             .collect::<Vec<_>>(),
         store.epoch(),
         store.poly_count(),
+        store.pc_txns(),
+        store
+            .pc_txns()
+            .iter()
+            .map(|&t| store.pc_state(t).cloned())
+            .collect::<Vec<_>>(),
     )
 }
 
