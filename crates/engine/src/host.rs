@@ -1,13 +1,14 @@
-//! The wall-clock host of one [`Site`]: the timer map and effect drain under
-//! `pv_net::Node`.
+//! The wall-clock host of one [`Site`]: the deadline queues and effect drain
+//! under `pv_net::Node`.
 //!
 //! A [`Site`] is a sans-IO actor: every callback runs under a
 //! [`pv_simnet::Ctx`] and leaves behind effects (sends, timers) for its
 //! driver to apply. The simulation's `World` is one driver; [`SiteHost`] is
-//! the other. It owns the site, its random stream, the armed timers and the
-//! `Instant` epoch that maps wall-clock time onto [`SimTime`] micros, runs
-//! each callback, applies the effects in emission order, and hands the
-//! remote sends back to its caller. The socket loop around it is only a
+//! the other. It owns the site, its random stream and the armed timers,
+//! runs each callback, applies the effects in emission order, and hands the
+//! remote sends back to its caller. It reads no clock: every call is handed
+//! the time as a [`SimTime`], which must never decrease from one call to
+//! the next. The socket loop around it owns the wall clock and is only a
 //! transport and a wait: it feeds [`SiteHost::deliver`] from its
 //! connections, ships what comes out, and blocks until more arrives or
 //! [`SiteHost::next_deadline`]. A crash is the process exiting, and a
@@ -19,9 +20,24 @@
 
 use crate::messages::Msg;
 use crate::site::Site;
-use pv_simnet::{Actor, Ctx, Effect, Metrics, NodeId, SimRng, SimTime, Trace};
-use std::collections::{BTreeMap, VecDeque};
-use std::time::{Duration, Instant};
+use pv_simnet::{Actor, Ctx, Effect, Metrics, NodeId, SimDuration, SimRng, SimTime, Trace};
+use std::collections::VecDeque;
+
+/// One armed timer. Fields in firing order: the derived `Ord` is by
+/// `(due, id)`, and ids grow in arm order.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct Armed {
+    due: SimTime,
+    id: u64,
+    key: u64,
+}
+
+/// The timers armed with one delay, in `(due, id)` order. The time a host
+/// is handed never decreases and ids grow, so an arm appends.
+struct DelayQueue {
+    delay: SimDuration,
+    armed: VecDeque<Armed>,
+}
 
 /// One site hosted on wall-clock time. See the module docs.
 pub struct SiteHost {
@@ -29,19 +45,17 @@ pub struct SiteHost {
     me: NodeId,
     rng: SimRng,
     next_timer_id: u64,
-    /// Armed timers, `(due, timer id) → key`. Ids grow in arm order, so the
-    /// map's first entry is the next timer to fire and equal deadlines fire
-    /// in the order they were armed.
-    timers: BTreeMap<(Instant, u64), u64>,
-    /// Wall-clock time zero of the site's [`SimTime`].
-    epoch: Instant,
+    /// Armed timers, one queue per distinct delay. The machine arms only
+    /// with its configuration's timeouts, so there are a handful of
+    /// queues, and the next timer to fire is the least of their fronts.
+    timers: Vec<DelayQueue>,
     /// The effect list every callback fills; kept so its allocation is
     /// reused.
     effects: Vec<Effect<Msg>>,
 }
 
 impl SiteHost {
-    /// Hosts `site` with the random stream of `seed`; its clock starts now.
+    /// Hosts `site` with the random stream of `seed`.
     pub fn new(mut site: Site, seed: u64) -> Self {
         site.enable_wall_clock_metrics();
         SiteHost {
@@ -49,8 +63,7 @@ impl SiteHost {
             site,
             rng: SimRng::new(seed),
             next_timer_id: 0,
-            timers: BTreeMap::new(),
-            epoch: Instant::now(),
+            timers: Vec::new(),
             effects: Vec::new(),
         }
     }
@@ -60,50 +73,53 @@ impl SiteHost {
         &self.site
     }
 
-    /// Runs the site's start-up. A site opened over a previous incarnation's
-    /// image replays recovery here, before any traffic; returns whether it
-    /// did.
+    /// Runs the site's start-up at `now`. A site opened over a previous
+    /// incarnation's image replays recovery here, before any traffic;
+    /// returns whether it did.
     pub fn start(
         &mut self,
+        now: SimTime,
         metrics: &mut Metrics,
         trace: &mut Trace,
         out: &mut Vec<(NodeId, Msg)>,
     ) -> bool {
         let cold = self.site.is_cold_start();
-        self.run(metrics, trace, out, |site, ctx| site.on_start(ctx));
+        self.run(now, metrics, trace, out, |site, ctx| site.on_start(ctx));
         cold
     }
 
-    /// Delivers one message.
+    /// Delivers one message at `now`.
     pub fn deliver(
         &mut self,
+        now: SimTime,
         from: NodeId,
         msg: Msg,
         metrics: &mut Metrics,
         trace: &mut Trace,
         out: &mut Vec<(NodeId, Msg)>,
     ) {
-        self.run(metrics, trace, out, |site, ctx| site.on_message(ctx, from, msg));
+        self.run(now, metrics, trace, out, |site, ctx| site.on_message(ctx, from, msg));
     }
 
-    /// Fires every timer that is due; returns whether any was.
+    /// Fires, at `now`, every timer due by `now`; returns whether any was.
     pub fn fire_due(
         &mut self,
+        now: SimTime,
         metrics: &mut Metrics,
         trace: &mut Trace,
         out: &mut Vec<(NodeId, Msg)>,
     ) -> bool {
         let mut fired = false;
-        while let Some(key) = self.pop_due(Instant::now()) {
-            self.run(metrics, trace, out, |site, ctx| site.on_timer(ctx, key));
+        while let Some(key) = self.pop_due(now) {
+            self.run(now, metrics, trace, out, |site, ctx| site.on_timer(ctx, key));
             fired = true;
         }
         fired
     }
 
     /// When the next armed timer is due (`None`: nothing armed).
-    pub fn next_deadline(&self) -> Option<Instant> {
-        self.timers.keys().next().map(|&(due, _)| due)
+    pub fn next_deadline(&self) -> Option<SimTime> {
+        self.next().map(|q| self.timers[q].armed[0].due)
     }
 
     /// Clean shutdown: forces the store durable and gives the site back.
@@ -112,33 +128,31 @@ impl SiteHost {
         self.site
     }
 
-    fn now(&self) -> SimTime {
-        SimTime(self.epoch.elapsed().as_micros() as u64)
-    }
-
     /// Runs `first`, then every message the site sent to itself, in FIFO
     /// order, until none is left: a self-send is stepped before the caller
     /// can feed the next external input.
     fn run(
         &mut self,
+        now: SimTime,
         metrics: &mut Metrics,
         trace: &mut Trace,
         out: &mut Vec<(NodeId, Msg)>,
         first: impl FnOnce(&mut Site, &mut Ctx<Msg>),
     ) {
         let mut loopback = VecDeque::new();
-        self.callback(metrics, trace, out, &mut loopback, first);
+        self.callback(now, metrics, trace, out, &mut loopback, first);
         while let Some(msg) = loopback.pop_front() {
             let me = self.me;
-            self.callback(metrics, trace, out, &mut loopback, |site, ctx| {
+            self.callback(now, metrics, trace, out, &mut loopback, |site, ctx| {
                 site.on_message(ctx, me, msg)
             });
         }
     }
 
-    /// Runs one actor callback and applies its effects.
+    /// Runs one actor callback at `now` and applies its effects.
     fn callback(
         &mut self,
+        now: SimTime,
         metrics: &mut Metrics,
         trace: &mut Trace,
         out: &mut Vec<(NodeId, Msg)>,
@@ -147,7 +161,7 @@ impl SiteHost {
     ) {
         let mut effects = std::mem::take(&mut self.effects);
         let mut ctx = Ctx::external(
-            self.now(),
+            now,
             self.me,
             &mut self.rng,
             metrics,
@@ -156,14 +170,16 @@ impl SiteHost {
             &mut effects,
         );
         f(&mut self.site, &mut ctx);
-        self.apply(effects.drain(..), out, loopback);
+        self.apply(now, effects.drain(..), out, loopback);
         self.effects = effects;
     }
 
-    /// Applies effects in emission order: remote sends to `out`, self-sends
-    /// to `loopback`, timers to the map.
+    /// Applies the effects of a callback run at `now`, in emission order:
+    /// remote sends to `out`, self-sends to `loopback`, timers to the queue
+    /// of their delay.
     fn apply(
         &mut self,
+        now: SimTime,
         effects: impl IntoIterator<Item = Effect<Msg>>,
         out: &mut Vec<(NodeId, Msg)>,
         loopback: &mut VecDeque<Msg>,
@@ -173,18 +189,53 @@ impl SiteHost {
                 Effect::Send { to, msg } if to == self.me => loopback.push_back(msg),
                 Effect::Send { to, msg } => out.push((to, msg)),
                 Effect::SetTimer { id, key, at } => {
-                    let due = self.epoch + Duration::from_micros(at.as_micros());
-                    self.timers.insert((due, id), key);
+                    self.arm(at.since(now), Armed { due: at, id, key })
                 }
-                Effect::CancelTimer(id) => self.timers.retain(|&(_, armed), _| armed != id),
+                Effect::CancelTimer(id) => {
+                    for q in &mut self.timers {
+                        q.armed.retain(|t| t.id != id);
+                    }
+                }
             }
         }
     }
 
-    /// Removes and returns the key of the earliest timer due at `now`.
-    fn pop_due(&mut self, now: Instant) -> Option<u64> {
-        let entry = self.timers.first_entry()?;
-        (entry.key().0 <= now).then(|| entry.remove())
+    /// Files `timer` in the queue of `delay`, keeping it in `(due, id)`
+    /// order.
+    fn arm(&mut self, delay: SimDuration, timer: Armed) {
+        let q = match self.timers.iter().position(|q| q.delay == delay) {
+            Some(q) => q,
+            None => {
+                self.timers.push(DelayQueue {
+                    delay,
+                    armed: VecDeque::new(),
+                });
+                self.timers.len() - 1
+            }
+        };
+        let armed = &mut self.timers[q].armed;
+        if armed.back().is_none_or(|last| *last < timer) {
+            armed.push_back(timer);
+        } else {
+            // Only a time that went backwards gets here.
+            let at = armed.partition_point(|t| *t < timer);
+            armed.insert(at, timer);
+        }
+    }
+
+    /// The queue whose front fires next: the least `(due, id)` among the
+    /// fronts (`None`: nothing armed).
+    fn next(&self) -> Option<usize> {
+        let fronts = self.timers.iter().enumerate();
+        let fronts = fronts.filter_map(|(q, queue)| Some((queue.armed.front()?, q)));
+        fronts.min().map(|(_, q)| q)
+    }
+
+    /// Removes and returns the key of the earliest timer due by `now`.
+    fn pop_due(&mut self, now: SimTime) -> Option<u64> {
+        let q = self.next()?;
+        let armed = &mut self.timers[q].armed;
+        (armed[0].due <= now).then(|| armed.pop_front().expect("a front").key)
     }
 }
 
@@ -232,8 +283,18 @@ mod tests {
         Effect::SetTimer {
             id,
             key,
-            at: SimTime(at_ms * 1000),
+            at: SimTime::from_millis(at_ms),
         }
+    }
+
+    /// Applies `effects` as the effects of a callback run at `now_ms`.
+    fn arm_at(h: &mut SiteHost, now_ms: u64, effects: Vec<Effect<Msg>>) {
+        h.apply(SimTime::from_millis(now_ms), effects, &mut Vec::new(), &mut VecDeque::new());
+    }
+
+    /// Every timer armed on `h`, in no particular order.
+    fn armed(h: &SiteHost) -> impl Iterator<Item = (SimDuration, &Armed)> {
+        h.timers.iter().flat_map(|q| q.armed.iter().map(move |t| (q.delay, t)))
     }
 
     fn scratch(name: &str) -> std::path::PathBuf {
@@ -248,15 +309,14 @@ mod tests {
     fn timers_fire_in_due_order_with_ties_in_arm_order() {
         let mut h = host(0, &topo());
         assert_eq!(h.next_deadline(), None);
-        let effects = vec![timer(0, 100, 30), timer(1, 101, 10), timer(2, 102, 10)];
-        h.apply(effects, &mut Vec::new(), &mut VecDeque::new());
-        assert_eq!(h.next_deadline(), Some(h.epoch + Duration::from_millis(10)));
+        arm_at(&mut h, 0, vec![timer(0, 100, 30), timer(1, 101, 10), timer(2, 102, 10)]);
+        assert_eq!(h.next_deadline(), Some(SimTime::from_millis(10)));
         // Nothing is due before the first deadline.
-        assert_eq!(h.pop_due(h.epoch + Duration::from_millis(9)), None);
-        let late = h.epoch + Duration::from_secs(1);
+        assert_eq!(h.pop_due(SimTime(9_999)), None);
+        let late = SimTime::from_secs(1);
         assert_eq!(h.pop_due(late), Some(101));
         assert_eq!(h.pop_due(late), Some(102));
-        assert_eq!(h.next_deadline(), Some(h.epoch + Duration::from_millis(30)));
+        assert_eq!(h.next_deadline(), Some(SimTime::from_millis(30)));
         assert_eq!(h.pop_due(late), Some(100));
         assert_eq!(h.pop_due(late), None);
         assert_eq!(h.next_deadline(), None);
@@ -273,11 +333,103 @@ mod tests {
             // Cancelling a timer that is not armed is a no-op.
             Effect::CancelTimer(7),
         ];
-        h.apply(effects, &mut Vec::new(), &mut VecDeque::new());
-        let late = h.epoch + Duration::from_secs(1);
+        arm_at(&mut h, 0, effects);
+        let late = SimTime::from_secs(1);
         assert_eq!(h.pop_due(late), Some(100));
         assert_eq!(h.pop_due(late), Some(102));
         assert_eq!(h.pop_due(late), None);
+    }
+
+    #[test]
+    fn timers_of_two_delays_fire_in_due_then_id_order_across_queues() {
+        let mut h = host(0, &topo());
+        // 5 s and 2 s arms, alternating, so that the 2 s queue's front is
+        // sometimes earlier than the 5 s queue's and sometimes tied with it.
+        arm_at(&mut h, 0, vec![timer(0, 100, 5_000)]);
+        arm_at(&mut h, 1_000, vec![timer(1, 101, 3_000)]);
+        arm_at(&mut h, 3_000, vec![timer(2, 102, 5_000)]);
+        arm_at(&mut h, 3_000, vec![timer(3, 103, 8_000)]);
+        arm_at(&mut h, 6_000, vec![timer(4, 104, 8_000)]);
+        arm_at(&mut h, 6_000, vec![timer(5, 105, 11_000)]);
+        arm_at(&mut h, 7_000, vec![timer(6, 106, 9_000)]);
+        assert_eq!(h.timers.len(), 2, "one queue per delay");
+        let mut fired = Vec::new();
+        while let Some(due) = h.next_deadline() {
+            fired.push((due.as_micros() / 1000, h.pop_due(due).unwrap()));
+        }
+        let expected = [
+            (3_000, 101),
+            (5_000, 100),
+            (5_000, 102),
+            (8_000, 103),
+            (8_000, 104),
+            (9_000, 106),
+            (11_000, 105),
+        ];
+        assert_eq!(fired, expected);
+    }
+
+    #[test]
+    fn an_arm_out_of_order_is_filed_in_place() {
+        let mut h = host(0, &topo());
+        arm_at(&mut h, 2_000, vec![timer(0, 100, 3_000)]);
+        // A time that went backwards: same delay, earlier due.
+        arm_at(&mut h, 1_000, vec![timer(1, 101, 2_000)]);
+        let late = SimTime::from_secs(10);
+        assert_eq!(h.pop_due(late), Some(101));
+        assert_eq!(h.pop_due(late), Some(100));
+    }
+
+    #[test]
+    fn deliver_stamps_and_arms_at_the_time_it_is_handed() {
+        let (mut metrics, mut trace) = (Metrics::new(), Trace::collecting());
+        let topo = topo();
+        let mut hosts = [host(0, &topo), host(1, &topo)];
+        // A whole transfer, every frame delivered at `x`.
+        let x = SimTime(123_456_789);
+        let mut wire = VecDeque::from([(CLIENT, NodeId(0), submit(1, transfer(0, 1, 30)))]);
+        while let Some((from, to, msg)) = wire.pop_front() {
+            if to != CLIENT {
+                let mut out = Vec::new();
+                hosts[to.0 as usize].deliver(x, from, msg, &mut metrics, &mut trace, &mut out);
+                wire.extend(out.into_iter().map(|(dst, m)| (to, dst, m)));
+            }
+        }
+        let text = trace.to_text();
+        assert!(text.contains("decided"), "trace:\n{text}");
+        assert!(trace.records().iter().all(|r| r.at == x), "trace:\n{text}");
+        let engine = topo.engine;
+        let timeouts = [
+            engine.read_timeout,
+            engine.ready_timeout,
+            engine.wait_timeout,
+            engine.read_lease,
+            engine.inquire_interval,
+        ];
+        let timers: Vec<_> = hosts.iter().flat_map(armed).collect();
+        assert!(timers.iter().any(|&(delay, _)| delay == engine.read_timeout));
+        for (delay, t) in timers {
+            assert!(timeouts.contains(&delay), "{delay:?}");
+            assert_eq!(t.due, x + delay);
+        }
+    }
+
+    #[test]
+    fn fire_due_fires_what_is_due_at_the_instant_and_nothing_later() {
+        let (mut metrics, mut trace, mut out) = (Metrics::new(), Trace::default(), Vec::new());
+        let mut h = host(0, &topo());
+        let x = SimTime::from_secs(1);
+        let one = SimDuration(1);
+        h.deliver(x, CLIENT, submit(1, transfer(0, 1, 30)), &mut metrics, &mut trace, &mut out);
+        let second = submit(2, transfer(0, 1, 10));
+        h.deliver(x + one, CLIENT, second, &mut metrics, &mut trace, &mut out);
+        let t = h.next_deadline().unwrap();
+        assert!(t > x);
+        assert!(!h.fire_due(SimTime(t.0 - 1), &mut metrics, &mut trace, &mut out));
+        assert!(h.fire_due(t, &mut metrics, &mut trace, &mut out));
+        // The second submission's twin, armed 1 µs later, is left.
+        assert_eq!(h.next_deadline(), Some(t + one));
+        assert!(h.fire_due(t + one, &mut metrics, &mut trace, &mut out));
     }
 
     #[test]
@@ -285,7 +437,7 @@ mod tests {
         let (mut metrics, mut trace, mut out) = (Metrics::new(), Trace::collecting(), Vec::new());
 
         let mut fresh = host(0, &topo());
-        assert!(!fresh.start(&mut metrics, &mut trace, &mut out));
+        assert!(!fresh.start(SimTime::ZERO, &mut metrics, &mut trace, &mut out));
         assert_eq!(fresh.site().store().epoch(), 0);
         assert_eq!(fresh.next_deadline(), None);
         assert!(out.is_empty() && trace.is_empty());
@@ -301,16 +453,16 @@ mod tests {
             store.sync();
         }
         let mut reopened = host(1, &topo().data_dir(&dir));
-        assert!(reopened.start(&mut metrics, &mut trace, &mut out));
+        assert!(reopened.start(SimTime::ZERO, &mut metrics, &mut trace, &mut out));
         assert_eq!(reopened.site().store().epoch(), 1);
         // Recovery re-armed the staged transaction's wait timer and the
         // inquiry timer.
-        let armed = reopened.timers.len();
-        assert!(armed >= 2, "{armed} timers");
+        let timers = armed(&reopened).count();
+        assert!(timers >= 2, "{timers} timers");
         // A second start has nothing left to replay.
-        assert!(!reopened.start(&mut metrics, &mut trace, &mut out));
+        assert!(!reopened.start(SimTime::ZERO, &mut metrics, &mut trace, &mut out));
         assert_eq!(reopened.site().store().epoch(), 1);
-        assert_eq!(reopened.timers.len(), armed);
+        assert_eq!(armed(&reopened).count(), timers);
     }
 
     #[test]
@@ -324,14 +476,16 @@ mod tests {
         let mut wire = VecDeque::from([(CLIENT, NodeId(0), submit(1, transfer(0, 1, 30)))]);
         let mut replies = Vec::new();
         let mut decided = false;
+        let mut now = SimTime::ZERO;
         while let Some((from, to, msg)) = wire.pop_front() {
+            now += SimDuration(10);
             if to == CLIENT {
                 replies.push(msg);
                 continue;
             }
             let host = &mut hosts[to.0 as usize];
             let mut out = Vec::new();
-            host.deliver(from, msg, &mut metrics, &mut trace, &mut out);
+            host.deliver(now, from, msg, &mut metrics, &mut trace, &mut out);
             if out.iter().any(|(_, m)| matches!(m, Msg::Decision { .. })) {
                 // Site 1's copy is still in `out`; site 0's own copy never
                 // left the host and is already applied.

@@ -113,7 +113,7 @@ fn wound_wait_survives_chaos() {
 }
 
 #[test]
-fn sharded_lock_decisions_are_deterministic() {
+fn lock_decisions_are_deterministic() {
     // The lock table keys items in a seed-free hash map. If its iteration
     // order ever leaked into wound-victim choice or queue service order,
     // same-seed runs would diverge in their lock counters. Compare
@@ -163,7 +163,7 @@ fn queued_requests_are_never_lost() {
 }
 
 #[test]
-fn lock_table_wakeups_cross_shards() {
+fn lock_table_release_frees_every_item() {
     // Table-level no-lost-wakeup check: a blocker's release must free every
     // item it held so parked requesters can proceed, and `conflicts` must
     // keep reporting blockers in ascending TxnId order (the order wound-wait

@@ -4,10 +4,10 @@
 //! This is the second deployment of the identical sans-IO
 //! `pv_protocol::SiteMachine`, after the deterministic simulation:
 //! the [`SiteHost`] runs every callback, applies effects in emission order,
-//! steps self-sends and keeps the wall-clock timers. What this module adds
-//! is real I/O: a readiness loop over non-blocking `std::net` sockets
-//! (accept, read until a short read, decode in place, one write per
-//! connection per pass) and
+//! steps self-sends and keeps the protocol timers. What this module adds
+//! is the wall clock and real I/O: a readiness loop over non-blocking
+//! `std::net` sockets (accept, read until a short read, decode in place,
+//! one write per connection per pass) and
 //! **deadline-driven peer dialing**: connection attempts run on detached
 //! dialer threads and report back through a channel, so the event loop keeps
 //! serving live peers and clients while an unreachable peer is being
@@ -31,6 +31,13 @@
 //! bounded by the earliest of three deadlines, each of which the next pass
 //! acts on: the host's next protocol timer, the retry time of a link that
 //! needs a connection, and the end of a recovering link's stability window.
+//!
+//! The node owns the epoch of the host's [`SimTime`] and reads the clock
+//! once per pass, when the wait ends. That one reading is the time of every
+//! frame the pass delivers and of the next pass's timers, link deadlines and
+//! wait. A timer fires only once that time has reached its deadline, so
+//! never early, and at most `poll`'s millisecond rounding plus one pass
+//! late.
 
 use crate::backoff::Backoff;
 use crate::poll::{self, PollFd};
@@ -40,7 +47,7 @@ use crate::wire::{
 use pv_engine::messages::Msg;
 use pv_engine::topology::Topology;
 use pv_engine::{EngineError, Site, SiteHost};
-use pv_simnet::{Metrics, NodeId, Trace};
+use pv_simnet::{Metrics, NodeId, SimTime, Trace};
 use pv_store::SiteId;
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
@@ -253,6 +260,8 @@ pub struct Node {
     listener: TcpListener,
     backoff: Backoff,
     host: SiteHost,
+    /// Wall-clock time zero of the host's [`SimTime`].
+    epoch: Instant,
     metrics: Metrics,
     trace: Trace,
     /// Outbound site→site links, indexed by peer site id.
@@ -309,6 +318,7 @@ impl Node {
             listener,
             backoff,
             host: SiteHost::new(site, 0xBEEF_0000 + u64::from(s)),
+            epoch: Instant::now(),
             metrics: Metrics::new(),
             trace: Trace::default(),
             peers,
@@ -503,15 +513,23 @@ impl Node {
         self.backoff.base.max(Duration::from_millis(250))
     }
 
-    /// How long the wait may block: until the earliest thing the next pass
-    /// would act on without any socket becoming ready — the host's next
-    /// protocol timer, or a link's [`PeerLink::deadline`]. `None` when
-    /// nothing is scheduled.
-    fn wait_timeout(&self) -> Option<Duration> {
+    /// How long the wait may block, from `now`: until the earliest thing
+    /// the next pass would act on without any socket becoming ready — the
+    /// host's next protocol timer, or a link's [`PeerLink::deadline`].
+    /// `None` when nothing is scheduled.
+    fn wait_timeout(&self, now: Instant) -> Option<Duration> {
         let stability = self.stability();
         let links = self.peers.iter().filter_map(|link| link.deadline(stability));
-        let due = self.host.next_deadline().into_iter().chain(links).min()?;
-        Some(due.saturating_duration_since(Instant::now()))
+        let timer = self.host.next_deadline();
+        let timer = timer.map(|due| self.epoch + Duration::from_micros(due.as_micros()));
+        let due = timer.into_iter().chain(links).min()?;
+        Some(due.saturating_duration_since(now))
+    }
+
+    /// `now` as the host's [`SimTime`]: whole micros since the epoch,
+    /// rounded down, so a timer due at `d` fires only once `d` has passed.
+    fn sim_time(&self, now: Instant) -> SimTime {
+        SimTime(now.duration_since(self.epoch).as_micros() as u64)
     }
 
     /// Writes each connection's queued output, once.
@@ -590,15 +608,20 @@ impl Node {
                 self.sites
             )));
         }
-        if self.drive(|host, m, t, out| host.start(m, t, out))? {
+        // The loop's one clock reading per pass, taken when the wait ends;
+        // the first pass uses this one.
+        let mut now = Instant::now();
+        let at = self.sim_time(now);
+        if self.drive(|host, m, t, out| host.start(at, m, t, out))? {
             self.metrics.inc("net.cold_recoveries");
         }
         let mut set: Vec<PollFd> = Vec::new();
         let mut sources: Vec<Source> = Vec::new();
         let mut events: Vec<(usize, Frame)> = Vec::new();
         loop {
-            // 1. Fire due timers.
-            self.drive(|host, m, t, out| host.fire_due(m, t, out))?;
+            // 1. Fire the timers due by the time the last wait ended.
+            let at = self.sim_time(now);
+            self.drive(|host, m, t, out| host.fire_due(at, m, t, out))?;
 
             // 2. Flush: everything queued for a connection since the last
             // wait (the frames just stepped, the timers just fired) leaves
@@ -611,7 +634,7 @@ impl Node {
 
             // 3. Advance peer links (lost connections, dial results,
             // reconnect probes) and reap dead inbound connections.
-            self.pump_peers(Instant::now())?;
+            self.pump_peers(now)?;
             self.reap_inbound();
 
             // 4. Block until a descriptor is ready or the next deadline.
@@ -634,8 +657,9 @@ impl Node {
                 }
             }
             self.sock.polls += 1;
-            let ready = poll::wait(&mut set, self.wait_timeout())
+            let ready = poll::wait(&mut set, self.wait_timeout(now))
                 .map_err(|e| EngineError::Io(format!("poll: {e}")))?;
+            now = Instant::now();
             if ready == 0 {
                 self.metrics.inc("net.idle_wakeups");
                 continue;
@@ -673,7 +697,9 @@ impl Node {
                 }
             }
 
-            // 6. Process frames through the engine.
+            // 6. Process frames through the engine, all stamped with the
+            // time the wait ended.
+            let at = self.sim_time(now);
             for (slot, frame) in events.drain(..) {
                 match frame {
                     Frame::Hello { node } => {
@@ -681,7 +707,7 @@ impl Node {
                     }
                     Frame::Proto { from, msg } => {
                         let from = NodeId(from);
-                        self.drive(|host, m, t, out| host.deliver(from, msg, m, t, out))?;
+                        self.drive(|host, m, t, out| host.deliver(at, from, msg, m, t, out))?;
                     }
                     Frame::InspectReq => {
                         let snap = self.snapshot();
@@ -1044,6 +1070,39 @@ mod tests {
         assert_eq!(node.peers[1].deadline(stability), None);
         assert_eq!(node.metrics.counter("net.circuit_reclosed"), 1);
         assert_eq!(dials(&node), 1);
+    }
+
+    #[test]
+    fn the_wait_never_ends_before_the_next_timer_is_due() {
+        use pv_core::{Expr, ItemId, TransactionSpec};
+        let topo = Topology::new(1, Directory::Mod(1)).item(0u64, 100i64);
+        let mut node = Node::bind(0, &topo, Backoff::default(), "127.0.0.1:0".parse().unwrap())
+            .unwrap();
+        let item = ItemId(0);
+        let spec = TransactionSpec::new().update(item, Expr::read(item).add(Expr::int(1)));
+        let submit = Msg::Submit { req_id: 1, spec };
+        let at = SimTime(1_234_567);
+        node.drive(|host, m, t, out| host.deliver(at, NodeId(9), submit, m, t, out))
+            .unwrap();
+        let d = node.host.next_deadline().expect("the submission armed a timer");
+        assert!(d > at);
+        let due = node.epoch + Duration::from_micros(d.as_micros());
+        // From 1 s before the deadline up to it, across µs and ms
+        // boundaries.
+        for back_ns in [
+            0, 1, 999, 1_000, 1_001, 999_999, 1_000_000, 1_000_001, 7_654_321, 1_000_000_000,
+        ] {
+            let now = due - Duration::from_nanos(back_ns);
+            let wait = node.wait_timeout(now).unwrap();
+            assert!(wait >= due - now, "{back_ns} ns before: waits {wait:?}");
+            // `poll` takes whole milliseconds, rounded up; the pass after
+            // the wait stamps a time by which the timer is due.
+            let polled = Duration::from_millis(wait.as_nanos().div_ceil(1_000_000) as u64);
+            assert!(node.sim_time(now + polled) >= d, "{back_ns} ns before");
+        }
+        // Once the deadline has passed, the wait is zero.
+        let late = due + Duration::from_millis(5);
+        assert_eq!(node.wait_timeout(late), Some(Duration::ZERO));
     }
 
     #[test]

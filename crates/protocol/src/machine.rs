@@ -334,9 +334,9 @@ impl SiteMachine {
         }
     }
 
-    /// Serves a coordination-free read-only transaction: a snapshot sequence
-    /// number is acquired from the store's MVCC keyspace, every requested
-    /// item read at that single point in time, and the view returned to the
+    /// Serves a coordination-free read-only transaction: the store reads
+    /// every requested item in one call, so the view is the newest entries
+    /// at its current sequence number, and the view is returned to the
     /// requester. No lock-table state is touched, nothing is staged, and no
     /// site-to-site protocol message is emitted — the reply to the client is
     /// the only send.
