@@ -58,6 +58,16 @@ impl TransactionSpec {
         self
     }
 
+    /// The paper's guarded funds transfer: if item `from` holds at least
+    /// `amount`, move `amount` from `from` to `to`. No outputs.
+    pub fn transfer(from: u64, to: u64, amount: i64) -> Self {
+        let (f, t) = (ItemId(from), ItemId(to));
+        TransactionSpec::new()
+            .guard(Expr::read(f).ge(Expr::int(amount)))
+            .update(f, Expr::read(f).sub(Expr::int(amount)))
+            .update(t, Expr::read(t).add(Expr::int(amount)))
+    }
+
     /// Adds a named output.
     pub fn output(mut self, name: &str, expr: Expr) -> Self {
         self.outputs.push((name.to_owned(), expr));

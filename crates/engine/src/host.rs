@@ -246,7 +246,7 @@ mod tests {
     use crate::directory::Directory;
     use crate::ids::encode_txn;
     use crate::topology::Topology;
-    use pv_core::{Entry, Expr, ItemId, TransactionSpec, Value};
+    use pv_core::{Entry, ItemId, TransactionSpec, Value};
     use pv_simnet::SimDuration;
     use pv_store::{DiskWal, FsyncPolicy, SiteStore};
 
@@ -267,13 +267,6 @@ mod tests {
         SiteHost::new(Site::open(site, topo).unwrap(), 7)
     }
 
-    fn transfer(from: u64, to: u64, amount: i64) -> TransactionSpec {
-        let (f, t) = (ItemId(from), ItemId(to));
-        TransactionSpec::new()
-            .guard(Expr::read(f).ge(Expr::int(amount)))
-            .update(f, Expr::read(f).sub(Expr::int(amount)))
-            .update(t, Expr::read(t).add(Expr::int(amount)))
-    }
 
     fn submit(req_id: u64, spec: TransactionSpec) -> Msg {
         Msg::Submit { req_id, spec }
@@ -387,7 +380,8 @@ mod tests {
         let mut hosts = [host(0, &topo), host(1, &topo)];
         // A whole transfer, every frame delivered at `x`.
         let x = SimTime(123_456_789);
-        let mut wire = VecDeque::from([(CLIENT, NodeId(0), submit(1, transfer(0, 1, 30)))]);
+        let first = submit(1, TransactionSpec::transfer(0, 1, 30));
+        let mut wire = VecDeque::from([(CLIENT, NodeId(0), first)]);
         while let Some((from, to, msg)) = wire.pop_front() {
             if to != CLIENT {
                 let mut out = Vec::new();
@@ -420,8 +414,9 @@ mod tests {
         let mut h = host(0, &topo());
         let x = SimTime::from_secs(1);
         let one = SimDuration(1);
-        h.deliver(x, CLIENT, submit(1, transfer(0, 1, 30)), &mut metrics, &mut trace, &mut out);
-        let second = submit(2, transfer(0, 1, 10));
+        let first = submit(1, TransactionSpec::transfer(0, 1, 30));
+        h.deliver(x, CLIENT, first, &mut metrics, &mut trace, &mut out);
+        let second = submit(2, TransactionSpec::transfer(0, 1, 10));
         h.deliver(x + one, CLIENT, second, &mut metrics, &mut trace, &mut out);
         let t = h.next_deadline().unwrap();
         assert!(t > x);
@@ -473,7 +468,8 @@ mod tests {
         // Ferry a cross-site transfer between the two hosts by hand. Site 0
         // coordinates and also holds item 0, so it addresses its decision to
         // itself as well as to site 1.
-        let mut wire = VecDeque::from([(CLIENT, NodeId(0), submit(1, transfer(0, 1, 30)))]);
+        let first = submit(1, TransactionSpec::transfer(0, 1, 30));
+        let mut wire = VecDeque::from([(CLIENT, NodeId(0), first)]);
         let mut replies = Vec::new();
         let mut decided = false;
         let mut now = SimTime::ZERO;

@@ -5,9 +5,9 @@
 //! participant machine, and the §3.3 recovery manager — lives in
 //! `pv-protocol`. This actor owns what the pure machine cannot: the durable
 //! [`SiteStore`] it lends to every step, the mapping of
-//! [`Output`](pv_protocol::Output) effects onto the actor `Ctx` (sends,
+//! [`Output`] effects onto the actor `Ctx` (sends,
 //! timers, traces, metrics), the randomness for
-//! [`Output::NeedCoin`](pv_protocol::Output::NeedCoin), the opt-in static
+//! [`Output::NeedCoin`], the opt-in static
 //! submit gate (which needs `pv-analysis`), and the storage-metrics flush.
 //! Timer keys cross the untyped `u64` timer facility via
 //! [`TimerKey::encode`]/[`TimerKey::decode`].

@@ -1,7 +1,7 @@
 //! Robustness tests: the protocol must converge under lossy networks, slow
 //! links, expired leases, and coordinator failures at every phase.
 
-use pv_core::{Expr, ItemId, TransactionSpec, Value};
+use pv_core::{ItemId, TransactionSpec, Value};
 use pv_engine::{
     ClientConfig, Cluster, ClusterBuilder, CommitProtocol, Directory, EngineConfig,
     RandomTransfers, Script,
@@ -10,14 +10,6 @@ use pv_simnet::{NetConfig, NodeId, SimDuration, SimTime};
 
 const ACCOUNTS: u64 = 12;
 const INITIAL: i64 = 500;
-
-fn transfer(from: u64, to: u64, amt: i64) -> TransactionSpec {
-    let (f, t) = (ItemId(from), ItemId(to));
-    TransactionSpec::new()
-        .guard(Expr::read(f).ge(Expr::int(amt)))
-        .update(f, Expr::read(f).sub(Expr::int(amt)))
-        .update(t, Expr::read(t).add(Expr::int(amt)))
-}
 
 fn settle_and_check(cluster: &mut Cluster, until_secs: u64) {
     cluster.run_until(SimTime::from_secs(until_secs));
@@ -131,7 +123,7 @@ fn expired_read_lease_forces_prepare_nack() {
                 ..ClientConfig::default()
             },
             Box::new(Script::new(
-                vec![transfer(0, 1, 50)],
+                vec![TransactionSpec::transfer(0, 1, 50)],
                 SimDuration::from_millis(1),
             )),
         )
@@ -237,7 +229,7 @@ fn duplicated_prepare_while_staged_is_answered_not_restaged() {
         .client(
             ClientConfig::default(),
             Box::new(Script::new(
-                vec![transfer(0, 1, 50)],
+                vec![TransactionSpec::transfer(0, 1, 50)],
                 SimDuration::from_millis(1),
             )),
         )
@@ -271,7 +263,7 @@ fn duplicate_decisions_and_notifies_are_idempotent() {
         .client(
             ClientConfig::default(),
             Box::new(Script::new(
-                vec![transfer(0, 1, 50)],
+                vec![TransactionSpec::transfer(0, 1, 50)],
                 SimDuration::from_millis(1),
             )),
         )

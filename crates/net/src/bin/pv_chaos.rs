@@ -4,14 +4,14 @@
 //! pv-chaos [--scenario NAME|all] [--seed N] [--sites 3] [--out verdict.json]
 //! ```
 //!
-//! The harness spawns one OS process per site (`--data-dir` disk WALs, the
-//! same fast engine config the benches use), fronts every site→site link
-//! with a fault-injecting [`ChaosNet`] proxy, drives a funds-transfer load,
-//! and then does what the Polyvalues paper is about: kills coordinators
-//! mid-prepare, kills participants after Ready, partitions the cluster
-//! during the decision phase, restarts everything at once, and rolls
-//! restarts through the cluster under live load. After every scenario heals
-//! it asserts the §3/§3.3 recovery story end to end:
+//! The harness spawns one OS process per site through [`ProcCluster`]
+//! (`--data-dir` disk WALs, the same fast engine config the benches use),
+//! fronts every site→site link with a fault-injecting [`ChaosNet`] proxy,
+//! drives a funds-transfer load, and then does what the Polyvalues paper is
+//! about: kills coordinators mid-prepare, kills participants after Ready,
+//! partitions the cluster during the decision phase, restarts everything at
+//! once, and rolls restarts through the cluster under live load. After
+//! every scenario heals it asserts the §3/§3.3 recovery story end to end:
 //!
 //! * **conservation** — total funds across all sites equal the seeded total;
 //! * **agreement** — the final balances are explained by some commit/abort
@@ -33,27 +33,25 @@
 //! writes the collected verdicts as a JSON array. Exit status is 0 iff
 //! every scenario's assertions held.
 
-use pv_core::{Expr, ItemId, TransactionSpec};
+use pv_core::TransactionSpec;
 use pv_engine::EngineError;
 use pv_net::backoff::Backoff;
 use pv_net::chaos::{ChaosNet, LinkFaults};
 use pv_net::client::NetClient;
-use pv_simnet::{Metrics, SimRng};
+use pv_net::proc::{balances, sibling_node_bin, ProcCluster, ProcSpec};
+use pv_simnet::SimRng;
 use std::io::Write as _;
-use std::net::{SocketAddr, TcpListener};
-use std::path::PathBuf;
-use std::process::{Child, Command, ExitCode, Stdio};
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::{Arc, Mutex};
+use std::process::ExitCode;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 const ACCOUNTS: u64 = 9;
 const BALANCE: i64 = 100;
+/// How long a healed cluster gets to reach quiescence with no polyvalues.
+const SETTLE: Duration = Duration::from_secs(30);
 
-/// Harness-side reconnect policy: patient, because scenarios deliberately
-/// leave sites dead for hundreds of milliseconds.
-fn harness_backoff() -> Backoff {
-    Backoff::patient()
+fn ms(n: u64) -> Duration {
+    Duration::from_millis(n)
 }
 
 fn usage() -> ! {
@@ -119,44 +117,12 @@ struct Txn {
     outcome: Outcome,
 }
 
-fn transfer(from: u64, to: u64, amount: i64) -> TransactionSpec {
-    let (f, t) = (ItemId(from), ItemId(to));
-    TransactionSpec::new()
-        .guard(Expr::read(f).ge(Expr::int(amount)))
-        .update(f, Expr::read(f).sub(Expr::int(amount)))
-        .update(t, Expr::read(t).add(Expr::int(amount)))
-}
-
-struct ChildGuard(Child);
-
-impl Drop for ChildGuard {
-    fn drop(&mut self) {
-        let _ = self.0.kill();
-        let _ = self.0.wait();
-    }
-}
-
-fn free_addr() -> Result<SocketAddr, EngineError> {
-    TcpListener::bind("127.0.0.1:0")
-        .and_then(|l| l.local_addr())
-        .map_err(|e| EngineError::Io(format!("reserve port: {e}")))
-}
-
 /// One scenario's worth of cluster: real `pv-node` processes behind chaos
-/// proxies, disk WALs under a scratch directory, seeded RNG for every
-/// schedule decision.
+/// proxies with disk WALs, the transfers submitted to it, and the seeded
+/// RNG behind every schedule decision.
 struct Harness {
     rng: SimRng,
-    sites: u32,
-    /// The commit protocol every spawned node runs (`pv-node --protocol`).
-    protocol: &'static str,
-    /// Current real (listen) address of each site; changes on restart.
-    reals: Arc<Mutex<Vec<SocketAddr>>>,
-    chaos: ChaosNet,
-    children: Vec<Option<ChildGuard>>,
-    data_dir: PathBuf,
-    node_bin: PathBuf,
-    next_client: Arc<AtomicU32>,
+    cluster: ProcCluster,
     txns: Vec<Txn>,
 }
 
@@ -167,133 +133,34 @@ impl Harness {
         tag: &str,
         protocol: &'static str,
     ) -> Result<Harness, EngineError> {
-        let me =
-            std::env::current_exe().map_err(|e| EngineError::Io(format!("current_exe: {e}")))?;
-        let node_bin = me
-            .parent()
-            .map(|d| d.join("pv-node"))
-            .filter(|p| p.exists())
-            .ok_or_else(|| {
-                EngineError::Io("pv-node binary not found next to pv-chaos (build both)".into())
-            })?;
         let data_dir = std::env::temp_dir().join(format!(
             "pv-chaos-{tag}-{seed}-{}",
             std::process::id()
         ));
-        let _ = std::fs::remove_dir_all(&data_dir);
-        std::fs::create_dir_all(&data_dir)
-            .map_err(|e| EngineError::Io(format!("mkdir {}: {e}", data_dir.display())))?;
-        let reals: Vec<SocketAddr> = (0..sites)
-            .map(|_| free_addr())
-            .collect::<Result<_, _>>()?;
-        let chaos = ChaosNet::new(seed, &reals)?;
-        let mut harness = Harness {
+        let cluster = ProcCluster::spawn(ProcSpec {
+            accounts: ACCOUNTS,
+            balance: BALANCE,
+            protocol: protocol.into(),
+            data_dir: Some(data_dir),
+            // Patient: scenarios leave sites dead for hundreds of
+            // milliseconds, and peers and probes must wait them out.
+            backoff: Backoff::patient(),
+            chaos_seed: Some(seed),
+            ..ProcSpec::new(sibling_node_bin()?, sites)
+        })?;
+        Ok(Harness {
             rng: SimRng::new(seed ^ 0xC4A0_5EED),
-            sites,
-            protocol,
-            reals: Arc::new(Mutex::new(reals)),
-            chaos,
-            children: (0..sites).map(|_| None).collect(),
-            data_dir,
-            node_bin,
-            next_client: Arc::new(AtomicU32::new(sites + 100)),
+            cluster,
             txns: Vec::new(),
-        };
-        for s in 0..sites {
-            harness.spawn_site(s)?;
-        }
-        for s in 0..sites {
-            harness.wait_ready(s)?;
-        }
-        Ok(harness)
+        })
     }
 
-    fn real(&self, s: u32) -> SocketAddr {
-        self.reals.lock().expect("reals lock")[s as usize]
+    fn sites(&self) -> u32 {
+        self.cluster.sites()
     }
 
-    fn spawn_site(&mut self, s: u32) -> Result<(), EngineError> {
-        let proxies = self
-            .chaos
-            .proxy_addrs()
-            .iter()
-            .map(|a| a.to_string())
-            .collect::<Vec<_>>()
-            .join(",");
-        let listen = self.real(s);
-        let child = Command::new(&self.node_bin)
-            .args([
-                "--site",
-                &s.to_string(),
-                "--addrs",
-                &proxies,
-                "--listen",
-                &listen.to_string(),
-                "--accounts",
-                &ACCOUNTS.to_string(),
-                "--balance",
-                &BALANCE.to_string(),
-                "--data-dir",
-                &self.data_dir.display().to_string(),
-                "--protocol",
-                self.protocol,
-                "--fast",
-                // Patient reconnects: peers stay dead for a while on purpose.
-                "--attempts",
-                "100000",
-                "--delay-ms",
-                "25",
-                "--max-delay-ms",
-                "500",
-            ])
-            .stdin(Stdio::null())
-            .stdout(Stdio::null())
-            .stderr(Stdio::null())
-            .spawn()
-            .map_err(|e| EngineError::Io(format!("spawn pv-node: {e}")))?;
-        self.children[s as usize] = Some(ChildGuard(child));
-        Ok(())
-    }
-
-    /// Polls until site `s` accepts a client connection.
-    fn wait_ready(&self, s: u32) -> Result<(), EngineError> {
-        let addr = self.real(s);
-        let limit = Instant::now() + Duration::from_secs(10);
-        loop {
-            match std::net::TcpStream::connect_timeout(&addr, Duration::from_millis(250)) {
-                Ok(_) => return Ok(()),
-                Err(e) => {
-                    if Instant::now() > limit {
-                        return Err(EngineError::Io(format!("site {s} never came up: {e}")));
-                    }
-                    std::thread::sleep(Duration::from_millis(20));
-                }
-            }
-        }
-    }
-
-    /// Kills site `s` hard (SIGKILL): no WAL flush, no goodbye to peers.
-    fn kill(&mut self, s: u32) {
-        if let Some(mut guard) = self.children[s as usize].take() {
-            let _ = guard.0.kill();
-            let _ = guard.0.wait();
-        }
-    }
-
-    /// Restarts site `s` from its surviving data directory, on a fresh port
-    /// (the old one may be stuck in TIME_WAIT); peers keep dialing the same
-    /// proxy address, which is re-targeted at the reborn process.
-    fn restart(&mut self, s: u32) -> Result<(), EngineError> {
-        let fresh = free_addr()?;
-        self.reals.lock().expect("reals lock")[s as usize] = fresh;
-        self.chaos.retarget(s, fresh);
-        self.spawn_site(s)?;
-        self.wait_ready(s)
-    }
-
-    fn client(&self, s: u32) -> Result<NetClient, EngineError> {
-        let node = self.next_client.fetch_add(1, Ordering::Relaxed);
-        NetClient::connect(self.real(s), node, harness_backoff())
+    fn chaos(&self) -> &ChaosNet {
+        self.cluster.chaos().expect("the harness always runs chaos proxies")
     }
 
     /// A fresh transfer between two accounts on *different* sites (adjacent
@@ -302,8 +169,8 @@ impl Harness {
         let from = match home {
             // An account homed at `site`: ids ≡ site (mod sites).
             Some(site) => {
-                let span = ACCOUNTS / u64::from(self.sites);
-                u64::from(site) + u64::from(self.sites) * self.rng.below(span.max(1))
+                let span = ACCOUNTS / u64::from(self.sites());
+                u64::from(site) + u64::from(self.sites()) * self.rng.below(span.max(1))
             }
             None => self.rng.below(ACCOUNTS),
         };
@@ -321,7 +188,7 @@ impl Harness {
         n: usize,
         home: Option<u32>,
     ) -> Result<(NetClient, Vec<(u64, usize)>), EngineError> {
-        let mut client = self.client(coordinator)?;
+        let mut client = self.cluster.client(coordinator)?;
         let mut pending = Vec::with_capacity(n);
         for _ in 0..n {
             let (from, to, amount) = self.pick_transfer(home);
@@ -339,7 +206,7 @@ impl Harness {
         coordinator: u32,
         pairs: &[(u64, u64)],
     ) -> Result<(NetClient, Vec<(u64, usize)>), EngineError> {
-        let mut client = self.client(coordinator)?;
+        let mut client = self.cluster.client(coordinator)?;
         let mut pending = Vec::with_capacity(pairs.len());
         for &(from, to) in pairs {
             let amount = 1 + self.rng.below(5) as i64;
@@ -363,141 +230,37 @@ impl Harness {
             amount,
             outcome: Outcome::Unknown,
         });
-        let req = client.submit_async(&transfer(from, to, amount))?;
+        let req = client.submit_async(&TransactionSpec::transfer(from, to, amount))?;
         pending.push((req, idx));
         Ok(())
     }
 
-    /// Collects whatever replies arrive within `window`; the rest stay
-    /// `Unknown`. Disconnects and timeouts are expected here — the scenarios
-    /// kill the very process that owes the replies.
-    fn collect_replies(
+    /// Collects replies for `window` (see [`collect_replies`]) while a
+    /// second thread polls the sites `watch` for in-doubt polyvalues for
+    /// `poll_window`; returns whether it saw one. Polling concurrently with
+    /// reply collection matters: a stranded polyvalue can collapse within
+    /// tens of milliseconds of the outcome landing, so a poll that starts
+    /// after the reply window has already missed it.
+    fn collect_watching(
         &mut self,
         client: &mut NetClient,
         pending: &mut Vec<(u64, usize)>,
         window: Duration,
-    ) {
-        let limit = Instant::now() + window;
-        while !pending.is_empty() {
-            let remaining = limit.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                break;
-            }
-            match client.recv_reply(remaining) {
-                Ok((req, result)) => {
-                    if let Some(pos) = pending.iter().position(|&(r, _)| r == req) {
-                        let (_, idx) = pending.swap_remove(pos);
-                        self.txns[idx].outcome = if result.is_committed() {
-                            Outcome::Committed
-                        } else {
-                            Outcome::Aborted
-                        };
-                    }
-                }
-                Err(_) => break, // killed/partitioned: the rest stay Unknown
-            }
-        }
-    }
-
-    /// Spawns a background thread that polls the listed sites for in-doubt
-    /// polyvalues; join the handle for the verdict. Polling concurrently
-    /// with reply collection matters: a stranded polyvalue can collapse
-    /// within tens of milliseconds of the outcome landing, so a poll that
-    /// starts after the reply window has already missed it.
-    fn spawn_poly_poller(
-        &self,
-        sites: &[u32],
-        window: Duration,
-    ) -> std::thread::JoinHandle<bool> {
-        let addrs: Vec<SocketAddr> = sites.iter().map(|&s| self.real(s)).collect();
-        let next = Arc::clone(&self.next_client);
-        std::thread::Builder::new()
-            .name("pv-chaos-poller".into())
-            .spawn(move || {
-                let limit = Instant::now() + window;
-                loop {
-                    for &addr in &addrs {
-                        let node = next.fetch_add(1, Ordering::Relaxed);
-                        if let Ok(mut c) = NetClient::connect(addr, node, harness_backoff()) {
-                            if let Ok(snap) = c.inspect(Duration::from_secs(2)) {
-                                if snap.poly_count > 0 {
-                                    return true;
-                                }
-                            }
-                        }
-                    }
-                    if Instant::now() > limit {
-                        return false;
-                    }
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-            })
-            .expect("spawn poly poller")
-    }
-
-    /// Waits until every site is quiescent with zero polyvalues; returns
-    /// how long that took.
-    fn await_quiescence(&self, limit: Duration) -> Result<Duration, EngineError> {
-        let start = Instant::now();
-        let deadline = start + limit;
-        loop {
-            let mut polys = 0u64;
-            let mut quiescent = true;
-            let mut err = None;
-            for s in 0..self.sites {
-                match self
-                    .client(s)
-                    .and_then(|mut c| c.inspect(Duration::from_secs(3)))
-                {
-                    Ok(snap) => {
-                        polys += snap.poly_count;
-                        quiescent &= snap.quiescent;
-                    }
-                    Err(e) => err = Some(e),
-                }
-            }
-            if err.is_none() && polys == 0 && quiescent {
-                return Ok(start.elapsed());
-            }
-            if Instant::now() > deadline {
-                return Err(EngineError::Io(format!(
-                    "no quiescence within {limit:?}: {polys} polyvalues left, last error {err:?}"
-                )));
-            }
-            std::thread::sleep(Duration::from_millis(25));
-        }
-    }
-
-    /// Final balances, indexed by account id.
-    fn balances(&self) -> Result<Vec<i64>, EngineError> {
-        let mut out = vec![0i64; ACCOUNTS as usize];
-        for s in 0..self.sites {
-            let snap = self.client(s)?.inspect(Duration::from_secs(3))?;
-            for (item, entry) in &snap.items {
-                let v = entry
-                    .as_simple()
-                    .and_then(pv_core::Value::as_int)
-                    .ok_or_else(|| {
-                        EngineError::Io(format!("item {item:?} unsettled after drain"))
-                    })?;
-                out[item.0 as usize] = v;
-            }
-        }
-        Ok(out)
-    }
-
-    /// Every site's metrics registry, merged.
-    fn merged_metrics(&self) -> Result<Metrics, EngineError> {
-        let mut merged = Metrics::new();
-        for s in 0..self.sites {
-            merged.merge(&self.client(s)?.metrics(Duration::from_secs(3))?);
-        }
-        Ok(merged)
+        watch: &[u32],
+        poll_window: Duration,
+    ) -> bool {
+        let Harness { cluster, txns, .. } = self;
+        std::thread::scope(|scope| {
+            let poller = scope.spawn(|| saw_polyvalue(cluster, watch, poll_window));
+            collect_replies(txns, client, pending, window);
+            poller.join().unwrap_or(false)
+        })
     }
 
     /// Conservation + agreement over everything submitted so far.
     fn verify_funds(&self) -> Result<(), EngineError> {
-        let final_balances = self.balances()?;
+        let snaps = self.cluster.settle(SETTLE)?;
+        let final_balances: Vec<i64> = balances(&snaps)?.into_values().collect();
         let total: i64 = final_balances.iter().sum();
         let expected = ACCOUNTS as i64 * BALANCE;
         if total != expected {
@@ -557,28 +320,54 @@ impl Harness {
         c
     }
 
-    /// Clean shutdown: every surviving process flushes and exits 0.
-    fn shutdown(mut self) -> Result<(), EngineError> {
-        for s in 0..self.sites {
-            if self.children[s as usize].is_some() {
-                self.client(s)?.shutdown()?;
-            }
+}
+
+/// Collects whatever replies arrive within `window` into `txns`; the rest
+/// stay `Unknown`. Disconnects and timeouts are expected here — the
+/// scenarios kill the very process that owes the replies.
+fn collect_replies(
+    txns: &mut [Txn],
+    client: &mut NetClient,
+    pending: &mut Vec<(u64, usize)>,
+    window: Duration,
+) {
+    let limit = Instant::now() + window;
+    while !pending.is_empty() {
+        let remaining = limit.saturating_duration_since(Instant::now());
+        if remaining.is_zero() {
+            break;
         }
-        for slot in self.children.iter_mut() {
-            if let Some(mut guard) = slot.take() {
-                let status = guard
-                    .0
-                    .wait()
-                    .map_err(|e| EngineError::Io(format!("wait pv-node: {e}")))?;
-                if !status.success() {
-                    return Err(EngineError::Io(format!(
-                        "pv-node exited with {status} after shutdown"
-                    )));
+        match client.recv_reply(remaining) {
+            Ok((req, result)) => {
+                if let Some(pos) = pending.iter().position(|&(r, _)| r == req) {
+                    let (_, idx) = pending.swap_remove(pos);
+                    txns[idx].outcome = if result.is_committed() {
+                        Outcome::Committed
+                    } else {
+                        Outcome::Aborted
+                    };
                 }
             }
+            Err(_) => break, // killed/partitioned: the rest stay Unknown
         }
-        let _ = std::fs::remove_dir_all(&self.data_dir);
-        Ok(())
+    }
+}
+
+/// Polls `sites` until one reports an in-doubt polyvalue (true) or
+/// `window` ends (false).
+fn saw_polyvalue(cluster: &ProcCluster, sites: &[u32], window: Duration) -> bool {
+    let limit = Instant::now() + window;
+    loop {
+        for &s in sites {
+            let snap = cluster.client(s).and_then(|mut c| c.inspect(Duration::from_secs(2)));
+            if snap.is_ok_and(|snap| snap.poly_count > 0) {
+                return true;
+            }
+        }
+        if Instant::now() > limit {
+            return false;
+        }
+        std::thread::sleep(Duration::from_millis(5));
     }
 }
 
@@ -625,21 +414,19 @@ fn coordinator_kill(h: &mut Harness) -> Result<(bool, Duration), EngineError> {
     // participants staged but before every Decision went out; the stranded
     // participants' wait timers (80ms after staging) then install in-doubt
     // polyvalues that only the restarted coordinator can resolve.
-    h.chaos.set_default(LinkFaults {
+    h.chaos().set_default(LinkFaults {
         delay: Duration::from_millis(40),
         ..LinkFaults::default()
     });
     let (mut client, mut pending) = h.submit_batch(0, 8, None)?;
     std::thread::sleep(Duration::from_millis(135 + h.rng.below(30)));
-    h.kill(0);
+    h.cluster.kill(0);
     let kill_at = Instant::now();
-    let survivors: Vec<u32> = (1..h.sites).collect();
-    let poller = h.spawn_poly_poller(&survivors, Duration::from_millis(1500));
-    h.collect_replies(&mut client, &mut pending, Duration::from_millis(300));
-    let polys = poller.join().unwrap_or(false);
+    let survivors: Vec<u32> = (1..h.sites()).collect();
+    let polys = h.collect_watching(&mut client, &mut pending, ms(300), &survivors, ms(1500));
     std::thread::sleep(Duration::from_millis(300 + h.rng.below(300)));
-    h.restart(0)?;
-    h.await_quiescence(Duration::from_secs(30))?;
+    h.cluster.restart(0)?;
+    h.cluster.settle(SETTLE)?;
     Ok((polys, kill_at.elapsed()))
 }
 
@@ -654,21 +441,19 @@ fn participant_kill(h: &mut Harness) -> Result<(bool, Duration), EngineError> {
     // wait-times-out into in-doubt polyvalues while the coordinator waits
     // out its ready timeout. Disjoint account pairs homed at sites 1→2
     // keep every transfer clear of batch-mate lock conflicts.
-    h.chaos.set_default(LinkFaults {
+    h.chaos().set_default(LinkFaults {
         delay: Duration::from_millis(40),
         ..LinkFaults::default()
     });
     let pairs: Vec<(u64, u64)> = (0..3).map(|i| (1 + 3 * i, 2 + 3 * i)).collect();
     let (mut client, mut pending) = h.submit_pairs(0, &pairs)?;
     std::thread::sleep(Duration::from_millis(125 + h.rng.below(30)));
-    h.kill(1);
+    h.cluster.kill(1);
     let kill_at = Instant::now();
-    let poller = h.spawn_poly_poller(&[0, 2], Duration::from_millis(1500));
-    h.collect_replies(&mut client, &mut pending, Duration::from_millis(800));
-    let polys = poller.join().unwrap_or(false);
+    let polys = h.collect_watching(&mut client, &mut pending, ms(800), &[0, 2], ms(1500));
     std::thread::sleep(Duration::from_millis(200 + h.rng.below(300)));
-    h.restart(1)?;
-    h.await_quiescence(Duration::from_secs(30))?;
+    h.cluster.restart(1)?;
+    h.cluster.settle(SETTLE)?;
     Ok((polys, kill_at.elapsed()))
 }
 
@@ -682,28 +467,26 @@ fn partition(h: &mut Harness) -> Result<(bool, Duration), EngineError> {
     // timers then install in-doubt polyvalues that stay stranded for the
     // whole partition — the cut also drops any frames still in flight, just
     // like a real partition eats packets.
-    h.chaos.set_default(LinkFaults {
+    h.chaos().set_default(LinkFaults {
         delay: Duration::from_millis(40),
         ..LinkFaults::default()
     });
     let pairs = [(0, 1), (2, 3), (4, 5), (6, 7)];
     let (mut client, mut pending) = h.submit_pairs(0, &pairs)?;
     std::thread::sleep(Duration::from_millis(140 + h.rng.below(40)));
-    let rest: Vec<u32> = (1..h.sites).collect();
-    h.chaos.partition(&[0], &rest);
-    let poller = h.spawn_poly_poller(&rest, Duration::from_millis(2500));
-    h.collect_replies(&mut client, &mut pending, Duration::from_millis(1200));
-    let polys = poller.join().unwrap_or(false);
+    let rest: Vec<u32> = (1..h.sites()).collect();
+    h.chaos().partition(&[0], &rest);
+    let polys = h.collect_watching(&mut client, &mut pending, ms(1200), &rest, ms(2500));
     std::thread::sleep(Duration::from_millis(500 + h.rng.below(500)));
-    h.chaos.heal();
+    h.chaos().heal();
     let heal_at = Instant::now();
-    h.await_quiescence(Duration::from_secs(30))?;
+    h.cluster.settle(SETTLE)?;
     let heal_to_quiesce = heal_at.elapsed();
 
     // Backoff observability: the cut links must have tripped circuits, the
     // healed links must have reconnected, and the open intervals must have
     // grown past the base delay (paced rejoin, not a thundering herd).
-    let m = h.merged_metrics()?;
+    let m = h.cluster.metrics()?;
     if m.counter("net.circuit_open") == 0 {
         return Err(EngineError::Io("partition never tripped a circuit".into()));
     }
@@ -726,31 +509,31 @@ fn partition(h: &mut Harness) -> Result<(bool, Duration), EngineError> {
 /// seeded order: cold recovery on every site, then collective resolution.
 fn restart_storm(h: &mut Harness) -> Result<(bool, Duration), EngineError> {
     let (mut c0, mut p0) = h.submit_batch(0, 6, None)?;
-    let (mut c1, mut p1) = h.submit_batch(1 % h.sites, 6, None)?;
+    let (mut c1, mut p1) = h.submit_batch(1 % h.sites(), 6, None)?;
     std::thread::sleep(Duration::from_millis(h.rng.below(10)));
-    let mut order: Vec<u32> = (0..h.sites).collect();
+    let mut order: Vec<u32> = (0..h.sites()).collect();
     for i in (1..order.len()).rev() {
         order.swap(i, h.rng.below(i as u64 + 1) as usize);
     }
     for &s in &order {
-        h.kill(s);
+        h.cluster.kill(s);
     }
     let kill_at = Instant::now();
-    h.collect_replies(&mut c0, &mut p0, Duration::from_millis(100));
-    h.collect_replies(&mut c1, &mut p1, Duration::from_millis(100));
+    collect_replies(&mut h.txns, &mut c0, &mut p0, Duration::from_millis(100));
+    collect_replies(&mut h.txns, &mut c1, &mut p1, Duration::from_millis(100));
     std::thread::sleep(Duration::from_millis(200 + h.rng.below(200)));
     for i in (1..order.len()).rev() {
         order.swap(i, h.rng.below(i as u64 + 1) as usize);
     }
     for &s in &order.clone() {
-        h.restart(s)?;
+        h.cluster.restart(s)?;
     }
-    h.await_quiescence(Duration::from_secs(30))?;
-    let m = h.merged_metrics()?;
-    if m.counter("net.cold_recoveries") < u64::from(h.sites) {
+    h.cluster.settle(SETTLE)?;
+    let m = h.cluster.metrics()?;
+    if m.counter("net.cold_recoveries") < u64::from(h.sites()) {
         return Err(EngineError::Io(format!(
             "expected {} cold recoveries, saw {}",
-            h.sites,
+            h.sites(),
             m.counter("net.cold_recoveries")
         )));
     }
@@ -760,70 +543,72 @@ fn restart_storm(h: &mut Harness) -> Result<(bool, Duration), EngineError> {
 /// Roll a kill+restart through every site while a background load keeps
 /// submitting; the cluster must absorb each loss and end consistent.
 fn rolling_restart(h: &mut Harness) -> Result<(bool, Duration), EngineError> {
-    let stop = Arc::new(AtomicBool::new(false));
-    let reals = Arc::clone(&h.reals);
-    let next_client = Arc::clone(&h.next_client);
-    let sites = h.sites;
+    let stop = AtomicBool::new(false);
     let load_seed = h.rng.below(u64::MAX);
-    let stop2 = Arc::clone(&stop);
-    let loader = std::thread::spawn(move || -> Vec<Txn> {
-        let mut rng = SimRng::new(load_seed);
-        let mut txns = Vec::new();
-        let mut target = 0u32;
-        while !stop2.load(Ordering::SeqCst) {
-            target = (target + 1) % sites;
-            let addr = reals.lock().expect("reals lock")[target as usize];
-            let node = next_client.fetch_add(1, Ordering::Relaxed);
-            let Ok(mut client) = NetClient::connect(addr, node, Backoff::fast_fail()) else {
-                std::thread::sleep(Duration::from_millis(50));
-                continue;
+    let Harness { rng, cluster, txns } = h;
+    let rolled = std::thread::scope(|scope| {
+        let loader = scope.spawn(|| load(cluster, load_seed, &stop));
+        let roll_start = Instant::now();
+        let rolled = (0..cluster.sites()).try_for_each(|s| {
+            std::thread::sleep(Duration::from_millis(150 + rng.below(200)));
+            cluster.kill(s);
+            std::thread::sleep(Duration::from_millis(150 + rng.below(200)));
+            cluster.restart(s)
+        });
+        let rolled = rolled.map(|()| roll_start.elapsed());
+        stop.store(true, Ordering::SeqCst);
+        txns.extend(loader.join().expect("load thread panicked"));
+        rolled
+    })?;
+    cluster.settle(SETTLE)?;
+    Ok((true, rolled))
+}
+
+/// `rolling_restart`'s background load: short closed-loop bursts against
+/// each site in turn, until `stop`. A connection dials with
+/// [`Backoff::fast_fail`], so a killed site costs a few refused dials.
+fn load(cluster: &ProcCluster, seed: u64, stop: &AtomicBool) -> Vec<Txn> {
+    let mut rng = SimRng::new(seed);
+    let mut txns = Vec::new();
+    let mut target = 0u32;
+    while !stop.load(Ordering::SeqCst) {
+        target = (target + 1) % cluster.sites();
+        let Ok(mut client) = cluster.client_with(target, Backoff::fast_fail()) else {
+            std::thread::sleep(Duration::from_millis(50));
+            continue;
+        };
+        for _ in 0..4 {
+            if stop.load(Ordering::SeqCst) {
+                break;
+            }
+            let from = rng.below(ACCOUNTS);
+            let to = (from + 1) % ACCOUNTS;
+            let amount = 1 + rng.below(5) as i64;
+            let mut txn = Txn {
+                from,
+                to,
+                amount,
+                outcome: Outcome::Unknown,
             };
-            for _ in 0..4 {
-                if stop2.load(Ordering::SeqCst) {
+            let spec = TransactionSpec::transfer(from, to, amount);
+            match client.submit(&spec, Duration::from_secs(2)) {
+                Ok(result) => {
+                    txn.outcome = if result.is_committed() {
+                        Outcome::Committed
+                    } else {
+                        Outcome::Aborted
+                    };
+                    txns.push(txn);
+                }
+                Err(EngineError::Timeout) | Err(EngineError::Disconnected) => {
+                    txns.push(txn); // submitted, outcome unknown
                     break;
                 }
-                let from = rng.below(ACCOUNTS);
-                let to = (from + 1) % ACCOUNTS;
-                let amount = 1 + rng.below(5) as i64;
-                let mut txn = Txn {
-                    from,
-                    to,
-                    amount,
-                    outcome: Outcome::Unknown,
-                };
-                match client.submit(&transfer(from, to, amount), Duration::from_secs(2)) {
-                    Ok(result) => {
-                        txn.outcome = if result.is_committed() {
-                            Outcome::Committed
-                        } else {
-                            Outcome::Aborted
-                        };
-                        txns.push(txn);
-                    }
-                    Err(EngineError::Timeout) | Err(EngineError::Disconnected) => {
-                        txns.push(txn); // submitted, outcome unknown
-                        break;
-                    }
-                    Err(_) => break, // connect-level failure: nothing submitted
-                }
+                Err(_) => break, // connect-level failure: nothing submitted
             }
         }
-        txns
-    });
-
-    let roll_start = Instant::now();
-    for s in 0..h.sites {
-        std::thread::sleep(Duration::from_millis(150 + h.rng.below(200)));
-        h.kill(s);
-        std::thread::sleep(Duration::from_millis(150 + h.rng.below(200)));
-        h.restart(s)?;
     }
-    let rolled = roll_start.elapsed();
-    stop.store(true, Ordering::SeqCst);
-    let load_txns = loader.join().expect("load thread panicked");
-    h.txns.extend(load_txns);
-    h.await_quiescence(Duration::from_secs(30))?;
-    Ok((true, rolled))
+    txns
 }
 
 /// The coordinator-kill schedule replayed under Paxos Commit: the same hard
@@ -836,29 +621,27 @@ fn paxos_commit_kill(h: &mut Harness) -> Result<(bool, Duration), EngineError> {
     // Same 40ms/hop stretch as `coordinator_kill`: the kill lands after the
     // participants staged and broadcast their ballot-0 votes, before every
     // Decision went out.
-    h.chaos.set_default(LinkFaults {
+    h.chaos().set_default(LinkFaults {
         delay: Duration::from_millis(40),
         ..LinkFaults::default()
     });
     let (mut client, mut pending) = h.submit_batch(0, 8, None)?;
     std::thread::sleep(Duration::from_millis(135 + h.rng.below(30)));
-    h.kill(0);
+    h.cluster.kill(0);
     let kill_at = Instant::now();
-    let survivors: Vec<u32> = (1..h.sites).collect();
-    let poller = h.spawn_poly_poller(&survivors, Duration::from_millis(1500));
-    h.collect_replies(&mut client, &mut pending, Duration::from_millis(300));
-    let polys = poller.join().unwrap_or(false);
+    let survivors: Vec<u32> = (1..h.sites()).collect();
+    let polys = h.collect_watching(&mut client, &mut pending, ms(300), &survivors, ms(1500));
     if polys {
         return Err(EngineError::Io(
             "paxos-commit installed a polyvalue; the protocol never should".into(),
         ));
     }
     std::thread::sleep(Duration::from_millis(300 + h.rng.below(300)));
-    h.restart(0)?;
-    h.await_quiescence(Duration::from_secs(30))?;
+    h.cluster.restart(0)?;
+    h.cluster.settle(SETTLE)?;
     // The non-blocking path must actually have run: a dead coordinator with
     // in-flight transactions forces at least one ballot takeover somewhere.
-    let m = h.merged_metrics()?;
+    let m = h.cluster.metrics()?;
     if m.counter("pc.takeovers") == 0 {
         return Err(EngineError::Io(
             "coordinator died mid-commit yet no site ever started a takeover".into(),
@@ -901,7 +684,7 @@ fn run_scenario(
     verdict.committed = committed;
     verdict.aborted = aborted;
     verdict.unknown = unknown;
-    match result.and_then(|()| harness.shutdown()) {
+    match result.and_then(|()| harness.cluster.shutdown()) {
         Ok(()) => {
             verdict.ok = true;
             verdict.detail = "conservation, agreement, collapse, quiescence".into();

@@ -18,14 +18,14 @@
 //! throughput and latencies are a progress report, not a benchmark: `pvbench`
 //! (`net_closed`, `net_pipelined`) is what measures the networked path.
 
-use pv_core::{Expr, ItemId, TransactionSpec};
+use pv_core::TransactionSpec;
 use pv_engine::EngineError;
 use pv_net::backoff::Backoff;
-use pv_net::client::NetClient;
 use pv_net::node::error_json;
+use pv_net::proc::{balances, sibling_node_bin, ProcCluster, ProcSpec};
 use pv_simnet::{Metrics, SimRng};
-use std::net::{SocketAddr, TcpListener};
-use std::process::{Child, Command, ExitCode, Stdio};
+use std::net::SocketAddr;
+use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 fn usage() -> ! {
@@ -97,85 +97,6 @@ fn parse_args() -> Args {
     args
 }
 
-/// A spawned site process, killed on drop so a failed run leaves no
-/// orphans.
-struct ChildGuard(Child, u32);
-
-impl Drop for ChildGuard {
-    fn drop(&mut self) {
-        let _ = self.0.kill();
-        let _ = self.0.wait();
-    }
-}
-
-/// Reserves `n` distinct localhost ports by binding and immediately
-/// releasing them (the standard localhost-bench trick; the race window is
-/// negligible on a quiet machine).
-fn free_addrs(n: u32) -> Result<Vec<SocketAddr>, EngineError> {
-    let listeners: Vec<TcpListener> = (0..n)
-        .map(|_| {
-            TcpListener::bind("127.0.0.1:0").map_err(|e| EngineError::Io(format!("reserve: {e}")))
-        })
-        .collect::<Result<_, _>>()?;
-    listeners
-        .iter()
-        .map(|l| l.local_addr().map_err(|e| EngineError::Io(format!("reserve: {e}"))))
-        .collect()
-}
-
-/// Spawns `sites` pv-node processes for the given address table.
-fn spawn_cluster(args: &Args, addrs: &[SocketAddr]) -> Result<Vec<ChildGuard>, EngineError> {
-    let me = std::env::current_exe().map_err(|e| EngineError::Io(format!("current_exe: {e}")))?;
-    let node_bin = me
-        .parent()
-        .map(|d| d.join("pv-node"))
-        .filter(|p| p.exists())
-        .ok_or_else(|| {
-            EngineError::Io("pv-node binary not found next to pv-loadgen (build both)".into())
-        })?;
-    let addr_list = addrs
-        .iter()
-        .map(|a| a.to_string())
-        .collect::<Vec<_>>()
-        .join(",");
-    let mut children = Vec::with_capacity(addrs.len());
-    for s in 0..addrs.len() as u32 {
-        let child = Command::new(&node_bin)
-            .args([
-                "--site",
-                &s.to_string(),
-                "--addrs",
-                &addr_list,
-                "--accounts",
-                &args.accounts.to_string(),
-                "--balance",
-                &args.balance.to_string(),
-                "--protocol",
-                &args.protocol,
-                "--fast",
-                "--attempts",
-                &args.backoff.attempts.to_string(),
-                "--delay-ms",
-                &args.backoff.base.as_millis().to_string(),
-            ])
-            .stdin(Stdio::null())
-            .stdout(Stdio::null())
-            .stderr(Stdio::null())
-            .spawn()
-            .map_err(|e| EngineError::Io(format!("spawn pv-node: {e}")))?;
-        children.push(ChildGuard(child, s));
-    }
-    Ok(children)
-}
-
-fn transfer(from: u64, to: u64, amount: i64) -> TransactionSpec {
-    let (f, t) = (ItemId(from), ItemId(to));
-    TransactionSpec::new()
-        .guard(Expr::read(f).ge(Expr::int(amount)))
-        .update(f, Expr::read(f).sub(Expr::int(amount)))
-        .update(t, Expr::read(t).add(Expr::int(amount)))
-}
-
 /// The outcome of one measured run.
 struct RunStats {
     sites: u32,
@@ -196,19 +117,16 @@ impl RunStats {
 
 /// Drives `txns` transfers through `clients` closed-loop connections and
 /// verifies conservation before returning.
-fn run_load(args: &Args, addrs: &[SocketAddr]) -> Result<RunStats, EngineError> {
-    let sites = addrs.len() as u32;
+fn run_load(args: &Args, cluster: &ProcCluster) -> Result<RunStats, EngineError> {
+    let sites = cluster.sites();
     let per_client = args.txns / u64::from(args.clients).max(1);
     let start = Instant::now();
     let mut handles = Vec::new();
     for c in 0..args.clients {
-        let addr = addrs[(c % sites) as usize];
+        let mut client = cluster.client(c % sites)?;
         let accounts = args.accounts;
         let seed = args.seed.wrapping_add(u64::from(c) * 7919);
-        let node = sites + 1 + c;
-        let backoff = args.backoff;
         handles.push(std::thread::spawn(move || -> Result<(u64, u64, Metrics), EngineError> {
-            let mut client = NetClient::connect(addr, node, backoff)?;
             let mut rng = SimRng::new(seed);
             let mut metrics = Metrics::new();
             let mut committed = 0u64;
@@ -219,7 +137,7 @@ fn run_load(args: &Args, addrs: &[SocketAddr]) -> Result<RunStats, EngineError> 
                     to = (to + 1) % accounts;
                 }
                 let amount = 1 + rng.below(5) as i64;
-                let spec = transfer(from, to, amount);
+                let spec = TransactionSpec::transfer(from, to, amount);
                 let t0 = Instant::now();
                 let result = client.submit(&spec, Duration::from_secs(10))?;
                 metrics.observe("client.latency", t0.elapsed().as_secs_f64());
@@ -243,55 +161,15 @@ fn run_load(args: &Args, addrs: &[SocketAddr]) -> Result<RunStats, EngineError> 
 
     // Conservation gate: wait for the cluster to drain residual
     // uncertainty, then audit total funds across every site.
-    let mut control: Vec<NetClient> = Vec::new();
-    for (s, addr) in addrs.iter().enumerate() {
-        control.push(NetClient::connect(
-            *addr,
-            sites + 1 + args.clients + s as u32,
-            args.backoff,
-        )?);
-    }
-    let drain_limit = Instant::now() + Duration::from_secs(30);
-    loop {
-        let mut polys = 0;
-        let mut quiescent = true;
-        for client in &mut control {
-            let snap = client.inspect(Duration::from_secs(5))?;
-            polys += snap.poly_count;
-            quiescent &= snap.quiescent;
-        }
-        if polys == 0 && quiescent {
-            break;
-        }
-        if Instant::now() > drain_limit {
-            return Err(EngineError::Io(format!(
-                "cluster did not drain: {polys} polyvalues still in doubt"
-            )));
-        }
-        std::thread::sleep(Duration::from_millis(100));
-    }
-    let mut total = 0i64;
-    for client in &mut control {
-        let snap = client.inspect(Duration::from_secs(5))?;
-        for (_, entry) in &snap.items {
-            let v = entry
-                .as_simple()
-                .and_then(pv_core::Value::as_int)
-                .ok_or_else(|| EngineError::Io("unsettled item after drain".into()))?;
-            total += v;
-        }
-    }
+    let total: i64 = balances(&cluster.settle(Duration::from_secs(30))?)?.values().sum();
     let expected = args.accounts as i64 * args.balance;
     if total != expected {
         return Err(EngineError::Io(format!(
             "CONSERVATION VIOLATION: total {total}, expected {expected}"
         )));
     }
-
     // Merge each site's registry (phase histograms, protocol counters).
-    for client in &mut control {
-        metrics.merge(&client.metrics(Duration::from_secs(5))?);
-    }
+    metrics.merge(&cluster.metrics()?);
     Ok(RunStats {
         sites,
         clients: args.clients,
@@ -302,31 +180,23 @@ fn run_load(args: &Args, addrs: &[SocketAddr]) -> Result<RunStats, EngineError> 
     })
 }
 
-/// One spawn-measure-shutdown cycle.
+/// One spawn-measure-shutdown cycle, or one measurement of a cluster
+/// started by someone else (`--addrs`), which is left running.
 fn run_once(args: &Args) -> Result<RunStats, EngineError> {
-    if !args.addrs.is_empty() {
-        return run_load(args, &args.addrs);
-    }
-    let addrs = free_addrs(args.sites)?;
-    let children = spawn_cluster(args, &addrs)?;
-    let stats = run_load(args, &addrs)?;
-    // Clean shutdown: every site flushes its WAL and exits 0.
-    for (s, addr) in addrs.iter().enumerate() {
-        let mut c = NetClient::connect(*addr, 1_000_000 + s as u32, args.backoff)?;
-        c.shutdown()?;
-    }
-    for mut guard in children {
-        let status = guard
-            .0
-            .wait()
-            .map_err(|e| EngineError::Io(format!("wait pv-node: {e}")))?;
-        if !status.success() {
-            return Err(EngineError::Io(format!(
-                "pv-node site {} exited with {status}",
-                guard.1
-            )));
-        }
-    }
+    let cluster = if args.addrs.is_empty() {
+        ProcCluster::spawn(ProcSpec {
+            accounts: args.accounts,
+            balance: args.balance,
+            protocol: args.protocol.clone(),
+            backoff: args.backoff,
+            ..ProcSpec::new(sibling_node_bin()?, args.sites)
+        })?
+    } else {
+        ProcCluster::attach(args.addrs.clone(), args.backoff)
+    };
+    let stats = run_load(args, &cluster)?;
+    // Clean shutdown: every spawned site flushes its WAL and exits 0.
+    cluster.shutdown()?;
     Ok(stats)
 }
 

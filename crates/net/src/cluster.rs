@@ -215,6 +215,13 @@ impl NetCluster {
         self.with_control(site, |c| c.snapshot_read(items, deadline))
     }
 
+    /// Polls every site until each is quiescent with zero polyvalues and
+    /// returns their snapshots, retrying a failed inspect until `limit`:
+    /// the same loop as [`ProcCluster::settle`](crate::ProcCluster::settle).
+    pub fn settle(&self, limit: Duration) -> Result<Vec<NodeSnapshot>, EngineError> {
+        crate::proc::settle(self.site_count() as u32, limit, |s, wait| self.inspect(s, wait))
+    }
+
     /// Total polyvalued items across sites.
     pub fn total_poly_count(&self, deadline: Duration) -> Result<u64, EngineError> {
         let mut total = 0;

@@ -23,12 +23,15 @@
 //! * [`chaos`] — a fault-injecting TCP proxy ([`ChaosNet`]) that sits on
 //!   every site→site link and applies seeded, deterministic delay, drop,
 //!   duplication, and partitions.
+//! * [`proc`] — [`ProcCluster`]: a cluster of real `pv-node` processes on
+//!   localhost (spawn, kill, restart, clients, shutdown, kill on drop), and
+//!   the settle-and-audit that ends every cluster run, in process or not.
 //!
 //! The `pv-node` binary wraps [`node::Node`] for one-process-per-site
-//! deployment; `pv-loadgen` spawns or targets such a cluster, drives funds
-//! transfers and gates on drain and conservation; `pv-chaos`
-//! supervises real `pv-node` processes under kill/restart/partition
-//! schedules and asserts the paper's recovery invariants.
+//! deployment. Every real-process cluster is a [`ProcCluster`]:
+//! `pv-loadgen` spawns or attaches to one, drives funds transfers and gates
+//! on drain and conservation; `pv-chaos` kills, restarts and partitions
+//! one and asserts the paper's recovery invariants.
 
 #![warn(missing_docs)]
 // `deny`, not `forbid`: `poll` holds the workspace's one FFI call and is the
@@ -42,6 +45,7 @@ pub mod cluster;
 pub mod node;
 #[allow(unsafe_code)]
 mod poll;
+pub mod proc;
 pub mod wire;
 
 pub use backoff::Backoff;
@@ -49,4 +53,5 @@ pub use chaos::{ChaosNet, LinkFaults};
 pub use client::NetClient;
 pub use cluster::{NetBuilder, NetCluster};
 pub use node::Node;
+pub use proc::{ProcCluster, ProcSpec};
 pub use wire::{DecodeError, EncodeError, Frame, NodeSnapshot, WireMetrics};

@@ -4,21 +4,17 @@
 //! engine invariants (conservation, drain) and the backoff/circuit
 //! observability the recovery machinery promises.
 
-use pv_core::{Expr, ItemId, TransactionSpec};
+use pv_core::TransactionSpec;
 use pv_engine::{Directory, EngineConfig, Topology};
 use pv_net::backoff::Backoff;
 use pv_net::chaos::LinkFaults;
-use pv_net::{NetBuilder, NetCluster};
+use pv_net::proc::balances;
+use pv_net::NetBuilder;
 use pv_simnet::SimDuration;
 use std::time::{Duration, Instant};
 
-fn transfer(from: u64, to: u64, amt: i64) -> TransactionSpec {
-    let (f, t) = (ItemId(from), ItemId(to));
-    TransactionSpec::new()
-        .guard(Expr::read(f).ge(Expr::int(amt)))
-        .update(f, Expr::read(f).sub(Expr::int(amt)))
-        .update(t, Expr::read(t).add(Expr::int(amt)))
-}
+/// How long a healed cluster gets to drain to quiescence with no polyvalues.
+const SETTLE: Duration = Duration::from_secs(30);
 
 fn fast_config() -> EngineConfig {
     EngineConfig {
@@ -35,39 +31,6 @@ fn bank_topology(sites: u32, accounts: u64) -> Topology {
     Topology::new(sites, Directory::Mod(sites))
         .engine(fast_config())
         .uniform_items(accounts, 100)
-}
-
-/// Polls until every site is quiescent with zero polyvalues.
-fn drain(cluster: &NetCluster) {
-    let limit = Instant::now() + Duration::from_secs(30);
-    loop {
-        let mut polys = 0;
-        let mut quiescent = true;
-        for s in 0..cluster.site_count() as u32 {
-            let snap = cluster.inspect(s, Duration::from_secs(5)).expect("inspect");
-            polys += snap.poly_count;
-            quiescent &= snap.quiescent;
-        }
-        if polys == 0 && quiescent {
-            return;
-        }
-        assert!(Instant::now() < limit, "cluster did not drain");
-        std::thread::sleep(Duration::from_millis(50));
-    }
-}
-
-fn total_funds(cluster: &NetCluster) -> i64 {
-    let mut total = 0;
-    for s in 0..cluster.site_count() as u32 {
-        let snap = cluster.inspect(s, Duration::from_secs(5)).expect("inspect");
-        for (_, entry) in &snap.items {
-            total += entry
-                .as_simple()
-                .and_then(|v| v.as_int())
-                .expect("settled int after drain");
-        }
-    }
-    total
 }
 
 #[test]
@@ -99,7 +62,7 @@ fn partition_heals_with_paced_backoff() {
     let mut client = cluster.client(0).expect("client");
     let pending: Vec<u64> = [(0u64, 1u64), (2, 3), (4, 5)]
         .iter()
-        .map(|&(f, t)| client.submit_async(&transfer(f, t, 5)).expect("submit"))
+        .map(|&(f, t)| client.submit_async(&TransactionSpec::transfer(f, t, 5)).expect("submit"))
         .collect();
     std::thread::sleep(Duration::from_millis(150));
     chaos.partition(&[0], &[1, 2]);
@@ -119,8 +82,9 @@ fn partition_heals_with_paced_backoff() {
     // to climb, then heal and drain.
     std::thread::sleep(Duration::from_millis(700));
     chaos.heal();
-    drain(&cluster);
-    assert_eq!(total_funds(&cluster), 600, "conservation across partition");
+    let snaps = cluster.settle(SETTLE).expect("cluster drains");
+    let total: i64 = balances(&snaps).expect("settled balances").values().sum();
+    assert_eq!(total, 600, "conservation across partition");
 
     let m = cluster.metrics(Duration::from_secs(5)).expect("metrics");
     assert!(m.counter("net.circuit_open") > 0, "partition trips circuits");
@@ -156,16 +120,18 @@ fn injected_link_faults_are_counted_and_survivable() {
     let deadline = Duration::from_secs(10);
     let committed = (0..8)
         .filter(|&i| {
+            let spec = TransactionSpec::transfer(u64::from(i % 4), u64::from((i + 1) % 4), 2);
             cluster
-                .submit(i % 2, &transfer(u64::from(i % 4), u64::from((i + 1) % 4), 2), deadline)
+                .submit(i % 2, &spec, deadline)
                 .map(|r| r.is_committed())
                 .unwrap_or(false)
         })
         .count();
     assert!(committed > 0, "nothing committed under link faults");
 
-    drain(&cluster);
-    assert_eq!(total_funds(&cluster), 400, "conservation under faults");
+    let snaps = cluster.settle(SETTLE).expect("cluster drains");
+    let total: i64 = balances(&snaps).expect("settled balances").values().sum();
+    assert_eq!(total, 400, "conservation under faults");
 
     let m = chaos.metrics();
     assert!(m.counter("chaos.injected.delay") > 0, "delays were injected");
@@ -189,13 +155,15 @@ fn lossy_links_converge_once_clean() {
         ..LinkFaults::default()
     });
     for k in 0..8 {
-        let _ = cluster.submit(0, &transfer(k % 2, (k + 1) % 2, 5), Duration::from_secs(2));
+        let spec = TransactionSpec::transfer(k % 2, (k + 1) % 2, 5);
+        let _ = cluster.submit(0, &spec, Duration::from_secs(2));
     }
     assert!(chaos.metrics().counter("chaos.injected.drop") > 0, "frames were dropped");
 
     chaos.set_default(LinkFaults::clean());
-    drain(&cluster);
-    assert_eq!(total_funds(&cluster), 200, "conservation under loss");
+    let snaps = cluster.settle(SETTLE).expect("cluster drains");
+    let total: i64 = balances(&snaps).expect("settled balances").values().sum();
+    assert_eq!(total, 200, "conservation under loss");
     cluster.shutdown().expect("clean shutdown");
 }
 
@@ -229,7 +197,7 @@ fn idle_event_loop_blocks() {
 
     let submitted = Instant::now();
     let result = cluster
-        .submit(0, &transfer(0, 1, 5), Duration::from_secs(10))
+        .submit(0, &TransactionSpec::transfer(0, 1, 5), Duration::from_secs(10))
         .expect("submit");
     let took = submitted.elapsed();
     assert!(result.is_committed(), "transfer across both sites commits");

@@ -9,10 +9,11 @@
 //! `(committed, fully_granted)` sequence and the same final balances, and
 //! each must conserve total funds.
 
-use pv_core::{Entry, Expr, ItemId, TransactionSpec, Value};
+use pv_core::{Entry, ItemId, TransactionSpec, Value};
 use pv_engine::{
     ClientConfig, ClusterBuilder, CommitProtocol, Directory, EngineConfig, Script, Topology,
 };
+use pv_net::proc::balances;
 use pv_net::NetCluster;
 use pv_simnet::{SimDuration, SimRng};
 use std::time::Duration;
@@ -54,11 +55,7 @@ fn workload() -> Vec<TransactionSpec> {
             } else {
                 1 + rng.below(30) as i64
             };
-            let (f, t) = (ItemId(from), ItemId(to));
-            TransactionSpec::new()
-                .guard(Expr::read(f).ge(Expr::int(amt)))
-                .update(f, Expr::read(f).sub(Expr::int(amt)))
-                .update(t, Expr::read(t).add(Expr::int(amt)))
+            TransactionSpec::transfer(from, to, amt)
         })
         .collect()
 }
@@ -109,25 +106,12 @@ fn run_sim(protocol: CommitProtocol, specs: Vec<TransactionSpec>) -> Outcomes {
     (fates, balances)
 }
 
-/// Polls until every site is settled (quiescent, zero polyvalues).
-/// "Sequential" means settled-between-submissions: without this, the next
-/// transaction can race the previous decision's propagation to a
-/// participant and hit a timing-dependent no-wait lock conflict.
-fn settle(cluster: &NetCluster, deadline: Duration) {
-    let limit = std::time::Instant::now() + Duration::from_secs(30);
-    loop {
-        let mut snaps = (0..SITES).map(|s| cluster.inspect(s, deadline).expect("inspect"));
-        if snaps.all(|snap| snap.poly_count == 0 && snap.quiescent) {
-            return;
-        }
-        assert!(std::time::Instant::now() < limit, "cluster did not settle");
-        std::thread::sleep(Duration::from_millis(10));
-    }
-}
-
 fn run_net(protocol: CommitProtocol, specs: Vec<TransactionSpec>) -> Outcomes {
     let cluster = NetCluster::from_topology(shared_topology(protocol)).expect("start net");
-    let deadline = Duration::from_secs(10);
+    let (deadline, settle) = (Duration::from_secs(10), Duration::from_secs(30));
+    // "Sequential" means settled between submissions: without that, the
+    // next transaction can race the previous decision's propagation to a
+    // participant and hit a timing-dependent no-wait lock conflict.
     let fates = specs
         .iter()
         .enumerate()
@@ -135,19 +119,16 @@ fn run_net(protocol: CommitProtocol, specs: Vec<TransactionSpec>) -> Outcomes {
             let r = cluster
                 .submit((i as u32) % SITES, spec, deadline)
                 .expect("net submit");
-            settle(&cluster, deadline);
+            cluster.settle(settle).expect("net settles");
             (r.is_committed(), r.fully_granted())
         })
         .collect();
-    let mut balances = Vec::new();
-    for s in 0..SITES {
-        let snap = cluster.inspect(s, deadline).expect("inspect");
-        assert_eq!(snap.poly_count, 0, "net drained");
-        for (item, entry) in &snap.items {
-            balances.push((item.0, settled_int(entry)));
-        }
-    }
-    balances.sort_unstable();
+    let snaps = cluster.settle(settle).expect("net drained");
+    let balances = balances(&snaps)
+        .expect("every item settled to an int")
+        .into_iter()
+        .map(|(item, v)| (item.0, v))
+        .collect();
     cluster.shutdown().expect("clean shutdown");
     (fates, balances)
 }

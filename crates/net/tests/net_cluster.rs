@@ -5,17 +5,13 @@
 use pv_core::{Expr, ItemId, TransactionSpec};
 use pv_engine::{Directory, EngineConfig, EngineError, Topology};
 use pv_net::backoff::Backoff;
+use pv_net::proc::balances;
 use pv_net::{NetBuilder, NetCluster};
 use pv_simnet::SimDuration;
 use std::time::{Duration, Instant};
 
-fn transfer(from: u64, to: u64, amt: i64) -> TransactionSpec {
-    let (f, t) = (ItemId(from), ItemId(to));
-    TransactionSpec::new()
-        .guard(Expr::read(f).ge(Expr::int(amt)))
-        .update(f, Expr::read(f).sub(Expr::int(amt)))
-        .update(t, Expr::read(t).add(Expr::int(amt)))
-}
+/// How long a cluster gets to drain to quiescence with no polyvalues.
+const SETTLE: Duration = Duration::from_secs(30);
 
 fn fast_config() -> EngineConfig {
     EngineConfig {
@@ -34,39 +30,6 @@ fn bank_topology(sites: u32, accounts: u64) -> Topology {
         .uniform_items(accounts, 100)
 }
 
-/// Polls until every site is quiescent with zero polyvalues.
-fn drain(cluster: &NetCluster) {
-    let limit = Instant::now() + Duration::from_secs(30);
-    loop {
-        let mut polys = 0;
-        let mut quiescent = true;
-        for s in 0..cluster.site_count() as u32 {
-            let snap = cluster.inspect(s, Duration::from_secs(5)).expect("inspect");
-            polys += snap.poly_count;
-            quiescent &= snap.quiescent;
-        }
-        if polys == 0 && quiescent {
-            return;
-        }
-        assert!(Instant::now() < limit, "cluster did not drain");
-        std::thread::sleep(Duration::from_millis(50));
-    }
-}
-
-fn total_funds(cluster: &NetCluster) -> i64 {
-    let mut total = 0;
-    for s in 0..cluster.site_count() as u32 {
-        let snap = cluster.inspect(s, Duration::from_secs(5)).expect("inspect");
-        for (_, entry) in &snap.items {
-            total += entry
-                .as_simple()
-                .and_then(|v| v.as_int())
-                .expect("settled int after drain");
-        }
-    }
-    total
-}
-
 #[test]
 fn transfers_commit_and_conserve_over_tcp() {
     // A tiny checkpoint floor, so 20 transfers checkpoint every site's log.
@@ -78,7 +41,7 @@ fn transfers_commit_and_conserve_over_tcp() {
 
     let committed = (0..20)
         .filter(|i| {
-            let spec = transfer(i % 6, (i + 1) % 6, 5);
+            let spec = TransactionSpec::transfer(i % 6, (i + 1) % 6, 5);
             cluster
                 .submit((i % 3) as u32, &spec, deadline)
                 .expect("submit")
@@ -87,12 +50,13 @@ fn transfers_commit_and_conserve_over_tcp() {
         .count();
     assert!(committed > 0, "no transfer committed");
     // A site id outside the topology is an error value, not a panic.
-    let unknown = cluster.submit(9, &transfer(0, 1, 5), deadline);
+    let unknown = cluster.submit(9, &TransactionSpec::transfer(0, 1, 5), deadline);
     assert_eq!(unknown.err(), Some(EngineError::UnknownSite(9)));
     assert_eq!(cluster.inspect(9, deadline).err(), Some(EngineError::UnknownSite(9)));
 
-    drain(&cluster);
-    assert_eq!(total_funds(&cluster), 600, "conservation over TCP");
+    let snaps = cluster.settle(SETTLE).expect("cluster drains");
+    let total: i64 = balances(&snaps).expect("settled balances").values().sum();
+    assert_eq!(total, 600, "conservation over TCP");
 
     let metrics = cluster.metrics(deadline).expect("metrics");
     assert!(
@@ -123,18 +87,13 @@ fn every_site_starts_with_its_share_of_the_items() {
     let topo = bank_topology(3, ITEMS);
     let seeded = topo.seeded_int_total();
     let cluster = NetCluster::from_topology(topo).expect("start cluster");
-    let mut total = 0;
-    for s in 0..3u32 {
-        let snap = cluster.inspect(s, Duration::from_secs(10)).expect("inspect");
-        let share: Vec<ItemId> = (0..ITEMS).filter(|i| i % 3 == u64::from(s)).map(ItemId).collect();
+    let snaps = cluster.settle(SETTLE).expect("a fresh cluster is settled");
+    for (s, snap) in snaps.iter().enumerate() {
+        let share: Vec<ItemId> = (0..ITEMS).filter(|i| i % 3 == s as u64).map(ItemId).collect();
         let held: Vec<ItemId> = snap.items.iter().map(|(item, _)| *item).collect();
         assert_eq!(held, share, "site {s} holds exactly its share");
-        total += snap
-            .items
-            .iter()
-            .map(|(_, entry)| entry.as_simple().and_then(|v| v.as_int()).expect("seeded int"))
-            .sum::<i64>();
     }
+    let total: i64 = balances(&snaps).expect("seeded ints").values().sum();
     assert_eq!(total, seeded);
     cluster.shutdown().expect("clean shutdown");
 }
@@ -152,7 +111,7 @@ fn concurrent_clients_from_many_connections_conserve() {
             for i in 0..15u64 {
                 let from = (c * 3 + i) % 8;
                 let to = (from + 1 + c) % 8;
-                let spec = transfer(from, to, 3);
+                let spec = TransactionSpec::transfer(from, to, 3);
                 // Lock conflicts abort under no-wait; that's a valid
                 // outcome — conservation is the invariant under test.
                 if let Ok(result) = client.submit(&spec, deadline) {
@@ -167,8 +126,9 @@ fn concurrent_clients_from_many_connections_conserve() {
     let committed: u64 = handles.into_iter().map(|h| h.join().expect("client")).sum();
     assert!(committed > 0, "nothing committed under contention");
 
-    drain(&cluster);
-    assert_eq!(total_funds(&cluster), 800, "conservation under contention");
+    let snaps = cluster.settle(SETTLE).expect("cluster drains");
+    let total: i64 = balances(&snaps).expect("settled balances").values().sum();
+    assert_eq!(total, 800, "conservation under contention");
     cluster.shutdown().expect("clean shutdown");
 }
 
@@ -187,7 +147,7 @@ fn pipelined_submissions_all_reply() {
     let limit = Instant::now() + Duration::from_secs(60);
     while sent < total || !pending.is_empty() {
         while pending.len() < window && sent < total {
-            let spec = transfer(sent % 4, (sent + 1) % 4, 1);
+            let spec = TransactionSpec::transfer(sent % 4, (sent + 1) % 4, 1);
             pending.push(client.submit_async(&spec).expect("submit_async"));
             sent += 1;
         }
@@ -199,8 +159,9 @@ fn pipelined_submissions_all_reply() {
         assert_eq!(pending.len() + 1, before, "reply {req_id} answers no request in flight");
     }
 
-    drain(&cluster);
-    assert_eq!(total_funds(&cluster), 400);
+    let snaps = cluster.settle(SETTLE).expect("cluster drains");
+    let total: i64 = balances(&snaps).expect("settled balances").values().sum();
+    assert_eq!(total, 400);
     let m = cluster.site_metrics(0, Duration::from_secs(5)).expect("metrics");
     for c in ["net.sock.reads", "net.sock.writes", "net.polls"] {
         assert!(m.counter(c) > 0, "{c} is counted");
@@ -218,7 +179,7 @@ fn an_unread_submit_still_commits() {
     // A fresh client's submit leaves at once: it needs no later read, flush
     // or drop to reach the site.
     let mut client = cluster.client(0).expect("client");
-    client.submit_async(&transfer(0, 1, 5)).expect("submit_async");
+    client.submit_async(&TransactionSpec::transfer(0, 1, 5)).expect("submit_async");
     let limit = Instant::now() + Duration::from_secs(10);
     while committed() == before {
         assert!(Instant::now() < limit, "the unread submit never committed");
@@ -240,7 +201,7 @@ fn short_lived_clients_leave_nothing_behind() {
         client.inspect(deadline).expect("inspect");
     }
     let mut last = cluster.client(0).expect("201st client");
-    let result = last.submit(&transfer(0, 1, 5), deadline).expect("submit");
+    let result = last.submit(&TransactionSpec::transfer(0, 1, 5), deadline).expect("submit");
     assert!(result.is_committed(), "the 201st client is served like the first");
 
     // Site 0 now holds three inbound connections: site 1's link, `last`,
@@ -264,10 +225,10 @@ fn snapshot_reads_over_tcp_are_coordination_free() {
     let cluster = NetCluster::from_topology(bank_topology(2, 4)).expect("start");
     let deadline = Duration::from_secs(10);
     assert!(cluster
-        .submit(0, &transfer(0, 1, 30), deadline)
+        .submit(0, &TransactionSpec::transfer(0, 1, 30), deadline)
         .expect("submit")
         .is_committed());
-    drain(&cluster);
+    cluster.settle(SETTLE).expect("cluster drains");
 
     let before = cluster.metrics(deadline).expect("metrics");
     // Named items read at one snapshot sequence number.
@@ -331,11 +292,9 @@ fn restart_resolves_stranded_polyvalue() {
     // Recovery re-stages the pending transaction, times out its wait phase
     // (installing an in-doubt polyvalue), inquires at the coordinator,
     // learns *complete*, and collapses the polyvalue into the staged value.
-    drain(&cluster);
-    let item = |site| cluster.inspect(site, Duration::from_secs(5)).expect("inspect").items;
-    assert_eq!(item(0), [(ItemId(0), Entry::Simple(Value::Int(70)))]);
-    assert_eq!(item(1), [(ItemId(1), Entry::Simple(Value::Int(130)))], "decided outcome");
-    assert_eq!(total_funds(&cluster), 200, "conservation after restart");
+    let snaps = cluster.settle(SETTLE).expect("cluster drains");
+    assert_eq!(snaps[0].items, [(ItemId(0), Entry::Simple(Value::Int(70)))]);
+    assert_eq!(snaps[1].items, [(ItemId(1), Entry::Simple(Value::Int(130)))], "decided outcome");
     cluster.shutdown().expect("clean shutdown");
 }
 
@@ -386,7 +345,7 @@ fn net_builder_backoff_override_applies() {
         .start()
         .expect("start");
     let result = cluster
-        .submit(0, &transfer(0, 1, 10), Duration::from_secs(10))
+        .submit(0, &TransactionSpec::transfer(0, 1, 10), Duration::from_secs(10))
         .expect("submit");
     assert!(result.is_committed());
     cluster.shutdown().expect("clean shutdown");
@@ -427,7 +386,7 @@ fn hostile_frame_drops_only_its_connection_and_is_counted() {
     assert_eq!(metrics.counter("net.decode_errors"), 1);
     // The node is still serving everyone else.
     let result = cluster
-        .submit(0, &transfer(0, 1, 10), deadline)
+        .submit(0, &TransactionSpec::transfer(0, 1, 10), deadline)
         .expect("submit");
     assert!(result.is_committed());
     cluster.shutdown().expect("clean shutdown");

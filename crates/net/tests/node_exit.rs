@@ -1,7 +1,9 @@
-//! Failure-path contract of the `pv-node` and `pv-loadgen` binaries: a
-//! cluster that cannot form (unreachable peer, bad arguments) must exit
-//! non-zero with a structured JSON error on stderr — never hang.
+//! Exit contract of the `pv-node` and `pv-loadgen` binaries: a cluster
+//! that cannot form (unreachable peer, bad arguments) must exit non-zero
+//! with a structured JSON error on stderr — never hang; and `pv-loadgen
+//! --addrs` against a running cluster exits 0 and leaves that cluster up.
 
+use pv_net::proc::{ProcCluster, ProcSpec};
 use std::net::TcpListener;
 use std::process::{Command, Stdio};
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -19,11 +21,12 @@ fn hold_ports() -> MutexGuard<'static, ()> {
     PORTS.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Runs `cmd` with a watchdog; panics if it outlives `limit`.
-fn run_with_timeout(mut cmd: Command, limit: Duration) -> (i32, String) {
+/// Runs `cmd` with a watchdog; panics if it outlives `limit`. Returns the
+/// exit code, stdout and stderr.
+fn run_with_timeout(mut cmd: Command, limit: Duration) -> (i32, String, String) {
     let mut child = cmd
         .stdin(Stdio::null())
-        .stdout(Stdio::null())
+        .stdout(Stdio::piped())
         .stderr(Stdio::piped())
         .spawn()
         .expect("spawn binary");
@@ -31,15 +34,13 @@ fn run_with_timeout(mut cmd: Command, limit: Duration) -> (i32, String) {
     loop {
         match child.try_wait().expect("try_wait") {
             Some(status) => {
-                let mut stderr = String::new();
                 use std::io::Read;
-                child
-                    .stderr
-                    .take()
-                    .expect("piped")
-                    .read_to_string(&mut stderr)
-                    .expect("read stderr");
-                return (status.code().unwrap_or(-1), stderr);
+                let (mut stdout, mut stderr) = (String::new(), String::new());
+                let mut out = child.stdout.take().expect("piped");
+                out.read_to_string(&mut stdout).expect("read stdout");
+                let mut err = child.stderr.take().expect("piped");
+                err.read_to_string(&mut stderr).expect("read stderr");
+                return (status.code().unwrap_or(-1), stdout, stderr);
             }
             None => {
                 if Instant::now() > deadline {
@@ -77,7 +78,7 @@ fn pv_node_exits_nonzero_on_unreachable_peer() {
         "--delay-ms",
         "50",
     ]);
-    let (code, stderr) = run_with_timeout(cmd, Duration::from_secs(20));
+    let (code, _, stderr) = run_with_timeout(cmd, Duration::from_secs(20));
     assert_ne!(code, 0, "unreachable peer must be fatal");
     let line = stderr
         .lines()
@@ -94,7 +95,7 @@ fn pv_node_exits_nonzero_on_unreachable_peer() {
 fn pv_node_exits_2_on_bad_arguments() {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_pv-node"));
     cmd.args(["--site", "5", "--addrs", "127.0.0.1:1"]);
-    let (code, stderr) = run_with_timeout(cmd, Duration::from_secs(10));
+    let (code, _, stderr) = run_with_timeout(cmd, Duration::from_secs(10));
     assert_eq!(code, 2, "site out of range is a usage error");
     assert!(stderr.contains("usage:"), "usage text on stderr:\n{stderr}");
 }
@@ -117,7 +118,7 @@ fn pv_loadgen_exits_nonzero_when_cluster_is_unreachable() {
         "--delay-ms",
         "50",
     ]);
-    let (code, stderr) = run_with_timeout(cmd, Duration::from_secs(20));
+    let (code, _, stderr) = run_with_timeout(cmd, Duration::from_secs(20));
     assert_ne!(code, 0, "unreachable cluster must be fatal");
     let line = stderr
         .lines()
@@ -127,4 +128,30 @@ fn pv_loadgen_exits_nonzero_when_cluster_is_unreachable() {
         line.contains("\"kind\":\"io\"") && line.contains("attempts"),
         "error names the failure and budget: {line}"
     );
+}
+
+#[test]
+fn pv_loadgen_drives_a_cluster_it_did_not_start_and_leaves_it_up() {
+    let _ports = hold_ports();
+    let spec = ProcSpec::new(env!("CARGO_BIN_EXE_pv-node"), 3);
+    let (accounts, balance) = (spec.accounts.to_string(), spec.balance.to_string());
+    let cluster = ProcCluster::spawn(spec).expect("spawn cluster");
+    let addrs = cluster.addrs().iter().map(ToString::to_string).collect::<Vec<_>>();
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_pv-loadgen"));
+    cmd.args(["--addrs", &addrs.join(","), "--accounts", &accounts, "--balance", &balance]);
+    cmd.args(["--txns", "200", "--clients", "2"]);
+    let (code, stdout, stderr) = run_with_timeout(cmd, Duration::from_secs(60));
+    assert_eq!(code, 0, "pv-loadgen failed:\n{stderr}");
+    let committed: u64 = stdout
+        .split_whitespace()
+        .find_map(|w| w.strip_prefix("committed="))
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no committed= count on stdout:\n{stdout}"));
+    assert!(committed > 0, "nothing committed:\n{stdout}");
+    // pv-loadgen did not start this cluster, so it must not stop it.
+    for s in 0..cluster.sites() {
+        let snap = cluster.client(s).and_then(|mut c| c.inspect(Duration::from_secs(5)));
+        assert!(snap.is_ok(), "site {s} stopped answering after pv-loadgen exited");
+    }
+    cluster.shutdown().expect("every site exits 0");
 }

@@ -136,11 +136,6 @@ impl LockTable {
         self.held.get(&txn).is_some_and(|s| !s.is_empty())
     }
 
-    /// Whether `item` is locked at all.
-    pub fn is_locked(&self, item: ItemId) -> bool {
-        self.locks.contains_key(&item)
-    }
-
     /// Number of currently locked items.
     pub fn locked_count(&self) -> usize {
         self.locks.len()
@@ -170,7 +165,6 @@ mod tests {
         let mut l = LockTable::new();
         assert!(l.try_read(t(1), i(1)));
         assert!(l.try_read(t(2), i(1)));
-        assert!(l.is_locked(i(1)));
         assert_eq!(l.locked_count(), 1);
     }
 

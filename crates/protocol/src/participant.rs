@@ -4,12 +4,12 @@
 //! *idle*, *compute*, and *wait* — with the distinguishing polyvalue edge:
 //! a wait-phase timeout installs polyvalues and returns to idle instead of
 //! blocking. [`transition`] is that figure as a pure function, and it is the
-//! code path the protocol actually takes: [`Part`] carries its current
-//! [`PartPhase`], every phase change goes through the table, and the action
-//! the table returns ([`PartAction::SendReady`],
-//! [`PartAction::InstallPolyvalues`], …) is what the handlers perform. The
-//! `figure1` benchmark binary prints [`render_figure1`] directly from the
-//! same table.
+//! code path the protocol actually takes: each transaction's participant
+//! record carries its current [`PartPhase`], every phase change goes
+//! through the table, and the action the table returns
+//! ([`PartAction::SendReady`], [`PartAction::InstallPolyvalues`], …) is
+//! what the handlers perform. The `figure1` benchmark binary prints
+//! [`render_figure1`] directly from the same table.
 
 use crate::config::{CommitProtocol, LockPolicy};
 use crate::locks::LockTable;
@@ -213,8 +213,9 @@ enum ServeOutcome {
     Queued,
 }
 
-/// Participant-role state: the lock table, per-transaction [`Part`] records,
-/// revocations, unilateral relaxed-mode actions, and the wound-wait queue.
+/// Participant-role state: the lock table, per-transaction participant
+/// records, revocations, unilateral relaxed-mode actions, and the
+/// wound-wait queue.
 #[derive(Debug, Clone, Default)]
 pub struct Participant {
     pub(crate) locks: LockTable,
@@ -223,13 +224,6 @@ pub struct Participant {
     pub(crate) relaxed_actions: BTreeMap<TxnId, bool>,
     /// Wound-wait: read requests parked behind current lock holders.
     pub(crate) read_queue: Vec<QueuedRead>,
-}
-
-impl Participant {
-    /// Number of transactions this site currently participates in.
-    pub fn active(&self) -> usize {
-        self.parts.len()
-    }
 }
 
 impl SiteMachine {

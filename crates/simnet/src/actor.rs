@@ -101,7 +101,7 @@ pub struct Ctx<'a, M> {
 
 impl<'a, M> Ctx<'a, M> {
     /// Builds a context for an *external* driver (a runtime other than
-    /// [`crate::World`], e.g. a thread-per-node deployment). The callback's
+    /// [`crate::World`]: `pv-engine`'s wall-clock `SiteHost`). The callback's
     /// effects are appended to `effects`, in emission order; the driver
     /// applies and clears them once the context is gone, and can lend the
     /// same buffer to every callback.

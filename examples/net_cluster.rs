@@ -12,28 +12,6 @@
 use polyvalues::prelude::*;
 use std::time::Duration;
 
-fn transfer(from: u64, to: u64, amount: i64) -> TransactionSpec {
-    let (f, t) = (ItemId(from), ItemId(to));
-    TransactionSpec::new()
-        .guard(Expr::read(f).ge(Expr::int(amount)))
-        .update(f, Expr::read(f).sub(Expr::int(amount)))
-        .update(t, Expr::read(t).add(Expr::int(amount)))
-}
-
-/// Polls until no site has protocol state in flight (a reply can overtake
-/// the decision on its way to a participant); returns every site's state.
-fn settled(cluster: &NetCluster) -> Vec<polyvalues::net::wire::NodeSnapshot> {
-    loop {
-        let snaps: Vec<_> = (0..cluster.site_count() as u32)
-            .map(|s| cluster.inspect(s, Duration::from_secs(5)).expect("answers"))
-            .collect();
-        if snaps.iter().all(|snap| snap.quiescent) {
-            return snaps;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-}
-
 fn main() {
     let deadline = Duration::from_secs(5);
     let topo = Topology::new(3, Directory::Mod(3))
@@ -48,13 +26,15 @@ fn main() {
     // A few cross-site transfers through different coordinators.
     for (from, to, amount) in [(0u64, 1u64, 30i64), (1, 2, 20), (2, 0, 10)] {
         let result = cluster
-            .submit((from % 3) as u32, &transfer(from, to, amount), deadline)
+            .submit((from % 3) as u32, &TransactionSpec::transfer(from, to, amount), deadline)
             .expect("net cluster answers");
         println!(
             "transfer {from}→{to} of {amount}: committed={}",
             result.is_committed()
         );
-        settled(&cluster);
+        // A reply can overtake the decision on its way to a participant:
+        // wait until no site has protocol state in flight.
+        cluster.settle(deadline).expect("cluster settles");
     }
 
     // A read-only transaction at one site: an MVCC snapshot, no locks, no
@@ -67,7 +47,7 @@ fn main() {
 
     // Audit.
     let mut total = 0i64;
-    for (s, snap) in settled(&cluster).iter().enumerate() {
+    for (s, snap) in cluster.settle(deadline).expect("settles").iter().enumerate() {
         for (item, entry) in &snap.items {
             let v = entry.as_simple().and_then(Value::as_int).expect("settled");
             println!("  site {s}: {item} = {v}");
