@@ -9,7 +9,8 @@ use crate::site::{site_node, Site};
 use crate::topology::Topology;
 use crate::workload::Workload;
 use pv_core::{Entry, ItemId, Value};
-use pv_simnet::{NetConfig, NodeId, SimTime, Trace, TraceSink, World};
+use pv_protocol::{Input, Output, TimerKey};
+use pv_simnet::{Actor, Ctx, NetConfig, NodeId, SimTime, Trace, TraceSink, World};
 use pv_store::{SiteId, SiteStore, Storage};
 
 /// The node type of an engine world: either a database site or a client.
@@ -20,41 +21,67 @@ pub enum Node {
     Client(Box<Client>),
 }
 
-impl pv_simnet::Actor for Node {
+/// The simulator's host of a [`Site`]: each callback becomes one step, and
+/// the step's sends and timer arms go to the world in emission order. The
+/// world's timers carry a bare `u64`, so a [`TimerKey`] is packed here and
+/// unpacked in `on_timer`.
+impl Actor for Node {
     type Msg = Msg;
 
-    fn on_start(&mut self, ctx: &mut pv_simnet::Ctx<Msg>) {
+    fn on_start(&mut self, ctx: &mut Ctx<Msg>) {
         match self {
-            Node::Site(s) => s.on_start(ctx),
+            Node::Site(s) => {
+                if s.start(ctx.metrics()) {
+                    step(s, ctx, Input::Recovered);
+                }
+            }
             Node::Client(c) => c.on_start(ctx),
         }
     }
 
-    fn on_message(&mut self, ctx: &mut pv_simnet::Ctx<Msg>, from: NodeId, msg: Msg) {
+    fn on_message(&mut self, ctx: &mut Ctx<Msg>, from: NodeId, msg: Msg) {
         match self {
-            Node::Site(s) => s.on_message(ctx, from, msg),
+            Node::Site(s) => step(s, ctx, Input::Msg { from, msg }),
             Node::Client(c) => c.on_message(ctx, from, msg),
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut pv_simnet::Ctx<Msg>, key: u64) {
+    fn on_timer(&mut self, ctx: &mut Ctx<Msg>, key: u64) {
         match self {
-            Node::Site(s) => s.on_timer(ctx, key),
+            Node::Site(s) => match TimerKey::decode(key) {
+                Some(key) => step(s, ctx, Input::Timer(key)),
+                None => debug_assert!(false, "undecodable timer key {key:#x}"),
+            },
             Node::Client(c) => c.on_timer(ctx, key),
         }
     }
 
     fn on_crash(&mut self) {
         match self {
-            Node::Site(s) => s.on_crash(),
+            Node::Site(s) => s.crash(),
             Node::Client(c) => c.on_crash(),
         }
     }
 
-    fn on_recover(&mut self, ctx: &mut pv_simnet::Ctx<Msg>) {
+    fn on_recover(&mut self, ctx: &mut Ctx<Msg>) {
         match self {
-            Node::Site(s) => s.on_recover(ctx),
+            Node::Site(s) => step(s, ctx, Input::Recovered),
             Node::Client(c) => c.on_recover(ctx),
+        }
+    }
+}
+
+/// Steps `site` on `input` under `ctx` and hands its effects to the world.
+fn step(site: &mut Site, ctx: &mut Ctx<Msg>, input: Input) {
+    let now = ctx.now();
+    let (rng, metrics, trace) = ctx.lend();
+    for effect in site.step(now, input, rng, metrics, trace) {
+        match effect {
+            Output::Send { to, msg } => ctx.send(to, msg),
+            Output::ArmTimer { delay, key } => ctx.set_timer(delay, key.encode()),
+            Output::Trace(_) | Output::Metric(_) | Output::NeedCoin { .. } => {
+                unreachable!("the site applies {effect:?} itself")
+            }
         }
     }
 }
@@ -304,9 +331,26 @@ impl Cluster {
         if s >= self.sites {
             return Err(EngineError::UnknownSite(s));
         }
-        Ok(self.world.call(site_node(s), |node, ctx| match node {
-            Node::Site(site) => site.snapshot_read(ctx, items),
-            Node::Client(_) => unreachable!("site ids map to site nodes"),
+        let read = Msg::SnapshotRead {
+            req_id: 0,
+            items: items.to_vec(),
+        };
+        let input = Input::Msg { from: NodeId::ENV, msg: read };
+        Ok(self.world.call(site_node(s), |node, ctx| {
+            let Node::Site(site) = node else {
+                unreachable!("site ids map to site nodes");
+            };
+            let now = ctx.now();
+            let (rng, metrics, trace) = ctx.lend();
+            let reply = site.step(now, input, rng, metrics, trace).next();
+            let Some(Output::Send {
+                msg: Msg::SnapshotReadReply { snapshot, entries, .. },
+                ..
+            }) = reply
+            else {
+                unreachable!("a snapshot read answers with its view, not {reply:?}");
+            };
+            (snapshot, entries)
         }))
     }
 

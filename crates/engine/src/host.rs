@@ -1,35 +1,38 @@
-//! The wall-clock host of one [`Site`]: the deadline queues and effect drain
+//! The wall-clock host of one [`Site`]: the deadline queues and effect loop
 //! under `pv_net::Node`.
 //!
-//! A [`Site`] is a sans-IO actor: every callback runs under a
-//! [`pv_simnet::Ctx`] and leaves behind effects (sends, timers) for its
-//! driver to apply. The simulation's `World` is one driver; [`SiteHost`] is
-//! the other. It owns the site, its random stream and the armed timers,
-//! runs each callback, applies the effects in emission order, and hands the
-//! remote sends back to its caller. It reads no clock: every call is handed
-//! the time as a [`SimTime`], which must never decrease from one call to
-//! the next. The socket loop around it owns the wall clock and is only a
-//! transport and a wait: it feeds [`SiteHost::deliver`] from its
-//! connections, ships what comes out, and blocks until more arrives or
-//! [`SiteHost::next_deadline`]. A crash is the process exiting, and a
-//! snapshot read is a [`Msg::SnapshotRead`] the site answers itself, so
-//! neither needs a call here.
+//! A [`Site`] is sans-IO: each step applies its traces and metrics into the
+//! registry and trace its host lends, and hands back the sends and timer
+//! arms for the host to apply. The simulation's `World` is one host, through
+//! `Cluster`'s node adapter; [`SiteHost`] is the other. It owns the site,
+//! its random stream and the armed timers, builds every input the site is
+//! stepped with, applies the effects in emission order, and hands the
+//! remote sends back to its caller. Timers are filed by their typed
+//! [`TimerKey`]. It reads no clock: every call is handed the time as a
+//! [`SimTime`], which must never decrease from one call to the next. The
+//! socket loop around it owns the wall clock and is only a transport and a
+//! wait: it feeds [`SiteHost::deliver`] from its connections, ships what
+//! comes out, and blocks until more arrives or [`SiteHost::next_deadline`].
+//! A crash is the process exiting, and a snapshot read is a
+//! [`Msg::SnapshotRead`] the site answers itself, so neither needs a call
+//! here.
 //!
 //! The metrics registry and the trace belong to the node, so every call
 //! borrows them.
 
 use crate::messages::Msg;
 use crate::site::Site;
-use pv_simnet::{Actor, Ctx, Effect, Metrics, NodeId, SimDuration, SimRng, SimTime, Trace};
+use pv_protocol::{Input, Output, TimerKey};
+use pv_simnet::{Metrics, NodeId, SimDuration, SimRng, SimTime, Trace};
 use std::collections::VecDeque;
 
 /// One armed timer. Fields in firing order: the derived `Ord` is by
-/// `(due, id)`, and ids grow in arm order.
+/// `(due, id)`, and ids grow in arm order, so `key` never decides.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 struct Armed {
     due: SimTime,
     id: u64,
-    key: u64,
+    key: TimerKey,
 }
 
 /// The timers armed with one delay, in `(due, id)` order. The time a host
@@ -39,19 +42,72 @@ struct DelayQueue {
     armed: VecDeque<Armed>,
 }
 
+/// The armed timers, one queue per distinct delay. The machine arms only
+/// with its configuration's timeouts, so there are a handful of queues, and
+/// the next timer to fire is the least of their fronts.
+#[derive(Default)]
+struct Timers {
+    next_id: u64,
+    queues: Vec<DelayQueue>,
+}
+
+impl Timers {
+    /// Arms `key` at `now` to fire after `delay`, in the queue of `delay`,
+    /// keeping it in `(due, id)` order.
+    fn arm(&mut self, now: SimTime, delay: SimDuration, key: TimerKey) {
+        let timer = Armed {
+            due: now + delay,
+            id: self.next_id,
+            key,
+        };
+        self.next_id += 1;
+        let q = match self.queues.iter().position(|q| q.delay == delay) {
+            Some(q) => q,
+            None => {
+                self.queues.push(DelayQueue {
+                    delay,
+                    armed: VecDeque::new(),
+                });
+                self.queues.len() - 1
+            }
+        };
+        let armed = &mut self.queues[q].armed;
+        if armed.back().is_none_or(|last| *last < timer) {
+            armed.push_back(timer);
+        } else {
+            // Only a time that went backwards gets here.
+            let at = armed.partition_point(|t| *t < timer);
+            armed.insert(at, timer);
+        }
+    }
+
+    /// The queue whose front fires next: the least `(due, id)` among the
+    /// fronts (`None`: nothing armed).
+    fn next(&self) -> Option<usize> {
+        let fronts = self.queues.iter().enumerate();
+        let fronts = fronts.filter_map(|(q, queue)| Some((queue.armed.front()?, q)));
+        fronts.min().map(|(_, q)| q)
+    }
+
+    /// When the next armed timer is due (`None`: nothing armed).
+    fn deadline(&self) -> Option<SimTime> {
+        self.next().map(|q| self.queues[q].armed[0].due)
+    }
+
+    /// Removes and returns the key of the earliest timer due by `now`.
+    fn pop_due(&mut self, now: SimTime) -> Option<TimerKey> {
+        let q = self.next()?;
+        let armed = &mut self.queues[q].armed;
+        (armed[0].due <= now).then(|| armed.pop_front().expect("a front").key)
+    }
+}
+
 /// One site hosted on wall-clock time. See the module docs.
 pub struct SiteHost {
     site: Site,
     me: NodeId,
     rng: SimRng,
-    next_timer_id: u64,
-    /// Armed timers, one queue per distinct delay. The machine arms only
-    /// with its configuration's timeouts, so there are a handful of
-    /// queues, and the next timer to fire is the least of their fronts.
-    timers: Vec<DelayQueue>,
-    /// The effect list every callback fills; kept so its allocation is
-    /// reused.
-    effects: Vec<Effect<Msg>>,
+    timers: Timers,
 }
 
 impl SiteHost {
@@ -62,9 +118,7 @@ impl SiteHost {
             me: NodeId(site.id()),
             site,
             rng: SimRng::new(seed),
-            next_timer_id: 0,
-            timers: Vec::new(),
-            effects: Vec::new(),
+            timers: Timers::default(),
         }
     }
 
@@ -83,8 +137,10 @@ impl SiteHost {
         trace: &mut Trace,
         out: &mut Vec<(NodeId, Msg)>,
     ) -> bool {
-        let cold = self.site.is_cold_start();
-        self.run(now, metrics, trace, out, |site, ctx| site.on_start(ctx));
+        let cold = self.site.start(metrics);
+        if cold {
+            self.run(now, Input::Recovered, metrics, trace, out);
+        }
         cold
     }
 
@@ -98,7 +154,7 @@ impl SiteHost {
         trace: &mut Trace,
         out: &mut Vec<(NodeId, Msg)>,
     ) {
-        self.run(now, metrics, trace, out, |site, ctx| site.on_message(ctx, from, msg));
+        self.run(now, Input::Msg { from, msg }, metrics, trace, out);
     }
 
     /// Fires, at `now`, every timer due by `now`; returns whether any was.
@@ -110,8 +166,8 @@ impl SiteHost {
         out: &mut Vec<(NodeId, Msg)>,
     ) -> bool {
         let mut fired = false;
-        while let Some(key) = self.pop_due(now) {
-            self.run(now, metrics, trace, out, |site, ctx| site.on_timer(ctx, key));
+        while let Some(key) = self.timers.pop_due(now) {
+            self.run(now, Input::Timer(key), metrics, trace, out);
             fired = true;
         }
         fired
@@ -119,7 +175,7 @@ impl SiteHost {
 
     /// When the next armed timer is due (`None`: nothing armed).
     pub fn next_deadline(&self) -> Option<SimTime> {
-        self.next().map(|q| self.timers[q].armed[0].due)
+        self.timers.deadline()
     }
 
     /// Clean shutdown: forces the store durable and gives the site back.
@@ -128,114 +184,46 @@ impl SiteHost {
         self.site
     }
 
-    /// Runs `first`, then every message the site sent to itself, in FIFO
-    /// order, until none is left: a self-send is stepped before the caller
-    /// can feed the next external input.
+    /// Steps the site on `input`, then on every message it sent itself, in
+    /// FIFO order, until none is left: a self-send is stepped before the
+    /// caller can feed the next external input.
     fn run(
         &mut self,
         now: SimTime,
+        input: Input,
         metrics: &mut Metrics,
         trace: &mut Trace,
         out: &mut Vec<(NodeId, Msg)>,
-        first: impl FnOnce(&mut Site, &mut Ctx<Msg>),
     ) {
         let mut loopback = VecDeque::new();
-        self.callback(now, metrics, trace, out, &mut loopback, first);
-        while let Some(msg) = loopback.pop_front() {
-            let me = self.me;
-            self.callback(now, metrics, trace, out, &mut loopback, |site, ctx| {
-                site.on_message(ctx, me, msg)
-            });
+        let mut next = Some(input);
+        while let Some(input) = next {
+            let effects = self.site.step(now, input, &mut self.rng, metrics, trace);
+            apply(now, self.me, effects, &mut self.timers, out, &mut loopback);
+            next = loopback.pop_front().map(|msg| Input::Msg { from: self.me, msg });
         }
     }
+}
 
-    /// Runs one actor callback at `now` and applies its effects.
-    fn callback(
-        &mut self,
-        now: SimTime,
-        metrics: &mut Metrics,
-        trace: &mut Trace,
-        out: &mut Vec<(NodeId, Msg)>,
-        loopback: &mut VecDeque<Msg>,
-        f: impl FnOnce(&mut Site, &mut Ctx<Msg>),
-    ) {
-        let mut effects = std::mem::take(&mut self.effects);
-        let mut ctx = Ctx::external(
-            now,
-            self.me,
-            &mut self.rng,
-            metrics,
-            trace,
-            &mut self.next_timer_id,
-            &mut effects,
-        );
-        f(&mut self.site, &mut ctx);
-        self.apply(now, effects.drain(..), out, loopback);
-        self.effects = effects;
-    }
-
-    /// Applies the effects of a callback run at `now`, in emission order:
-    /// remote sends to `out`, self-sends to `loopback`, timers to the queue
-    /// of their delay.
-    fn apply(
-        &mut self,
-        now: SimTime,
-        effects: impl IntoIterator<Item = Effect<Msg>>,
-        out: &mut Vec<(NodeId, Msg)>,
-        loopback: &mut VecDeque<Msg>,
-    ) {
-        for effect in effects {
-            match effect {
-                Effect::Send { to, msg } if to == self.me => loopback.push_back(msg),
-                Effect::Send { to, msg } => out.push((to, msg)),
-                Effect::SetTimer { id, key, at } => {
-                    self.arm(at.since(now), Armed { due: at, id, key })
-                }
-                Effect::CancelTimer(id) => {
-                    for q in &mut self.timers {
-                        q.armed.retain(|t| t.id != id);
-                    }
-                }
+/// Applies the effects of `me`'s step at `now`, in emission order: remote
+/// sends to `out`, self-sends to `loopback`, timers to `timers`.
+fn apply(
+    now: SimTime,
+    me: NodeId,
+    effects: impl IntoIterator<Item = Output>,
+    timers: &mut Timers,
+    out: &mut Vec<(NodeId, Msg)>,
+    loopback: &mut VecDeque<Msg>,
+) {
+    for effect in effects {
+        match effect {
+            Output::Send { to, msg } if to == me => loopback.push_back(msg),
+            Output::Send { to, msg } => out.push((to, msg)),
+            Output::ArmTimer { delay, key } => timers.arm(now, delay, key),
+            Output::Trace(_) | Output::Metric(_) | Output::NeedCoin { .. } => {
+                unreachable!("the site applies {effect:?} itself")
             }
         }
-    }
-
-    /// Files `timer` in the queue of `delay`, keeping it in `(due, id)`
-    /// order.
-    fn arm(&mut self, delay: SimDuration, timer: Armed) {
-        let q = match self.timers.iter().position(|q| q.delay == delay) {
-            Some(q) => q,
-            None => {
-                self.timers.push(DelayQueue {
-                    delay,
-                    armed: VecDeque::new(),
-                });
-                self.timers.len() - 1
-            }
-        };
-        let armed = &mut self.timers[q].armed;
-        if armed.back().is_none_or(|last| *last < timer) {
-            armed.push_back(timer);
-        } else {
-            // Only a time that went backwards gets here.
-            let at = armed.partition_point(|t| *t < timer);
-            armed.insert(at, timer);
-        }
-    }
-
-    /// The queue whose front fires next: the least `(due, id)` among the
-    /// fronts (`None`: nothing armed).
-    fn next(&self) -> Option<usize> {
-        let fronts = self.timers.iter().enumerate();
-        let fronts = fronts.filter_map(|(q, queue)| Some((queue.armed.front()?, q)));
-        fronts.min().map(|(_, q)| q)
-    }
-
-    /// Removes and returns the key of the earliest timer due by `now`.
-    fn pop_due(&mut self, now: SimTime) -> Option<u64> {
-        let q = self.next()?;
-        let armed = &mut self.timers[q].armed;
-        (armed[0].due <= now).then(|| armed.pop_front().expect("a front").key)
     }
 }
 
@@ -246,7 +234,7 @@ mod tests {
     use crate::directory::Directory;
     use crate::ids::encode_txn;
     use crate::topology::Topology;
-    use pv_core::{Entry, ItemId, TransactionSpec, Value};
+    use pv_core::{Entry, ItemId, TransactionSpec, TxnId, Value};
     use pv_simnet::SimDuration;
     use pv_store::{DiskWal, FsyncPolicy, SiteStore};
 
@@ -267,27 +255,33 @@ mod tests {
         SiteHost::new(Site::open(site, topo).unwrap(), 7)
     }
 
-
     fn submit(req_id: u64, spec: TransactionSpec) -> Msg {
         Msg::Submit { req_id, spec }
     }
 
-    fn timer(id: u64, key: u64, at_ms: u64) -> Effect<Msg> {
-        Effect::SetTimer {
-            id,
-            key,
-            at: SimTime::from_millis(at_ms),
+    /// A distinct timer key per `n`.
+    fn key(n: u64) -> TimerKey {
+        TimerKey::PartWait(TxnId(n))
+    }
+
+    /// Arms `key(n)` to fire `delay_ms` after the step that emits it.
+    fn timer(n: u64, delay_ms: u64) -> Output {
+        Output::ArmTimer {
+            delay: SimDuration::from_millis(delay_ms),
+            key: key(n),
         }
     }
 
-    /// Applies `effects` as the effects of a callback run at `now_ms`.
-    fn arm_at(h: &mut SiteHost, now_ms: u64, effects: Vec<Effect<Msg>>) {
-        h.apply(SimTime::from_millis(now_ms), effects, &mut Vec::new(), &mut VecDeque::new());
+    /// Applies `effects` as the effects of a step run at `now_ms`.
+    fn arm_at(h: &mut SiteHost, now_ms: u64, effects: Vec<Output>) {
+        let now = SimTime::from_millis(now_ms);
+        apply(now, h.me, effects, &mut h.timers, &mut Vec::new(), &mut VecDeque::new());
     }
 
     /// Every timer armed on `h`, in no particular order.
     fn armed(h: &SiteHost) -> impl Iterator<Item = (SimDuration, &Armed)> {
-        h.timers.iter().flat_map(|q| q.armed.iter().map(move |t| (q.delay, t)))
+        let queues = h.timers.queues.iter();
+        queues.flat_map(|q| q.armed.iter().map(move |t| (q.delay, t)))
     }
 
     fn scratch(name: &str) -> std::path::PathBuf {
@@ -302,35 +296,17 @@ mod tests {
     fn timers_fire_in_due_order_with_ties_in_arm_order() {
         let mut h = host(0, &topo());
         assert_eq!(h.next_deadline(), None);
-        arm_at(&mut h, 0, vec![timer(0, 100, 30), timer(1, 101, 10), timer(2, 102, 10)]);
+        arm_at(&mut h, 0, vec![timer(100, 30), timer(101, 10), timer(102, 10)]);
         assert_eq!(h.next_deadline(), Some(SimTime::from_millis(10)));
         // Nothing is due before the first deadline.
-        assert_eq!(h.pop_due(SimTime(9_999)), None);
+        assert_eq!(h.timers.pop_due(SimTime(9_999)), None);
         let late = SimTime::from_secs(1);
-        assert_eq!(h.pop_due(late), Some(101));
-        assert_eq!(h.pop_due(late), Some(102));
+        assert_eq!(h.timers.pop_due(late), Some(key(101)));
+        assert_eq!(h.timers.pop_due(late), Some(key(102)));
         assert_eq!(h.next_deadline(), Some(SimTime::from_millis(30)));
-        assert_eq!(h.pop_due(late), Some(100));
-        assert_eq!(h.pop_due(late), None);
+        assert_eq!(h.timers.pop_due(late), Some(key(100)));
+        assert_eq!(h.timers.pop_due(late), None);
         assert_eq!(h.next_deadline(), None);
-    }
-
-    #[test]
-    fn cancel_suppresses_exactly_the_cancelled_timer() {
-        let mut h = host(0, &topo());
-        let effects = vec![
-            timer(0, 100, 10),
-            timer(1, 101, 10),
-            timer(2, 102, 20),
-            Effect::CancelTimer(1),
-            // Cancelling a timer that is not armed is a no-op.
-            Effect::CancelTimer(7),
-        ];
-        arm_at(&mut h, 0, effects);
-        let late = SimTime::from_secs(1);
-        assert_eq!(h.pop_due(late), Some(100));
-        assert_eq!(h.pop_due(late), Some(102));
-        assert_eq!(h.pop_due(late), None);
     }
 
     #[test]
@@ -338,17 +314,20 @@ mod tests {
         let mut h = host(0, &topo());
         // 5 s and 2 s arms, alternating, so that the 2 s queue's front is
         // sometimes earlier than the 5 s queue's and sometimes tied with it.
-        arm_at(&mut h, 0, vec![timer(0, 100, 5_000)]);
-        arm_at(&mut h, 1_000, vec![timer(1, 101, 3_000)]);
-        arm_at(&mut h, 3_000, vec![timer(2, 102, 5_000)]);
-        arm_at(&mut h, 3_000, vec![timer(3, 103, 8_000)]);
-        arm_at(&mut h, 6_000, vec![timer(4, 104, 8_000)]);
-        arm_at(&mut h, 6_000, vec![timer(5, 105, 11_000)]);
-        arm_at(&mut h, 7_000, vec![timer(6, 106, 9_000)]);
-        assert_eq!(h.timers.len(), 2, "one queue per delay");
+        arm_at(&mut h, 0, vec![timer(100, 5_000)]);
+        arm_at(&mut h, 1_000, vec![timer(101, 2_000)]);
+        arm_at(&mut h, 3_000, vec![timer(102, 2_000)]);
+        arm_at(&mut h, 3_000, vec![timer(103, 5_000)]);
+        arm_at(&mut h, 6_000, vec![timer(104, 2_000)]);
+        arm_at(&mut h, 6_000, vec![timer(105, 5_000)]);
+        arm_at(&mut h, 7_000, vec![timer(106, 2_000)]);
+        assert_eq!(h.timers.queues.len(), 2, "one queue per delay");
         let mut fired = Vec::new();
         while let Some(due) = h.next_deadline() {
-            fired.push((due.as_micros() / 1000, h.pop_due(due).unwrap()));
+            let TimerKey::PartWait(txn) = h.timers.pop_due(due).unwrap() else {
+                panic!("only part-wait keys were armed");
+            };
+            fired.push((due.as_micros() / 1000, txn.raw()));
         }
         let expected = [
             (3_000, 101),
@@ -365,12 +344,58 @@ mod tests {
     #[test]
     fn an_arm_out_of_order_is_filed_in_place() {
         let mut h = host(0, &topo());
-        arm_at(&mut h, 2_000, vec![timer(0, 100, 3_000)]);
+        arm_at(&mut h, 2_000, vec![timer(100, 1_000)]);
         // A time that went backwards: same delay, earlier due.
-        arm_at(&mut h, 1_000, vec![timer(1, 101, 2_000)]);
+        arm_at(&mut h, 1_000, vec![timer(101, 1_000)]);
         let late = SimTime::from_secs(10);
-        assert_eq!(h.pop_due(late), Some(101));
-        assert_eq!(h.pop_due(late), Some(100));
+        assert_eq!(h.timers.pop_due(late), Some(key(101)));
+        assert_eq!(h.timers.pop_due(late), Some(key(100)));
+    }
+
+    #[test]
+    fn a_site_above_4095_coordinates_a_transfer_and_fires_its_timers() {
+        // Its transaction ids carry site 4096, more than a timer key packed
+        // into one word can hold; the host files the typed keys.
+        let (mut metrics, mut trace) = (Metrics::new(), Trace::default());
+        let topo = Topology::new(4097, Directory::Mod(4097))
+            .item(0u64, 100i64)
+            .item(4096u64, 100i64);
+        let mut hosts = [host(0, &topo), host(4096, &topo)];
+        let client = NodeId(5000);
+        let first = submit(1, TransactionSpec::transfer(4096, 0, 30));
+        let mut wire = VecDeque::from([(client, NodeId(4096), first)]);
+        let mut replies = Vec::new();
+        let now = SimTime::from_secs(1);
+        while let Some((from, to, msg)) = wire.pop_front() {
+            let h = match to.0 {
+                0 => &mut hosts[0],
+                4096 => &mut hosts[1],
+                _ => {
+                    replies.push(msg);
+                    continue;
+                }
+            };
+            let mut out = Vec::new();
+            h.deliver(now, from, msg, &mut metrics, &mut trace, &mut out);
+            wire.extend(out.into_iter().map(|(dst, m)| (to, dst, m)));
+        }
+        assert!(
+            matches!(&replies[..], [Msg::Reply { req_id: 1, result }] if result.is_committed()),
+            "{replies:?}"
+        );
+        let entry = |h: &SiteHost, item: u64| h.site().store().get(ItemId(item));
+        assert_eq!(entry(&hosts[1], 4096), Some(Entry::Simple(Value::Int(70))));
+        assert_eq!(entry(&hosts[0], 0), Some(Entry::Simple(Value::Int(130))));
+
+        // The coordinator's timers fire, and leave nothing to resend.
+        let read_timer = TimerKey::CoordRead(encode_txn(4096, 0, 1));
+        assert!(armed(&hosts[1]).any(|(_, t)| t.key == read_timer));
+        let mut out = Vec::new();
+        while let Some(due) = hosts[1].next_deadline() {
+            assert!(hosts[1].fire_due(due, &mut metrics, &mut trace, &mut out));
+        }
+        assert!(out.is_empty(), "{out:?}");
+        assert!(hosts[1].site().is_quiescent());
     }
 
     #[test]

@@ -1,34 +1,31 @@
-//! The site actor: a thin driver mapping the sans-IO [`SiteMachine`] onto
-//! the simulation substrate.
+//! The site: the sans-IO [`SiteMachine`] with the durable store it steps
+//! over.
 //!
 //! All protocol logic — both roles of the §3.1 protocol, Figure 1's
 //! participant machine, and the §3.3 recovery manager — lives in
-//! `pv-protocol`. This actor owns what the pure machine cannot: the durable
-//! [`SiteStore`] it lends to every step, the mapping of
-//! [`Output`] effects onto the actor `Ctx` (sends,
-//! timers, traces, metrics), the randomness for
-//! [`Output::NeedCoin`], the opt-in static
-//! submit gate (which needs `pv-analysis`), and the storage-metrics flush.
-//! Timer keys cross the untyped `u64` timer facility via
-//! [`TimerKey::encode`]/[`TimerKey::decode`].
+//! `pv-protocol`. A [`Site`] adds what the pure machine cannot own: the
+//! [`SiteStore`] it lends to every step, the opt-in static submit gate
+//! (which needs `pv-analysis`), the randomness for [`Output::NeedCoin`],
+//! and the recording of [`Output::Trace`]/[`Output::Metric`] and of the
+//! storage counters into the registry and trace its host lends. Each step
+//! hands back only the sends and timer arms, in emission order, for the
+//! host to apply: the simulator through `Cluster`'s node adapter, the
+//! wall clock through [`SiteHost`](crate::SiteHost).
 //!
 //! Cluster convention: site `s` is simulation node `NodeId(s)`; clients use
 //! higher node ids.
 
-use crate::config::EngineConfig;
-use crate::directory::Directory;
 use crate::error::EngineError;
 use crate::messages::{AbortReason, Msg, TxnResult};
 use crate::topology::Topology;
-use pv_protocol::timer::TimerKey;
 use pv_protocol::{Input, MetricOp, Output, SiteMachine};
-use pv_simnet::{Actor, Ctx, NodeId, SimTime};
+use pv_simnet::{Metrics, SimRng, SimTime, Trace};
 use pv_store::{DiskWal, SiteId, SiteStore};
 
 pub use pv_protocol::site_node;
 
 /// One site of the distributed database: the protocol machine plus its
-/// durable store and the driver glue.
+/// durable store.
 pub struct Site {
     machine: SiteMachine,
     store: SiteStore,
@@ -40,35 +37,18 @@ pub struct Site {
     /// grow one without bound.
     wall_clock_metrics: bool,
     /// Whether the store held a durable image from a previous incarnation
-    /// when the site was opened. [`Actor::on_start`] then replays recovery
-    /// (epoch bump, lock re-acquisition for staged transactions, inquiry
-    /// timer) once, before any traffic.
+    /// when the site was opened: its host then steps it with
+    /// [`Input::Recovered`] (epoch bump, lock re-acquisition for staged
+    /// transactions, inquiry timer) once, before any traffic.
     cold_start: bool,
-    /// The outputs [`Site::drive`] has yet to apply, as a stack (the next
-    /// one last); kept so its allocation is reused.
-    outputs: Vec<Output>,
+    /// The outputs a step has yet to apply, as a stack (the next one last).
+    pending: Vec<Output>,
+    /// The sends and timer arms of the current step, in emission order.
+    /// Both buffers are kept so their allocations are reused.
+    effects: Vec<Output>,
 }
 
 impl Site {
-    /// Creates a site over an existing store — typically one opened from a
-    /// durable [`pv_store::Storage`] backend, possibly holding a recovered
-    /// image from a previous incarnation of this site.
-    pub fn with_store(
-        id: SiteId,
-        config: EngineConfig,
-        directory: Directory,
-        store: SiteStore,
-    ) -> Self {
-        let store = store.with_compact_threshold(config.compact_threshold);
-        Site {
-            machine: SiteMachine::new(id, config, directory),
-            store,
-            wall_clock_metrics: false,
-            cold_start: false,
-            outputs: Vec::new(),
-        }
-    }
-
     /// Builds site `id` of `topo` — the one bootstrap every runtime uses.
     /// The store is a [`DiskWal`] under `data_dir/site-<id>` when the
     /// topology has a data directory (replaying whatever image is there) and
@@ -97,37 +77,29 @@ impl Site {
     pub(crate) fn open_over(id: SiteId, topo: &Topology, store: SiteStore) -> Site {
         // Read before seeding: seeding a fresh store also writes its log.
         let cold_start = store.log_len() != 0;
-        let mut site = Site::with_store(id, topo.engine.clone(), topo.directory.clone(), store);
-        site.cold_start = cold_start;
+        let mut store = store.with_compact_threshold(topo.engine.compact_threshold);
         let seeds: Vec<_> = topo
             .items
             .iter()
-            .filter(|(item, _)| {
-                topo.directory.site_of(*item) == Some(id) && !site.store.contains(*item)
-            })
+            .filter(|(item, _)| topo.directory.site_of(*item) == Some(id) && !store.contains(*item))
             .cloned()
             .collect();
         if cold_start {
             for (item, value) in seeds {
-                site.seed_item(item, value);
+                store.seed_item(item, value);
             }
-            site.sync_store();
+            store.sync();
         } else {
-            site.store.seed_checkpoint(seeds);
+            store.seed_checkpoint(seeds);
         }
-        site
-    }
-
-    /// Whether [`Actor::on_start`] has a previous incarnation's image to
-    /// recover from (false again once it has run).
-    pub fn is_cold_start(&self) -> bool {
-        self.cold_start
-    }
-
-    /// Loads an item this site is home to (initial database population).
-    pub fn seed_item(&mut self, item: pv_core::ItemId, value: pv_core::Value) {
-        debug_assert_eq!(self.machine.directory().site_of(item), Some(self.machine.id()));
-        self.store.seed_item(item, value);
+        Site {
+            machine: SiteMachine::new(id, topo.engine.clone(), topo.directory.clone()),
+            store,
+            wall_clock_metrics: false,
+            cold_start,
+            pending: Vec::new(),
+            effects: Vec::new(),
+        }
     }
 
     /// This site's id.
@@ -140,14 +112,9 @@ impl Site {
         &self.store
     }
 
-    /// Read access to the protocol machine (tests, diagnostics).
-    pub fn machine(&self) -> &SiteMachine {
-        &self.machine
-    }
-
     /// Forces the store's storage backend to persist everything buffered —
     /// the clean-shutdown path of a live deployment.
-    pub fn sync_store(&mut self) {
+    pub(crate) fn sync_store(&mut self) {
         self.store.sync();
     }
 
@@ -155,7 +122,7 @@ impl Site {
     /// histogram is observed and gauge series are not sampled. Only a
     /// real-time runtime should enable this: the simulation leaves it off so
     /// same-seed metric exports stay byte-identical.
-    pub fn enable_wall_clock_metrics(&mut self) {
+    pub(crate) fn enable_wall_clock_metrics(&mut self) {
         self.wall_clock_metrics = true;
     }
 
@@ -172,58 +139,111 @@ impl Site {
             && !self.store.has_tracked_txns()
     }
 
-    /// Advances the machine by one input and applies the resulting effects
-    /// to the `Ctx`, **in emission order** (the simulation draws network
-    /// randomness per send, so reordering would change behaviour under a
-    /// seed). A [`Output::NeedCoin`] request is answered from the node's RNG
-    /// and fed back into the machine at its position in the effect stream.
-    fn drive(&mut self, ctx: &mut Ctx<Msg>, input: Input) {
-        let mut out = std::mem::take(&mut self.outputs);
-        self.step_onto(ctx.now(), input, &mut out);
-        while let Some(output) = out.pop() {
+    /// The site's start-up, before any traffic: whether it was opened over
+    /// a previous incarnation's image and must now be stepped with
+    /// [`Input::Recovered`] (true at most once). A fresh site only reports
+    /// the write of its seeded image into `metrics`.
+    pub(crate) fn start(&mut self, metrics: &mut Metrics) -> bool {
+        let cold = std::mem::take(&mut self.cold_start);
+        if !cold {
+            self.flush_storage_metrics(metrics);
+        }
+        cold
+    }
+
+    /// Steps the site on `input` at `now` and hands back the sends and
+    /// timer arms it emitted, in emission order, for the host to apply.
+    /// Everything else is applied here, at its place in the stream: traces
+    /// and metrics go into the borrowed `trace` and `metrics`, and a
+    /// [`Output::NeedCoin`] is answered from `rng` and stepped at once. The
+    /// storage counters the step moved are flushed into `metrics` last.
+    pub(crate) fn step(
+        &mut self,
+        now: SimTime,
+        input: Input,
+        rng: &mut SimRng,
+        metrics: &mut Metrics,
+        trace: &mut Trace,
+    ) -> std::vec::Drain<'_, Output> {
+        if let Some(rejection) = self.gate(&input, metrics) {
+            self.effects.push(rejection);
+        } else {
+            self.push_step(now, input);
+        }
+        while let Some(output) = self.pending.pop() {
             match output {
-                Output::Send { to, msg } => ctx.send(to, msg),
-                Output::ArmTimer { delay, key } => {
-                    ctx.set_timer(delay, key.encode());
-                }
-                Output::Trace(ev) => ctx.trace(ev),
-                Output::Metric(op) => match op {
-                    MetricOp::Inc(name) => ctx.metrics().inc(name),
-                    MetricOp::IncBy(name, n) => ctx.metrics().inc_by(name, n),
-                    MetricOp::Observe(name, v) => ctx.metrics().observe(name, v),
-                    MetricOp::Gauge(name, v) => {
-                        if !self.wall_clock_metrics {
-                            let now = ctx.now();
-                            ctx.metrics().gauge(name, now, v);
-                        }
+                Output::Send { .. } | Output::ArmTimer { .. } => self.effects.push(output),
+                Output::Trace(event) => trace.record(now, site_node(self.id()), event),
+                Output::Metric(MetricOp::Inc(name)) => metrics.inc(name),
+                Output::Metric(MetricOp::IncBy(name, n)) => metrics.inc_by(name, n),
+                Output::Metric(MetricOp::Observe(name, v)) => metrics.observe(name, v),
+                Output::Metric(MetricOp::Gauge(name, v)) => {
+                    if !self.wall_clock_metrics {
+                        metrics.gauge(name, now, v);
                     }
-                },
+                }
                 Output::NeedCoin { txn, complete_prob } => {
-                    let completed = ctx.rng().chance(complete_prob);
-                    // The follow-up effects go on top of the stack: they
+                    let completed = rng.chance(complete_prob);
+                    // The follow-up outputs go on top of the stack: they
                     // take the request's place, so the overall order
                     // matches the machine's.
-                    self.step_onto(ctx.now(), Input::Coin { txn, completed }, &mut out);
+                    self.push_step(now, Input::Coin { txn, completed });
                 }
             }
         }
-        self.outputs = out;
+        self.flush_storage_metrics(metrics);
+        self.effects.drain(..)
     }
 
-    /// Steps the machine and pushes its outputs onto the stack `out`, the
-    /// first one emitted on top.
-    fn step_onto(&mut self, now: SimTime, input: Input, out: &mut Vec<Output>) {
-        let base = out.len();
-        self.machine.step(now, input, &mut self.store, out);
-        out[base..].reverse();
+    /// Crashes the site: volatile state is dropped and the store recovers
+    /// from its WAL. Armed timers die with the node; dropping them is the
+    /// host's job.
+    pub(crate) fn crash(&mut self) {
+        self.machine.crash();
+        self.store.crash_and_recover();
+    }
+
+    /// The opt-in submit gate: a statically wrong submission is answered
+    /// with its rejection before it burns protocol work, and the machine
+    /// never sees it. Rejections are final (the spec itself is wrong), so
+    /// clients do not retry them. The gate lives here because the protocol
+    /// crate must not depend on `pv-analysis` (which depends back on it for
+    /// trace checking).
+    fn gate(&self, input: &Input, metrics: &mut Metrics) -> Option<Output> {
+        let Input::Msg { from, msg: Msg::Submit { req_id, spec } } = input else {
+            return None;
+        };
+        if !self.machine.config().static_checks {
+            return None;
+        }
+        let report = pv_analysis::gate_spec(spec).err()?;
+        // The machine never sees the submission, so count it (and the
+        // rejection) here.
+        metrics.inc("txn.submitted");
+        metrics.inc("txn.rejected.static");
+        let result = TxnResult::Aborted {
+            reason: AbortReason::Rejected(report),
+        };
+        Some(Output::Send {
+            to: *from,
+            msg: Msg::Reply { req_id: *req_id, result },
+        })
+    }
+
+    /// Steps the machine and pushes its outputs onto the stack, the first
+    /// one emitted on top.
+    fn push_step(&mut self, now: SimTime, input: Input) {
+        let base = self.pending.len();
+        self.machine.step(now, input, &mut self.store, &mut self.pending);
+        self.pending[base..].reverse();
     }
 
     /// Drains the store's accumulated storage/recovery statistics into the
-    /// shared metrics registry. Called after every actor callback so the
-    /// counters track the WAL in near-real time without the store needing a
-    /// metrics handle of its own. Only the deltas that moved are recorded:
-    /// an absent counter reads as 0, and most callbacks move only the WAL's.
-    fn flush_storage_metrics(&mut self, ctx: &mut Ctx<Msg>) {
+    /// shared metrics registry, so the counters track the WAL in near-real
+    /// time without the store needing a metrics handle of its own. Only the
+    /// deltas that moved are recorded: an absent counter reads as 0, and
+    /// most steps move only the WAL's.
+    fn flush_storage_metrics(&mut self, metrics: &mut Metrics) {
         let stats = self.store.take_stats();
         if stats.is_empty() {
             return;
@@ -240,113 +260,26 @@ impl Site {
         ];
         for (name, delta) in deltas {
             if delta > 0 {
-                ctx.metrics().inc_by(name, delta);
+                metrics.inc_by(name, delta);
             }
         }
         if self.wall_clock_metrics {
             for d in stats.recovery_durations {
-                ctx.metrics().observe("recovery.duration", d);
+                metrics.observe("recovery.duration", d);
             }
         }
-    }
-
-    /// Serves a coordination-free read-only transaction directly against
-    /// the store: reads `items` (all items when empty) at the current
-    /// sequence number and returns `(snapshot, entries)`. Emits the
-    /// snapshot-read trace event and the `store.snapshot_reads` counter;
-    /// touches no lock table and sends no protocol messages.
-    pub fn snapshot_read(
-        &mut self,
-        ctx: &mut Ctx<Msg>,
-        items: &[pv_core::ItemId],
-    ) -> (u64, Vec<(pv_core::ItemId, pv_core::Entry<pv_core::Value>)>) {
-        let (snap, entries) = self.store.snapshot_read(items);
-        ctx.trace(pv_simnet::TraceEvent::SnapshotRead {
-            site: self.machine.id(),
-            snapshot: snap,
-            items: entries.len() as u32,
-        });
-        self.flush_storage_metrics(ctx);
-        (snap, entries)
-    }
-}
-
-impl Actor for Site {
-    type Msg = Msg;
-
-    fn on_start(&mut self, ctx: &mut Ctx<Msg>) {
-        // A site opened over a previous incarnation's image recovers before
-        // it touches any traffic; a fresh site only reports the write of its
-        // seeded image.
-        if std::mem::take(&mut self.cold_start) {
-            self.on_recover(ctx);
-        } else {
-            self.flush_storage_metrics(ctx);
-        }
-    }
-
-    fn on_message(&mut self, ctx: &mut Ctx<Msg>, from: NodeId, msg: Msg) {
-        // The opt-in submit gate: reject statically wrong transactions
-        // before burning protocol work on them. Rejections are final (the
-        // spec itself is wrong), so clients do not retry them. The gate
-        // lives in the driver — the protocol crate must not depend on
-        // `pv-analysis` (which depends back on it for trace checking).
-        if let Msg::Submit { req_id, spec } = &msg {
-            if self.machine.config().static_checks {
-                if let Err(report) = pv_analysis::gate_spec(spec) {
-                    // The machine never sees the submission, so count it
-                    // (and the rejection) here.
-                    ctx.metrics().inc("txn.submitted");
-                    ctx.metrics().inc("txn.rejected.static");
-                    let result = TxnResult::Aborted {
-                        reason: AbortReason::Rejected(report),
-                    };
-                    let req_id = *req_id;
-                    ctx.send(from, Msg::Reply { req_id, result });
-                    self.flush_storage_metrics(ctx);
-                    return;
-                }
-            }
-        }
-        self.drive(ctx, Input::Msg { from, msg });
-        self.flush_storage_metrics(ctx);
-    }
-
-    fn on_timer(&mut self, ctx: &mut Ctx<Msg>, key: u64) {
-        let Some(key) = TimerKey::decode(key) else {
-            debug_assert!(false, "undecodable timer key {key:#x}");
-            return;
-        };
-        self.drive(ctx, Input::Timer(key));
-        self.flush_storage_metrics(ctx);
-    }
-
-    fn on_crash(&mut self) {
-        // Volatile state is gone; the store survives via its WAL. Armed
-        // timers die with the node at the substrate level.
-        self.machine.crash();
-        self.store.crash_and_recover();
-    }
-
-    fn on_recover(&mut self, ctx: &mut Ctx<Msg>) {
-        self.drive(ctx, Input::Recovered);
-        self.flush_storage_metrics(ctx);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::directory::Directory;
     use pv_core::{Entry, ItemId, Value};
-
-    fn site() -> Site {
-        Site::with_store(0, EngineConfig::default(), Directory::Mod(1), SiteStore::new())
-    }
 
     #[test]
     fn seed_and_accessors() {
-        let mut s = site();
-        s.seed_item(ItemId(0), Value::Int(5));
+        let s = Site::open(0, &Topology::new(1, Directory::Mod(1)).item(0u64, 5i64)).unwrap();
         assert_eq!(s.id(), 0);
         assert_eq!(s.store().get(ItemId(0)), Some(Entry::Simple(Value::Int(5))));
         assert_eq!(s.poly_count(), 0);
@@ -361,22 +294,23 @@ mod tests {
         let topo = Topology::new(2, Directory::Mod(2))
             .uniform_items(6, 100)
             .data_dir(&dir);
-        let fresh = Site::open(0, &topo).unwrap();
-        assert!(!fresh.is_cold_start());
+        let mut metrics = Metrics::new();
+        let mut fresh = Site::open(0, &topo).unwrap();
+        assert!(!fresh.start(&mut metrics));
         assert_eq!(fresh.store().item_count(), 3);
         assert_eq!((fresh.store().append_seq(), fresh.store().log_len()), (3, 3));
         drop(fresh);
 
         // The image holds every item: the reopened store appends nothing.
-        let reopened = Site::open(0, &topo).unwrap();
-        assert!(reopened.is_cold_start());
+        let mut reopened = Site::open(0, &topo).unwrap();
+        assert!(reopened.start(&mut metrics));
         assert_eq!(reopened.store().item_count(), 3);
         assert_eq!((reopened.store().append_seq(), reopened.store().log_len()), (0, 3));
         drop(reopened);
 
         // An item the image lacks is seeded on its own, one append.
-        let grown = Site::open(0, &topo.item(8u64, 7i64)).unwrap();
-        assert!(grown.is_cold_start());
+        let mut grown = Site::open(0, &topo.item(8u64, 7i64)).unwrap();
+        assert!(grown.start(&mut metrics));
         assert_eq!(grown.store().get(ItemId(8)), Some(Entry::Simple(Value::Int(7))));
         assert_eq!((grown.store().append_seq(), grown.store().log_len()), (1, 4));
         let _ = std::fs::remove_dir_all(&dir);

@@ -222,15 +222,6 @@ impl NetCluster {
         crate::proc::settle(self.site_count() as u32, limit, |s, wait| self.inspect(s, wait))
     }
 
-    /// Total polyvalued items across sites.
-    pub fn total_poly_count(&self, deadline: Duration) -> Result<u64, EngineError> {
-        let mut total = 0;
-        for s in 0..self.addrs.len() as u32 {
-            total += self.inspect(s, deadline)?.poly_count;
-        }
-        Ok(total)
-    }
-
     /// Fetches and merges every site's metrics registry.
     pub fn metrics(&self, deadline: Duration) -> Result<Metrics, EngineError> {
         let mut merged = Metrics::new();

@@ -3,8 +3,9 @@
 //!
 //! This is the second deployment of the identical sans-IO
 //! `pv_protocol::SiteMachine`, after the deterministic simulation:
-//! the [`SiteHost`] runs every callback, applies effects in emission order,
-//! steps self-sends and keeps the protocol timers. What this module adds
+//! the [`SiteHost`] steps the site on every input, applies its sends and
+//! timer arms in emission order, steps self-sends and keeps the protocol
+//! timers. What this module adds
 //! is the wall clock and real I/O: a readiness loop over non-blocking
 //! `std::net` sockets (accept, read until a short read, decode in place,
 //! one write per connection per pass) and
@@ -715,7 +716,7 @@ impl Node {
                     }
                     Frame::MetricsReq => {
                         // Storage metrics were flushed by the engine inside
-                        // the last callback; the socket counts fold in here.
+                        // the last step; the socket counts fold in here.
                         self.fold_sock_counts();
                         let wire = WireMetrics::from_metrics(&self.metrics);
                         self.respond(slot, &Frame::MetricsResp(wire));

@@ -3,10 +3,11 @@
 //! The protocol machines arm timers by emitting
 //! [`Output::ArmTimer`](crate::machine::Output::ArmTimer) with a [`TimerKey`];
 //! drivers hand the key back via
-//! [`Input::Timer`](crate::machine::Input::Timer) when the timer fires. For
-//! runtimes whose timer facility carries a bare `u64` (the simulation's
-//! `Ctx::set_timer`, the wall-clock `SiteHost`'s deadline queues), [`TimerKey::encode`]
-//! packs the key into one word and [`TimerKey::decode`] recovers it:
+//! [`Input::Timer`](crate::machine::Input::Timer) when the timer fires. The
+//! wall-clock `SiteHost` files the typed key itself. Only the simulation's
+//! timer facility (`Ctx::set_timer`) carries a bare `u64`: at that boundary,
+//! in `pv-engine`'s cluster adapter, [`TimerKey::encode`] packs the key into
+//! one word and [`TimerKey::decode`] recovers it:
 //!
 //! ```text
 //! 63     60 59        48 47        32 31                     0
@@ -16,10 +17,10 @@
 //! ```
 //!
 //! The low 60 bits are the transaction id (whose own site field must fit in
-//! 12 bits — clusters beyond 4095 sites would need a wider key type); the
-//! tag selects the purpose. Keys are opaque payload to every runtime — only
-//! the fire-time dispatch reads them — so the packing never influences
-//! scheduling.
+//! 12 bits, so a simulated cluster is limited to 4096 sites; the wall-clock
+//! host has no such limit); the tag selects the purpose. Keys are opaque
+//! payload to every runtime — only the fire-time dispatch reads them — so
+//! the packing never influences scheduling.
 
 use pv_core::TxnId;
 use std::fmt;
@@ -53,7 +54,7 @@ const TAG_INQUIRE: u64 = 6;
 const TXN_MASK: u64 = (1 << 60) - 1;
 
 impl TimerKey {
-    /// Packs the key into a `u64` for runtimes with untyped timer payloads.
+    /// Packs the key into a `u64` for the simulation's untyped timer payload.
     ///
     /// # Panics
     ///

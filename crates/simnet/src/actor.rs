@@ -26,10 +26,6 @@ impl fmt::Display for NodeId {
     }
 }
 
-/// Handle for cancelling a pending timer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct TimerId(pub(crate) u64);
-
 /// A deterministic event-driven process.
 ///
 /// Actors never block: each callback runs to completion, emitting effects
@@ -61,31 +57,14 @@ pub trait Actor {
     fn on_recover(&mut self, _ctx: &mut Ctx<Self::Msg>) {}
 }
 
-/// Effects emitted by an actor callback.
-///
-/// The simulation world applies these internally; external drivers (such as
-/// the engine's wall-clock `SiteHost`) lend [`Ctx::external`] the buffer
-/// they are collected in and map them onto real sockets and timers.
+/// Effects emitted by an actor callback; the world applies them in
+/// emission order once the callback returns.
 #[derive(Debug)]
-pub enum Effect<M> {
+pub(crate) enum Effect<M> {
     /// Send `msg` to node `to`.
-    Send {
-        /// Destination node.
-        to: NodeId,
-        /// The message.
-        msg: M,
-    },
-    /// Arm a timer identified by `id` carrying `key`, due at `at`.
-    SetTimer {
-        /// Unique timer identity (for cancellation).
-        id: u64,
-        /// The key passed back to [`Actor::on_timer`].
-        key: u64,
-        /// Virtual due time.
-        at: SimTime,
-    },
-    /// Cancel the timer with this identity.
-    CancelTimer(u64),
+    Send { to: NodeId, msg: M },
+    /// Arm a timer carrying `key`, due at `at`.
+    SetTimer { key: u64, at: SimTime },
 }
 
 /// The execution context handed to actor callbacks.
@@ -96,35 +75,9 @@ pub struct Ctx<'a, M> {
     pub(crate) rng: &'a mut SimRng,
     pub(crate) metrics: &'a mut Metrics,
     pub(crate) trace: &'a mut Trace,
-    pub(crate) next_timer_id: &'a mut u64,
 }
 
-impl<'a, M> Ctx<'a, M> {
-    /// Builds a context for an *external* driver (a runtime other than
-    /// [`crate::World`]: `pv-engine`'s wall-clock `SiteHost`). The callback's
-    /// effects are appended to `effects`, in emission order; the driver
-    /// applies and clears them once the context is gone, and can lend the
-    /// same buffer to every callback.
-    pub fn external(
-        now: SimTime,
-        me: NodeId,
-        rng: &'a mut SimRng,
-        metrics: &'a mut Metrics,
-        trace: &'a mut Trace,
-        next_timer_id: &'a mut u64,
-        effects: &'a mut Vec<Effect<M>>,
-    ) -> Self {
-        Ctx {
-            now,
-            me,
-            effects,
-            rng,
-            metrics,
-            trace,
-            next_timer_id,
-        }
-    }
-
+impl<M> Ctx<'_, M> {
     /// The current virtual time.
     pub fn now(&self) -> SimTime {
         self.now
@@ -142,23 +95,13 @@ impl<'a, M> Ctx<'a, M> {
         self.effects.push(Effect::Send { to, msg });
     }
 
-    /// Arms a timer that fires after `delay` with the given `key`. Returns a
-    /// handle usable with [`Ctx::cancel_timer`]. Timers are volatile: they
-    /// are discarded if the node crashes.
-    pub fn set_timer(&mut self, delay: SimDuration, key: u64) -> TimerId {
-        let id = *self.next_timer_id;
-        *self.next_timer_id += 1;
+    /// Arms a timer that fires after `delay` with the given `key`. Timers
+    /// are volatile: they are discarded if the node crashes.
+    pub fn set_timer(&mut self, delay: SimDuration, key: u64) {
         self.effects.push(Effect::SetTimer {
-            id,
             key,
             at: self.now + delay,
         });
-        TimerId(id)
-    }
-
-    /// Cancels a pending timer; cancelling an already-fired timer is a no-op.
-    pub fn cancel_timer(&mut self, id: TimerId) {
-        self.effects.push(Effect::CancelTimer(id.0));
     }
 
     /// This node's deterministic random stream.
@@ -175,6 +118,12 @@ impl<'a, M> Ctx<'a, M> {
     /// this node. No-op unless tracing was enabled for the run.
     pub fn trace(&mut self, event: TraceEvent) {
         self.trace.record(self.now, self.me, event);
+    }
+
+    /// Lends the random stream, the metrics registry and the trace at once,
+    /// for a callee that records into all three in one call.
+    pub fn lend(&mut self) -> (&mut SimRng, &mut Metrics, &mut Trace) {
+        (self.rng, self.metrics, self.trace)
     }
 }
 
@@ -193,7 +142,6 @@ mod tests {
         let mut rng = SimRng::new(1);
         let mut metrics = Metrics::new();
         let mut trace = Trace::collecting();
-        let mut next = 0u64;
         let mut effects = Vec::new();
         let mut ctx: Ctx<'_, u32> = Ctx {
             now: SimTime::from_secs(1),
@@ -202,21 +150,18 @@ mod tests {
             rng: &mut rng,
             metrics: &mut metrics,
             trace: &mut trace,
-            next_timer_id: &mut next,
         };
         assert_eq!(ctx.now(), SimTime::from_secs(1));
         assert_eq!(ctx.me(), NodeId(0));
         ctx.send(NodeId(1), 42);
-        let t = ctx.set_timer(SimDuration::from_secs(1), 7);
-        ctx.cancel_timer(t);
+        ctx.set_timer(SimDuration::from_secs(1), 7);
         ctx.rng().unit();
         ctx.metrics().inc("x");
         ctx.trace(TraceEvent::Decided {
             txn: 1,
             completed: true,
         });
-        assert_eq!(ctx.effects.len(), 3);
-        assert_eq!(next, 1);
+        assert_eq!(ctx.effects.len(), 2);
         assert_eq!(trace.len(), 1);
         assert_eq!(trace.records()[0].at, SimTime::from_secs(1));
     }

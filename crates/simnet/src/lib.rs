@@ -22,7 +22,7 @@ mod time;
 mod trace;
 mod world;
 
-pub use actor::{Actor, Ctx, Effect, NodeId, TimerId};
+pub use actor::{Actor, Ctx, NodeId};
 pub use failure::{FailureConfig, FailurePlan, Outage};
 pub use metrics::{Histogram, HistogramSummary, Metrics, MetricsSnapshot};
 pub use net::{LinkState, NetConfig};

@@ -7,7 +7,7 @@ use crate::rng::SimRng;
 use crate::time::SimTime;
 use crate::trace::Trace;
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap};
+use std::collections::BinaryHeap;
 
 /// What happens when a scheduled event comes due.
 #[derive(Debug)]
@@ -19,7 +19,6 @@ enum EventKind<M> {
     },
     Timer {
         node: NodeId,
-        id: u64,
         key: u64,
         gen: u32,
     },
@@ -72,7 +71,6 @@ struct Key {
 pub struct World<A: Actor> {
     now: SimTime,
     seq: u64,
-    next_timer_id: u64,
     /// Keys of the pending events, earliest first.
     queue: BinaryHeap<Reverse<Key>>,
     /// The pending events, each in the slot its key names; `None` slots are
@@ -85,7 +83,6 @@ pub struct World<A: Actor> {
     actors: Vec<A>,
     up: Vec<bool>,
     crash_gen: Vec<u32>,
-    cancelled_timers: BTreeSet<u64>,
     links: LinkState,
     net: NetConfig,
     rng: SimRng,
@@ -100,7 +97,6 @@ impl<A: Actor> World<A> {
         World {
             now: SimTime::ZERO,
             seq: 0,
-            next_timer_id: 0,
             queue: BinaryHeap::new(),
             slab: Vec::new(),
             free: Vec::new(),
@@ -108,7 +104,6 @@ impl<A: Actor> World<A> {
             actors: Vec::new(),
             up: Vec::new(),
             crash_gen: Vec::new(),
-            cancelled_timers: BTreeSet::new(),
             links: LinkState::default(),
             net,
             rng: SimRng::new(seed),
@@ -253,10 +248,7 @@ impl<A: Actor> World<A> {
                     self.run_callback(to, |actor, ctx| actor.on_message(ctx, from, msg));
                 }
             }
-            EventKind::Timer { node, id, key, gen } => {
-                if self.cancelled_timers.remove(&id) {
-                    return true;
-                }
+            EventKind::Timer { node, key, gen } => {
                 let idx = node.0 as usize;
                 if !self.up[idx] || self.crash_gen[idx] != gen {
                     return true; // timer died with the crash
@@ -352,7 +344,6 @@ impl<A: Actor> World<A> {
             rng: &mut node_rng,
             metrics: &mut self.metrics,
             trace: &mut self.trace,
-            next_timer_id: &mut self.next_timer_id,
         };
         f(&mut self.actors[idx], &mut ctx);
         // Refresh the master stream so successive callbacks differ.
@@ -403,19 +394,9 @@ impl<A: Actor> World<A> {
                         self.push(self.now + delay, EventKind::Deliver { from: node, to, msg: m });
                     }
                 }
-                Effect::SetTimer { id, key, at } => {
-                    self.push(
-                        at,
-                        EventKind::Timer {
-                            node,
-                            id,
-                            key,
-                            gen: self.crash_gen[idx],
-                        },
-                    );
-                }
-                Effect::CancelTimer(id) => {
-                    self.cancelled_timers.insert(id);
+                Effect::SetTimer { key, at } => {
+                    let gen = self.crash_gen[idx];
+                    self.push(at, EventKind::Timer { node, key, gen });
                 }
             }
         }
@@ -447,7 +428,6 @@ mod tests {
         Ping(u32),
         PingTo(NodeId, u32),
         ArmTimer(u64),
-        ArmAndCancel(u64),
         /// Arms timer `key` and sends `Ping(v)` to itself, both due one
         /// microsecond later on an instant network; the timer first when
         /// `timer_first`.
@@ -467,10 +447,6 @@ mod tests {
                 Msg::PingTo(to, v) => ctx.send(to, Msg::Ping(v)),
                 Msg::ArmTimer(key) => {
                     ctx.set_timer(SimDuration::from_millis(100), key);
-                }
-                Msg::ArmAndCancel(key) => {
-                    let t = ctx.set_timer(SimDuration::from_millis(100), key);
-                    ctx.cancel_timer(t);
                 }
                 Msg::Both { timer_first, key, v } => {
                     if timer_first {
@@ -534,7 +510,6 @@ mod tests {
         let mut w = world();
         let a = w.add_node(Node::default());
         w.send_from_env(a, Msg::ArmTimer(5));
-        w.send_from_env(a, Msg::ArmAndCancel(6));
         w.run_until(SimTime::from_secs(1));
         assert_eq!(w.actor(a).timers_fired, vec![5]);
     }
