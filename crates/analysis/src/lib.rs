@@ -37,7 +37,7 @@ pub use cond_check::{
 };
 pub use diag::{Code, Diagnostic, Report, Severity, Span};
 pub use expr_check::{check_expr, check_spec, const_eval, SpecAnalysis, Ty};
-pub use trace_check::{check_trace, check_trace_text, parse_trace_text, TraceParseError};
+pub use trace_check::{check_trace, check_trace_text};
 
 use pv_core::spec::TransactionSpec;
 

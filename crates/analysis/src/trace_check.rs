@@ -25,162 +25,13 @@
 //! consult must see the wait phase in that race.
 //!
 //! Traces are accepted either as in-memory [`TraceRecord`]s or as the
-//! stable text format `Trace::to_text` emits, which [`parse_trace_text`]
-//! reads back.
+//! stable text format `Trace::to_text` emits, which
+//! [`pv_simnet::parse_trace_text`] reads back.
 
 use crate::diag::{Code, Report, Span};
 use pv_protocol::{transition, PartAction, PartEvent, PartPhase};
-use pv_simnet::{NodeId, SimTime, TraceEvent, TraceRecord};
+use pv_simnet::{parse_trace_text, TraceEvent, TraceParseError, TraceRecord};
 use std::collections::{BTreeMap, BTreeSet};
-use std::fmt;
-
-/// A failure reading the textual trace format.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceParseError {
-    /// 1-based line number.
-    pub line: usize,
-    /// What went wrong.
-    pub message: String,
-}
-
-impl fmt::Display for TraceParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "trace line {}: {}", self.line, self.message)
-    }
-}
-
-impl std::error::Error for TraceParseError {}
-
-/// Parses one `key=value` field, stripping an optional site/node prefix.
-fn field(fields: &BTreeMap<&str, &str>, key: &str, line: usize) -> Result<u64, TraceParseError> {
-    let raw = fields.get(key).ok_or_else(|| TraceParseError {
-        line,
-        message: format!("missing field {key}"),
-    })?;
-    let raw = raw.trim_start_matches('s');
-    raw.parse().map_err(|_| TraceParseError {
-        line,
-        message: format!("field {key} is not a number: {raw}"),
-    })
-}
-
-fn bool_field(
-    fields: &BTreeMap<&str, &str>,
-    key: &str,
-    line: usize,
-) -> Result<bool, TraceParseError> {
-    match fields.get(key) {
-        Some(&"true") => Ok(true),
-        Some(&"false") => Ok(false),
-        Some(other) => Err(TraceParseError {
-            line,
-            message: format!("field {key} is not a boolean: {other}"),
-        }),
-        None => Err(TraceParseError {
-            line,
-            message: format!("missing field {key}"),
-        }),
-    }
-}
-
-/// Reads back the stable line format emitted by `Trace::to_text`:
-/// `{seq:06} {time_us} {node} {label} {key=value}...`. Blank lines and
-/// lines starting with `#` are skipped.
-pub fn parse_trace_text(text: &str) -> Result<Vec<TraceRecord>, TraceParseError> {
-    let mut out = Vec::new();
-    for (idx, raw) in text.lines().enumerate() {
-        let line = idx + 1;
-        let raw = raw.trim();
-        if raw.is_empty() || raw.starts_with('#') {
-            continue;
-        }
-        let mut parts = raw.split_whitespace();
-        let err = |message: String| TraceParseError { line, message };
-        let seq: u64 = parts
-            .next()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| err("missing sequence number".into()))?;
-        let at: u64 = parts
-            .next()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| err("missing timestamp".into()))?;
-        let node = parts
-            .next()
-            .and_then(|s| s.strip_prefix('n'))
-            .and_then(|s| s.parse::<u32>().ok())
-            .ok_or_else(|| err("missing node (expected nN)".into()))?;
-        let label = parts.next().ok_or_else(|| err("missing event label".into()))?;
-        let fields: BTreeMap<&str, &str> = parts
-            .filter_map(|kv| kv.split_once('='))
-            .collect();
-        let event = match label {
-            "txn_submitted" => TraceEvent::TxnSubmitted {
-                req_id: field(&fields, "req", line)?,
-                coordinator: field(&fields, "coord", line)? as u32,
-            },
-            "txn_retried" => TraceEvent::TxnRetried {
-                req_id: field(&fields, "req", line)?,
-                attempt: field(&fields, "attempt", line)? as u32,
-            },
-            "alt_split" => TraceEvent::AltSplit {
-                txn: field(&fields, "txn", line)?,
-                alternatives: field(&fields, "alts", line)? as u32,
-            },
-            "prepared" => TraceEvent::Prepared {
-                txn: field(&fields, "txn", line)?,
-                site: field(&fields, "site", line)? as u32,
-            },
-            "decided" => TraceEvent::Decided {
-                txn: field(&fields, "txn", line)?,
-                completed: bool_field(&fields, "completed", line)?,
-            },
-            "wait_timed_out" => TraceEvent::WaitTimedOut {
-                txn: field(&fields, "txn", line)?,
-                site: field(&fields, "site", line)? as u32,
-            },
-            "polyvalue_installed" => TraceEvent::PolyvalueInstalled {
-                txn: field(&fields, "txn", line)?,
-                site: field(&fields, "site", line)? as u32,
-                items: field(&fields, "items", line)? as u32,
-            },
-            "outcome_learned" => TraceEvent::OutcomeLearned {
-                txn: field(&fields, "txn", line)?,
-                site: field(&fields, "site", line)? as u32,
-                completed: bool_field(&fields, "completed", line)?,
-            },
-            "outcome_forwarded" => TraceEvent::OutcomeForwarded {
-                txn: field(&fields, "txn", line)?,
-                site: field(&fields, "site", line)? as u32,
-                to: field(&fields, "to", line)? as u32,
-            },
-            "polyvalue_collapsed" => TraceEvent::PolyvalueCollapsed {
-                txn: field(&fields, "txn", line)?,
-                site: field(&fields, "site", line)? as u32,
-                lifetime_us: field(&fields, "lifetime_us", line)?,
-            },
-            "snapshot_read" => TraceEvent::SnapshotRead {
-                site: field(&fields, "site", line)? as u32,
-                snapshot: field(&fields, "snapshot", line)?,
-                items: field(&fields, "items", line)? as u32,
-            },
-            "pc_takeover" => TraceEvent::PcTakeover {
-                txn: field(&fields, "txn", line)?,
-                site: field(&fields, "site", line)? as u32,
-                ballot: field(&fields, "ballot", line)?,
-            },
-            other => {
-                return Err(err(format!("unknown event label {other}")));
-            }
-        };
-        out.push(TraceRecord {
-            at: SimTime(at),
-            node: NodeId(node),
-            seq,
-            event,
-        });
-    }
-    Ok(out)
-}
 
 /// Replays `records` and reports every protocol-invariant violation.
 pub fn check_trace(records: &[TraceRecord]) -> Report {
@@ -354,6 +205,7 @@ pub fn check_trace_text(text: &str) -> Result<Report, TraceParseError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pv_simnet::{NodeId, SimTime};
 
     fn rec(seq: u64, event: TraceEvent) -> TraceRecord {
         TraceRecord {

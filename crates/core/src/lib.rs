@@ -44,7 +44,6 @@
 
 pub mod cond;
 pub mod entry;
-pub mod expectation;
 pub mod expr;
 pub mod hash;
 pub mod poly;
@@ -54,7 +53,6 @@ pub mod value;
 
 pub use cond::{Condition, Literal, Product};
 pub use entry::Entry;
-pub use expectation::{condition_probability, EntryExpectation, OutcomePrior};
 pub use expr::{evaluate, EvalOutcome, Expr, ItemId, SplitMode};
 pub use hash::{DetHasher, DetState};
 pub use poly::{PolyError, Polyvalue};

@@ -10,7 +10,7 @@ use crate::topology::Topology;
 use crate::workload::Workload;
 use pv_core::{Entry, ItemId, Value};
 use pv_protocol::{Input, Output, TimerKey};
-use pv_simnet::{Actor, Ctx, NetConfig, NodeId, SimTime, Trace, TraceSink, World};
+use pv_simnet::{Actor, Ctx, NetConfig, NodeId, SimTime, Trace, World};
 use pv_store::{SiteId, SiteStore, Storage};
 
 /// The node type of an engine world: either a database site or a client.
@@ -196,13 +196,6 @@ impl ClusterBuilder {
         self
     }
 
-    /// Buffers a protocol trace and streams each record to `sink` as it is
-    /// emitted. Any `FnMut(&TraceRecord)` works as a sink.
-    pub fn trace(mut self, sink: impl TraceSink + Send + 'static) -> Self {
-        self.trace = Some(Trace::with_sink(sink));
-        self
-    }
-
     /// Builds the world: sites first (node ids `0..sites`), then clients.
     pub fn build(self) -> Cluster {
         let topo = self.topo;
@@ -284,7 +277,7 @@ impl Cluster {
     }
 
     /// The run's protocol trace (empty unless the builder enabled one via
-    /// [`ClusterBuilder::collect_trace`] or [`ClusterBuilder::trace`]).
+    /// [`ClusterBuilder::collect_trace`]).
     pub fn trace(&self) -> &Trace {
         self.world.trace()
     }

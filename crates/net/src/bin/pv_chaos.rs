@@ -34,7 +34,7 @@
 //! every scenario's assertions held.
 
 use pv_core::TransactionSpec;
-use pv_engine::EngineError;
+use pv_engine::{CommitProtocol, EngineError};
 use pv_net::backoff::Backoff;
 use pv_net::chaos::{ChaosNet, LinkFaults};
 use pv_net::client::NetClient;
@@ -131,7 +131,7 @@ impl Harness {
         sites: u32,
         seed: u64,
         tag: &str,
-        protocol: &'static str,
+        protocol: CommitProtocol,
     ) -> Result<Harness, EngineError> {
         let data_dir = std::env::temp_dir().join(format!(
             "pv-chaos-{tag}-{seed}-{}",
@@ -140,7 +140,7 @@ impl Harness {
         let cluster = ProcCluster::spawn(ProcSpec {
             accounts: ACCOUNTS,
             balance: BALANCE,
-            protocol: protocol.into(),
+            protocol,
             data_dir: Some(data_dir),
             // Patient: scenarios leave sites dead for hundreds of
             // milliseconds, and peers and probes must wait them out.
@@ -654,7 +654,7 @@ fn run_scenario(
     name: &'static str,
     sites: u32,
     seed: u64,
-    protocol: &'static str,
+    protocol: CommitProtocol,
     f: ScenarioFn,
 ) -> Verdict {
     let mut verdict = Verdict {
@@ -696,13 +696,14 @@ fn run_scenario(
 
 fn main() -> ExitCode {
     let args = parse_args();
-    let all: [(&'static str, &'static str, ScenarioFn); 6] = [
-        ("coordinator-kill", "polyvalue", coordinator_kill),
-        ("participant-kill", "polyvalue", participant_kill),
-        ("partition", "polyvalue", partition),
-        ("restart-storm", "polyvalue", restart_storm),
-        ("rolling-restart", "polyvalue", rolling_restart),
-        ("paxos-commit-kill", "paxos-commit", paxos_commit_kill),
+    use CommitProtocol::{PaxosCommit, Polyvalue};
+    let all: [(&'static str, CommitProtocol, ScenarioFn); 6] = [
+        ("coordinator-kill", Polyvalue, coordinator_kill),
+        ("participant-kill", Polyvalue, participant_kill),
+        ("partition", Polyvalue, partition),
+        ("restart-storm", Polyvalue, restart_storm),
+        ("rolling-restart", Polyvalue, rolling_restart),
+        ("paxos-commit-kill", PaxosCommit, paxos_commit_kill),
     ];
     let picked: Vec<_> = all
         .iter()
@@ -714,7 +715,7 @@ fn main() -> ExitCode {
     }
     let mut verdicts = Vec::new();
     for (name, protocol, f) in picked {
-        let verdict = run_scenario(name, args.sites, args.seed, protocol, *f);
+        let verdict = run_scenario(name, args.sites, args.seed, *protocol, *f);
         println!("{}", verdict.json());
         verdicts.push(verdict);
     }

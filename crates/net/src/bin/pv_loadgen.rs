@@ -19,7 +19,7 @@
 //! (`net_closed`, `net_pipelined`) is what measures the networked path.
 
 use pv_core::TransactionSpec;
-use pv_engine::EngineError;
+use pv_engine::{CommitProtocol, EngineError};
 use pv_net::backoff::Backoff;
 use pv_net::node::error_json;
 use pv_net::proc::{balances, sibling_node_bin, ProcCluster, ProcSpec};
@@ -31,7 +31,7 @@ use std::time::{Duration, Instant};
 fn usage() -> ! {
     eprintln!(
         "usage: pv-loadgen [--sites N] [--accounts N] [--balance V] [--txns N] [--clients N] \
-         [--protocol polyvalue|blocking2pc|relaxed] [--addrs HOST:PORT,...] [--seed N] \
+         [--protocol polyvalue|blocking-2pc|relaxed|paxos-commit] [--addrs HOST:PORT,...] [--seed N] \
          [--attempts N] [--delay-ms N]"
     );
     std::process::exit(2);
@@ -43,7 +43,7 @@ struct Args {
     balance: i64,
     txns: u64,
     clients: u32,
-    protocol: String,
+    protocol: CommitProtocol,
     addrs: Vec<SocketAddr>,
     seed: u64,
     backoff: Backoff,
@@ -56,7 +56,7 @@ fn parse_args() -> Args {
         balance: 100,
         txns: 2000,
         clients: 4,
-        protocol: "polyvalue".into(),
+        protocol: CommitProtocol::Polyvalue,
         addrs: Vec::new(),
         seed: 42,
         backoff: Backoff::default(),
@@ -75,7 +75,7 @@ fn parse_args() -> Args {
             "--balance" => args.balance = value("--balance").parse().unwrap_or_else(|_| usage()),
             "--txns" => args.txns = value("--txns").parse().unwrap_or_else(|_| usage()),
             "--clients" => args.clients = value("--clients").parse().unwrap_or_else(|_| usage()),
-            "--protocol" => args.protocol = value("--protocol"),
+            "--protocol" => args.protocol = value("--protocol").parse().unwrap_or_else(|_| usage()),
             "--addrs" => {
                 args.addrs = value("--addrs")
                     .split(',')
@@ -187,7 +187,7 @@ fn run_once(args: &Args) -> Result<RunStats, EngineError> {
         ProcCluster::spawn(ProcSpec {
             accounts: args.accounts,
             balance: args.balance,
-            protocol: args.protocol.clone(),
+            protocol: args.protocol,
             backoff: args.backoff,
             ..ProcSpec::new(sibling_node_bin()?, args.sites)
         })?

@@ -37,7 +37,7 @@ use std::time::Duration;
 fn usage() -> ! {
     eprintln!(
         "usage: pv-node --site N --addrs HOST:PORT,... [--listen HOST:PORT] [--accounts N] \
-         [--balance V] [--protocol polyvalue|blocking2pc|relaxed|paxos-commit] [--data-dir DIR] \
+         [--balance V] [--protocol polyvalue|blocking-2pc|relaxed|paxos-commit] [--data-dir DIR] \
          [--static-checks] [--fast] [--attempts N] [--delay-ms N] [--max-delay-ms N]"
     );
     std::process::exit(2);
@@ -100,15 +100,7 @@ fn parse_args() -> Args {
             }
             "--accounts" => args.accounts = value("--accounts").parse().unwrap_or_else(|_| usage()),
             "--balance" => args.balance = value("--balance").parse().unwrap_or_else(|_| usage()),
-            "--protocol" => {
-                args.protocol = match value("--protocol").as_str() {
-                    "polyvalue" => CommitProtocol::Polyvalue,
-                    "blocking2pc" => CommitProtocol::Blocking2pc,
-                    "relaxed" => CommitProtocol::Relaxed { complete_prob: 0.5 },
-                    "paxos-commit" => CommitProtocol::PaxosCommit,
-                    _ => usage(),
-                }
-            }
+            "--protocol" => args.protocol = value("--protocol").parse().unwrap_or_else(|_| usage()),
             "--listen" => {
                 args.listen = Some(value("--listen").parse().unwrap_or_else(|_| usage()))
             }

@@ -19,7 +19,7 @@ use crate::chaos::ChaosNet;
 use crate::client::NetClient;
 use crate::wire::NodeSnapshot;
 use pv_core::{ItemId, Value};
-use pv_engine::EngineError;
+use pv_engine::{CommitProtocol, EngineError};
 use pv_simnet::Metrics;
 use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -54,8 +54,8 @@ pub struct ProcSpec {
     pub accounts: u64,
     /// `--balance`: every account's starting value.
     pub balance: i64,
-    /// `--protocol`, spelled as `pv-node` spells it.
-    pub protocol: String,
+    /// `--protocol`, passed as its [`CommitProtocol::label`].
+    pub protocol: CommitProtocol,
     /// `--data-dir`: disk WALs under this directory, made empty at spawn and
     /// removed by a clean [`ProcCluster::shutdown`]. `None` keeps every WAL
     /// in memory.
@@ -76,7 +76,7 @@ impl ProcSpec {
             sites,
             accounts: 12,
             balance: 100,
-            protocol: "polyvalue".into(),
+            protocol: CommitProtocol::Polyvalue,
             data_dir: None,
             backoff: Backoff::default(),
             chaos_seed: None,
@@ -185,7 +185,7 @@ impl ProcCluster {
             self.addr(s),
             spec.accounts,
             spec.balance,
-            spec.protocol,
+            spec.protocol.label(),
             b.attempts,
             b.base.as_millis(),
             b.max.as_millis()

@@ -103,14 +103,9 @@ pub enum DecodeError {
     /// The payload ended inside a field, or had bytes left over, despite
     /// the header's length — the frame is internally inconsistent.
     Malformed,
-    /// An unknown tag inside the payload.
-    BadTag(u8),
-    /// A string field was not valid UTF-8.
-    BadUtf8,
-    /// A decoded polyvalue violated the §3 invariant.
-    BadPolyvalue,
-    /// An expression nested deeper than [`MAX_EXPR_DEPTH`].
-    TooDeep,
+    /// A payload field failed to decode (an unknown tag, bad UTF-8, a
+    /// polyvalue breaking the §3 invariant, an expression nested too deep).
+    Payload(CodecError),
 }
 
 impl fmt::Display for DecodeError {
@@ -126,12 +121,7 @@ impl fmt::Display for DecodeError {
             }
             DecodeError::BadChecksum => write!(f, "payload checksum mismatch"),
             DecodeError::Malformed => write!(f, "payload length inconsistent with content"),
-            DecodeError::BadTag(t) => write!(f, "unknown payload tag {t}"),
-            DecodeError::BadUtf8 => write!(f, "invalid UTF-8 in string field"),
-            DecodeError::BadPolyvalue => write!(f, "decoded polyvalue violates invariant"),
-            DecodeError::TooDeep => {
-                write!(f, "expression nests deeper than {MAX_EXPR_DEPTH}")
-            }
+            DecodeError::Payload(e) => write!(f, "payload: {e}"),
         }
     }
 }
@@ -151,10 +141,7 @@ impl From<CodecError> for DecodeError {
             // header lied about the length — the frame is malformed.
             CodecError::Truncated => DecodeError::Malformed,
             CodecError::BadChecksum => DecodeError::BadChecksum,
-            CodecError::BadTag(t) => DecodeError::BadTag(t),
-            CodecError::BadUtf8 => DecodeError::BadUtf8,
-            CodecError::BadPolyvalue => DecodeError::BadPolyvalue,
-            CodecError::TooDeep => DecodeError::TooDeep,
+            e => DecodeError::Payload(e),
         }
     }
 }
@@ -499,7 +486,7 @@ mod tests {
         (payload.len() as u32).put(&mut bytes);
         (checksum(&bytes[..HEADER_PREFIX_LEN]) ^ checksum(&payload)).put(&mut bytes);
         bytes.extend_from_slice(&payload);
-        assert_eq!(decode_frame(&bytes), Err(DecodeError::TooDeep));
+        assert_eq!(decode_frame(&bytes), Err(DecodeError::Payload(CodecError::TooDeep)));
     }
 
     #[test]

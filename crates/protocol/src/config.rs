@@ -41,6 +41,24 @@ impl CommitProtocol {
     }
 }
 
+/// Reads back exactly the spellings [`CommitProtocol::label`] prints;
+/// `relaxed` completes its unilateral decisions with probability 0.5.
+impl std::str::FromStr for CommitProtocol {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        [
+            CommitProtocol::Polyvalue,
+            CommitProtocol::Blocking2pc,
+            CommitProtocol::Relaxed { complete_prob: 0.5 },
+            CommitProtocol::PaxosCommit,
+        ]
+        .into_iter()
+        .find(|p| p.label() == s)
+        .ok_or_else(|| format!("unknown protocol: {s}"))
+    }
+}
+
 /// How participants resolve lock conflicts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LockPolicy {
@@ -164,6 +182,19 @@ mod tests {
             "relaxed"
         );
         assert_eq!(CommitProtocol::PaxosCommit.label(), "paxos-commit");
+    }
+
+    #[test]
+    fn protocols_round_trip_through_label_and_parse() {
+        for p in [
+            CommitProtocol::Polyvalue,
+            CommitProtocol::Blocking2pc,
+            CommitProtocol::Relaxed { complete_prob: 0.5 },
+            CommitProtocol::PaxosCommit,
+        ] {
+            assert_eq!(p.label().parse::<CommitProtocol>(), Ok(p));
+        }
+        assert!("blocking2pc".parse::<CommitProtocol>().is_err());
     }
 
     #[test]

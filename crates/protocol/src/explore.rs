@@ -45,6 +45,7 @@ use crate::messages::Msg;
 use crate::timer::TimerKey;
 use pv_core::{Entry, Expr, ItemId, TransactionSpec, Value};
 use pv_simnet::{NodeId, SimTime, TraceEvent};
+use pv_store::codec::Tagged;
 use pv_store::{SiteId, SiteStore};
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::fmt::Write as _;
@@ -325,7 +326,7 @@ impl State {
             Action::Deliver(i) => {
                 let env = self.in_flight.remove(i);
                 let site = env.to.0;
-                self.path.push(format!("deliver {:?} to site {site}", kind(&env.msg)));
+                self.path.push(format!("deliver {:?} to site {site}", env.msg.name()));
                 // Learning an outcome is observable at delivery time (I3/I4
                 // need "site knew before" to be well-defined).
                 if let Msg::Decision { txn, completed } | Msg::OutcomeNotify { txn, completed } =
@@ -545,33 +546,6 @@ impl State {
                 path: self.path.clone(),
             });
         }
-    }
-}
-
-/// `Msg` discriminant name for path labels (full payloads make paths
-/// unreadable).
-fn kind(msg: &Msg) -> &'static str {
-    match msg {
-        Msg::Submit { .. } => "Submit",
-        Msg::Reply { .. } => "Reply",
-        Msg::ReadReq { .. } => "ReadReq",
-        Msg::ReadResp { .. } => "ReadResp",
-        Msg::ReadNack { .. } => "ReadNack",
-        Msg::Prepare { .. } => "Prepare",
-        Msg::Ready { .. } => "Ready",
-        Msg::PrepareNack { .. } => "PrepareNack",
-        Msg::Decision { .. } => "Decision",
-        Msg::Inquire { .. } => "Inquire",
-        Msg::OutcomeNotify { .. } => "OutcomeNotify",
-        Msg::PcPrepare { .. } => "PcPrepare",
-        Msg::PcVote { .. } => "PcVote",
-        Msg::PcVoteAck { .. } => "PcVoteAck",
-        Msg::PcPhase1a { .. } => "PcPhase1a",
-        Msg::PcPhase1b { .. } => "PcPhase1b",
-        Msg::PcPhase2a { .. } => "PcPhase2a",
-        Msg::PcPhase2b { .. } => "PcPhase2b",
-        Msg::SnapshotRead { .. } => "SnapshotRead",
-        Msg::SnapshotReadReply { .. } => "SnapshotReadReply",
     }
 }
 

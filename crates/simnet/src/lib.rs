@@ -28,5 +28,5 @@ pub use metrics::{Histogram, HistogramSummary, Metrics, MetricsSnapshot};
 pub use net::{LinkState, NetConfig};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};
-pub use trace::{Trace, TraceEvent, TraceRecord, TraceSink};
+pub use trace::{parse_trace_text, Trace, TraceEvent, TraceParseError, TraceRecord};
 pub use world::World;

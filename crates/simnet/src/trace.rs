@@ -14,6 +14,7 @@
 use crate::actor::NodeId;
 use crate::time::SimTime;
 use std::fmt;
+use std::str::FromStr;
 
 /// One protocol transition, in the vocabulary of the paper's §2–§3.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -122,70 +123,68 @@ pub enum TraceEvent {
     },
 }
 
-impl TraceEvent {
-    /// A short stable label naming the event kind (used in summaries).
-    pub fn label(&self) -> &'static str {
-        match self {
-            TraceEvent::TxnSubmitted { .. } => "txn_submitted",
-            TraceEvent::TxnRetried { .. } => "txn_retried",
-            TraceEvent::AltSplit { .. } => "alt_split",
-            TraceEvent::Prepared { .. } => "prepared",
-            TraceEvent::Decided { .. } => "decided",
-            TraceEvent::WaitTimedOut { .. } => "wait_timed_out",
-            TraceEvent::PolyvalueInstalled { .. } => "polyvalue_installed",
-            TraceEvent::OutcomeLearned { .. } => "outcome_learned",
-            TraceEvent::OutcomeForwarded { .. } => "outcome_forwarded",
-            TraceEvent::PolyvalueCollapsed { .. } => "polyvalue_collapsed",
-            TraceEvent::SnapshotRead { .. } => "snapshot_read",
-            TraceEvent::PcTakeover { .. } => "pc_takeover",
+/// Declares the text form of every [`TraceEvent`] once: the event's label,
+/// then each field with the text written before its value (`key=`, plus an
+/// `s` for a site id). The table generates [`TraceEvent::label`], the
+/// `Display` that [`Trace::to_text`] writes and the parser behind
+/// [`parse_trace_text`], so a writer and a reader cannot disagree. A variant
+/// or field missing from the table fails the generated exhaustive `match`,
+/// and a label used twice fails `#[deny(unreachable_patterns)]`.
+macro_rules! trace_text {
+    ($( $var:ident => $label:literal { $( $field:ident: $spec:literal ),* } ),* $(,)?) => {
+        impl TraceEvent {
+            /// A short stable label naming the event kind (used in summaries).
+            pub fn label(&self) -> &'static str {
+                match self { $( TraceEvent::$var { .. } => $label, )* }
+            }
+
+            /// Reads the event `label` names from its `key=value` fields.
+            #[deny(unreachable_patterns)]
+            fn parse(label: &str, fields: &[(&str, &str)]) -> Result<Self, String> {
+                Ok(match label {
+                    $( $label => TraceEvent::$var { $( $field: field(fields, $spec)? ),* }, )*
+                    other => return Err(format!("unknown event label {other}")),
+                })
+            }
         }
-    }
+
+        impl fmt::Display for TraceEvent {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                match self { $(
+                    TraceEvent::$var { $($field),* } => {
+                        f.write_str($label)?;
+                        $( write!(f, concat!(" ", $spec, "{}"), $field)?; )*
+                        Ok(())
+                    }
+                )* }
+            }
+        }
+    };
 }
 
-impl fmt::Display for TraceEvent {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match *self {
-            TraceEvent::TxnSubmitted { req_id, coordinator } => {
-                write!(f, "txn_submitted req={req_id} coord=s{coordinator}")
-            }
-            TraceEvent::TxnRetried { req_id, attempt } => {
-                write!(f, "txn_retried req={req_id} attempt={attempt}")
-            }
-            TraceEvent::AltSplit { txn, alternatives } => {
-                write!(f, "alt_split txn={txn} alts={alternatives}")
-            }
-            TraceEvent::Prepared { txn, site } => {
-                write!(f, "prepared txn={txn} site=s{site}")
-            }
-            TraceEvent::Decided { txn, completed } => {
-                write!(f, "decided txn={txn} completed={completed}")
-            }
-            TraceEvent::WaitTimedOut { txn, site } => {
-                write!(f, "wait_timed_out txn={txn} site=s{site}")
-            }
-            TraceEvent::PolyvalueInstalled { txn, site, items } => {
-                write!(f, "polyvalue_installed txn={txn} site=s{site} items={items}")
-            }
-            TraceEvent::OutcomeLearned { txn, site, completed } => {
-                write!(f, "outcome_learned txn={txn} site=s{site} completed={completed}")
-            }
-            TraceEvent::OutcomeForwarded { txn, site, to } => {
-                write!(f, "outcome_forwarded txn={txn} site=s{site} to=s{to}")
-            }
-            TraceEvent::PolyvalueCollapsed { txn, site, lifetime_us } => {
-                write!(
-                    f,
-                    "polyvalue_collapsed txn={txn} site=s{site} lifetime_us={lifetime_us}"
-                )
-            }
-            TraceEvent::SnapshotRead { site, snapshot, items } => {
-                write!(f, "snapshot_read site=s{site} snapshot={snapshot} items={items}")
-            }
-            TraceEvent::PcTakeover { txn, site, ballot } => {
-                write!(f, "pc_takeover txn={txn} site=s{site} ballot={ballot}")
-            }
-        }
-    }
+trace_text! {
+    TxnSubmitted => "txn_submitted" { req_id: "req=", coordinator: "coord=s" },
+    TxnRetried => "txn_retried" { req_id: "req=", attempt: "attempt=" },
+    AltSplit => "alt_split" { txn: "txn=", alternatives: "alts=" },
+    Prepared => "prepared" { txn: "txn=", site: "site=s" },
+    Decided => "decided" { txn: "txn=", completed: "completed=" },
+    WaitTimedOut => "wait_timed_out" { txn: "txn=", site: "site=s" },
+    PolyvalueInstalled => "polyvalue_installed" { txn: "txn=", site: "site=s", items: "items=" },
+    OutcomeLearned => "outcome_learned" { txn: "txn=", site: "site=s", completed: "completed=" },
+    OutcomeForwarded => "outcome_forwarded" { txn: "txn=", site: "site=s", to: "to=s" },
+    PolyvalueCollapsed => "polyvalue_collapsed" { txn: "txn=", site: "site=s", lifetime_us: "lifetime_us=" },
+    SnapshotRead => "snapshot_read" { site: "site=s", snapshot: "snapshot=", items: "items=" },
+    PcTakeover => "pc_takeover" { txn: "txn=", site: "site=s", ballot: "ballot=" },
+}
+
+/// Reads the field a table `spec` (`key=` plus an optional prefix) names
+/// from a line's `key=value` pairs. The prefix may be left out on read.
+fn field<T: FromStr>(fields: &[(&str, &str)], spec: &str) -> Result<T, String> {
+    let (key, prefix) = spec.split_once('=').expect("a table spec holds `=`");
+    let found = fields.iter().find(|(k, _)| *k == key);
+    let (_, raw) = found.ok_or_else(|| format!("missing field {key}"))?;
+    let value = raw.strip_prefix(prefix).unwrap_or(raw);
+    value.parse().map_err(|_| format!("field {key} has a bad value: {raw}"))
 }
 
 /// One recorded event with its position in the run.
@@ -208,33 +207,15 @@ impl fmt::Display for TraceRecord {
     }
 }
 
-/// A consumer of trace records, attached with [`Trace::with_sink`].
-///
-/// Sinks observe records as they are emitted (streaming); the `Trace` also
-/// buffers records for post-run inspection unless buffering is disabled.
-/// Any `FnMut(&TraceRecord)` is a sink.
-pub trait TraceSink {
-    /// Called once per emitted record, in emission order.
-    fn record(&mut self, record: &TraceRecord);
-}
-
-impl<F: FnMut(&TraceRecord)> TraceSink for F {
-    fn record(&mut self, record: &TraceRecord) {
-        self(record)
-    }
-}
-
 /// The per-run event recorder.
 ///
 /// Defaults to disabled (zero cost beyond constructing the event); enable
-/// buffering with [`Trace::collecting`] or attach a streaming sink with
-/// [`Trace::with_sink`].
+/// buffering with [`Trace::collecting`].
 #[derive(Default)]
 pub struct Trace {
     enabled: bool,
     seq: u64,
     records: Vec<TraceRecord>,
-    sink: Option<Box<dyn TraceSink + Send>>,
 }
 
 impl fmt::Debug for Trace {
@@ -243,7 +224,6 @@ impl fmt::Debug for Trace {
             .field("enabled", &self.enabled)
             .field("seq", &self.seq)
             .field("records", &self.records.len())
-            .field("sink", &self.sink.is_some())
             .finish()
     }
 }
@@ -262,15 +242,6 @@ impl Trace {
         }
     }
 
-    /// A collecting trace that additionally streams records to `sink`.
-    pub fn with_sink(sink: impl TraceSink + Send + 'static) -> Self {
-        Trace {
-            enabled: true,
-            sink: Some(Box::new(sink)),
-            ..Trace::default()
-        }
-    }
-
     /// Whether records are currently being kept.
     pub fn is_enabled(&self) -> bool {
         self.enabled
@@ -281,17 +252,13 @@ impl Trace {
         if !self.enabled {
             return;
         }
-        let record = TraceRecord {
+        self.records.push(TraceRecord {
             at,
             node,
             seq: self.seq,
             event,
-        };
+        });
         self.seq += 1;
-        if let Some(sink) = &mut self.sink {
-            sink.record(&record);
-        }
-        self.records.push(record);
     }
 
     /// All buffered records, in emission order.
@@ -327,6 +294,53 @@ impl Trace {
     }
 }
 
+/// A failure reading the textual trace format.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TraceParseError {
+    /// 1-based line number.
+    pub line: usize,
+    /// What went wrong.
+    pub message: String,
+}
+
+impl fmt::Display for TraceParseError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "trace line {}: {}", self.line, self.message)
+    }
+}
+
+impl std::error::Error for TraceParseError {}
+
+/// Reads back the stable line format [`Trace::to_text`] writes:
+/// `{seq:06} {time_us} {node} {label} {key=value}...`. Blank lines and
+/// lines starting with `#` are skipped.
+pub fn parse_trace_text(text: &str) -> Result<Vec<TraceRecord>, TraceParseError> {
+    text.lines()
+        .map(str::trim)
+        .enumerate()
+        .filter(|(_, l)| !l.is_empty() && !l.starts_with('#'))
+        .map(|(idx, l)| parse_line(l).map_err(|message| TraceParseError { line: idx + 1, message }))
+        .collect()
+}
+
+/// Reads one record line.
+fn parse_line(line: &str) -> Result<TraceRecord, String> {
+    let mut parts = line.split_whitespace();
+    let mut next = |what: &str| parts.next().ok_or_else(|| format!("missing {what}"));
+    let seq = next("sequence number")?.parse().map_err(|_| "bad sequence number")?;
+    let at = next("timestamp")?.parse().map_err(|_| "bad timestamp")?;
+    let node = next("node")?.strip_prefix('n').and_then(|n| n.parse().ok());
+    let node = node.ok_or("bad node (expected nN)")?;
+    let label = next("event label")?;
+    let fields: Vec<(&str, &str)> = parts.filter_map(|kv| kv.split_once('=')).collect();
+    Ok(TraceRecord {
+        at: SimTime(at),
+        node: NodeId(node),
+        seq,
+        event: TraceEvent::parse(label, &fields)?,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -359,19 +373,6 @@ mod tests {
     }
 
     #[test]
-    fn sink_sees_every_record() {
-        use std::sync::{Arc, Mutex};
-        let seen: Arc<Mutex<Vec<u64>>> = Arc::default();
-        let seen2 = Arc::clone(&seen);
-        let mut t = Trace::with_sink(move |r: &TraceRecord| {
-            seen2.lock().expect("not poisoned").push(r.seq);
-        });
-        t.record(SimTime::ZERO, NodeId(0), ev());
-        t.record(SimTime::ZERO, NodeId(0), ev());
-        assert_eq!(*seen.lock().expect("not poisoned"), vec![0, 1]);
-    }
-
-    #[test]
     fn text_format_is_stable() {
         let mut t = Trace::collecting();
         t.record(SimTime::from_millis(5), NodeId(3), ev());
@@ -379,6 +380,55 @@ mod tests {
             t.to_text(),
             "000000       5000 n3 polyvalue_installed txn=7 site=s2 items=3\n"
         );
+    }
+
+    /// One line per event kind, spelled as `Trace::to_text` writes it.
+    const GOLDEN: [(&str, TraceEvent); 12] = [
+        ("txn_submitted req=4 coord=s1", TraceEvent::TxnSubmitted { req_id: 4, coordinator: 1 }),
+        ("txn_retried req=4 attempt=2", TraceEvent::TxnRetried { req_id: 4, attempt: 2 }),
+        ("alt_split txn=9 alts=3", TraceEvent::AltSplit { txn: 9, alternatives: 3 }),
+        ("prepared txn=9 site=s2", TraceEvent::Prepared { txn: 9, site: 2 }),
+        ("decided txn=9 completed=false", TraceEvent::Decided { txn: 9, completed: false }),
+        ("wait_timed_out txn=9 site=s2", TraceEvent::WaitTimedOut { txn: 9, site: 2 }),
+        (
+            "polyvalue_installed txn=9 site=s2 items=5",
+            TraceEvent::PolyvalueInstalled { txn: 9, site: 2, items: 5 },
+        ),
+        (
+            "outcome_learned txn=9 site=s2 completed=true",
+            TraceEvent::OutcomeLearned { txn: 9, site: 2, completed: true },
+        ),
+        (
+            "outcome_forwarded txn=9 site=s2 to=s0",
+            TraceEvent::OutcomeForwarded { txn: 9, site: 2, to: 0 },
+        ),
+        (
+            "polyvalue_collapsed txn=9 site=s2 lifetime_us=1500",
+            TraceEvent::PolyvalueCollapsed { txn: 9, site: 2, lifetime_us: 1500 },
+        ),
+        (
+            "snapshot_read site=s1 snapshot=41 items=3",
+            TraceEvent::SnapshotRead { site: 1, snapshot: 41, items: 3 },
+        ),
+        (
+            "pc_takeover txn=9 site=s1 ballot=65537",
+            TraceEvent::PcTakeover { txn: 9, site: 1, ballot: 65537 },
+        ),
+    ];
+
+    #[test]
+    fn every_event_text_is_pinned() {
+        for (line, event) in GOLDEN {
+            assert_eq!(event.to_string(), line);
+            let parsed = parse_trace_text(&format!("000007 42 n1 {line}")).unwrap();
+            assert_eq!(parsed[0].event, event, "{line}");
+        }
+    }
+
+    #[test]
+    fn site_prefix_is_optional_on_read() {
+        let parsed = parse_trace_text("000000 0 n0 outcome_forwarded txn=9 site=2 to=0").unwrap();
+        assert_eq!(parsed[0].event, TraceEvent::OutcomeForwarded { txn: 9, site: 2, to: 0 });
     }
 
     #[test]

@@ -506,7 +506,7 @@ mod tests {
     }
 
     #[test]
-    fn timers_fire_and_cancel() {
+    fn timers_fire() {
         let mut w = world();
         let a = w.add_node(Node::default());
         w.send_from_env(a, Msg::ArmTimer(5));

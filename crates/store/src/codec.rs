@@ -95,6 +95,8 @@ pub trait Wire: Sized {
 pub trait Tagged: Sized {
     /// The variant's tag byte.
     fn tag(&self) -> u8;
+    /// The variant's name, as declared.
+    fn name(&self) -> &'static str;
     /// Appends the variant's fields, without the tag.
     fn put_fields(&self, buf: &mut Vec<u8>);
     /// Decodes the fields of the variant `tag` names; `Ok(None)` when it
@@ -119,12 +121,13 @@ impl<T: Tagged> Wire for T {
 /// `struct T { a, b }` encodes the named fields in the order listed (a tuple
 /// struct names its fields `0`, `1`, …). `enum T { 1 => A { x, y }, 2 => B(x),
 /// 3 => C }` encodes a tag byte then the variant's fields in the order
-/// listed, and implements [`Tagged`](crate::codec::Tagged). Every field type
-/// must itself be [`Wire`](crate::codec::Wire). Adding a variant is one line
-/// here (plus a line in `results/wire_golden.txt`).
+/// listed, and implements [`Tagged`](crate::codec::Tagged), which also names
+/// each variant. Every field type must itself be
+/// [`Wire`](crate::codec::Wire). Adding a variant is one line here (plus a
+/// line in `results/wire_golden.txt`).
 ///
 /// ```
-/// use pv_store::codec::Wire;
+/// use pv_store::codec::{Tagged, Wire};
 ///
 /// #[derive(Debug, PartialEq)]
 /// enum Shape {
@@ -138,6 +141,7 @@ impl<T: Tagged> Wire for T {
 /// Shape::Rect { w: 2, h: 3 }.put(&mut buf);
 /// assert_eq!(buf, [2, 2, 0, 0, 0, 3, 0, 0, 0]);
 /// assert_eq!(Shape::get(&mut &buf[..]), Ok(Shape::Rect { w: 2, h: 3 }));
+/// assert_eq!(Shape::Circle(1).name(), "Circle");
 /// ```
 ///
 /// A variant missing from the table, or a tag used twice, does not compile:
@@ -170,6 +174,10 @@ macro_rules! wire_table {
         impl $crate::codec::Tagged for $ty {
             fn tag(&self) -> u8 {
                 match self { $( $ty::$var { .. } => $tag, )* }
+            }
+
+            fn name(&self) -> &'static str {
+                match self { $( $ty::$var { .. } => stringify!($var), )* }
             }
 
             #[allow(unused_variables)]

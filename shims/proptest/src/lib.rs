@@ -553,6 +553,7 @@ macro_rules! __proptest_body {
 #[cfg(test)]
 mod tests {
     use crate::prelude::*;
+    use std::sync::atomic::{AtomicU32, AtomicU8, Ordering};
 
     #[test]
     fn case_count_parsing() {
@@ -584,7 +585,10 @@ mod tests {
         }
         fn tree_depth(t: &Tree) -> u32 {
             match t {
-                Tree::Leaf(_) => 0,
+                Tree::Leaf(v) => {
+                    assert!(*v < 8, "leaf {v} outside 0..8");
+                    0
+                }
                 Tree::Node(a, b) => 1 + tree_depth(a).max(tree_depth(b)),
             }
         }
@@ -604,8 +608,13 @@ mod tests {
         #[test]
         fn macro_binds_patterns((a, b) in (0u32..10, 0u32..10), flag: bool, n in 1usize..4) {
             prop_assert!(a < 10 && b < 10);
-            prop_assert_eq!(flag || !flag, true);
-            prop_assert!(n >= 1 && n < 4);
+            // Both values of `flag` turn up within the first 32 cases.
+            static SEEN: AtomicU8 = AtomicU8::new(0);
+            static CASES: AtomicU32 = AtomicU32::new(0);
+            let seen = SEEN.fetch_or(1 << u8::from(flag), Ordering::Relaxed) | 1 << u8::from(flag);
+            let case = CASES.fetch_add(1, Ordering::Relaxed) + 1;
+            prop_assert!(case < 32 || seen == 0b11, "flag stuck at {flag} after {case} cases");
+            prop_assert!((1..4).contains(&n));
         }
 
         #[test]

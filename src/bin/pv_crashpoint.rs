@@ -89,10 +89,10 @@ fn main() -> ExitCode {
                 Some(v) => cfg.max_points_per_site = Some(v),
                 None => return ExitCode::from(2),
             },
-            "--protocol" => match take("--protocol").map(String::as_str) {
-                Some("polyvalue") => cfg.protocol = CommitProtocol::Polyvalue,
-                Some("blocking-2pc") => cfg.protocol = CommitProtocol::Blocking2pc,
-                Some("paxos-commit") => cfg.protocol = CommitProtocol::PaxosCommit,
+            // `relaxed` is refused: its unilateral decisions break the
+            // sweep's conservation check by design.
+            "--protocol" => match take("--protocol").map(|v| v.parse::<CommitProtocol>()) {
+                Some(Ok(p)) if !matches!(p, CommitProtocol::Relaxed { .. }) => cfg.protocol = p,
                 _ => {
                     eprintln!("pv-crashpoint: bad --protocol\n{USAGE}");
                     return ExitCode::from(2);

@@ -20,7 +20,6 @@
 //! `--allow-truncation`).
 
 use polyvalues::protocol::explore::{ExploreConfig, Explorer};
-use polyvalues::protocol::CommitProtocol;
 use std::fmt::Write as _;
 use std::process::ExitCode;
 
@@ -40,13 +39,7 @@ fn main() -> ExitCode {
                 let name = args
                     .next()
                     .unwrap_or_else(|| die("--protocol needs a value"));
-                cfg.engine.protocol = match name.as_str() {
-                    "polyvalue" => CommitProtocol::Polyvalue,
-                    "blocking-2pc" => CommitProtocol::Blocking2pc,
-                    "relaxed" => CommitProtocol::Relaxed { complete_prob: 0.5 },
-                    "paxos-commit" => CommitProtocol::PaxosCommit,
-                    other => die(&format!("unknown protocol: {other}")),
-                };
+                cfg.engine.protocol = name.parse().unwrap_or_else(|e: String| die(&e));
             }
             "--sites" => cfg.sites = num(&mut args) as u32,
             "--txns" => cfg.txns = num(&mut args) as u32,

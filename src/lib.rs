@@ -92,6 +92,6 @@ pub mod prelude {
     pub use pv_net::{NetBuilder, NetClient, NetCluster};
     pub use pv_simnet::{
         Histogram, HistogramSummary, Metrics, MetricsSnapshot, NetConfig, NodeId, SimDuration,
-        SimTime, Trace, TraceEvent, TraceRecord, TraceSink,
+        SimTime, Trace, TraceEvent, TraceRecord,
     };
 }

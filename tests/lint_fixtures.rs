@@ -1,7 +1,8 @@
 //! Conformance checks over the committed trace fixtures in `results/`
 //! (regenerate with `cargo run --bin gen-trace-fixture`).
 
-use polyvalues::analysis::{check_trace_text, parse_trace_text, Code};
+use polyvalues::analysis::{check_trace_text, Code};
+use polyvalues::simnet::parse_trace_text;
 
 fn fixture(name: &str) -> String {
     let path = format!("{}/results/{name}", env!("CARGO_MANIFEST_DIR"));
