@@ -346,22 +346,12 @@ mod tests {
     #[test]
     fn pc_takeover_text_round_trip() {
         let text = "000000 10 n1 pc_takeover txn=7 site=s1 ballot=65537\n";
-        let parsed = parse_trace_text(text).unwrap();
-        assert_eq!(
-            parsed[0].event,
-            TraceEvent::PcTakeover { txn: 7, site: 1, ballot: 65537 }
-        );
         assert!(check_trace_text(text).unwrap().is_clean());
     }
 
     #[test]
     fn snapshot_read_text_round_trip() {
         let text = "000000 10 n2 snapshot_read site=s2 snapshot=41 items=3\n";
-        let parsed = parse_trace_text(text).unwrap();
-        assert_eq!(
-            parsed[0].event,
-            TraceEvent::SnapshotRead { site: 2, snapshot: 41, items: 3 }
-        );
         // Reads are replay-neutral: a bare snapshot read is a clean trace.
         assert!(check_trace_text(text).unwrap().is_clean());
     }
@@ -394,30 +384,6 @@ mod tests {
         for r in healthy_records() {
             t.record(r.at, r.node, r.event);
         }
-        let text = t.to_text();
-        let parsed = parse_trace_text(&text).unwrap();
-        assert_eq!(parsed.len(), 8);
-        for (p, h) in parsed.iter().zip(healthy_records()) {
-            assert_eq!(p.event, h.event);
-            assert_eq!(p.at, h.at);
-        }
-        assert!(check_trace_text(&text).unwrap().is_clean());
-    }
-
-    #[test]
-    fn parser_reports_bad_lines() {
-        assert!(parse_trace_text("garbage").is_err());
-        assert!(parse_trace_text("000000 10 n0 unknown_event txn=1").is_err());
-        assert!(parse_trace_text("000000 10 n0 decided txn=1").is_err()); // missing completed
-        assert!(parse_trace_text("000000 10 n0 decided txn=1 completed=maybe").is_err());
-        // Comments and blank lines are fine.
-        let ok = "# a comment\n\n000000 10 n0 decided txn=1 completed=true\n";
-        assert_eq!(parse_trace_text(ok).unwrap().len(), 1);
-    }
-
-    #[test]
-    fn parse_error_display() {
-        let e = parse_trace_text("oops").unwrap_err();
-        assert!(e.to_string().contains("line 1"));
+        assert!(check_trace_text(&t.to_text()).unwrap().is_clean());
     }
 }

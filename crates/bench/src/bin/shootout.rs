@@ -1,10 +1,12 @@
-//! Four-way commit-protocol **availability shootout**: Polyvalue, blocking
-//! 2PC, relaxed, and Paxos Commit under the same seeded transfer workload
-//! across a sweep of crash rates.
+//! The commit-protocol **availability shootout**: the three §2 protocols
+//! (polyvalue, blocking 2PC, relaxed) and Paxos Commit under the same seeded
+//! transfer workload across a sweep of crash rates — the repository's one
+//! simulated protocol sweep.
 //!
-//! Where `availability` prints a human-readable table over the three §2
-//! protocols, this binary measures the quantities the protocols actually
-//! trade against each other and writes them to `results/shootout.json`:
+//! Each cell reports the fraction of requests committed *promptly* (by the
+//! end of the failure window), lock conflicts, blocking stalls, relaxed's
+//! atomicity violations and whether money was conserved, plus the
+//! quantities the protocols trade against each other:
 //!
 //! * **blocked time** — the `phase.prepared_decided` histogram: how long a
 //!   committing transaction sat between its last vote and its decision.
@@ -17,13 +19,13 @@
 //!   Commit's 2F+1 acceptors make its fault-free round trip strictly more
 //!   expensive; the shootout quantifies by how much.
 //!
-//! Modes:
+//! The table goes to stdout and to `results/shootout.json` (the committed
+//! artifact behind EXPERIMENTS.md's protocol table). The run ends with one
+//! traced polyvalue run reported in full: the trace digest, the phase table
+//! and both metric exports. It exits 1 if an atomic protocol fails to
+//! conserve money.
 //!
-//! * default — full sweep, writes `results/shootout.json` (the committed
-//!   artifact behind EXPERIMENTS.md's four-protocol table);
-//! * `--test` — CI smoke: a reduced workload, written to
-//!   `target/shootout-smoke/shootout.json`, never the committed file;
-//! * `--seed N` — override the workload seed.
+//! Run with `cargo run --release -p pv-bench --bin shootout [--seed N]`.
 
 use pv_core::ItemId;
 use pv_engine::{
@@ -31,31 +33,16 @@ use pv_engine::{
 };
 use pv_simnet::{FailureConfig, FailurePlan, NetConfig, SimRng, SimTime};
 use std::fmt::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 const SITES: u32 = 4;
 const ACCOUNTS: u64 = 24;
 const INITIAL: i64 = 1_000;
+const CLIENTS: u32 = 3;
+const PER_CLIENT: u64 = 250;
+const CHAOS_SECS: u64 = 15;
 const CRASH_RATES: [f64; 4] = [0.0, 0.1, 0.2, 0.4];
-
-/// Workload scale; the smoke run shrinks it so CI finishes in seconds.
-#[derive(Clone, Copy)]
-struct Scale {
-    clients: u32,
-    per_client: u64,
-    chaos_secs: u64,
-}
-
-const FULL: Scale = Scale {
-    clients: 3,
-    per_client: 250,
-    chaos_secs: 15,
-};
-const SMOKE: Scale = Scale {
-    clients: 2,
-    per_client: 40,
-    chaos_secs: 5,
-};
+const OUT: &str = "results/shootout.json";
 
 struct Cell {
     protocol: &'static str,
@@ -64,6 +51,8 @@ struct Cell {
     committed: u64,
     in_doubt: u64,
     stalls: u64,
+    conflicts: u64,
+    violations: u64,
     takeovers: u64,
     polyvalue_items: u64,
     messages: u64,
@@ -74,20 +63,22 @@ struct Cell {
     conserved: bool,
 }
 
-fn run(protocol: CommitProtocol, crash_rate: f64, seed: u64, scale: Scale) -> Cell {
-    let label = protocol.label();
+fn run(protocol: CommitProtocol, crash_rate: f64, seed: u64, trace: bool) -> (Cell, Cluster) {
     let mut builder = ClusterBuilder::new(SITES, Directory::Mod(SITES))
         .seed(seed)
         .net(NetConfig::default())
         .engine(EngineConfig::with_protocol(protocol))
         .uniform_items(ACCOUNTS, INITIAL);
-    for _ in 0..scale.clients {
+    if trace {
+        builder = builder.collect_trace();
+    }
+    for _ in 0..CLIENTS {
         builder = builder.client(
             ClientConfig {
                 record_results: false,
                 ..ClientConfig::default()
             },
-            Box::new(RandomTransfers::new(ACCOUNTS, 20.0, 50).with_limit(scale.per_client)),
+            Box::new(RandomTransfers::new(ACCOUNTS, 20.0, 50).with_limit(PER_CLIENT)),
         );
     }
     let mut cluster: Cluster = builder.build();
@@ -95,22 +86,22 @@ fn run(protocol: CommitProtocol, crash_rate: f64, seed: u64, scale: Scale) -> Ce
         FailureConfig {
             crash_rate_per_sec: crash_rate,
             mean_downtime_secs: 0.8,
-            horizon: SimTime::from_secs(scale.chaos_secs),
+            horizon: SimTime::from_secs(CHAOS_SECS),
         },
         SITES,
         &mut SimRng::new(seed ^ 0xC4A5),
     );
     plan.apply(&mut cluster.world);
-    // Link partitions at the same intensity (same schedule as the
-    // `availability` bench): cross-site commits through the cut link are
-    // left in doubt — the polyvalue mechanism's home turf, and exactly
-    // where Paxos Commit's takeover path earns its message overhead.
+    // Link partitions at the same intensity: both endpoints stay alive, but
+    // cross-site commits through the cut link are left in doubt — the
+    // polyvalue mechanism's home turf, and exactly where Paxos Commit's
+    // takeover path earns its message overhead.
     let mut prng = SimRng::new(seed ^ 0x9A27);
     if crash_rate > 0.0 {
         let mut t = 0.0f64;
         loop {
             t += prng.exponential(1.0 / (crash_rate * f64::from(SITES)));
-            if t >= scale.chaos_secs as f64 {
+            if t >= CHAOS_SECS as f64 {
                 break;
             }
             let a = prng.below(u64::from(SITES)) as u32;
@@ -129,9 +120,9 @@ fn run(protocol: CommitProtocol, crash_rate: f64, seed: u64, scale: Scale) -> Ce
                 .schedule_heal(end, pv_simnet::NodeId(a), pv_simnet::NodeId(b));
         }
     }
-    cluster.run_until(SimTime::from_secs(scale.chaos_secs));
+    cluster.run_until(SimTime::from_secs(CHAOS_SECS));
     let prompt = cluster.world.metrics().counter("client.committed");
-    cluster.run_until(SimTime::from_secs(scale.chaos_secs + 25));
+    cluster.run_until(SimTime::from_secs(CHAOS_SECS + 25));
     let m = cluster.world.metrics();
     let committed = m.counter("client.committed");
     let messages = m.counter("net.delivered");
@@ -139,13 +130,15 @@ fn run(protocol: CommitProtocol, crash_rate: f64, seed: u64, scale: Scale) -> Ce
     let ms = |v: Option<f64>| v.map_or(0.0, |s| s * 1000.0);
     let conserved = cluster.total_poly_count() == 0
         && cluster.sum_items((0..ACCOUNTS).map(ItemId)) == Ok(ACCOUNTS as i64 * INITIAL);
-    Cell {
-        protocol: label,
+    let cell = Cell {
+        protocol: protocol.label(),
         crash_rate,
-        prompt_frac: prompt as f64 / (u64::from(scale.clients) * scale.per_client) as f64,
+        prompt_frac: prompt as f64 / (u64::from(CLIENTS) * PER_CLIENT) as f64,
         committed,
         in_doubt: m.counter("txn.in_doubt"),
         stalls: m.counter("blocking.stalls"),
+        conflicts: m.counter("lock.conflicts"),
+        violations: m.counter("relaxed.violations"),
         takeovers: m.counter("pc.takeovers"),
         polyvalue_items: m.counter("poly.installed_items"),
         messages,
@@ -158,7 +151,8 @@ fn run(protocol: CommitProtocol, crash_rate: f64, seed: u64, scale: Scale) -> Ce
         blocked_ms_p99: ms(blocked.and_then(|h| h.quantile(0.99))),
         blocked_ms_max: ms(blocked.and_then(|h| h.max())),
         conserved,
-    }
+    };
+    (cell, cluster)
 }
 
 fn protocols() -> [CommitProtocol; 4] {
@@ -170,7 +164,7 @@ fn protocols() -> [CommitProtocol; 4] {
     ]
 }
 
-fn to_json(seed: u64, scale: Scale, cells: &[Cell]) -> String {
+fn to_json(seed: u64, cells: &[Cell]) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"suite\": \"four-way commit-protocol availability shootout\",\n");
@@ -178,15 +172,15 @@ fn to_json(seed: u64, scale: Scale, cells: &[Cell]) -> String {
     let _ = writeln!(
         out,
         "  \"workload\": {{\"seed\": {seed}, \"sites\": {SITES}, \"accounts\": {ACCOUNTS}, \
-         \"clients\": {}, \"transfers_per_client\": {}, \"chaos_secs\": {}}},",
-        scale.clients, scale.per_client, scale.chaos_secs
+         \"clients\": {CLIENTS}, \"transfers_per_client\": {PER_CLIENT}, \"chaos_secs\": {CHAOS_SECS}}},"
     );
     out.push_str("  \"rows\": [\n");
     for (i, c) in cells.iter().enumerate() {
         let _ = write!(
             out,
             "    {{\"protocol\": \"{}\", \"crash_rate\": {:.2}, \"prompt_frac\": {:.4}, \
-             \"committed\": {}, \"in_doubt\": {}, \"stalls\": {}, \"takeovers\": {}, \
+             \"committed\": {}, \"in_doubt\": {}, \"stalls\": {}, \"conflicts\": {}, \
+             \"violations\": {}, \"takeovers\": {}, \
              \"polyvalue_items\": {}, \"messages\": {}, \"msgs_per_commit\": {:.2}, \
              \"blocked_ms_mean\": {:.3}, \"blocked_ms_p99\": {:.3}, \"blocked_ms_max\": {:.3}, \
              \"conserved\": {}}}",
@@ -196,6 +190,8 @@ fn to_json(seed: u64, scale: Scale, cells: &[Cell]) -> String {
             c.committed,
             c.in_doubt,
             c.stalls,
+            c.conflicts,
+            c.violations,
             c.takeovers,
             c.polyvalue_items,
             c.messages,
@@ -211,41 +207,23 @@ fn to_json(seed: u64, scale: Scale, cells: &[Cell]) -> String {
     out
 }
 
-fn repo_root() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .canonicalize()
-        .expect("repo root")
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let test_mode = args.iter().any(|a| a == "--test");
     let seed = pv_bench::seed_from_args(1979);
-    let scale = if test_mode { SMOKE } else { FULL };
-    let out_path = if test_mode {
-        let d = repo_root().join("target/shootout-smoke");
-        std::fs::create_dir_all(&d).expect("create shootout-smoke dir");
-        d.join("shootout.json")
-    } else {
-        repo_root().join("results/shootout.json")
-    };
-
     println!(
-        "shootout: {} clients x {} transfers, {SITES} sites, {}s failure window, seed {seed}{}",
-        scale.clients,
-        scale.per_client,
-        scale.chaos_secs,
-        if test_mode { " (smoke)" } else { "" }
+        "shootout: {CLIENTS} clients x {PER_CLIENT} transfers, {SITES} sites, {ACCOUNTS} accounts, \
+         {CHAOS_SECS}s failure window, seed {seed}"
     );
+    println!("'prompt' = fraction of requests committed within the failure window.");
     println!();
     println!(
-        "{:<13} {:>7} {:>7} {:>9} {:>9} {:>9} {:>10} {:>9} {:>10} {:>10} {:>9}",
+        "{:<13} {:>7} {:>7} {:>9} {:>7} {:>10} {:>11} {:>9} {:>10} {:>9} {:>10} {:>10} {:>9}",
         "protocol",
         "crash/s",
         "prompt",
         "in-doubt",
         "stalls",
+        "conflicts",
+        "violations",
         "takeover",
         "polyitems",
         "msg/cmt",
@@ -257,14 +235,16 @@ fn main() {
     let mut bad = false;
     for &crash_rate in &CRASH_RATES {
         for protocol in protocols() {
-            let cell = run(protocol, crash_rate, seed, scale);
+            let (cell, _) = run(protocol, crash_rate, seed, false);
             println!(
-                "{:<13} {:>7.2} {:>6.1}% {:>9} {:>9} {:>9} {:>10} {:>9.1} {:>8.1}ms {:>8.1}ms {:>9}",
+                "{:<13} {:>7.2} {:>6.1}% {:>9} {:>7} {:>10} {:>11} {:>9} {:>10} {:>9.1} {:>8.1}ms {:>8.1}ms {:>9}",
                 cell.protocol,
                 cell.crash_rate,
                 cell.prompt_frac * 100.0,
                 cell.in_doubt,
                 cell.stalls,
+                cell.conflicts,
+                cell.violations,
                 cell.takeovers,
                 cell.polyvalue_items,
                 cell.msgs_per_commit,
@@ -281,8 +261,22 @@ fn main() {
         }
         println!();
     }
-    std::fs::write(&out_path, to_json(seed, scale, &cells)).expect("write shootout json");
-    println!("wrote {}", out_path.display());
+    println!("Expected shape: prompt fraction degrades fastest for blocking-2pc as the");
+    println!("crash rate rises; polyvalue keeps processing (in-doubt > 0, conserved);");
+    println!("relaxed stays available but may print conserved = NO with violations > 0;");
+    println!("paxos-commit conserves with no polyvalue, paying more messages per commit.");
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    std::fs::write(root.join(OUT), to_json(seed, &cells)).expect("write shootout json");
+    println!("wrote {OUT}");
+
+    // One traced polyvalue run at a representative crash rate, reported in
+    // full: phase latencies, the trace digest, and both metric exports.
+    println!();
+    println!("== observability: polyvalue @ 0.2 crash/s, seed {seed} ==");
+    println!();
+    let (_, cluster) = run(CommitProtocol::Polyvalue, 0.2, seed, true);
+    println!("{}", pv_bench::report::trace_summary(cluster.trace()));
+    pv_bench::report::print_observability(cluster.world.metrics());
     if bad {
         eprintln!("shootout: conservation violated by an atomic protocol");
         std::process::exit(1);

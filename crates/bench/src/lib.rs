@@ -9,20 +9,56 @@
 
 pub mod report;
 
-/// Parses an optional `--seed N` pair from the command line, defaulting to
-/// the given value, so table generators are reproducible but steerable.
+/// Parses the arguments after the program name: nothing, or `--seed N`.
+/// Any other argument, or a seed that is not a `u64`, is an error.
+fn parse_seed(args: &[String], default: u64) -> Result<u64, String> {
+    match args {
+        [] => Ok(default),
+        [flag, n] if flag == "--seed" => n.parse().map_err(|_| format!("bad seed {n:?}")),
+        [flag] if flag == "--seed" => Err("--seed needs a value".into()),
+        [arg, ..] => Err(format!("unexpected argument {arg:?}")),
+    }
+}
+
+/// The seed from the command line (`--seed N`, else `default`), so table
+/// generators are reproducible but steerable. A bad argument prints a
+/// usage line and exits 2.
 pub fn seed_from_args(default: u64) -> u64 {
-    let args: Vec<String> = std::env::args().collect();
-    args.windows(2)
-        .find(|w| w[0] == "--seed")
-        .and_then(|w| w[1].parse().ok())
-        .unwrap_or(default)
+    let mut args = std::env::args();
+    let program = args.next().unwrap_or_default();
+    parse_seed(&args.collect::<Vec<_>>(), default).unwrap_or_else(|e| {
+        eprintln!("{e}\nusage: {program} [--seed N]");
+        std::process::exit(2)
+    })
 }
 
 #[cfg(test)]
 mod tests {
+    use super::parse_seed;
+
+    fn args(a: &[&str]) -> Vec<String> {
+        a.iter().map(|s| s.to_string()).collect()
+    }
+
     #[test]
     fn default_seed_without_flag() {
-        assert_eq!(super::seed_from_args(7), 7);
+        assert_eq!(parse_seed(&[], 7), Ok(7));
+    }
+
+    #[test]
+    fn seed_flag_sets_the_seed() {
+        assert_eq!(parse_seed(&args(&["--seed", "5"]), 7), Ok(5));
+    }
+
+    #[test]
+    fn bad_arguments_are_errors() {
+        for bad in [
+            &["--seed", "abc"][..],
+            &["--seed"],
+            &["--test"],
+            &["--seed", "5", "--test"],
+        ] {
+            assert!(parse_seed(&args(bad), 7).is_err(), "{bad:?} was accepted");
+        }
     }
 }

@@ -422,6 +422,7 @@ mod tests {
             assert_eq!(event.to_string(), line);
             let parsed = parse_trace_text(&format!("000007 42 n1 {line}")).unwrap();
             assert_eq!(parsed[0].event, event, "{line}");
+            assert_eq!((parsed[0].seq, parsed[0].at, parsed[0].node), (7, SimTime(42), NodeId(1)));
         }
     }
 
@@ -429,6 +430,23 @@ mod tests {
     fn site_prefix_is_optional_on_read() {
         let parsed = parse_trace_text("000000 0 n0 outcome_forwarded txn=9 site=2 to=0").unwrap();
         assert_eq!(parsed[0].event, TraceEvent::OutcomeForwarded { txn: 9, site: 2, to: 0 });
+    }
+
+    #[test]
+    fn parser_reports_bad_lines() {
+        assert!(parse_trace_text("garbage").is_err());
+        assert!(parse_trace_text("000000 10 n0 unknown_event txn=1").is_err());
+        assert!(parse_trace_text("000000 10 n0 decided txn=1").is_err()); // missing completed
+        assert!(parse_trace_text("000000 10 n0 decided txn=1 completed=maybe").is_err());
+        // Comments and blank lines are fine.
+        let ok = "# a comment\n\n000000 10 n0 decided txn=1 completed=true\n";
+        assert_eq!(parse_trace_text(ok).unwrap().len(), 1);
+    }
+
+    #[test]
+    fn parse_error_display() {
+        let e = parse_trace_text("oops").unwrap_err();
+        assert!(e.to_string().contains("line 1"));
     }
 
     #[test]
