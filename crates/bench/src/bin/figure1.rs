@@ -10,5 +10,6 @@
 use pv_protocol::render_figure1;
 
 fn main() {
+    pv_bench::no_args();
     print!("{}", render_figure1());
 }

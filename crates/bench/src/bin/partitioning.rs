@@ -81,6 +81,7 @@ fn report(name: &str, spec: &TransactionSpec, source: &Db) {
 }
 
 fn main() {
+    pv_bench::no_args();
     println!("Lazy vs. eager polytransaction partitioning (the §3.2 optimisation)");
     println!();
     for poly_items in [0u64, 1, 2, 4, 8] {

@@ -19,6 +19,7 @@ fn fmt_pred(p: Prediction) -> String {
 }
 
 fn main() {
+    pv_bench::no_args();
     let base = ModelParams::typical();
     println!("Parameter-space exploration around the typical database ({base})");
     println!();

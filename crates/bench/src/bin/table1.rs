@@ -4,6 +4,7 @@
 //! Run with `cargo run -p pv-bench --bin table1`.
 
 fn main() {
+    pv_bench::no_args();
     print!("{}", pv_model::table1::render());
     println!();
     println!("Every row is computed from the paper's closed form P = UFI/(IR+UY-UD);");

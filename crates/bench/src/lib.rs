@@ -20,6 +20,25 @@ fn parse_seed(args: &[String], default: u64) -> Result<u64, String> {
     }
 }
 
+/// Checks that the arguments after the program name are none at all.
+fn parse_none(args: &[String]) -> Result<(), String> {
+    match args {
+        [] => Ok(()),
+        [arg, ..] => Err(format!("unexpected argument {arg:?}")),
+    }
+}
+
+/// For the generators that take no arguments: any argument prints a usage
+/// line and exits 2, so a typo or a `--seed` is not silently ignored.
+pub fn no_args() {
+    let mut args = std::env::args();
+    let program = args.next().unwrap_or_default();
+    if let Err(e) = parse_none(&args.collect::<Vec<_>>()) {
+        eprintln!("{e}\nusage: {program} (takes no arguments)");
+        std::process::exit(2)
+    }
+}
+
 /// The seed from the command line (`--seed N`, else `default`), so table
 /// generators are reproducible but steerable. A bad argument prints a
 /// usage line and exits 2.
@@ -34,7 +53,7 @@ pub fn seed_from_args(default: u64) -> u64 {
 
 #[cfg(test)]
 mod tests {
-    use super::parse_seed;
+    use super::{parse_none, parse_seed};
 
     fn args(a: &[&str]) -> Vec<String> {
         a.iter().map(|s| s.to_string()).collect()
@@ -59,6 +78,14 @@ mod tests {
             &["--seed", "5", "--test"],
         ] {
             assert!(parse_seed(&args(bad), 7).is_err(), "{bad:?} was accepted");
+        }
+    }
+
+    #[test]
+    fn no_arguments_means_none_at_all() {
+        assert_eq!(parse_none(&[]), Ok(()));
+        for bad in [&["--seed", "5"][..], &["--bogus"], &[""], &["5"]] {
+            assert!(parse_none(&args(bad)).is_err(), "{bad:?} was accepted");
         }
     }
 }

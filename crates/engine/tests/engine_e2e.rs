@@ -309,6 +309,28 @@ fn relaxed_protocol_can_violate_atomicity() {
 }
 
 #[test]
+fn a_relaxed_violation_is_counted_across_a_crash_between_coin_and_decision() {
+    // Site 1 aborts unilaterally while the coordinator committed, then
+    // crashes and recovers before it learns the outcome. The break is the
+    // same as without the crash and must be counted the same.
+    let mut cluster = in_doubt_scenario(CommitProtocol::Relaxed { complete_prob: 0.0 }, true);
+    run_secs(&mut cluster, 1);
+    assert_eq!(cluster.world.metrics().counter("relaxed.unilateral"), 1);
+    let now = cluster.world.now();
+    cluster.world.schedule_crash(now + SimDuration::from_micros(10), NodeId(1));
+    cluster
+        .world
+        .schedule_recover(now + SimDuration::from_millis(50), NodeId(1));
+    run_secs(&mut cluster, 1);
+    assert_eq!(cluster.world.metrics().counter("relaxed.violations"), 0, "not learned yet");
+    let now = cluster.world.now();
+    cluster.world.schedule_heal(now, NodeId(0), NodeId(1));
+    run_secs(&mut cluster, 5);
+    assert_eq!(cluster.sum_items((0..2).map(ItemId)).unwrap(), 170, "the credit is lost");
+    assert_eq!(cluster.world.metrics().counter("relaxed.violations"), 1);
+}
+
+#[test]
 fn participant_crash_recovers_staging_from_wal() {
     let mut cluster = in_doubt_scenario(CommitProtocol::Polyvalue, true);
     // Crash site 1 while it is in doubt (before its wait timeout).

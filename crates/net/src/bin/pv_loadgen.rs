@@ -17,6 +17,8 @@
 //! structured JSON error on stderr (same contract as `pv-node`). The printed
 //! throughput and latencies are a progress report, not a benchmark: `pvbench`
 //! (`net_closed`, `net_pipelined`) is what measures the networked path.
+//! The stats line ends with `spin_hits`, the share of the sites' spinning
+//! waits that caught a frame before they would have blocked.
 
 use pv_core::TransactionSpec;
 use pv_engine::{CommitProtocol, EngineError};
@@ -113,6 +115,14 @@ impl RunStats {
     fn throughput(&self) -> f64 {
         self.committed as f64 / self.elapsed.as_secs_f64().max(1e-9)
     }
+
+    /// The share of the sites' spinning waits that caught a frame before
+    /// they would have blocked (0 when no wait spun).
+    fn spin_hit_ratio(&self) -> f64 {
+        let caught = self.metrics.counter("net.spin.caught") as f64;
+        let blocked = self.metrics.counter("net.spin.blocked") as f64;
+        caught / (caught + blocked).max(1.0)
+    }
 }
 
 /// Drives `txns` transfers through `clients` closed-loop connections and
@@ -202,13 +212,15 @@ fn run_once(args: &Args) -> Result<RunStats, EngineError> {
 
 fn print_stats(stats: &RunStats) {
     println!(
-        "sites={} clients={} submitted={} committed={} elapsed={:.2}s throughput={:.0} txn/s",
+        "sites={} clients={} submitted={} committed={} elapsed={:.2}s throughput={:.0} txn/s \
+         spin_hits={:.2}",
         stats.sites,
         stats.clients,
         stats.submitted,
         stats.committed,
         stats.elapsed.as_secs_f64(),
-        stats.throughput()
+        stats.throughput(),
+        stats.spin_hit_ratio()
     );
     for name in ["client.latency", "phase.submit_decided", "phase.submit_prepared"] {
         if let Some(h) = stats.metrics.histogram(name) {

@@ -33,6 +33,11 @@ use std::time::{Duration, Instant};
 /// A blocking connection from a client node to one site.
 pub struct NetClient {
     stream: TcpStream,
+    /// What one `read` lands in, allocated (and zeroed) once.
+    chunk: Box<[u8]>,
+    /// The socket's read timeout as last set (`None`: never set, so a read
+    /// would block indefinitely).
+    read_timeout: Option<Duration>,
     rbuf: Vec<u8>,
     /// Encoded frames not yet written (see the module docs for when they
     /// leave).
@@ -61,6 +66,8 @@ impl NetClient {
                     let _ = stream.set_nodelay(true);
                     let mut client = NetClient {
                         stream,
+                        chunk: vec![0; 16 * 1024].into_boxed_slice(),
+                        read_timeout: None,
                         rbuf: Vec::new(),
                         wbuf: Vec::new(),
                         node,
@@ -100,7 +107,10 @@ impl NetClient {
         sent.map_err(|e| EngineError::Io(format!("send: {e}")))
     }
 
-    /// Receives the next frame, blocking up to `deadline`.
+    /// Receives the next frame, blocking up to `deadline`. The socket keeps
+    /// its read timeout between reads (see [`timeout_to_set`]), so a read
+    /// may return before the deadline with nothing; the loop then reads
+    /// again.
     fn recv_frame(&mut self, deadline: Duration) -> Result<Frame, EngineError> {
         let limit = Instant::now() + deadline;
         loop {
@@ -117,19 +127,22 @@ impl NetClient {
             if remaining.is_zero() {
                 return Err(EngineError::Timeout);
             }
-            self.stream
-                .set_read_timeout(Some(remaining))
-                .map_err(|e| EngineError::Io(format!("set_read_timeout: {e}")))?;
-            let mut chunk = [0u8; 16 * 1024];
-            match self.stream.read(&mut chunk) {
+            if let Some(timeout) = timeout_to_set(self.read_timeout, remaining) {
+                self.stream
+                    .set_read_timeout(Some(timeout))
+                    .map_err(|e| EngineError::Io(format!("set_read_timeout: {e}")))?;
+                self.read_timeout = Some(timeout);
+            }
+            match self.stream.read(&mut self.chunk) {
                 Ok(0) => return Err(EngineError::Disconnected),
-                Ok(n) => self.rbuf.extend_from_slice(&chunk[..n]),
+                Ok(n) => self.rbuf.extend_from_slice(&self.chunk[..n]),
+                // The timeout ran out, or a signal came: the deadline, not
+                // the socket, says whether to give up.
                 Err(e)
-                    if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut =>
-                {
-                    return Err(EngineError::Timeout)
-                }
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                    if matches!(
+                        e.kind(),
+                        ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
+                    ) => {}
                 Err(e) => return Err(EngineError::Io(format!("recv: {e}"))),
             }
         }
@@ -276,10 +289,45 @@ impl NetClient {
     }
 }
 
+/// The read timeout to set before a blocking read that must return within
+/// `remaining`, given the timeout the socket already has (`None`: keep it).
+/// A timeout longer than `remaining` must shrink to it. A shorter one is
+/// kept, costing at most an early return and one more read, unless it is
+/// under half of `remaining`: a short timeout left by an earlier, nearly
+/// spent deadline would otherwise wake every later wait many times over.
+fn timeout_to_set(current: Option<Duration>, remaining: Duration) -> Option<Duration> {
+    match current {
+        Some(t) if t <= remaining && t >= remaining / 2 => None,
+        _ => Some(remaining),
+    }
+}
+
 impl Drop for NetClient {
     /// Sends a submit still deferred behind buffered replies; errors are
     /// ignored, as the connection is closing anyway.
     fn drop(&mut self) {
         let _ = self.flush();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_read_timeout_is_set_only_when_it_would_outlast_the_deadline_or_is_stale() {
+        let secs = Duration::from_secs;
+        // Never set: a read would block indefinitely.
+        assert_eq!(timeout_to_set(None, secs(10)), Some(secs(10)));
+        // Longer than what is left: it must shrink.
+        assert_eq!(timeout_to_set(Some(secs(10)), secs(4)), Some(secs(4)));
+        // Fresh deadlines a little shorter or longer than the last: kept.
+        assert_eq!(timeout_to_set(Some(secs(10)), secs(10)), None);
+        assert_eq!(timeout_to_set(Some(secs(10)), secs(12)), None);
+        assert_eq!(timeout_to_set(Some(secs(10)), secs(20)), None);
+        // Under half of what is left: too short to keep.
+        assert_eq!(timeout_to_set(Some(secs(4)), secs(10)), Some(secs(10)));
+        let tiny = Duration::from_micros(50);
+        assert_eq!(timeout_to_set(Some(tiny), secs(10)), Some(secs(10)));
     }
 }

@@ -9,8 +9,9 @@
 //!   ([`pv_store::codec`]); this module adds framing and the protocol-level
 //!   message vocabulary.
 //! * [`node`] — the site process: an event loop around one
-//!   [`pv_engine::SiteHost`] that blocks in `poll(2)` on its sockets and a
-//!   wake pipe until one is ready or the next deadline (accept, read,
+//!   [`pv_engine::SiteHost`] that waits in `poll(2)` on its sockets and a
+//!   wake pipe until one is ready or the next deadline, spinning briefly
+//!   before it blocks while such spins keep catching frames (accept, read,
 //!   decode, one write per connection per pass), with deadline-driven peer
 //!   dialing: each peer link counts its failures and holds its next retry
 //!   time under the node's policy, fixed when the node starts.

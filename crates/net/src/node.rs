@@ -22,7 +22,7 @@
 //! window. Messages bound for a down peer queue (bounded) and flush on
 //! reconnect; the §3.3 inquiry protocol absorbs anything the bound drops.
 //!
-//! Between passes the loop blocks in `poll(2)` on its own descriptors
+//! Between passes the loop waits in `poll(2)` on its own descriptors
 //! — the listener, every live inbound and peer socket (readable; writable
 //! too while that connection still has queued output) and a wake pipe — so
 //! a frame is read the moment it arrives and an idle site does not run at
@@ -33,12 +33,23 @@
 //! acts on: the host's next protocol timer, the retry time of a link that
 //! needs a connection, and the end of a recovering link's stability window.
 //!
-//! The node owns the epoch of the host's [`SimTime`] and reads the clock
-//! once per pass, when the wait ends. That one reading is the time of every
-//! frame the pass delivers and of the next pass's timers, link deadlines and
-//! wait. A timer fires only once that time has reached its deadline, so
-//! never early, and at most `poll`'s millisecond rounding plus one pass
-//! late.
+//! A wait spins before it blocks while spinning pays: for up to 25 µs, or
+//! until the wait would have ended had it blocked at once, it polls with a
+//! zero timeout and yields the CPU between tries, so a frame that lands
+//! inside that time is read without the wake-up of a sleeping thread. Whether a wait spins is
+//! a score of the recent spins (`SpinScore`): a busy site whose peers
+//! answer within the spin keeps spinning, and an idle site, or one behind
+//! slow links, spins only on a probe every 16th wait. `net.spin.caught`,
+//! `net.spin.blocked` and `net.spin.polls` count the spins' outcomes and
+//! calls.
+//!
+//! The node owns the epoch of the host's [`SimTime`]. The time of a pass is
+//! the clock reading taken when its wait ended: a spin reads the clock on
+//! every try to bound itself, and a blocking wait reads it once on return.
+//! That reading is the time of every frame the pass delivers and of the
+//! next pass's timers, link deadlines and wait. A timer fires only once that
+//! time has reached its deadline, so never early, and at most `poll`'s
+//! millisecond rounding, one spin and one pass late.
 
 use crate::backoff::Backoff;
 use crate::poll::{self, PollFd};
@@ -64,6 +75,20 @@ const PENDING_CAP: usize = 4096;
 /// Bytes one `read` asks for. A read that returns fewer found the socket
 /// empty.
 const READ_CHUNK: usize = 16 * 1024;
+
+/// How long a wait polls without blocking before it sleeps in `poll(2)`. A
+/// frame that lands inside it is read without waking a sleeping thread. On
+/// `net_closed` neither 10, 50 nor 100 µs was clearly ahead of 25 µs, and a
+/// longer spin burns more CPU where spins miss.
+const SPIN: Duration = Duration::from_micros(25);
+
+/// Every this-many-th wait spins whatever the [`SpinScore`] says, so a node
+/// whose spins stopped paying notices when they pay again.
+const PROBE_EVERY: u32 = 16;
+
+/// The highest [`SpinScore`]: a node whose spins have been catching frames
+/// stops spinning after at most four misses in a row.
+const SCORE_CAP: u8 = 8;
 
 /// One live connection with read/write buffering. Writes that the socket
 /// will not take immediately stay queued in `wbuf` and drain as the peer
@@ -125,17 +150,16 @@ impl Conn {
         writes
     }
 
-    /// Reads what the socket holds, stopping after the first read shorter
-    /// than [`READ_CHUNK`]: the socket was empty then, and the
-    /// level-triggered wait reports anything that arrives later. EOF or a
-    /// socket error marks the connection dead (already buffered frames still
-    /// parse). Returns the `read` calls made.
-    fn fill(&mut self) -> u64 {
-        let mut chunk = [0u8; READ_CHUNK];
+    /// Reads what the socket holds through `chunk` ([`READ_CHUNK`] bytes),
+    /// stopping after the first read shorter than that: the socket was empty
+    /// then, and the level-triggered wait reports anything that arrives
+    /// later. EOF or a socket error marks the connection dead (already
+    /// buffered frames still parse). Returns the `read` calls made.
+    fn fill(&mut self, chunk: &mut [u8]) -> u64 {
         let mut reads = 0;
         loop {
             reads += 1;
-            match self.stream.read(&mut chunk) {
+            match self.stream.read(chunk) {
                 Ok(0) => {
                     self.dead = true;
                     break;
@@ -148,7 +172,7 @@ impl Conn {
                         self.dead = true;
                         break;
                     }
-                    if n < READ_CHUNK {
+                    if n < chunk.len() {
                         break;
                     }
                 }
@@ -197,7 +221,59 @@ impl Conn {
 struct SockCounts {
     reads: u64,
     writes: u64,
+    /// Waits: one per pass, spun or not.
     polls: u64,
+    /// Waits that ended inside their spin.
+    spin_caught: u64,
+    /// Waits that spun, caught nothing and went on to block.
+    spin_blocked: u64,
+    /// Zero-timeout `poll` calls made by spins.
+    spin_polls: u64,
+}
+
+/// Whether the next wait spins before it blocks: a score of the recent
+/// spins, one up for a spin that caught a frame and two down for one that
+/// did not, held within `0..=`[`SCORE_CAP`]. A node spins while the score is
+/// positive, and on every [`PROBE_EVERY`]-th wait regardless; so a busy
+/// node whose peers answer within the spin keeps spinning, and an idle one,
+/// or one behind slow links, spins on the probes alone.
+#[derive(Default)]
+struct SpinScore {
+    score: u8,
+    waits: u32,
+}
+
+impl SpinScore {
+    /// Counts one wait and says whether it spins.
+    fn spins(&mut self) -> bool {
+        self.waits = self.waits.wrapping_add(1);
+        self.score > 0 || self.waits.is_multiple_of(PROBE_EVERY)
+    }
+
+    /// Scores one spin: `caught` if a descriptor became ready inside it.
+    fn score(&mut self, caught: bool) {
+        self.score = if caught {
+            (self.score + 1).min(SCORE_CAP)
+        } else {
+            self.score.saturating_sub(2)
+        };
+    }
+}
+
+/// Polls `set` without blocking, yielding the CPU between tries (the
+/// thread that would write the frame may need it), until a descriptor is
+/// ready or `until` has passed. Returns the ready count and the clock
+/// reading taken after the last try; adds each try to `polls`.
+fn spin(set: &mut [PollFd], until: Instant, polls: &mut u64) -> std::io::Result<(usize, Instant)> {
+    loop {
+        *polls += 1;
+        let ready = poll::wait(set, Some(Duration::ZERO))?;
+        let now = Instant::now();
+        if ready > 0 || now >= until {
+            return Ok((ready, now));
+        }
+        std::thread::yield_now();
+    }
 }
 
 /// The dial/reconnect state of one outbound peer link. Every peer site's
@@ -279,7 +355,11 @@ pub struct Node {
     /// The messages of the host call `drive` is running (kept for its
     /// capacity).
     out: Vec<(NodeId, Msg)>,
+    /// What every `read` lands in: [`READ_CHUNK`] bytes, zeroed once. The
+    /// loop reads one connection at a time, so one buffer serves them all.
+    chunk: Box<[u8]>,
     sock: SockCounts,
+    spin: SpinScore,
 }
 
 impl Node {
@@ -328,7 +408,9 @@ impl Node {
             wake_rx,
             wake_tx,
             out: Vec::new(),
+            chunk: vec![0; READ_CHUNK].into_boxed_slice(),
             sock: SockCounts::default(),
+            spin: SpinScore::default(),
         })
     }
 
@@ -527,6 +609,48 @@ impl Node {
         Some(due.saturating_duration_since(now))
     }
 
+    /// Waits for a descriptor of `set` to be ready or for the next
+    /// deadline, from the pass's time `now`. A blocking wait from `now`
+    /// would end at the deadline rounded up to whole milliseconds (the
+    /// kernel's timeout); that is the end of the wait. When the
+    /// [`SpinScore`] says so, the wait first spins for [`SPIN`] or until the
+    /// end of the wait, whichever is sooner, then blocks for what is left
+    /// of it. So a deadline inside that millisecond neither cuts the spin
+    /// short nor ends the block after it: under load a dead timer falls due
+    /// every few microseconds, and a wait ended at each would end into a
+    /// pass that fires a handful of no-op timers instead of into the frames
+    /// a blocking wait collects. Returns the ready count and the clock
+    /// reading taken when the wait ended.
+    fn wait(&mut self, set: &mut [PollFd], now: Instant) -> Result<(usize, Instant), EngineError> {
+        let failed = |e| EngineError::Io(format!("poll: {e}"));
+        self.sock.polls += 1;
+        let mut timeout = self.wait_timeout(now);
+        if self.spin.spins() {
+            let start = Instant::now();
+            let spun = start + SPIN;
+            let end_of_wait = timeout.map(|t| now + poll::rounded(t));
+            let until = end_of_wait.map_or(spun, |e| e.min(spun));
+            if until > start {
+                let (ready, end) = spin(set, until, &mut self.sock.spin_polls).map_err(failed)?;
+                if ready > 0 {
+                    self.spin.score(true);
+                    self.sock.spin_caught += 1;
+                    return Ok((ready, end));
+                }
+                if until < spun {
+                    // The wait's end came first and has passed: there is
+                    // nothing left to block for, and no verdict on spinning.
+                    return Ok((0, end));
+                }
+                self.spin.score(false);
+                self.sock.spin_blocked += 1;
+                timeout = end_of_wait.map(|e| e.saturating_duration_since(end));
+            }
+        }
+        let ready = poll::wait(set, timeout).map_err(failed)?;
+        Ok((ready, Instant::now()))
+    }
+
     /// `now` as the host's [`SimTime`]: whole micros since the epoch,
     /// rounded down, so a timer due at `d` fires only once `d` has passed.
     fn sim_time(&self, now: Instant) -> SimTime {
@@ -542,12 +666,24 @@ impl Node {
     }
 
     /// Adds the socket calls counted since the last fold to the registry as
-    /// `net.sock.reads`, `net.sock.writes` and `net.polls`.
+    /// `net.sock.reads`, `net.sock.writes`, `net.polls` and, for the waits
+    /// that spun, `net.spin.caught`, `net.spin.blocked` and
+    /// `net.spin.polls`.
     fn fold_sock_counts(&mut self) {
-        let SockCounts { reads, writes, polls } = std::mem::take(&mut self.sock);
+        let SockCounts {
+            reads,
+            writes,
+            polls,
+            spin_caught,
+            spin_blocked,
+            spin_polls,
+        } = std::mem::take(&mut self.sock);
         self.metrics.inc_by("net.sock.reads", reads);
         self.metrics.inc_by("net.sock.writes", writes);
         self.metrics.inc_by("net.polls", polls);
+        self.metrics.inc_by("net.spin.caught", spin_caught);
+        self.metrics.inc_by("net.spin.blocked", spin_blocked);
+        self.metrics.inc_by("net.spin.polls", spin_polls);
     }
 
     /// Records a failure on peer link `p` at `now`: the next dial waits the
@@ -609,8 +745,8 @@ impl Node {
                 self.sites
             )));
         }
-        // The loop's one clock reading per pass, taken when the wait ends;
-        // the first pass uses this one.
+        // The time of the pass: the clock reading taken when the last wait
+        // ended; the first pass uses this one.
         let mut now = Instant::now();
         let at = self.sim_time(now);
         if self.drive(|host, m, t, out| host.start(at, m, t, out))? {
@@ -638,7 +774,8 @@ impl Node {
             self.pump_peers(now)?;
             self.reap_inbound();
 
-            // 4. Block until a descriptor is ready or the next deadline.
+            // 4. Wait until a descriptor is ready or the next deadline:
+            // spin first while spins catch frames, then block.
             set.clear();
             sources.clear();
             set.push(PollFd::new(&self.listener, poll::IN));
@@ -657,10 +794,8 @@ impl Node {
                     sources.push(Source::Peer(p));
                 }
             }
-            self.sock.polls += 1;
-            let ready = poll::wait(&mut set, self.wait_timeout(now))
-                .map_err(|e| EngineError::Io(format!("poll: {e}")))?;
-            now = Instant::now();
+            let ready;
+            (ready, now) = self.wait(&mut set, now)?;
             if ready == 0 {
                 self.metrics.inc("net.idle_wakeups");
                 continue;
@@ -682,7 +817,7 @@ impl Node {
                     }
                     Source::Inbound(slot) => {
                         let Some(conn) = self.conns[slot].as_mut() else { continue };
-                        self.sock.reads += conn.fill();
+                        self.sock.reads += conn.fill(&mut self.chunk);
                         if conn.decode_into(slot, &mut events).is_err() {
                             // Counted, not fatal: only this peer is affected.
                             self.metrics.inc("net.decode_errors");
@@ -692,7 +827,7 @@ impl Node {
                     // read is how its EOF is noticed.
                     Source::Peer(p) => {
                         if let Some(conn) = self.peers[p].conn.as_mut() {
-                            self.sock.reads += conn.fill();
+                            self.sock.reads += conn.fill(&mut self.chunk);
                         }
                     }
                 }
@@ -967,6 +1102,7 @@ mod tests {
     #[test]
     fn frames_decode_once_and_in_order_across_reads() {
         let (mut tx, mut rx) = loopback_pair();
+        let mut chunk = [0u8; READ_CHUNK];
         let hello = |node| Frame::Hello { node };
         let mut events = Vec::new();
 
@@ -981,7 +1117,7 @@ mod tests {
         assert_ne!(bytes.len() % READ_CHUNK, 0);
         tx.write_all(&bytes).unwrap();
         await_readable(&rx, bytes.len());
-        assert_eq!(rx.fill(), 4);
+        assert_eq!(rx.fill(&mut chunk), 4);
         assert_eq!(rx.rbuf.len(), bytes.len());
         rx.decode_into(3, &mut events).unwrap();
         assert!(rx.rbuf.is_empty() && !rx.dead);
@@ -991,13 +1127,13 @@ mod tests {
         let (head, tail) = split.split_at(split.len() / 2);
         tx.write_all(head).unwrap();
         await_readable(&rx, head.len());
-        assert_eq!(rx.fill(), 1, "a short read ends the fill");
+        assert_eq!(rx.fill(&mut chunk), 1, "a short read ends the fill");
         rx.decode_into(3, &mut events).unwrap();
         assert_eq!(events.len() as u32, sent, "half a frame decodes nothing");
         std::thread::sleep(Duration::from_millis(20));
         tx.write_all(tail).unwrap();
         await_readable(&rx, tail.len());
-        rx.fill();
+        rx.fill(&mut chunk);
         rx.decode_into(3, &mut events).unwrap();
         assert!(rx.rbuf.is_empty());
 
@@ -1123,5 +1259,111 @@ mod tests {
         }
         assert_eq!(node.metrics.counter("net.circuit_open"), 2);
         assert_eq!(node.metrics.counter("net.backoff.exhausted"), 1);
+    }
+
+    /// Counts the waits in `n` that spin when the spins catch a frame or
+    /// not by turns of `outcomes`.
+    fn spins_in(score: &mut SpinScore, n: u32, outcomes: &[bool]) -> u32 {
+        let mut outcomes = outcomes.iter().copied().cycle();
+        let mut spun = 0;
+        for _ in 0..n {
+            if score.spins() {
+                spun += 1;
+                score.score(outcomes.next().unwrap());
+            }
+        }
+        spun
+    }
+
+    #[test]
+    fn an_idle_node_stops_spinning_but_for_the_probes() {
+        let mut score = SpinScore {
+            score: SCORE_CAP,
+            waits: 0,
+        };
+        // Four misses bring a full score to zero; then only every
+        // PROBE_EVERY-th wait spins.
+        assert_eq!(spins_in(&mut score, PROBE_EVERY, &[false]), 4 + 1);
+        assert_eq!(score.score, 0);
+        assert_eq!(spins_in(&mut score, 10 * PROBE_EVERY, &[false]), 10);
+    }
+
+    #[test]
+    fn a_node_whose_spins_catch_frames_keeps_spinning() {
+        let mut score = SpinScore::default();
+        // A fresh node blocks until its first probe...
+        assert_eq!(spins_in(&mut score, PROBE_EVERY - 1, &[true]), 0);
+        // ...which catches a frame, and from then on every wait spins.
+        let n = 10 * PROBE_EVERY;
+        assert_eq!(spins_in(&mut score, n + 1, &[true]), n + 1);
+        assert_eq!(score.score, SCORE_CAP);
+        // Two catches in three hold their ground (+1 +1 −2)...
+        assert_eq!(spins_in(&mut score, n, &[true, true, false]), n);
+        // ...but one in two does not, and the node falls back to the probes.
+        assert!(spins_in(&mut score, n, &[true, false]) < n / 2);
+        assert!(score.score <= 1, "score {}", score.score);
+    }
+
+    #[test]
+    fn a_spin_ends_at_its_limit_or_at_the_first_ready_descriptor() {
+        let (rx, tx) = UnixStream::pair().unwrap();
+        let mut set = [PollFd::new(&rx, poll::IN)];
+        let mut polls = 0;
+        let until = Instant::now() + SPIN;
+        let (ready, end) = spin(&mut set, until, &mut polls).unwrap();
+        assert_eq!(ready, 0);
+        assert!(end >= until && polls >= 1);
+        // Bounded by one more try past the limit; generous for a loaded box.
+        assert!(end < until + Duration::from_millis(50), "spun {:?} too long", end - until);
+
+        (&tx).write_all(&[1]).unwrap();
+        let mut polls = 0;
+        let (ready, _) = spin(&mut set, Instant::now() + SPIN, &mut polls).unwrap();
+        assert_eq!((ready, polls), (1, 1), "a ready descriptor ends the spin at once");
+    }
+
+    #[test]
+    fn a_wait_spins_no_longer_than_the_budget_or_the_end_of_the_wait() {
+        let peer: SocketAddr = "127.0.0.1:9".parse().unwrap();
+        let mut node = node_with_peer(Backoff::default(), peer);
+        let (rx, _tx) = UnixStream::pair().unwrap();
+        let mut set = [PollFd::new(&rx, poll::IN)];
+        node.spin.score = SCORE_CAP;
+        let counts = |node: &Node| {
+            let s = &node.sock;
+            (s.polls, s.spin_caught, s.spin_blocked, s.spin_polls > 0)
+        };
+
+        // A deadline 5 µs after the pass: `poll` would sleep a whole
+        // millisecond, so the spin takes its full budget, misses, and the
+        // wait blocks for the rest of that millisecond.
+        let now = Instant::now();
+        let due = now + Duration::from_micros(5);
+        node.peers[1].retry_at = Some(due);
+        let (ready, end) = node.wait(&mut set, now).unwrap();
+        assert_eq!(ready, 0);
+        assert!(end >= now + Duration::from_millis(1));
+        assert_eq!(counts(&node), (1, 0, 1, true));
+        assert_eq!(node.spin.score, SCORE_CAP - 2);
+
+        // A pass that ran for most of that millisecond: the spin ends where
+        // the blocking wait would have, without blocking after it and
+        // without a verdict on spinning.
+        let now = Instant::now() - Duration::from_micros(995);
+        let due = now + Duration::from_micros(5);
+        node.peers[1].retry_at = Some(due);
+        let (ready, end) = node.wait(&mut set, now).unwrap();
+        assert_eq!(ready, 0);
+        assert!(end >= now + Duration::from_millis(1));
+        assert!(end < now + Duration::from_millis(50), "spun {:?}", end - now);
+        assert_eq!(counts(&node), (2, 0, 1, true));
+        assert_eq!(node.spin.score, SCORE_CAP - 2);
+
+        // A deadline already due: nothing to spin for.
+        node.sock.spin_polls = 0;
+        node.peers[1].retry_at = Some(Instant::now());
+        let (ready, _) = node.wait(&mut set, Instant::now()).unwrap();
+        assert_eq!(ready, 0);
+        assert_eq!(counts(&node), (3, 0, 1, false));
     }
 }

@@ -50,14 +50,21 @@ extern "C" {
     fn poll(fds: *mut PollFd, nfds: NfdsT, timeout: c_int) -> c_int;
 }
 
+/// The timeout [`wait`] actually waits: `timeout` rounded *up* to whole
+/// milliseconds, which is what the kernel takes.
+pub(crate) fn rounded(timeout: Duration) -> Duration {
+    Duration::from_millis(timeout.as_nanos().div_ceil(1_000_000) as u64)
+}
+
 /// Blocks until an entry of `fds` is ready or `timeout` passes (`None`:
 /// indefinitely) and returns how many are ready. The kernel takes whole
-/// milliseconds; the timeout rounds *up*, so a caller waiting for a deadline
-/// never wakes before it. A signal (`EINTR`) reads as nothing ready.
+/// milliseconds; the timeout rounds *up* ([`rounded`]), so a caller waiting
+/// for a deadline never wakes before it. A signal (`EINTR`) reads as nothing
+/// ready.
 pub(crate) fn wait(fds: &mut [PollFd], timeout: Option<Duration>) -> io::Result<usize> {
     let ms = match timeout {
         None => -1,
-        Some(d) => c_int::try_from(d.as_nanos().div_ceil(1_000_000)).unwrap_or(c_int::MAX),
+        Some(d) => c_int::try_from(rounded(d).as_millis()).unwrap_or(c_int::MAX),
     };
     // SAFETY: `fds` is an exclusively borrowed slice of `#[repr(C)]` structs
     // laid out as `struct pollfd`, and the pointer and length passed are its

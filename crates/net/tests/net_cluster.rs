@@ -6,7 +6,7 @@ use pv_core::{Expr, ItemId, TransactionSpec};
 use pv_engine::{Directory, EngineConfig, EngineError, Topology};
 use pv_net::backoff::Backoff;
 use pv_net::proc::balances;
-use pv_net::{NetBuilder, NetCluster};
+use pv_net::{LinkFaults, NetBuilder, NetCluster};
 use pv_simnet::SimDuration;
 use std::time::{Duration, Instant};
 
@@ -389,5 +389,42 @@ fn hostile_frame_drops_only_its_connection_and_is_counted() {
         .submit(0, &TransactionSpec::transfer(0, 1, 10), deadline)
         .expect("submit");
     assert!(result.is_committed());
+    cluster.shutdown().expect("clean shutdown");
+}
+
+#[test]
+fn behind_slow_links_transfers_commit_and_sites_spin_only_on_their_probes() {
+    // 2 ms on every site-to-site link: no frame from a peer lands inside a
+    // site's 25 µs spin, so once the spins have been scored a site spins on
+    // its probes (every 16th wait) and seldom otherwise.
+    let cluster = NetBuilder::from_topology(bank_topology(3, 60))
+        .chaos(11)
+        .start()
+        .expect("start");
+    cluster.chaos().expect("chaos layer").set_default(LinkFaults {
+        delay: Duration::from_millis(2),
+        ..LinkFaults::default()
+    });
+    let deadline = Duration::from_secs(10);
+    let mut client = cluster.client(0).expect("client");
+    let mut transfer = |i: u64| {
+        let spec = TransactionSpec::transfer(i % 60, (i + 7) % 60, 1);
+        let result = client.submit(&spec, deadline).expect("submit");
+        assert!(result.is_committed(), "transfer {i}: {result:?}");
+    };
+    (0..40).for_each(&mut transfer);
+    let before = cluster.metrics(deadline).expect("metrics");
+    (40..240).for_each(&mut transfer);
+    let after = cluster.metrics(deadline).expect("metrics");
+    let grew = |c: &str| after.counter(c) - before.counter(c);
+    let waits = grew("net.polls");
+    let spun = grew("net.spin.caught") + grew("net.spin.blocked");
+    assert!(waits > 0);
+    // At most twice the probe rate (seen: 157 of 2,431).
+    assert!(spun * 8 <= waits, "{spun} of {waits} waits spun behind 2 ms links");
+
+    let snaps = cluster.settle(SETTLE).expect("cluster drains");
+    let total: i64 = balances(&snaps).expect("settled balances").values().sum();
+    assert_eq!(total, 6000);
     cluster.shutdown().expect("clean shutdown");
 }

@@ -314,12 +314,17 @@ impl SiteMachine {
     /// Drops all volatile state — the machine-side half of a crash. The
     /// driver is responsible for crash-recovering the store and for the fact
     /// that armed timers die with the node.
+    ///
+    /// The ledger of unilateral relaxed actions survives: it is the
+    /// experiment's record of what this site applied, not site memory, and
+    /// the applied values outlive the crash in the store. Clearing it would
+    /// leave a break made before the crash uncounted in
+    /// `relaxed.violations`.
     pub fn crash(&mut self) {
         self.participant.locks.clear();
         self.coordinator.coords.clear();
         self.participant.parts.clear();
         self.participant.revoked.clear();
-        self.participant.relaxed_actions.clear();
         self.recovery.inquire_armed = false;
         self.coordinator.withheld.clear();
         self.participant.read_queue.clear();

@@ -221,6 +221,9 @@ pub struct Participant {
     pub(crate) locks: LockTable,
     pub(crate) parts: BTreeMap<TxnId, Part>,
     pub(crate) revoked: BTreeSet<TxnId>,
+    /// Unilateral relaxed actions (`txn` → completed?) awaiting the real
+    /// outcome, which `relaxed.violations` compares them with. Kept across
+    /// a crash (see [`SiteMachine::crash`]).
     pub(crate) relaxed_actions: BTreeMap<TxnId, bool>,
     /// Wound-wait: read requests parked behind current lock holders.
     pub(crate) read_queue: Vec<QueuedRead>,

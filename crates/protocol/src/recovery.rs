@@ -214,7 +214,12 @@ impl SiteMachine {
             );
             em.arm(self.config.wait_timeout, TimerKey::PartWait(txn));
         }
-        if store.has_tracked_txns() || !store.pending_txns().is_empty() || !store.pc_txns().is_empty()
+        // Unilateral relaxed actions from before the crash still await
+        // their outcomes (the ledger survives a crash).
+        if store.has_tracked_txns()
+            || !store.pending_txns().is_empty()
+            || !store.pc_txns().is_empty()
+            || !self.participant.relaxed_actions.is_empty()
         {
             self.ensure_inquire(em);
         }
