@@ -1,6 +1,5 @@
 //! The client actor: submits a workload, retries aborts, records outcomes.
 
-use crate::config::UncertainOutputPolicy;
 use crate::directory::Directory;
 use crate::messages::{AbortReason, Msg, TxnResult};
 use crate::site::site_node;
@@ -15,13 +14,9 @@ use std::collections::BTreeMap;
 pub struct ClientConfig {
     /// How many times an aborted transaction is retried before giving up.
     pub max_retries: u32,
-    /// Base backoff before a retry; doubles per attempt, with jitter.
-    pub backoff: SimDuration,
     /// Keep every `(spec, result)` pair for later inspection (tests); turn
     /// off for long benchmark runs.
     pub record_results: bool,
-    /// §3.4 policy toward uncertain outputs (measured via metrics).
-    pub uncertain_outputs: UncertainOutputPolicy,
     /// How long to wait for a reply before giving the request up (covers a
     /// crashed or unreachable coordinator). Re-submission would risk running
     /// the transaction twice, so the client abandons instead.
@@ -32,9 +27,7 @@ impl Default for ClientConfig {
     fn default() -> Self {
         ClientConfig {
             max_retries: 8,
-            backoff: SimDuration::from_millis(40),
             record_results: true,
-            uncertain_outputs: UncertainOutputPolicy::Present,
             response_timeout: SimDuration::from_secs(2),
         }
     }
@@ -52,6 +45,9 @@ struct Outstanding {
     /// Timer generation: a timer whose generation does not match is stale.
     gen: u8,
 }
+
+/// Base backoff before a retry; doubles per attempt, with jitter.
+const BACKOFF: SimDuration = SimDuration::from_millis(40);
 
 /// Timer key for the next workload arrival.
 const ARRIVAL_KEY: u64 = 0;
@@ -177,7 +173,7 @@ impl Actor for Client {
             let key = (req_id << 8) | u64::from(out.gen);
             let factor = 1 << out.retries.min(10);
             let jitter = ctx.rng().uniform(0.5, 1.5);
-            let delay = self.config.backoff.mul_f64(factor as f64 * jitter);
+            let delay = BACKOFF.mul_f64(factor as f64 * jitter);
             ctx.metrics().inc("client.retries");
             ctx.trace(TraceEvent::TxnRetried {
                 req_id,
@@ -196,9 +192,6 @@ impl Actor for Client {
                 }
                 if result.has_uncertain_output() {
                     ctx.metrics().inc("client.uncertain_output");
-                    if self.config.uncertain_outputs == UncertainOutputPolicy::Withhold {
-                        ctx.metrics().inc("client.withheld");
-                    }
                 }
                 if result.fully_granted() {
                     ctx.metrics().inc("client.granted");

@@ -22,11 +22,11 @@
 //! crash, the harness is reproducible: a reported violation names the seed,
 //! site, and append point needed to replay it exactly.
 //!
-//! The fsync policy is part of the search space. Under
-//! [`FsyncPolicy::PerDecision`] (or the even laxer
-//! [`FsyncPolicy::EveryN`]) a crash loses un-synced background records —
-//! applied writes, dependency bookkeeping — and recovery must heal the gap
-//! through replay, re-staging, and the §3.3 inquiry protocol.
+//! Every site's log runs [`FsyncPolicy::PerDecision`], the laxest rule a
+//! site can run: only the protocol's own sync points and decision or epoch
+//! records reach stable storage, so a crash loses un-synced background
+//! records — applied writes, dependency bookkeeping — and recovery must heal
+//! the gap through replay, re-staging, and the §3.3 inquiry protocol.
 
 use crate::client::ClientConfig;
 use crate::cluster::{Cluster, ClusterBuilder};
@@ -49,18 +49,10 @@ pub struct CrashPointConfig {
     pub sites: u32,
     /// Number of accounts in the transfer workload.
     pub accounts: u64,
-    /// Initial balance per account (conservation target).
-    pub initial: i64,
     /// Number of transfers the scripted client issues.
     pub transfers: u64,
-    /// Client arrival rate (transfers per virtual second).
-    pub rate_per_sec: f64,
-    /// The fsync policy every site's storage runs under.
-    pub policy: FsyncPolicy,
     /// Virtual seconds to let each crashed run settle before checking.
     pub settle_secs: u64,
-    /// How long a crashed site stays down.
-    pub recover_after: SimDuration,
     /// Caps the points explored per site (evenly sampled); `None` explores
     /// every reachable point.
     pub max_points_per_site: Option<usize>,
@@ -68,13 +60,19 @@ pub struct CrashPointConfig {
     /// different durability surface — per-acceptor vote/promise/accept
     /// records — whose replay the sweep must also cover.
     pub protocol: CommitProtocol,
-    /// Floor of the WAL checkpoint rule
-    /// ([`pv_store::SiteStore::maybe_compact`]). Tiny by default so sites
-    /// checkpoint several times within the scenario and the append
-    /// coordinates straddle them: crashes land just before and just after
-    /// the log was rewritten.
-    pub compact_threshold: usize,
 }
+
+/// Initial balance per account (the conservation target).
+const INITIAL: i64 = 500;
+/// Client arrival rate (transfers per virtual second).
+const RATE_PER_SEC: f64 = 15.0;
+/// How long a crashed site stays down.
+const RECOVER_AFTER: SimDuration = SimDuration::from_millis(700);
+/// Floor of the WAL checkpoint rule ([`pv_store::SiteStore::maybe_compact`]).
+/// Tiny so sites checkpoint several times within the scenario and the
+/// append coordinates straddle them: crashes land just before and just
+/// after the log was rewritten.
+const COMPACT_THRESHOLD: usize = 8;
 
 impl Default for CrashPointConfig {
     fn default() -> Self {
@@ -82,15 +80,10 @@ impl Default for CrashPointConfig {
             seed: 0xC8A5,
             sites: 3,
             accounts: 12,
-            initial: 500,
             transfers: 30,
-            rate_per_sec: 15.0,
-            policy: FsyncPolicy::PerDecision,
             settle_secs: 90,
-            recover_after: SimDuration::from_millis(700),
             max_points_per_site: None,
             protocol: CommitProtocol::Polyvalue,
-            compact_threshold: 8,
         }
     }
 }
@@ -156,27 +149,26 @@ impl fmt::Display for CrashPointReport {
     }
 }
 
-/// Builds the scenario cluster: `sites` sites over policy-governed in-memory
+/// Builds the scenario cluster: `sites` sites over per-decision in-memory
 /// storage, one client issuing random guarded transfers.
 fn build(cfg: &CrashPointConfig) -> Cluster {
-    let policy = cfg.policy;
     let engine = EngineConfig {
-        compact_threshold: cfg.compact_threshold,
+        compact_threshold: COMPACT_THRESHOLD,
         ..EngineConfig::with_protocol(cfg.protocol)
     };
     ClusterBuilder::new(cfg.sites, Directory::Mod(cfg.sites))
         .seed(cfg.seed)
         .net(NetConfig::default())
         .engine(engine)
-        .uniform_items(cfg.accounts, cfg.initial)
-        .storage(move |_| Box::new(MemStorage::with_policy(policy)))
+        .uniform_items(cfg.accounts, INITIAL)
+        .storage(|_| Box::new(MemStorage::with_policy(FsyncPolicy::PerDecision)))
         .client(
             ClientConfig {
                 record_results: false,
                 ..ClientConfig::default()
             },
             Box::new(
-                RandomTransfers::new(cfg.accounts, cfg.rate_per_sec, 40)
+                RandomTransfers::new(cfg.accounts, RATE_PER_SEC, 40)
                     .with_limit(cfg.transfers),
             ),
         )
@@ -245,7 +237,7 @@ fn crash_at(cfg: &CrashPointConfig, site: SiteId, point: u64) -> Option<Violatio
     cluster.world.schedule_crash(now, site_node(site));
     cluster
         .world
-        .schedule_recover(now + cfg.recover_after, site_node(site));
+        .schedule_recover(now + RECOVER_AFTER, site_node(site));
     cluster.run_until(SimTime::from_secs(cfg.settle_secs));
     if cluster.world.metrics().counter("node.crashes") != 1 {
         return Some(Violation {
@@ -264,7 +256,7 @@ fn check_invariants(
     site: SiteId,
     point: u64,
 ) -> Option<Violation> {
-    let expected = cfg.accounts as i64 * cfg.initial;
+    let expected = cfg.accounts as i64 * INITIAL;
     let fail = |what: String| Some(Violation { site, point, what });
     match cluster.sum_items((0..cfg.accounts).map(ItemId)) {
         Ok(total) if total == expected => {}

@@ -20,7 +20,7 @@ use crate::messages::{AbortReason, Msg, TxnResult};
 use crate::topology::Topology;
 use pv_protocol::{Input, MetricOp, Output, SiteMachine};
 use pv_simnet::{Metrics, SimRng, SimTime, Trace};
-use pv_store::{DiskWal, SiteId, SiteStore};
+use pv_store::{DiskWal, FsyncPolicy, SiteId, SiteStore};
 
 pub use pv_protocol::site_node;
 
@@ -50,15 +50,15 @@ pub struct Site {
 
 impl Site {
     /// Builds site `id` of `topo` — the one bootstrap every runtime uses.
-    /// The store is a [`DiskWal`] under `data_dir/site-<id>` when the
-    /// topology has a data directory (replaying whatever image is there) and
-    /// in-memory otherwise. Fails with [`EngineError::Io`] when the WAL
-    /// directory cannot be opened.
+    /// The store is a per-decision [`DiskWal`] under `data_dir/site-<id>`
+    /// when the topology has a data directory (replaying whatever image is
+    /// there) and in-memory otherwise. Fails with [`EngineError::Io`] when
+    /// the WAL directory cannot be opened.
     pub fn open(id: SiteId, topo: &Topology) -> Result<Site, EngineError> {
         let store = match &topo.data_dir {
             Some(dir) => {
                 let path = dir.join(format!("site-{id}"));
-                let wal = DiskWal::open(&path, topo.fsync_policy)
+                let wal = DiskWal::open(&path, FsyncPolicy::PerDecision)
                     .map_err(|e| EngineError::Io(format!("open WAL at {}: {e}", path.display())))?;
                 SiteStore::open(Box::new(wal))
             }

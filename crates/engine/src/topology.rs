@@ -7,8 +7,8 @@
 //! written against one could not move to the other without re-plumbing its
 //! configuration. A [`Topology`] is that configuration, once: how many
 //! sites, where items live, which protocol variant and timeouts, the initial
-//! database population, durability (data directory and fsync policy), and
-//! the static-checks submit gate.
+//! database population, durability (the data directory), and the
+//! static-checks submit gate.
 //!
 //! Both runtimes consume the same value:
 //!
@@ -55,8 +55,6 @@ pub struct Topology {
     /// memory (the simulation additionally supports arbitrary backends via
     /// [`ClusterBuilder::storage`](crate::ClusterBuilder::storage)).
     pub data_dir: Option<PathBuf>,
-    /// Fsync policy of disk-backed sites (ignored without a data dir).
-    pub fsync_policy: FsyncPolicy,
 }
 
 impl Topology {
@@ -74,7 +72,6 @@ impl Topology {
             engine: EngineConfig::default(),
             items: Vec::new(),
             data_dir: None,
-            fsync_policy: FsyncPolicy::PerDecision,
         }
     }
 
@@ -121,10 +118,8 @@ impl Topology {
         self
     }
 
-    /// Sets the fsync policy of disk-backed sites (default: per-decision,
-    /// the cheapest policy that keeps the §3.1 protocol crash-safe).
-    pub fn fsync_policy(mut self, policy: FsyncPolicy) -> Self {
-        self.fsync_policy = policy;
+    /// No effect; kept for the frozen benchmark; deleted with its last caller by ROADMAP item 1.
+    pub fn fsync_policy(self, _: FsyncPolicy) -> Self {
         self
     }
 
@@ -170,12 +165,10 @@ mod tests {
             .engine(crate::CommitProtocol::Blocking2pc)
             .uniform_items(6, 10)
             .item(100u64, 5i64)
-            .static_checks()
-            .fsync_policy(FsyncPolicy::PerAppend);
+            .static_checks();
         assert_eq!(topo.sites, 3);
         assert_eq!(topo.items.len(), 7);
         assert!(topo.engine.static_checks);
-        assert_eq!(topo.fsync_policy, FsyncPolicy::PerAppend);
         assert_eq!(topo.seeded_int_total(), 65);
     }
 

@@ -319,7 +319,8 @@ impl Drop for ProcCluster {
 /// Polls `inspect(site, wait)` over `0..sites` until every site answers
 /// quiescent with zero polyvalues, and returns the answers. An inspect
 /// error is retried on the next poll until `limit`; then the error names
-/// the last poll's failure and the polyvalues it counted.
+/// the last poll's failure and what its answers left unsettled
+/// ([`unsettled`]).
 pub(crate) fn settle(
     sites: u32,
     limit: Duration,
@@ -342,11 +343,41 @@ pub(crate) fn settle(
         }
         if Instant::now() >= deadline {
             let failure = failure.unwrap_or_else(|| "none".into());
+            let left = unsettled(&snaps);
             return Err(EngineError::Io(format!(
-                "not settled within {limit:?}: {polys} polyvalues left, last error: {failure}"
+                "not settled within {limit:?}: {polys} polyvalues left ({left}), last error: {failure}"
             )));
         }
         std::thread::sleep(POLL);
+    }
+}
+
+/// What keeps `snaps` from settling: each site that holds polyvalues, with
+/// each polyvalued item and the transactions it depends on, and each site
+/// that is not quiescent.
+fn unsettled(snaps: &[NodeSnapshot]) -> String {
+    let mut parts = Vec::new();
+    for snap in snaps {
+        let polys: Vec<String> = snap
+            .items
+            .iter()
+            .filter(|(_, entry)| entry.is_poly())
+            .map(|(item, entry)| {
+                let deps: Vec<String> = entry.deps().iter().map(ToString::to_string).collect();
+                format!("{item} on {}", deps.join("+"))
+            })
+            .collect();
+        if !polys.is_empty() {
+            parts.push(format!("site {} holds {}", snap.site, polys.join(", ")));
+        }
+        if !snap.quiescent {
+            parts.push(format!("site {} is not quiescent", snap.site));
+        }
+    }
+    if parts.is_empty() {
+        "nothing".into()
+    } else {
+        parts.join("; ")
     }
 }
 
@@ -396,6 +427,24 @@ mod tests {
         let snaps = [snapshot(vec![(ItemId(2), Entry::Simple(Value::Bool(true)))])];
         let err = balances(&snaps).expect_err("a boolean is not a balance").to_string();
         assert!(err.contains(&ItemId(2).to_string()), "{err}");
+    }
+
+    #[test]
+    fn settle_names_each_stranded_polyvalue_and_busy_site() {
+        let int = |v| Entry::Simple(Value::Int(v));
+        let once = Entry::in_doubt(int(1), int(2), TxnId(5));
+        let twice = Entry::in_doubt(once.clone(), int(3), TxnId(7));
+        let snaps = [
+            NodeSnapshot { site: 0, ..snapshot(vec![(ItemId(0), int(1))]) },
+            NodeSnapshot { poly_count: 2, ..snapshot(vec![(ItemId(3), once), (ItemId(4), twice)]) },
+            NodeSnapshot { site: 2, quiescent: false, ..snapshot(Vec::new()) },
+        ];
+        let err = settle(3, Duration::ZERO, |s, _| Ok(snaps[s as usize].clone()))
+            .expect_err("polyvalues and a busy site are not settled")
+            .to_string();
+        let want = "2 polyvalues left (site 1 holds item3 on T5, item4 on T5+T7; site 2 is not quiescent)";
+        assert!(err.contains(want), "{err}");
+        assert!(!err.contains("site 0"), "{err}");
     }
 
     #[test]

@@ -87,9 +87,10 @@ impl LockPolicy {
 pub enum UncertainOutputPolicy {
     /// Present polyvalued outputs to the client as-is.
     Present,
-    /// Withhold: the reply is delayed until the uncertainty resolves. (The
-    /// engine models this by having the *client* treat the reply as pending;
-    /// the commit itself is not delayed.)
+    /// Withhold: the coordinator holds the reply back until every output is
+    /// certain, then sends it; the commit itself is not delayed. Held
+    /// replies are volatile, so a coordinator crash surfaces to the client
+    /// as a response timeout.
     Withhold,
 }
 

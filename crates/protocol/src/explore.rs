@@ -196,11 +196,15 @@ impl State {
         let mut stores = Vec::new();
         for s in 0..cfg.sites {
             machines.push(SiteMachine::new(s, cfg.engine.clone(), directory.clone()));
-            stores.push(SiteStore::new());
-        }
-        for item in 0..cfg.items() {
-            stores[(item % cfg.sites) as usize]
-                .seed_item(ItemId(item as u64), Value::Int(cfg.initial));
+            // Seeded as a site is: the home items in one synced checkpoint.
+            let mut store = SiteStore::new();
+            store.seed_checkpoint(
+                (s..cfg.items())
+                    .step_by(cfg.sites as usize)
+                    .map(|item| (ItemId(item as u64), Value::Int(cfg.initial)))
+                    .collect(),
+            );
+            stores.push(store);
         }
         let mut in_flight = Vec::new();
         for k in 0..cfg.txns {
@@ -228,9 +232,10 @@ impl State {
     }
 
     /// Forks the state for a branch. `SiteStore::clone` checkpoints the
-    /// store's state into a fresh always-durable in-memory backend, which
-    /// is exactly the explorer's storage model (crashes here lose no synced
-    /// state).
+    /// store's state into a fresh, fully synced in-memory backend, which is
+    /// exactly the explorer's storage model: a crash here loses volatile
+    /// state only, never a written record (the crash-point sweep checks
+    /// recovery from a lost tail).
     fn fork(&self) -> State {
         State {
             machines: self.machines.clone(),

@@ -1352,14 +1352,17 @@ mod tests {
     fn paxos_vote_is_synced_under_lax_policy() {
         // Like staging: an acknowledged vote must survive a crash even when
         // the background fsync policy would not have flushed it yet.
-        let mut s = SiteStore::with_storage(Box::new(MemStorage::with_policy(
-            FsyncPolicy::EveryN(10_000),
-        )));
+        let mut s =
+            SiteStore::with_storage(Box::new(MemStorage::with_policy(FsyncPolicy::PerDecision)));
+        // A crash after each: no later record's sync covers an earlier one.
         s.pc_record_vote(TxnId(5), 1, vec![0, 1], true);
-        s.pc_promise(TxnId(6), 7);
-        s.pc_accept(TxnId(6), 7, true);
         s.crash_and_recover();
         assert!(s.pc_state(TxnId(5)).unwrap().votes[&1]);
+        s.pc_promise(TxnId(6), 7);
+        s.crash_and_recover();
+        assert_eq!(s.pc_state(TxnId(6)).unwrap().promised, 7);
+        s.pc_accept(TxnId(6), 7, true);
+        s.crash_and_recover();
         assert_eq!(s.pc_state(TxnId(6)).unwrap().accepted, Some((7, true)));
     }
 
@@ -1379,26 +1382,26 @@ mod tests {
     }
 
     #[test]
-    fn periodic_policy_staging_survives_crash_via_explicit_sync() {
+    fn per_decision_staging_survives_crash_via_explicit_sync() {
         // Under a lax policy, background appends can be lost — but a staged
         // wait-phase transaction never is, because stage() syncs explicitly.
-        let mut s = SiteStore::with_storage(Box::new(MemStorage::with_policy(
-            FsyncPolicy::EveryN(10_000),
-        )));
+        // The stage is the last append, so no decision record's own sync
+        // covers it.
+        let mut s =
+            SiteStore::with_storage(Box::new(MemStorage::with_policy(FsyncPolicy::PerDecision)));
         s.seed_item(ItemId(1), Value::Int(100));
         s.sync();
-        s.stage(TxnId(5), 2, vec![(ItemId(1), simple(90))]);
         s.record_decision(TxnId(8), true);
+        s.stage(TxnId(5), 2, vec![(ItemId(1), simple(90))]);
         s.crash_and_recover();
         assert_eq!(s.pending_txns(), vec![TxnId(5)]);
         assert_eq!(s.decision_of(TxnId(8)), Some(true));
     }
 
     #[test]
-    fn periodic_policy_can_lose_background_appends() {
-        let mut s = SiteStore::with_storage(Box::new(MemStorage::with_policy(
-            FsyncPolicy::EveryN(10_000),
-        )));
+    fn per_decision_can_lose_background_appends() {
+        let mut s =
+            SiteStore::with_storage(Box::new(MemStorage::with_policy(FsyncPolicy::PerDecision)));
         s.seed_item(ItemId(1), Value::Int(100));
         s.sync();
         s.set_entry(ItemId(1), simple(55)); // background: not synced
@@ -1415,7 +1418,7 @@ mod tests {
                     torn_tail_prob: 0.8,
                     bit_flip_prob: 0.4,
                 },
-                FsyncPolicy::EveryN(3),
+                FsyncPolicy::PerDecision,
             );
             let mut s = SiteStore::with_storage(Box::new(storage));
             s.seed_item(ItemId(1), Value::Int(100));

@@ -3,9 +3,9 @@
 //! The paper assumes every site owns *stable storage* that survives crashes
 //! (§3.3); [`Storage`] is that assumption as a trait. Three backends ship:
 //!
-//! * [`MemStorage`] — the historical in-memory log, now split into a synced
-//!   and an un-synced byte region so fsync policies are meaningful even in
-//!   the simulator;
+//! * [`MemStorage`] — the in-memory log, split into a synced and an
+//!   un-synced byte region so a per-decision log (the crash-point sweep's)
+//!   can lose its tail;
 //! * [`DiskWal`] — a real file-backed log: one append-only file per site,
 //!   `wal.log`, framed by the [`crate::codec`] format; a checkpoint writes
 //!   the state to `wal.log.tmp` and renames it over `wal.log` in one atomic
@@ -29,8 +29,8 @@ use std::path::{Path, PathBuf};
 ///
 /// Independent of the policy, [`SiteStore`](crate::SiteStore) explicitly
 /// syncs at the protocol-critical points (staging before `Ready`, decisions
-/// before `Decision` messages, epoch bumps) — the policy only governs how
-/// long *background* records (item installs, §3.3 bookkeeping) may sit in
+/// before `Decision` messages, epoch bumps) — the policy only governs
+/// whether *background* records (item installs, §3.3 bookkeeping) sit in
 /// the un-synced tail, which is exactly the state a crash can lose.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum FsyncPolicy {
@@ -39,20 +39,16 @@ pub enum FsyncPolicy {
     PerAppend,
     /// Sync only when a decision or epoch record is appended.
     PerDecision,
-    /// Sync once every `n` appends.
-    EveryN(usize),
 }
 
 impl FsyncPolicy {
-    /// Whether appending `record` with `unsynced_appends` already pending
-    /// should trigger an automatic sync.
-    fn wants_sync(self, record: &Record, unsynced_appends: usize) -> bool {
+    /// Whether appending `record` should trigger an automatic sync.
+    fn wants_sync(self, record: &Record) -> bool {
         match self {
             FsyncPolicy::PerAppend => true,
             FsyncPolicy::PerDecision => {
                 matches!(record, Record::Decision { .. } | Record::Epoch { .. })
             }
-            FsyncPolicy::EveryN(n) => unsynced_appends >= n.max(1),
         }
     }
 }
@@ -135,14 +131,15 @@ pub trait Storage: Send + fmt::Debug {
 
 /// The in-memory backend: a synced byte region plus an un-synced tail.
 ///
-/// Under [`FsyncPolicy::PerAppend`] (the default) every append is immediately
-/// durable, which reproduces the original simulator semantics exactly.
+/// Under [`FsyncPolicy::PerAppend`] (the default, and every in-memory
+/// site's) every append is immediately durable, so a crash loses nothing
+/// written; under [`FsyncPolicy::PerDecision`] a crash drops the un-synced
+/// tail.
 #[derive(Debug, Default)]
 pub struct MemStorage {
     synced: Vec<u8>,
     unsynced: Vec<u8>,
     policy: FsyncPolicy,
-    unsynced_appends: usize,
     stats: StorageStats,
 }
 
@@ -169,27 +166,26 @@ impl MemStorage {
     }
 
     /// Bytes currently in the un-synced tail.
-    pub fn unsynced_len(&self) -> usize {
+    fn unsynced_len(&self) -> usize {
         self.unsynced.len()
     }
 
     /// Bytes currently in the synced region.
-    pub fn synced_len(&self) -> usize {
+    fn synced_len(&self) -> usize {
         self.synced.len()
     }
 
     /// Moves the first `n` un-synced bytes into the synced region and drops
     /// the rest — the torn-tail primitive: a crash caught part of the tail
     /// on its way to the platter.
-    pub fn promote_unsynced_prefix(&mut self, n: usize) {
+    fn promote_unsynced_prefix(&mut self, n: usize) {
         let n = n.min(self.unsynced.len());
         self.synced.extend_from_slice(&self.unsynced[..n]);
         self.unsynced.clear();
-        self.unsynced_appends = 0;
     }
 
     /// Flips one bit of the synced image (media-corruption primitive).
-    pub fn flip_bit(&mut self, bit: u64) {
+    fn flip_bit(&mut self, bit: u64) {
         let byte = (bit / 8) as usize;
         if byte < self.synced.len() {
             self.synced[byte] ^= 1 << (bit % 8);
@@ -203,8 +199,7 @@ impl Storage for MemStorage {
         codec::encode_record(record, &mut self.unsynced);
         self.stats.bytes_appended += (self.unsynced.len() - before) as u64;
         self.stats.appends += 1;
-        self.unsynced_appends += 1;
-        if self.policy.wants_sync(record, self.unsynced_appends) {
+        if self.policy.wants_sync(record) {
             self.sync()?;
         }
         Ok(())
@@ -215,13 +210,11 @@ impl Storage for MemStorage {
             self.synced.append(&mut self.unsynced);
             self.stats.syncs += 1;
         }
-        self.unsynced_appends = 0;
         Ok(())
     }
 
     fn crash(&mut self) {
         self.unsynced.clear();
-        self.unsynced_appends = 0;
     }
 
     fn read_image(&mut self) -> Result<Vec<u8>, StorageError> {
@@ -235,7 +228,6 @@ impl Storage for MemStorage {
         if len <= self.synced.len() {
             self.synced.truncate(len);
             self.unsynced.clear();
-            self.unsynced_appends = 0;
         } else {
             self.unsynced.truncate(len - self.synced.len());
         }
@@ -248,7 +240,6 @@ impl Storage for MemStorage {
             codec::encode_record(record, &mut self.synced);
         }
         self.unsynced.clear();
-        self.unsynced_appends = 0;
         self.stats.compactions += 1;
         self.stats.checkpoint_records += records.len() as u64;
         self.stats.syncs += 1;
@@ -279,7 +270,6 @@ pub struct DiskWal {
     len: u64,
     synced_len: u64,
     policy: FsyncPolicy,
-    unsynced_appends: usize,
     stats: StorageStats,
 }
 
@@ -329,7 +319,6 @@ impl DiskWal {
             // what stable storage holds now.
             synced_len: len,
             policy,
-            unsynced_appends: 0,
             stats: StorageStats::default(),
         })
     }
@@ -350,10 +339,9 @@ impl Storage for DiskWal {
         codec::encode_record(record, &mut frame);
         self.file.write_all(&frame)?;
         self.len += frame.len() as u64;
-        self.unsynced_appends += 1;
         self.stats.bytes_appended += frame.len() as u64;
         self.stats.appends += 1;
-        if self.policy.wants_sync(record, self.unsynced_appends) {
+        if self.policy.wants_sync(record) {
             self.sync()?;
         }
         Ok(())
@@ -365,7 +353,6 @@ impl Storage for DiskWal {
             self.synced_len = self.len;
             self.stats.syncs += 1;
         }
-        self.unsynced_appends = 0;
         Ok(())
     }
 
@@ -376,7 +363,6 @@ impl Storage for DiskWal {
         if self.synced_len < self.len && self.file.set_len(self.synced_len).is_ok() {
             self.len = self.synced_len;
         }
-        self.unsynced_appends = 0;
     }
 
     fn read_image(&mut self) -> Result<Vec<u8>, StorageError> {
@@ -390,7 +376,6 @@ impl Storage for DiskWal {
         self.file.sync_data()?;
         self.len = len;
         self.synced_len = len;
-        self.unsynced_appends = 0;
         Ok(())
     }
 
@@ -410,7 +395,6 @@ impl Storage for DiskWal {
         self.file = open_log(&self.dir)?;
         self.len = image.len() as u64;
         self.synced_len = self.len;
-        self.unsynced_appends = 0;
         self.stats.compactions += 1;
         self.stats.checkpoint_records += records.len() as u64;
         self.stats.syncs += 1;
@@ -465,7 +449,8 @@ pub struct FaultyStorage {
 
 impl FaultyStorage {
     /// A faulty log over the always-durable policy (faults only bite the
-    /// window between appends and crashes, so pair this with a laxer policy
+    /// window between appends and crashes, so pair this with
+    /// [`FsyncPolicy::PerDecision`] through [`FaultyStorage::with_policy`]
     /// for interesting runs).
     pub fn new(config: FaultConfig) -> Self {
         FaultyStorage::with_policy(config, FsyncPolicy::PerAppend)
@@ -599,8 +584,8 @@ mod tests {
     }
 
     #[test]
-    fn mem_periodic_policy_loses_unsynced_tail_on_crash() {
-        let mut s = MemStorage::with_policy(FsyncPolicy::EveryN(100));
+    fn mem_per_decision_loses_unsynced_tail_on_crash() {
+        let mut s = MemStorage::with_policy(FsyncPolicy::PerDecision);
         s.append(&set(1, 10)).unwrap();
         s.sync().unwrap();
         s.append(&set(1, 11)).unwrap();
@@ -619,16 +604,6 @@ mod tests {
         assert_eq!(s.unsynced_len(), 0);
         s.crash();
         assert_eq!(decode(&s.read_image().unwrap()), vec![set(1, 10), decision(7)]);
-    }
-
-    #[test]
-    fn mem_every_n_syncs_at_interval() {
-        let mut s = MemStorage::with_policy(FsyncPolicy::EveryN(3));
-        s.append(&set(1, 1)).unwrap();
-        s.append(&set(1, 2)).unwrap();
-        assert!(s.unsynced_len() > 0);
-        s.append(&set(1, 3)).unwrap();
-        assert_eq!(s.unsynced_len(), 0);
     }
 
     #[test]
@@ -661,7 +636,7 @@ mod tests {
     #[test]
     fn disk_crash_drops_unsynced_suffix() {
         let dir = scratch("crash");
-        let mut s = DiskWal::open(&dir, FsyncPolicy::EveryN(100)).unwrap();
+        let mut s = DiskWal::open(&dir, FsyncPolicy::PerDecision).unwrap();
         s.append(&set(1, 10)).unwrap();
         s.sync().unwrap();
         s.append(&set(1, 11)).unwrap();
@@ -685,7 +660,7 @@ mod tests {
     #[test]
     fn disk_directory_holds_only_the_log() {
         let dir = scratch("one-file");
-        let mut s = DiskWal::open(&dir, FsyncPolicy::EveryN(100)).unwrap();
+        let mut s = DiskWal::open(&dir, FsyncPolicy::PerDecision).unwrap();
         s.append(&set(1, 10)).unwrap();
         assert_eq!(file_names(&dir), [LOG]);
         s.reset(&[set(1, 19), set(2, 20)]).unwrap();
@@ -735,7 +710,7 @@ mod tests {
     #[test]
     fn disk_truncate_keeps_the_cut_across_reopen() {
         let dir = scratch("truncate");
-        let mut s = DiskWal::open(&dir, FsyncPolicy::EveryN(100)).unwrap();
+        let mut s = DiskWal::open(&dir, FsyncPolicy::PerDecision).unwrap();
         for i in 0..5 {
             s.append(&set(1, i)).unwrap();
         }
@@ -762,7 +737,7 @@ mod tests {
                     torn_tail_prob: 1.0,
                     bit_flip_prob: 0.0,
                 },
-                FsyncPolicy::EveryN(100),
+                FsyncPolicy::PerDecision,
             );
             s.append(&set(1, 10)).unwrap();
             s.sync().unwrap();
@@ -814,7 +789,7 @@ mod tests {
                     torn_tail_prob: 0.7,
                     bit_flip_prob: 0.3,
                 },
-                FsyncPolicy::EveryN(3),
+                FsyncPolicy::PerDecision,
             );
             for i in 0..6 {
                 s.append(&set(1, i)).unwrap();

@@ -327,7 +327,7 @@ proptest! {
     ) {
         let storage = FaultyStorage::with_policy(
             FaultConfig { seed, torn_tail_prob: 0.5, bit_flip_prob: 0.25 },
-            FsyncPolicy::EveryN(4),
+            FsyncPolicy::PerDecision,
         );
         let mut store = SiteStore::with_storage(Box::new(storage));
         for item in 0..ITEMS {

@@ -5,11 +5,12 @@
 //! each point in a fresh same-seed run, recovers it, and checks the tier-1
 //! invariants (conservation, no residual polyvalues, quiescence) after
 //! settling. FoundationDB-style: deterministic, reproducible, exhaustive.
+//! Every site's log syncs per decision, so a crash loses the background
+//! records written since the last sync.
 //!
 //! ```text
-//! pv-crashpoint                          # defaults: 3 sites, both fsync policies
+//! pv-crashpoint                          # defaults: 3 sites, 20 transfers
 //! pv-crashpoint --seed 7 --transfers 40  # bigger scripted scenario
-//! pv-crashpoint --policy per-decision    # single policy
 //! pv-crashpoint --max-points 50          # cap points per site (CI budget)
 //! ```
 //!
@@ -18,7 +19,6 @@
 
 use polyvalues::engine::crashpoint::{explore, CrashPointConfig};
 use polyvalues::protocol::CommitProtocol;
-use polyvalues::store::FsyncPolicy;
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: pv-crashpoint [options]
@@ -28,28 +28,11 @@ options:
   --sites <n>         number of sites (default 3)
   --accounts <n>      number of accounts (default 12)
   --transfers <n>     scripted transfers (default 20)
-  --policy <p>        fsync policy: per-append | per-decision | every-<n> | all
-                      (default: all = per-decision and every-8)
   --protocol <p>      commit protocol: polyvalue | blocking-2pc | paxos-commit
                       (default: polyvalue)
   --max-points <n>    cap crash points per site, evenly sampled (default: all)
   -h, --help          this message
 ";
-
-fn parse_policy(s: &str) -> Option<Vec<(String, FsyncPolicy)>> {
-    match s {
-        "all" => Some(vec![
-            ("per-decision".into(), FsyncPolicy::PerDecision),
-            ("every-8".into(), FsyncPolicy::EveryN(8)),
-        ]),
-        "per-append" => Some(vec![("per-append".into(), FsyncPolicy::PerAppend)]),
-        "per-decision" => Some(vec![("per-decision".into(), FsyncPolicy::PerDecision)]),
-        other => {
-            let n = other.strip_prefix("every-")?.parse().ok()?;
-            Some(vec![(other.into(), FsyncPolicy::EveryN(n))])
-        }
-    }
-}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -58,7 +41,6 @@ fn main() -> ExitCode {
         transfers: 20,
         ..CrashPointConfig::default()
     };
-    let mut policies = parse_policy("all").expect("static default");
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         let mut take = |name: &str| -> Option<&String> {
@@ -98,13 +80,6 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
             },
-            "--policy" => match take("--policy").and_then(|v| parse_policy(v)) {
-                Some(p) => policies = p,
-                None => {
-                    eprintln!("pv-crashpoint: bad --policy\n{USAGE}");
-                    return ExitCode::from(2);
-                }
-            },
             "-h" | "--help" | "help" => {
                 print!("{USAGE}");
                 return ExitCode::SUCCESS;
@@ -115,24 +90,17 @@ fn main() -> ExitCode {
             }
         }
     }
-    let mut failed = false;
-    for (label, policy) in policies {
-        let report = explore(&CrashPointConfig {
-            policy,
-            ..cfg.clone()
-        });
-        println!(
-            "policy {label:>12}: {report} (seed {:#x}, {} sites, {} transfers)",
-            cfg.seed, cfg.sites, cfg.transfers
-        );
-        for v in &report.violations {
-            println!("  VIOLATION {v}");
-        }
-        failed |= !report.ok();
+    let report = explore(&cfg);
+    println!(
+        "{report} (seed {:#x}, {} sites, {} transfers)",
+        cfg.seed, cfg.sites, cfg.transfers
+    );
+    for v in &report.violations {
+        println!("  VIOLATION {v}");
     }
-    if failed {
-        ExitCode::FAILURE
-    } else {
+    if report.ok() {
         ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
 }
