@@ -313,6 +313,140 @@ impl Drop for NetClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::{frame_bytes, WireMetrics};
+    use pv_engine::AbortReason;
+    use std::net::{Shutdown, TcpListener};
+
+    /// A fake site: a client connected to a bare listener, and the site's
+    /// end of that connection, which the test writes (or closes) by hand.
+    fn fake_site() -> (NetClient, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let client = NetClient::connect(addr, 7, Backoff::fast_fail()).unwrap();
+        (client, listener.accept().unwrap().0)
+    }
+
+    fn reply(req_id: u64) -> Frame {
+        let result = TxnResult::Aborted {
+            reason: AbortReason::Timeout,
+        };
+        Frame::Proto {
+            from: 0,
+            msg: Msg::Reply { req_id, result },
+        }
+    }
+
+    fn read_reply(req_id: u64, snapshot: u64) -> Frame {
+        let msg = Msg::SnapshotReadReply {
+            req_id,
+            snapshot,
+            entries: Vec::new(),
+        };
+        Frame::Proto { from: 0, msg }
+    }
+
+    fn inspected(site: u32) -> Frame {
+        Frame::InspectResp(NodeSnapshot {
+            site,
+            items: Vec::new(),
+            poly_count: 0,
+            quiescent: true,
+        })
+    }
+
+    fn metrics(count: u64) -> Frame {
+        Frame::MetricsResp(WireMetrics {
+            counters: vec![("txn.committed".into(), count)],
+            histograms: Vec::new(),
+        })
+    }
+
+    /// A receiving method of a fresh client (its first request id is 1),
+    /// with its answer framed back as the site sent it.
+    type Call = fn(&mut NetClient, Duration) -> Result<Frame, EngineError>;
+
+    /// Each receiving method: the frames it must skip, the frame it awaits,
+    /// and the call.
+    fn methods() -> Vec<(&'static str, Vec<Frame>, Frame, Call)> {
+        vec![
+            (
+                "recv_reply",
+                vec![inspected(0), metrics(1), read_reply(1, 3)],
+                reply(5),
+                |c, d| {
+                    let (req_id, result) = c.recv_reply(d)?;
+                    let msg = Msg::Reply { req_id, result };
+                    Ok(Frame::Proto { from: 0, msg })
+                },
+            ),
+            (
+                "submit",
+                vec![reply(2), inspected(0), read_reply(1, 3)],
+                reply(1),
+                |c, d| {
+                    let result = c.submit(&TransactionSpec::transfer(0, 1, 5), d)?;
+                    let msg = Msg::Reply { req_id: 1, result };
+                    Ok(Frame::Proto { from: 0, msg })
+                },
+            ),
+            (
+                "snapshot_read",
+                vec![read_reply(2, 3), reply(1), inspected(0)],
+                read_reply(1, 9),
+                |c, d| {
+                    let (snapshot, _) = c.snapshot_read(&[], d)?;
+                    Ok(read_reply(1, snapshot))
+                },
+            ),
+            (
+                "inspect",
+                vec![reply(1), metrics(1), read_reply(1, 3)],
+                inspected(2),
+                |c, d| Ok(Frame::InspectResp(c.inspect(d)?)),
+            ),
+            (
+                "metrics",
+                vec![inspected(0), reply(1), read_reply(1, 3)],
+                metrics(42),
+                |c, d| Ok(metrics(c.metrics(d)?.counter("txn.committed"))),
+            ),
+        ]
+    }
+
+    #[test]
+    fn every_receiving_method_skips_stray_frames_for_the_one_it_awaits() {
+        for (name, strays, answer, call) in methods() {
+            let (mut client, mut site) = fake_site();
+            for frame in strays.iter().chain([&answer]) {
+                site.write_all(&frame_bytes(frame).unwrap()).unwrap();
+            }
+            let got = call(&mut client, Duration::from_secs(10));
+            assert_eq!(got, Ok(answer), "{name}");
+        }
+    }
+
+    #[test]
+    fn every_receiving_method_gives_up_on_a_silent_site_at_its_deadline() {
+        let deadline = Duration::from_millis(200);
+        for (name, _, _, call) in methods() {
+            let (mut client, _site) = fake_site();
+            let started = Instant::now();
+            assert_eq!(call(&mut client, deadline), Err(EngineError::Timeout), "{name}");
+            let took = started.elapsed();
+            assert!(took >= deadline, "{name} gave up early, after {took:?}");
+            assert!(took < deadline + Duration::from_secs(1), "{name} took {took:?}");
+        }
+    }
+
+    #[test]
+    fn every_receiving_method_reports_a_closed_connection() {
+        for (name, _, _, call) in methods() {
+            let (mut client, site) = fake_site();
+            site.shutdown(Shutdown::Write).unwrap();
+            let got = call(&mut client, Duration::from_secs(10));
+            assert_eq!(got, Err(EngineError::Disconnected), "{name}");
+        }
+    }
 
     #[test]
     fn the_read_timeout_is_set_only_when_it_would_outlast_the_deadline_or_is_stale() {
