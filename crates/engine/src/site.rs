@@ -30,11 +30,9 @@ pub struct Site {
     machine: SiteMachine,
     store: SiteStore,
     /// Whether the site runs on the wall clock ([`SiteHost`](crate::SiteHost)
-    /// opts in). Recovery durations then flow into the metrics — the
-    /// simulation leaves them out to keep its exports byte-deterministic
-    /// under a seed — and gauge samples do not: a series is read from the
-    /// simulator's registry only, and a node that serves for days would
-    /// grow one without bound.
+    /// opts in). Gauge samples then stay out of the metrics: a series is
+    /// read from the simulator's registry only, and a node that serves for
+    /// days would grow one without bound.
     wall_clock_metrics: bool,
     /// Whether the store held a durable image from a previous incarnation
     /// when the site was opened: its host then steps it with
@@ -118,10 +116,8 @@ impl Site {
         self.store.sync();
     }
 
-    /// Marks the site as running on the wall clock: the `recovery.duration`
-    /// histogram is observed and gauge series are not sampled. Only a
-    /// real-time runtime should enable this: the simulation leaves it off so
-    /// same-seed metric exports stay byte-identical.
+    /// Marks the site as running on the wall clock: gauge series are not
+    /// sampled. Only a real-time runtime should enable this.
     pub(crate) fn enable_wall_clock_metrics(&mut self) {
         self.wall_clock_metrics = true;
     }
@@ -261,11 +257,6 @@ impl Site {
         for (name, delta) in deltas {
             if delta > 0 {
                 metrics.inc_by(name, delta);
-            }
-        }
-        if self.wall_clock_metrics {
-            for d in stats.recovery_durations {
-                metrics.observe("recovery.duration", d);
             }
         }
     }

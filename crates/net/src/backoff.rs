@@ -4,8 +4,8 @@
 //! The original runtime retried a dead peer on a fixed cadence
 //! (`RetryBudget`: N attempts, fixed delay) and retried *synchronously*,
 //! stalling the whole event loop while a peer was down. [`Backoff`] is the
-//! policy half of the fix: how long to wait before attempt `k`, growing
-//! exponentially from `base` toward `max`, with ±25 % of randomisation so a
+//! policy half of the fix: how long to wait before attempt `k`, doubling
+//! from `base` toward `max`, with ±25 % of randomisation so a
 //! healed partition is rejoined by staggered probes instead of a thundering
 //! herd. The jitter is a pure function of `(salt, attempt)`, so every delay a
 //! node ever picks is reproducible from its config.
@@ -24,17 +24,15 @@ const JITTER: f64 = 0.25;
 
 /// An exponential-backoff policy with deterministic jitter.
 ///
-/// Delay before attempt `k` (1-based) is
-/// `min(base * factor^(k-1), max)`, scaled by a factor drawn uniformly from
-/// `[0.75, 1.25]` via a hash of `(salt, k)`.
+/// Delay before attempt `k` (1-based) is `min(base * 2^(k-1), max)`, scaled
+/// by a factor drawn uniformly from `[0.75, 1.25]` via a hash of
+/// `(salt, k)`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Backoff {
     /// Delay before the first retry.
     pub base: Duration,
     /// Upper bound any single delay grows to (before jitter).
     pub max: Duration,
-    /// Multiplicative growth per attempt (≥ 1.0).
-    pub factor: f64,
     /// Consecutive failures tolerated before a peer is unreachable.
     pub attempts: u32,
 }
@@ -47,7 +45,6 @@ impl Default for Backoff {
         Backoff {
             base: Duration::from_millis(50),
             max: Duration::from_millis(1000),
-            factor: 2.0,
             attempts: 50,
         }
     }
@@ -59,7 +56,6 @@ impl Backoff {
         Backoff {
             base: Duration::from_millis(50),
             max: Duration::from_millis(200),
-            factor: 2.0,
             attempts: 3,
         }
     }
@@ -70,16 +66,15 @@ impl Backoff {
         Backoff {
             base: Duration::from_millis(25),
             max: Duration::from_millis(500),
-            factor: 1.6,
             attempts: 10_000,
         }
     }
 
     /// The delay before attempt `attempt` (1-based) without jitter, in
-    /// seconds: grown from `base` by `factor` per attempt, capped at `max`.
+    /// seconds: doubled from `base` per attempt, capped at `max`.
     fn nominal(&self, attempt: u32) -> f64 {
         let exp = attempt.saturating_sub(1).min(63);
-        let grown = self.base.as_secs_f64() * self.factor.max(1.0).powi(exp as i32);
+        let grown = self.base.as_secs_f64() * 2f64.powi(exp as i32);
         grown.min(self.max.as_secs_f64())
     }
 

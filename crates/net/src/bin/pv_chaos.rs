@@ -486,7 +486,7 @@ fn partition(h: &mut Harness) -> Result<(bool, Duration), EngineError> {
     // Backoff observability: the cut links must have tripped circuits, the
     // healed links must have reconnected, and the open intervals must have
     // grown past the base delay (paced rejoin, not a thundering herd).
-    let m = h.cluster.metrics()?;
+    let m = h.cluster.metrics(Duration::from_secs(5))?;
     if m.counter("net.circuit_open") == 0 {
         return Err(EngineError::Io("partition never tripped a circuit".into()));
     }
@@ -529,7 +529,7 @@ fn restart_storm(h: &mut Harness) -> Result<(bool, Duration), EngineError> {
         h.cluster.restart(s)?;
     }
     h.cluster.settle(SETTLE)?;
-    let m = h.cluster.metrics()?;
+    let m = h.cluster.metrics(Duration::from_secs(5))?;
     if m.counter("net.cold_recoveries") < u64::from(h.sites()) {
         return Err(EngineError::Io(format!(
             "expected {} cold recoveries, saw {}",
@@ -641,7 +641,7 @@ fn paxos_commit_kill(h: &mut Harness) -> Result<(bool, Duration), EngineError> {
     h.cluster.settle(SETTLE)?;
     // The non-blocking path must actually have run: a dead coordinator with
     // in-flight transactions forces at least one ballot takeover somewhere.
-    let m = h.cluster.metrics()?;
+    let m = h.cluster.metrics(Duration::from_secs(5))?;
     if m.counter("pc.takeovers") == 0 {
         return Err(EngineError::Io(
             "coordinator died mid-commit yet no site ever started a takeover".into(),

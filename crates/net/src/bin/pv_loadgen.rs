@@ -179,7 +179,7 @@ fn run_load(args: &Args, cluster: &ProcCluster) -> Result<RunStats, EngineError>
         )));
     }
     // Merge each site's registry (phase histograms, protocol counters).
-    metrics.merge(&cluster.metrics()?);
+    metrics.merge(&cluster.metrics(Duration::from_secs(5))?);
     Ok(RunStats {
         sites,
         clients: args.clients,

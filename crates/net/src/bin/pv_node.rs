@@ -29,7 +29,7 @@
 use pv_engine::{CommitProtocol, Directory, EngineConfig, EngineError, Topology};
 use pv_net::backoff::Backoff;
 use pv_net::node::{error_json, Node};
-use pv_simnet::SimDuration;
+use pv_net::proc::fast_config;
 use std::net::SocketAddr;
 use std::process::ExitCode;
 use std::time::Duration;
@@ -41,19 +41,6 @@ fn usage() -> ! {
          [--static-checks] [--fast] [--attempts N] [--delay-ms N] [--max-delay-ms N]"
     );
     std::process::exit(2);
-}
-
-/// The short-timeout engine configuration used by localhost benches (the
-/// cluster tests' `fast_config`, shared by `pv-loadgen --spawn`).
-fn fast_config(protocol: CommitProtocol) -> EngineConfig {
-    EngineConfig {
-        read_timeout: SimDuration::from_millis(200),
-        ready_timeout: SimDuration::from_millis(200),
-        wait_timeout: SimDuration::from_millis(80),
-        read_lease: SimDuration::from_millis(500),
-        inquire_interval: SimDuration::from_millis(100),
-        ..EngineConfig::with_protocol(protocol)
-    }
 }
 
 struct Args {

@@ -20,11 +20,12 @@
 //! loss in the simulator's [`pv_simnet`] fault model. Everything injected is
 //! counted in a shared metrics registry under `chaos.injected.*`.
 
+use crate::conn::{Conn, READ_CHUNK};
 use crate::wire::{decode_frame, Frame};
 use pv_engine::EngineError;
 use pv_simnet::{Metrics, SimRng};
 use std::collections::{BTreeMap, VecDeque};
-use std::io::{ErrorKind, Read, Write};
+use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -286,69 +287,27 @@ fn accept_loop(listener: TcpListener, to: u32, shared: Arc<Shared>) {
     }
 }
 
-/// Reads whatever `stream` has available into `buf`; returns false once the
-/// connection is finished (EOF or error).
-fn fill(stream: &mut TcpStream, buf: &mut Vec<u8>) -> bool {
-    let mut chunk = [0u8; 16 * 1024];
-    loop {
-        match stream.read(&mut chunk) {
-            Ok(0) => return false,
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e) if e.kind() == ErrorKind::WouldBlock => return true,
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(_) => return false,
-        }
-    }
-}
-
-/// Writes as much of `buf` as the socket takes; returns `Err(())` once the
-/// connection is finished.
-fn drain(stream: &mut TcpStream, buf: &mut Vec<u8>) -> Result<(), ()> {
-    while !buf.is_empty() {
-        match stream.write(buf) {
-            Ok(0) => return Err(()),
-            Ok(k) => {
-                buf.drain(..k);
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(_) => return Err(()),
-        }
-    }
-    Ok(())
-}
-
 /// One proxied connection: learn the source node from its `Hello`, dial the
 /// real site behind the proxy, then pump frames with faults applied in the
-/// client→site direction and bytes relayed verbatim the other way.
-fn pump_conn(
-    mut client: TcpStream,
-    real: SocketAddr,
-    to: u32,
-    serial: u64,
-    shared: Arc<Shared>,
-) {
-    if client.set_nonblocking(true).is_err() {
-        return;
-    }
-    let _ = client.set_nodelay(true);
+/// client→site direction and bytes relayed verbatim the other way. Each
+/// side is a [`Conn`]; every frame is forwarded as the raw bytes it arrived
+/// in.
+fn pump_conn(client: TcpStream, real: SocketAddr, to: u32, serial: u64, shared: Arc<Shared>) {
+    let Ok(mut client) = Conn::new(client) else { return };
+    let mut chunk = [0u8; READ_CHUNK];
 
     // Phase 1: wait for the Hello that names the directed link.
-    let mut rbuf: Vec<u8> = Vec::new();
     let deadline = Instant::now() + HELLO_DEADLINE;
-    let (from, hello_raw) = loop {
+    let (from, hello_len) = loop {
         if shared.stop.load(Ordering::SeqCst) || Instant::now() >= deadline {
             return;
         }
-        if !fill(&mut client, &mut rbuf) {
+        client.fill(&mut chunk);
+        if client.dead {
             return;
         }
-        match decode_frame(&rbuf) {
-            Ok(Some((Frame::Hello { node, .. }, n))) => {
-                let raw = rbuf[..n].to_vec();
-                rbuf.drain(..n);
-                break (node, raw);
-            }
+        match decode_frame(&client.rbuf) {
+            Ok(Some((Frame::Hello { node, .. }, n))) => break (node, n),
             Ok(Some(_)) | Err(_) => return, // first frame must be Hello
             Ok(None) => std::thread::sleep(PUMP_TICK),
         }
@@ -362,20 +321,13 @@ fn pump_conn(
     let Ok(server) = TcpStream::connect_timeout(&real, Duration::from_secs(2)) else {
         return;
     };
-    let mut server = server;
-    if server.set_nonblocking(true).is_err() {
-        return;
-    }
-    let _ = server.set_nodelay(true);
+    let Ok(mut server) = Conn::new(server) else { return };
+    server.wbuf.extend(client.rbuf.drain(..hello_len));
 
     let mut rng = SimRng::new(shared.seed).fork((u64::from(from) << 32) | u64::from(to) ^ serial);
 
     // Frames waiting out their injected delay, FIFO per due time.
     let mut delayed: VecDeque<(Instant, Vec<u8>)> = VecDeque::new();
-    // Bytes cleared for the site, pending socket capacity.
-    let mut server_wbuf: Vec<u8> = hello_raw;
-    // Reverse direction: site → dialer, relayed verbatim.
-    let mut client_wbuf: Vec<u8> = Vec::new();
 
     loop {
         if shared.stop.load(Ordering::SeqCst) {
@@ -387,17 +339,13 @@ fn pump_conn(
             return;
         }
 
-        let client_alive = fill(&mut client, &mut rbuf);
-        if rbuf.len() > 64 * 1024 * 1024 {
-            return; // runaway unparseable stream
-        }
+        client.fill(&mut chunk);
 
         // Apply per-frame faults to everything parseable.
         loop {
-            match decode_frame(&rbuf) {
+            match decode_frame(&client.rbuf) {
                 Ok(Some((_, n))) => {
-                    let raw = rbuf[..n].to_vec();
-                    rbuf.drain(..n);
+                    let raw: Vec<u8> = client.rbuf.drain(..n).collect();
                     if faults.drop_prob > 0.0 && rng.chance(faults.drop_prob) {
                         shared.inc("chaos.injected.drop");
                         continue;
@@ -413,7 +361,7 @@ fn pump_conn(
                             shared.inc("chaos.injected.delay");
                             delayed.push_back((Instant::now() + faults.delay, raw.clone()));
                         } else {
-                            server_wbuf.extend_from_slice(&raw);
+                            server.wbuf.extend_from_slice(&raw);
                         }
                     }
                 }
@@ -426,21 +374,21 @@ fn pump_conn(
         let now = Instant::now();
         while matches!(delayed.front(), Some((due, _)) if *due <= now) {
             let (_, raw) = delayed.pop_front().expect("peeked");
-            server_wbuf.extend_from_slice(&raw);
+            server.wbuf.extend_from_slice(&raw);
         }
-
-        if drain(&mut server, &mut server_wbuf).is_err() {
-            return;
-        }
+        server.flush();
 
         // Reverse direction, verbatim.
-        let server_alive = fill(&mut server, &mut client_wbuf);
-        if drain(&mut client, &mut client_wbuf).is_err() {
-            return;
-        }
+        server.fill(&mut chunk);
+        client.wbuf.append(&mut server.rbuf);
+        client.flush();
 
-        let done_client = !client_alive && rbuf.is_empty() && delayed.is_empty();
-        if (done_client && server_wbuf.is_empty()) || (!server_alive && client_wbuf.is_empty()) {
+        // A dead client sends nothing more, so a partial frame left in its
+        // buffer never completes: it is done once its delayed frames leave.
+        // A dead site is done once its last bytes reached the dialer.
+        let client_done = client.dead && delayed.is_empty() && server.wbuf.is_empty();
+        let server_done = server.dead && (client.wbuf.is_empty() || client.dead);
+        if client_done || server_done {
             return;
         }
         std::thread::sleep(PUMP_TICK);

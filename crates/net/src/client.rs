@@ -107,18 +107,23 @@ impl NetClient {
         sent.map_err(|e| EngineError::Io(format!("send: {e}")))
     }
 
-    /// Receives the next frame, blocking up to `deadline`. The socket keeps
-    /// its read timeout between reads (see [`timeout_to_set`]), so a read
-    /// may return before the deadline with nothing; the loop then reads
-    /// again.
-    fn recv_frame(&mut self, deadline: Duration) -> Result<Frame, EngineError> {
+    /// Reads frames until `accept` takes one, skipping every frame it turns
+    /// down (a stray on a client pipe), or until `deadline` has passed. The
+    /// socket keeps its read timeout between reads (see [`timeout_to_set`]),
+    /// so a read may return before the deadline with nothing; the loop then
+    /// reads again.
+    fn recv<T>(
+        &mut self,
+        deadline: Duration,
+        mut accept: impl FnMut(Frame) -> Option<T>,
+    ) -> Result<T, EngineError> {
         let limit = Instant::now() + deadline;
         loop {
-            if let Some((frame, n)) =
-                decode_frame(&self.rbuf).map_err(EngineError::from)?
-            {
+            while let Some((frame, n)) = decode_frame(&self.rbuf).map_err(EngineError::from)? {
                 self.rbuf.drain(..n);
-                return Ok(frame);
+                if let Some(answer) = accept(frame) {
+                    return Ok(answer);
+                }
             }
             // About to block: deferred submits leave first, or the replies
             // this read waits for may never be sent.
@@ -172,24 +177,17 @@ impl NetClient {
 
     /// Receives the next transaction reply (any outstanding request).
     pub fn recv_reply(&mut self, deadline: Duration) -> Result<(u64, TxnResult), EngineError> {
-        let limit = Instant::now() + deadline;
-        loop {
-            let remaining = limit.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return Err(EngineError::Timeout);
-            }
-            match self.recv_frame(remaining)? {
-                Frame::Proto {
-                    msg: Msg::Reply { req_id, result },
-                    ..
-                } => return Ok((req_id, result)),
-                // Any other frame on a client pipe is stray; skip it.
-                _ => continue,
-            }
-        }
+        self.recv(deadline, |frame| match frame {
+            Frame::Proto {
+                msg: Msg::Reply { req_id, result },
+                ..
+            } => Some((req_id, result)),
+            _ => None,
+        })
     }
 
-    /// Submits a transaction and blocks for its result.
+    /// Submits a transaction and blocks for its result. A reply to another
+    /// request (an abandoned pipelined one) is skipped.
     pub fn submit(
         &mut self,
         spec: &TransactionSpec,
@@ -197,18 +195,13 @@ impl NetClient {
     ) -> Result<TxnResult, EngineError> {
         let want = self.submit_async(spec)?;
         self.flush()?;
-        let limit = Instant::now() + deadline;
-        loop {
-            let remaining = limit.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return Err(EngineError::Timeout);
-            }
-            let (req_id, result) = self.recv_reply(remaining)?;
-            if req_id == want {
-                return Ok(result);
-            }
-            // A stale reply from an abandoned pipelined request: keep going.
-        }
+        self.recv(deadline, |frame| match frame {
+            Frame::Proto {
+                msg: Msg::Reply { req_id, result },
+                ..
+            } if req_id == want => Some(result),
+            _ => None,
+        })
     }
 
     /// Serves a coordination-free read-only transaction at the connected
@@ -230,57 +223,36 @@ impl NetClient {
                 items: items.to_vec(),
             },
         })?;
-        let limit = Instant::now() + deadline;
-        loop {
-            let remaining = limit.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return Err(EngineError::Timeout);
-            }
-            match self.recv_frame(remaining)? {
-                Frame::Proto {
-                    msg:
-                        Msg::SnapshotReadReply {
-                            req_id,
-                            snapshot,
-                            entries,
-                        },
-                    ..
-                } if req_id == want => return Ok((snapshot, entries)),
-                _ => continue,
-            }
-        }
+        self.recv(deadline, |frame| match frame {
+            Frame::Proto {
+                msg:
+                    Msg::SnapshotReadReply {
+                        req_id,
+                        snapshot,
+                        entries,
+                    },
+                ..
+            } if req_id == want => Some((snapshot, entries)),
+            _ => None,
+        })
     }
 
     /// Snapshots the connected site's state.
     pub fn inspect(&mut self, deadline: Duration) -> Result<NodeSnapshot, EngineError> {
         self.send_frame(&Frame::InspectReq)?;
-        let limit = Instant::now() + deadline;
-        loop {
-            let remaining = limit.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return Err(EngineError::Timeout);
-            }
-            match self.recv_frame(remaining)? {
-                Frame::InspectResp(snap) => return Ok(snap),
-                _ => continue,
-            }
-        }
+        self.recv(deadline, |frame| match frame {
+            Frame::InspectResp(snap) => Some(snap),
+            _ => None,
+        })
     }
 
     /// Fetches the connected site's metrics registry.
     pub fn metrics(&mut self, deadline: Duration) -> Result<Metrics, EngineError> {
         self.send_frame(&Frame::MetricsReq)?;
-        let limit = Instant::now() + deadline;
-        loop {
-            let remaining = limit.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return Err(EngineError::Timeout);
-            }
-            match self.recv_frame(remaining)? {
-                Frame::MetricsResp(wire) => return Ok(wire.to_metrics()),
-                _ => continue,
-            }
-        }
+        self.recv(deadline, |frame| match frame {
+            Frame::MetricsResp(wire) => Some(wire.to_metrics()),
+            _ => None,
+        })
     }
 
     /// Asks the site process to flush its WAL and exit cleanly.

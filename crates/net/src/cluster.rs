@@ -10,11 +10,17 @@
 //! site links additionally route through a fault-injecting [`ChaosNet`]
 //! proxy, which is how the partition/heal and fault-soak tests run a real
 //! TCP cluster through the §3.1/§3.3 recovery machinery.
+//!
+//! Everything past start-up reaches the sites the way it reaches `pv-node`
+//! processes: through a [`ProcCluster`] attached to their addresses, which
+//! opens a new connection for each client, inspection, metrics fetch and
+//! shutdown frame.
 
 use crate::backoff::Backoff;
 use crate::chaos::ChaosNet;
 use crate::client::NetClient;
 use crate::node::Node;
+use crate::proc::ProcCluster;
 use crate::wire::NodeSnapshot;
 use pv_core::TransactionSpec;
 use pv_engine::messages::TxnResult;
@@ -22,8 +28,6 @@ use pv_engine::topology::Topology;
 use pv_engine::{EngineError, Site};
 use pv_simnet::Metrics;
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Mutex;
 use std::time::Duration;
 
 /// Configures and starts a [`NetCluster`] from a shared [`Topology`].
@@ -93,39 +97,28 @@ impl NetBuilder {
             );
         }
         Ok(NetCluster {
-            addrs,
             handles,
             chaos,
+            attached: ProcCluster::attach(addrs, self.backoff),
             static_checks: self.topo.engine.static_checks,
-            backoff: self.backoff,
-            next_client: AtomicU32::new(sites + 1),
-            control: Mutex::new(None),
         })
     }
 }
 
-/// A running socket cluster (one event-loop thread per site, real TCP).
+/// A running socket cluster: one event-loop thread per site over real TCP,
+/// the chaos proxies when enabled, and a [`ProcCluster`] attached to the
+/// sites, through which every client, inspection, metrics fetch and
+/// shutdown frame reaches them.
 pub struct NetCluster {
-    addrs: Vec<SocketAddr>,
     handles: Vec<std::thread::JoinHandle<Result<Site, EngineError>>>,
     chaos: Option<ChaosNet>,
+    attached: ProcCluster,
     /// Whether submissions are gated client-side first
     /// (`Topology::static_checks`).
     static_checks: bool,
-    backoff: Backoff,
-    next_client: AtomicU32,
-    /// One lazily-opened control connection per site, for
-    /// submit/inspect/metrics convenience calls.
-    control: Mutex<Option<Vec<NetClient>>>,
 }
 
 impl NetCluster {
-    /// Starts configuring a networked cluster (alias for
-    /// [`NetBuilder::from_topology`]).
-    pub fn builder(topo: Topology) -> NetBuilder {
-        NetBuilder::from_topology(topo)
-    }
-
     /// Spawns a cluster with the default dial/reconnect policy.
     pub fn from_topology(topo: Topology) -> Result<Self, EngineError> {
         NetBuilder::from_topology(topo).start()
@@ -133,8 +126,8 @@ impl NetCluster {
 
     /// The listen address of every site (index = site id). These are the
     /// sites' real addresses even under chaos — clients bypass the proxies.
-    pub fn addrs(&self) -> &[SocketAddr] {
-        &self.addrs
+    pub fn addrs(&self) -> Vec<SocketAddr> {
+        self.attached.addrs()
     }
 
     /// The chaos proxy layer, when the cluster was started with
@@ -145,43 +138,18 @@ impl NetCluster {
 
     /// Number of sites.
     pub fn site_count(&self) -> usize {
-        self.addrs.len()
+        self.attached.sites() as usize
     }
 
     /// Opens a new client connection to `site` with a fresh, unique client
     /// node id. Independent connections can pipeline independently.
     pub fn client(&self, site: u32) -> Result<NetClient, EngineError> {
-        let addr = *self
-            .addrs
-            .get(site as usize)
-            .ok_or(EngineError::UnknownSite(site))?;
-        let node = self.next_client.fetch_add(1, Ordering::Relaxed);
-        NetClient::connect(addr, node, self.backoff)
+        self.attached.client(site)
     }
 
-    /// Runs `f` with the cluster's cached control connection to `site`.
-    fn with_control<T>(
-        &self,
-        site: u32,
-        f: impl FnOnce(&mut NetClient) -> Result<T, EngineError>,
-    ) -> Result<T, EngineError> {
-        if site as usize >= self.addrs.len() {
-            return Err(EngineError::UnknownSite(site));
-        }
-        let mut guard = self.control.lock().expect("control lock");
-        if guard.is_none() {
-            let mut clients = Vec::with_capacity(self.addrs.len());
-            for s in 0..self.addrs.len() as u32 {
-                clients.push(self.client(s)?);
-            }
-            *guard = Some(clients);
-        }
-        f(&mut guard.as_mut().expect("just filled")[site as usize])
-    }
-
-    /// Submits a transaction to `coordinator` and blocks for the result.
-    /// With `Topology::static_checks` on, the spec is gated client-side
-    /// first.
+    /// Submits a transaction to `coordinator` on a new connection and blocks
+    /// for the result. With `Topology::static_checks` on, the spec is gated
+    /// client-side first.
     pub fn submit(
         &self,
         coordinator: u32,
@@ -193,12 +161,12 @@ impl NetCluster {
                 return Err(EngineError::Rejected(report));
             }
         }
-        self.with_control(coordinator, |c| c.submit(spec, deadline))
+        self.client(coordinator)?.submit(spec, deadline)
     }
 
     /// Snapshots a site's state.
     pub fn inspect(&self, site: u32, deadline: Duration) -> Result<NodeSnapshot, EngineError> {
-        self.with_control(site, |c| c.inspect(deadline))
+        self.client(site)?.inspect(deadline)
     }
 
     /// Serves a coordination-free read-only transaction at `site`: in one
@@ -212,48 +180,34 @@ impl NetCluster {
         items: &[pv_core::ItemId],
         deadline: Duration,
     ) -> Result<pv_store::SnapshotView, EngineError> {
-        self.with_control(site, |c| c.snapshot_read(items, deadline))
+        self.client(site)?.snapshot_read(items, deadline)
     }
 
     /// Polls every site until each is quiescent with zero polyvalues and
-    /// returns their snapshots, retrying a failed inspect until `limit`:
-    /// the same loop as [`ProcCluster::settle`](crate::ProcCluster::settle).
+    /// returns their snapshots ([`ProcCluster::settle`]).
     pub fn settle(&self, limit: Duration) -> Result<Vec<NodeSnapshot>, EngineError> {
-        crate::proc::settle(self.site_count() as u32, limit, |s, wait| self.inspect(s, wait))
+        self.attached.settle(limit)
     }
 
     /// Fetches and merges every site's metrics registry.
     pub fn metrics(&self, deadline: Duration) -> Result<Metrics, EngineError> {
-        let mut merged = Metrics::new();
-        for s in 0..self.addrs.len() as u32 {
-            let m = self.with_control(s, |c| c.metrics(deadline))?;
-            merged.merge(&m);
-        }
-        Ok(merged)
+        self.attached.metrics(deadline)
     }
 
     /// Fetches one site's metrics registry (unmerged).
     pub fn site_metrics(&self, site: u32, deadline: Duration) -> Result<Metrics, EngineError> {
-        self.with_control(site, |c| c.metrics(deadline))
+        self.client(site)?.metrics(deadline)
     }
 
     /// Sends every site a shutdown frame and joins the event-loop threads,
-    /// returning the final [`Site`] states.
+    /// returning the final [`Site`] states. Every site is dialed before the
+    /// first frame leaves, so none is still being dialed once a peer has
+    /// gone.
     pub fn shutdown(self) -> Result<Vec<Site>, EngineError> {
-        {
-            let mut guard = self.control.lock().expect("control lock");
-            if guard.is_none() {
-                let mut clients = Vec::with_capacity(self.addrs.len());
-                for s in 0..self.addrs.len() as u32 {
-                    let addr = self.addrs[s as usize];
-                    let node = self.next_client.fetch_add(1, Ordering::Relaxed);
-                    clients.push(NetClient::connect(addr, node, self.backoff)?);
-                }
-                *guard = Some(clients);
-            }
-            for client in guard.as_mut().expect("just filled") {
-                client.shutdown()?;
-            }
+        let sites = self.site_count() as u32;
+        let clients = (0..sites).map(|s| self.client(s)).collect::<Result<Vec<_>, _>>()?;
+        for mut client in clients {
+            client.shutdown()?;
         }
         let mut sites = Vec::with_capacity(self.handles.len());
         for handle in self.handles {

@@ -17,16 +17,23 @@
 //!   time under the node's policy, fixed when the node starts.
 //! * [`backoff`] — the jittered-exponential [`Backoff`] policy that paces
 //!   every dial and reconnect.
-//! * [`client`] — a blocking client connection with pipelined submission.
+//! * `conn` — the crate-private non-blocking framed socket (read buffer,
+//!   write queue) that the node's connections and both sides of a chaos
+//!   proxy are.
+//! * [`client`] — a blocking client connection with pipelined submission
+//!   and one receive loop.
 //! * [`cluster`] — [`NetCluster`]: every node's event loop hosted on an
 //!   in-process thread over real localhost TCP, consuming the same
-//!   [`pv_engine::Topology`] as the other two runtimes.
+//!   [`pv_engine::Topology`] as the simulation, and reached through an
+//!   attached [`ProcCluster`].
 //! * [`chaos`] — a fault-injecting TCP proxy ([`ChaosNet`]) that sits on
 //!   every site→site link and applies seeded, deterministic delay, drop,
 //!   duplication, and partitions.
 //! * [`proc`] — [`ProcCluster`]: a cluster of real `pv-node` processes on
-//!   localhost (spawn, kill, restart, clients, shutdown, kill on drop), and
-//!   the settle-and-audit that ends every cluster run, in process or not.
+//!   localhost (spawn, kill, restart, clients, shutdown, kill on drop), or
+//!   a handle attached to sites started elsewhere; the `--fast` engine
+//!   timeouts ([`proc::fast_config`]); and the settle-and-audit that ends
+//!   every cluster run, in process or not.
 //!
 //! The `pv-node` binary wraps [`node::Node`] for one-process-per-site
 //! deployment. Every real-process cluster is a [`ProcCluster`]:
@@ -43,6 +50,7 @@ pub mod backoff;
 pub mod chaos;
 pub mod client;
 pub mod cluster;
+mod conn;
 pub mod node;
 #[allow(unsafe_code)]
 mod poll;

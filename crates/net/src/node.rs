@@ -52,10 +52,9 @@
 //! millisecond rounding, one spin and one pass late.
 
 use crate::backoff::Backoff;
+use crate::conn::{Conn, READ_CHUNK};
 use crate::poll::{self, PollFd};
-use crate::wire::{
-    decode_frame, encode_frame, DecodeError, Frame, NodeSnapshot, WireMetrics, MAX_FRAME_LEN,
-};
+use crate::wire::{Frame, NodeSnapshot, WireMetrics};
 use pv_engine::messages::Msg;
 use pv_engine::topology::Topology;
 use pv_engine::{EngineError, Site, SiteHost};
@@ -72,10 +71,6 @@ use std::time::{Duration, Instant};
 /// The §3.1 timers and §3.3 inquiries re-drive anything lost.
 const PENDING_CAP: usize = 4096;
 
-/// Bytes one `read` asks for. A read that returns fewer found the socket
-/// empty.
-const READ_CHUNK: usize = 16 * 1024;
-
 /// How long a wait polls without blocking before it sleeps in `poll(2)`. A
 /// frame that lands inside it is read without waking a sleeping thread. On
 /// `net_closed` neither 10, 50 nor 100 µs was clearly ahead of 25 µs, and a
@@ -89,130 +84,6 @@ const PROBE_EVERY: u32 = 16;
 /// The highest [`SpinScore`]: a node whose spins have been catching frames
 /// stops spinning after at most four misses in a row.
 const SCORE_CAP: u8 = 8;
-
-/// One live connection with read/write buffering. Writes that the socket
-/// will not take immediately stay queued in `wbuf` and drain as the peer
-/// reads — backpressure without blocking the loop.
-struct Conn {
-    stream: TcpStream,
-    rbuf: Vec<u8>,
-    wbuf: Vec<u8>,
-    dead: bool,
-}
-
-impl Conn {
-    fn new(stream: TcpStream) -> std::io::Result<Self> {
-        stream.set_nonblocking(true)?;
-        let _ = stream.set_nodelay(true);
-        Ok(Conn {
-            stream,
-            rbuf: Vec::new(),
-            wbuf: Vec::new(),
-            dead: false,
-        })
-    }
-
-    /// Encodes `frame` onto the write queue (which an un-frameable one
-    /// leaves untouched). The loop flushes each queue once per pass, so
-    /// everything a pass emits to one peer leaves in one `write`.
-    fn queue(&mut self, frame: &Frame) -> Result<(), EngineError> {
-        Ok(encode_frame(frame, &mut self.wbuf)?)
-    }
-
-    /// This connection's entry in the wait set: readable always; writable
-    /// only while output is queued, or a level-triggered wait would never
-    /// block.
-    fn pollfd(&self) -> PollFd {
-        let out = if self.wbuf.is_empty() { 0 } else { poll::OUT };
-        PollFd::new(&self.stream, poll::IN | out)
-    }
-
-    /// Writes as much queued output as the socket accepts; returns the
-    /// `write` calls made.
-    fn flush(&mut self) -> u64 {
-        let mut writes = 0;
-        while !self.wbuf.is_empty() && !self.dead {
-            writes += 1;
-            match self.stream.write(&self.wbuf) {
-                Ok(0) => {
-                    self.dead = true;
-                }
-                Ok(n) => {
-                    self.wbuf.drain(..n);
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.dead = true;
-                }
-            }
-        }
-        writes
-    }
-
-    /// Reads what the socket holds through `chunk` ([`READ_CHUNK`] bytes),
-    /// stopping after the first read shorter than that: the socket was empty
-    /// then, and the level-triggered wait reports anything that arrives
-    /// later. EOF or a socket error marks the connection dead (already
-    /// buffered frames still parse). Returns the `read` calls made.
-    fn fill(&mut self, chunk: &mut [u8]) -> u64 {
-        let mut reads = 0;
-        loop {
-            reads += 1;
-            match self.stream.read(chunk) {
-                Ok(0) => {
-                    self.dead = true;
-                    break;
-                }
-                Ok(n) => {
-                    self.rbuf.extend_from_slice(&chunk[..n]);
-                    // Refuse unbounded buffering from a peer that floods
-                    // garbage faster than we parse.
-                    if self.rbuf.len() > 2 * MAX_FRAME_LEN as usize {
-                        self.dead = true;
-                        break;
-                    }
-                    if n < chunk.len() {
-                        break;
-                    }
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.dead = true;
-                    break;
-                }
-            }
-        }
-        reads
-    }
-
-    /// Decodes every whole frame in the read buffer onto `events`, in order,
-    /// then drops the consumed bytes in one move. A malformed stream cannot
-    /// be resynchronised: the error marks the connection dead.
-    fn decode_into(
-        &mut self,
-        slot: usize,
-        events: &mut Vec<(usize, Frame)>,
-    ) -> Result<(), DecodeError> {
-        let mut at = 0;
-        let decoded = loop {
-            match decode_frame(&self.rbuf[at..]) {
-                Ok(Some((frame, n))) => {
-                    at += n;
-                    events.push((slot, frame));
-                }
-                Ok(None) => break Ok(()),
-                Err(e) => {
-                    self.dead = true;
-                    break Err(e);
-                }
-            }
-        };
-        self.rbuf.drain(..at);
-        decoded
-    }
-}
 
 /// Socket calls on connections since a `MetricsReq` last folded them into
 /// the registry. Plain fields, so the loop's hot path does no string-keyed
@@ -337,6 +208,9 @@ pub struct Node {
     listener: TcpListener,
     backoff: Backoff,
     host: SiteHost,
+    /// How long [`Site::open`] took in [`Node::bind`], in seconds: WAL open,
+    /// replay and seeding. A cold start observes it as `recovery.duration`.
+    open_secs: f64,
     /// Wall-clock time zero of the host's [`SimTime`].
     epoch: Instant,
     metrics: Metrics,
@@ -391,7 +265,9 @@ impl Node {
                 Ok((rx, tx))
             })
             .map_err(|e| EngineError::Io(format!("wake pipe: {e}")))?;
+        let opening = Instant::now();
         let site = Site::open(s, topo)?;
+        let open_secs = opening.elapsed().as_secs_f64();
         let peers = (0..topo.sites).map(|_| PeerLink::default()).collect();
         Ok(Node {
             me: NodeId(s),
@@ -399,6 +275,7 @@ impl Node {
             listener,
             backoff,
             host: SiteHost::new(site, 0xBEEF_0000 + u64::from(s)),
+            open_secs,
             epoch: Instant::now(),
             metrics: Metrics::new(),
             trace: Trace::default(),
@@ -751,6 +628,7 @@ impl Node {
         let at = self.sim_time(now);
         if self.drive(|host, m, t, out| host.start(at, m, t, out))? {
             self.metrics.inc("net.cold_recoveries");
+            self.metrics.observe("recovery.duration", self.open_secs);
         }
         let mut set: Vec<PollFd> = Vec::new();
         let mut sources: Vec<Source> = Vec::new();
@@ -872,8 +750,9 @@ impl Node {
 
     /// Queues a control response on the inbound connection that asked. One
     /// that cannot be framed (a registry or item table past
-    /// [`MAX_FRAME_LEN`]) is that connection's failure, not the site's: the
-    /// connection is dropped and the node keeps serving.
+    /// [`MAX_FRAME_LEN`](crate::wire::MAX_FRAME_LEN)) is that connection's
+    /// failure, not the site's: the connection is dropped and the node keeps
+    /// serving.
     fn respond(&mut self, slot: usize, frame: &Frame) {
         let Some(conn) = self.conns[slot].as_mut() else { return };
         if conn.queue(frame).is_err() {
@@ -979,6 +858,7 @@ fn peer_salt(me: SiteId, peer: u32) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::MAX_FRAME_LEN;
     use pv_engine::Directory;
 
     /// A bound one-site node.
@@ -1079,66 +959,6 @@ mod tests {
         ] {
             assert!(!accept_error_is_transient(fatal), "{fatal:?}");
         }
-    }
-
-    /// A connected pair: the writing end, and the node's end as a `Conn`.
-    fn loopback_pair() -> (TcpStream, Conn) {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let tx = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        let rx = Conn::new(listener.accept().unwrap().0).unwrap();
-        (tx, rx)
-    }
-
-    /// Waits until `n` bytes are readable on `conn` without reading them.
-    fn await_readable(conn: &Conn, n: usize) {
-        let limit = Instant::now() + Duration::from_secs(10);
-        let mut peek = vec![0u8; n + 1];
-        while !matches!(conn.stream.peek(&mut peek), Ok(got) if got >= n) {
-            assert!(Instant::now() < limit, "{n} bytes never arrived");
-            std::thread::sleep(Duration::from_millis(1));
-        }
-    }
-
-    #[test]
-    fn frames_decode_once_and_in_order_across_reads() {
-        let (mut tx, mut rx) = loopback_pair();
-        let mut chunk = [0u8; READ_CHUNK];
-        let hello = |node| Frame::Hello { node };
-        let mut events = Vec::new();
-
-        // Just over three chunks: reads of exactly READ_CHUNK bytes are not
-        // short, so one fill takes all of it in four reads, and no fifth.
-        let mut bytes = Vec::new();
-        let mut sent = 0;
-        while bytes.len() <= 3 * READ_CHUNK {
-            encode_frame(&hello(sent), &mut bytes).unwrap();
-            sent += 1;
-        }
-        assert_ne!(bytes.len() % READ_CHUNK, 0);
-        tx.write_all(&bytes).unwrap();
-        await_readable(&rx, bytes.len());
-        assert_eq!(rx.fill(&mut chunk), 4);
-        assert_eq!(rx.rbuf.len(), bytes.len());
-        rx.decode_into(3, &mut events).unwrap();
-        assert!(rx.rbuf.is_empty() && !rx.dead);
-
-        // One frame split across two writes with a pause between them.
-        let split = crate::wire::frame_bytes(&hello(sent)).unwrap();
-        let (head, tail) = split.split_at(split.len() / 2);
-        tx.write_all(head).unwrap();
-        await_readable(&rx, head.len());
-        assert_eq!(rx.fill(&mut chunk), 1, "a short read ends the fill");
-        rx.decode_into(3, &mut events).unwrap();
-        assert_eq!(events.len() as u32, sent, "half a frame decodes nothing");
-        std::thread::sleep(Duration::from_millis(20));
-        tx.write_all(tail).unwrap();
-        await_readable(&rx, tail.len());
-        rx.fill(&mut chunk);
-        rx.decode_into(3, &mut events).unwrap();
-        assert!(rx.rbuf.is_empty());
-
-        let expected: Vec<_> = (0..=sent).map(|n| (3, hello(n))).collect();
-        assert_eq!(events, expected);
     }
 
     /// Site 0 of a two-site cluster under `backoff`, its link to site 1

@@ -19,8 +19,8 @@ use crate::chaos::ChaosNet;
 use crate::client::NetClient;
 use crate::wire::NodeSnapshot;
 use pv_core::{ItemId, Value};
-use pv_engine::{CommitProtocol, EngineError};
-use pv_simnet::Metrics;
+use pv_engine::{CommitProtocol, EngineConfig, EngineError};
+use pv_simnet::{Metrics, SimDuration};
 use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -31,7 +31,7 @@ use std::time::{Duration, Instant};
 
 /// The pause between two polls of a readiness wait or a settle.
 const POLL: Duration = Duration::from_millis(25);
-/// The longest one inspect or metrics request may take.
+/// The longest one inspect of a settle may take.
 const REQUEST: Duration = Duration::from_secs(5);
 /// How long a started site gets to accept its first connection.
 const READY: Duration = Duration::from_secs(10);
@@ -40,8 +40,22 @@ fn io_error(what: &str, e: impl std::fmt::Display) -> EngineError {
     EngineError::Io(format!("{what}: {e}"))
 }
 
+/// The localhost engine timeouts `pv-node --fast` runs under, for
+/// `protocol`: every [`ProcCluster`] site, and the in-process clusters of
+/// the tests.
+pub fn fast_config(protocol: CommitProtocol) -> EngineConfig {
+    EngineConfig {
+        read_timeout: SimDuration::from_millis(200),
+        ready_timeout: SimDuration::from_millis(200),
+        wait_timeout: SimDuration::from_millis(80),
+        read_lease: SimDuration::from_millis(500),
+        inquire_interval: SimDuration::from_millis(100),
+        ..EngineConfig::with_protocol(protocol)
+    }
+}
+
 /// The `pv-node` flags every site of a [`ProcCluster`] is started with
-/// (always with `--fast`, the localhost engine timeouts).
+/// (always with `--fast`: the timeouts of [`fast_config`]).
 #[derive(Debug, Clone)]
 pub struct ProcSpec {
     /// The `pv-node` binary: [`sibling_node_bin`] from a binary,
@@ -160,9 +174,11 @@ impl ProcCluster {
         self.spec.sites
     }
 
-    /// Site `s`'s current listen address (clients bypass the proxies).
-    pub fn addr(&self, s: u32) -> SocketAddr {
-        self.addrs.lock().expect("addrs lock")[s as usize]
+    /// Site `s`'s current listen address (clients bypass the proxies); a
+    /// site the cluster does not have is [`EngineError::UnknownSite`].
+    fn addr(&self, s: u32) -> Result<SocketAddr, EngineError> {
+        let addrs = self.addrs.lock().expect("addrs lock");
+        addrs.get(s as usize).copied().ok_or(EngineError::UnknownSite(s))
     }
 
     /// Every site's current listen address (index = site id).
@@ -182,7 +198,7 @@ impl ProcCluster {
         let flags = format!(
             "--site {s} --addrs {peers} --listen {} --accounts {} --balance {} --protocol {} \
              --fast --attempts {} --delay-ms {} --max-delay-ms {}",
-            self.addr(s),
+            self.addr(s)?,
             spec.accounts,
             spec.balance,
             spec.protocol.label(),
@@ -207,7 +223,7 @@ impl ProcCluster {
 
     /// Polls until site `s` accepts a connection.
     fn wait_ready(&self, s: u32) -> Result<(), EngineError> {
-        let addr = self.addr(s);
+        let addr = self.addr(s)?;
         let limit = Instant::now() + READY;
         while let Err(e) = TcpStream::connect_timeout(&addr, Duration::from_millis(250)) {
             if Instant::now() > limit {
@@ -240,7 +256,8 @@ impl ProcCluster {
     }
 
     /// A new connection to site `s` under the spec's backoff, with a client
-    /// node id no other client of this cluster uses.
+    /// node id no other client of this cluster uses. A site the cluster
+    /// does not have is [`EngineError::UnknownSite`].
     pub fn client(&self, s: u32) -> Result<NetClient, EngineError> {
         self.client_with(s, self.spec.backoff)
     }
@@ -248,8 +265,9 @@ impl ProcCluster {
     /// [`client`](Self::client) under another dial policy: a loader that
     /// must not wait out a killed site dials with [`Backoff::fast_fail`].
     pub fn client_with(&self, s: u32, backoff: Backoff) -> Result<NetClient, EngineError> {
+        let addr = self.addr(s)?;
         let node = self.next_client.fetch_add(1, Ordering::Relaxed);
-        NetClient::connect(self.addr(s), node, backoff)
+        NetClient::connect(addr, node, backoff)
     }
 
     /// Polls every site until each is quiescent with zero polyvalues and
@@ -265,11 +283,12 @@ impl ProcCluster {
         settle(self.sites(), limit, |s, wait| self.client_with(s, once)?.inspect(wait))
     }
 
-    /// Every site's metrics registry, merged.
-    pub fn metrics(&self) -> Result<Metrics, EngineError> {
+    /// Every site's metrics registry, merged; each site gets `deadline` to
+    /// answer.
+    pub fn metrics(&self, deadline: Duration) -> Result<Metrics, EngineError> {
         let mut merged = Metrics::new();
         for s in 0..self.sites() {
-            merged.merge(&self.client(s)?.metrics(REQUEST)?);
+            merged.merge(&self.client(s)?.metrics(deadline)?);
         }
         Ok(merged)
     }
@@ -321,7 +340,7 @@ impl Drop for ProcCluster {
 /// error is retried on the next poll until `limit`; then the error names
 /// the last poll's failure and what its answers left unsettled
 /// ([`unsettled`]).
-pub(crate) fn settle(
+fn settle(
     sites: u32,
     limit: Duration,
     mut inspect: impl FnMut(u32, Duration) -> Result<NodeSnapshot, EngineError>,
@@ -462,5 +481,13 @@ mod tests {
         assert!(err.contains("site 0") && err.contains(&dead.to_string()), "{err}");
         // One poll past the limit, plus a scheduling allowance.
         assert!(took < limit + POLL + Duration::from_millis(100), "took {took:?}");
+    }
+
+    #[test]
+    fn a_client_of_an_unknown_site_is_an_error_value() {
+        let cluster = ProcCluster::attach(vec![free_addr().expect("reserve port")], Backoff::patient());
+        assert_eq!(cluster.client(1).err(), Some(EngineError::UnknownSite(1)));
+        let fast = Backoff::fast_fail();
+        assert_eq!(cluster.client_with(9, fast).err(), Some(EngineError::UnknownSite(9)));
     }
 }

@@ -5,31 +5,19 @@
 //! observability the recovery machinery promises.
 
 use pv_core::TransactionSpec;
-use pv_engine::{Directory, EngineConfig, Topology};
+use pv_engine::{CommitProtocol, Directory, Topology};
 use pv_net::backoff::Backoff;
 use pv_net::chaos::LinkFaults;
-use pv_net::proc::balances;
+use pv_net::proc::{balances, fast_config};
 use pv_net::NetBuilder;
-use pv_simnet::SimDuration;
 use std::time::{Duration, Instant};
 
 /// How long a healed cluster gets to drain to quiescence with no polyvalues.
 const SETTLE: Duration = Duration::from_secs(30);
 
-fn fast_config() -> EngineConfig {
-    EngineConfig {
-        read_timeout: SimDuration::from_millis(200),
-        ready_timeout: SimDuration::from_millis(200),
-        wait_timeout: SimDuration::from_millis(80),
-        read_lease: SimDuration::from_millis(500),
-        inquire_interval: SimDuration::from_millis(100),
-        ..EngineConfig::default()
-    }
-}
-
 fn bank_topology(sites: u32, accounts: u64) -> Topology {
     Topology::new(sites, Directory::Mod(sites))
-        .engine(fast_config())
+        .engine(fast_config(CommitProtocol::Polyvalue))
         .uniform_items(accounts, 100)
 }
 
@@ -43,7 +31,6 @@ fn partition_heals_with_paced_backoff() {
     let backoff = Backoff {
         base: Duration::from_millis(25),
         max: Duration::from_millis(400),
-        factor: 2.0,
         attempts: 10_000,
     };
     let cluster = NetBuilder::from_topology(bank_topology(3, 6))

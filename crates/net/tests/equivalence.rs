@@ -10,10 +10,8 @@
 //! each must conserve total funds.
 
 use pv_core::{Entry, ItemId, TransactionSpec, Value};
-use pv_engine::{
-    ClientConfig, ClusterBuilder, CommitProtocol, Directory, EngineConfig, Script, Topology,
-};
-use pv_net::proc::balances;
+use pv_engine::{ClientConfig, ClusterBuilder, CommitProtocol, Directory, Script, Topology};
+use pv_net::proc::{balances, fast_config};
 use pv_net::NetCluster;
 use pv_simnet::{SimDuration, SimRng};
 use std::time::Duration;
@@ -24,15 +22,7 @@ const BALANCE: i64 = 100;
 
 fn shared_topology(protocol: CommitProtocol) -> Topology {
     Topology::new(SITES, Directory::Mod(SITES))
-        .engine(EngineConfig {
-            protocol,
-            read_timeout: SimDuration::from_millis(200),
-            ready_timeout: SimDuration::from_millis(200),
-            wait_timeout: SimDuration::from_millis(80),
-            read_lease: SimDuration::from_millis(500),
-            inquire_interval: SimDuration::from_millis(100),
-            ..EngineConfig::default()
-        })
+        .engine(fast_config(protocol))
         .uniform_items(ACCOUNTS, BALANCE)
 }
 

@@ -3,30 +3,18 @@
 //! pipelining, inspection, metrics, clean shutdown).
 
 use pv_core::{Expr, ItemId, TransactionSpec};
-use pv_engine::{Directory, EngineConfig, EngineError, Topology};
+use pv_engine::{CommitProtocol, Directory, EngineError, Topology};
 use pv_net::backoff::Backoff;
-use pv_net::proc::balances;
+use pv_net::proc::{balances, fast_config};
 use pv_net::{LinkFaults, NetBuilder, NetCluster};
-use pv_simnet::SimDuration;
 use std::time::{Duration, Instant};
 
 /// How long a cluster gets to drain to quiescence with no polyvalues.
 const SETTLE: Duration = Duration::from_secs(30);
 
-fn fast_config() -> EngineConfig {
-    EngineConfig {
-        read_timeout: SimDuration::from_millis(200),
-        ready_timeout: SimDuration::from_millis(200),
-        wait_timeout: SimDuration::from_millis(80),
-        read_lease: SimDuration::from_millis(500),
-        inquire_interval: SimDuration::from_millis(100),
-        ..EngineConfig::default()
-    }
-}
-
 fn bank_topology(sites: u32, accounts: u64) -> Topology {
     Topology::new(sites, Directory::Mod(sites))
-        .engine(fast_config())
+        .engine(fast_config(CommitProtocol::Polyvalue))
         .uniform_items(accounts, 100)
 }
 

@@ -85,8 +85,6 @@ pub struct StoreStats {
     pub recovery_replay_records: u64,
     /// Recoveries that had to truncate a torn or corrupt tail.
     pub recovery_truncations: u64,
-    /// Wall-clock duration of each recovery, in seconds.
-    pub recovery_durations: Vec<f64>,
     /// Always 0: no effect; kept for the frozen benchmark; deleted with its last caller by ROADMAP item 1.
     pub lsm_flushes: u64,
     /// Always 0: no effect; kept for the frozen benchmark; deleted with its last caller by ROADMAP item 1.
@@ -665,7 +663,6 @@ impl SiteStore {
     /// Rebuilds every table from the backend's current image, truncating
     /// storage at the first torn or corrupt frame.
     fn recover_from_storage(&mut self) {
-        let started = std::time::Instant::now();
         let image = self
             .storage
             .read_image()
@@ -706,9 +703,6 @@ impl SiteStore {
         if error.is_some() {
             self.recovery.recovery_truncations += 1;
         }
-        self.recovery
-            .recovery_durations
-            .push(started.elapsed().as_secs_f64());
         self.last_checkpoint = replayed;
         self.checkpoint_seq = self.append_seq;
     }
@@ -1502,6 +1496,5 @@ mod tests {
         assert_eq!(busy.wal_compactions, 1);
         assert_eq!(busy.wal_checkpoint_records, 1);
         assert_eq!(busy.recovery_replay_records, 2);
-        assert_eq!(busy.recovery_durations.len(), 1);
     }
 }
